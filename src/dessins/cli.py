@@ -21,7 +21,6 @@ from .monodromy import (
     TrackingError,
     monodromy,
     monodromy_json,
-    verify_stability,
 )
 from .polynomials import EvidenceIncompleteError, RootFindingError
 from .render import RenderError, RenderPlan, render_graph
@@ -92,8 +91,7 @@ def cmd_roots(args, cfg: TrackingConfig):
 
 def cmd_monodromy(args, cfg: TrackingConfig):
     e = maps.parse_map_expr(args.map)
-    stability = verify_stability(e, cfg) if args.check_stability else None
-    return monodromy_json(e, cfg, stability=stability)
+    return monodromy_json(e, cfg, check_stability=args.check_stability)
 
 
 def cmd_dessin(args, cfg: TrackingConfig):

@@ -3,13 +3,20 @@
 The fiber over a base point is computed stage by stage (outermost
 primitive first, each value pulled back through the next primitive).  A
 loop is a segment from the base point to a circle, the full circle
-counterclockwise, and the segment back; the whole fiber is continued along
-it with a tangent predictor and a Newton corrector on the composite
-equation F(x) = gamma(t).  For chains ending in a projection the fiber
-lives on the curve y^2 = c(x); the x coordinate satisfies the polynomial
-stages alone and y follows the nearer square root, so a step is accepted
-only when it moves each point much less than the gap to its nearest
-neighbor and moves y by less than |y| / 2.
+counterclockwise, and the segment back; the fiber is continued along it
+with a tangent predictor and a Newton corrector on the composite equation
+F(x) = gamma(t).  For chains ending in a projection the fiber lives on the
+curve y^2 = c(x); the x coordinate satisfies the polynomial stages alone
+and y follows the nearer square root, so a step is accepted only when it
+moves each point much less than the gap to its nearest neighbor and moves
+y by less than |y| / 2.
+
+Only what the structure leaves open is continued.  Curve points come in
+sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
+of y, so one sheet of each pair is tracked and the gap to the other sheet
+is computed from it exactly.  A leading b(1,1) over a Belyi chain only
+doubles the inner dessin: its pair is assembled from the inner pair and
+the transport of the inner fiber to the two preimages of the base point.
 
 Permutations map start labels to end labels, so the product of the loop
 permutations taken in traversal order is the permutation of the
@@ -239,36 +246,76 @@ def _pairwise_min(coords) -> float:
     return float(d.min())
 
 
-def track_loop(
-    e: MapExpr,
-    loop: LoopSpec,
-    points: Sequence[FiberPoint],
-    cfg: TrackingConfig = TrackingConfig(),
-) -> Permutation:
-    """Continue the fiber around the loop; returns start label -> end label.
+def _sheets(e: MapExpr, points: Sequence[FiberPoint]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The tracked half of a fiber: every x on plain chains; on curves the
+    first point of each adjacent pair (x, y), (x, -y).
 
-    The step is a fraction of the loop, starting at 1/steps and halving
+    The pair shares x exactly and has exactly negated y, so the continuation
+    of the second point is the first with y negated.  Raises TrackingError
+    when the curve points do not pair this way.
+    """
+    x, y = _coords(points)
+    if not e.has_curve:
+        return x, None
+    if y is None or len(points) % 2 or np.any(x[0::2] != x[1::2]) or np.any(y[0::2] != -y[1::2]):
+        raise TrackingError("curve fiber is not in adjacent (x, y), (x, -y) pairs")
+    return x[0::2], y[0::2]
+
+
+def _unfold(x: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Full fiber coordinates, in fiber order, from the tracked half."""
+    if y is None:
+        return x, None
+    return np.repeat(x, 2), np.column_stack((y, -y)).ravel()
+
+
+def _gaps(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+    """Distance in |dx| + |dy| from each tracked point to its nearest
+    neighbor in the full fiber.
+
+    On curves the neighbors of (x_i, y_i) are its partner (x_i, -y_i) at
+    |2 y_i| and the nearer sheet of every other pair, at |x_i - x_j| +
+    min(|y_i - y_j|, |y_i + y_j|).  Negation is exact and rounding is
+    monotone, so this is the full-fiber minimum bit for bit, and the same
+    for both points of a pair.
+    """
+    d = np.abs(x[:, None] - x[None, :])
+    if y is not None:
+        d = d + np.minimum(np.abs(y[:, None] - y[None, :]), np.abs(y[:, None] + y[None, :]))
+    np.fill_diagonal(d, np.inf)
+    nearest = d.min(axis=1)
+    if y is not None:
+        nearest = np.minimum(nearest, np.abs(y + y))
+    return nearest
+
+
+def _continue(
+    e: MapExpr,
+    path,
+    x: np.ndarray,
+    y: np.ndarray | None,
+    cfg: TrackingConfig,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Continue the tracked half of a fiber (see _sheets) along a path
+    with ``.point(t)`` for t in [0, 1] and ``.steps``; returns the end
+    positions.
+
+    The step is a fraction of the path, starting at 1/steps and halving
     whenever Newton fails, a point moves more than 0.4 of the gap to its
     nearest neighbor, or y moves more than |y| / 2.  Raises
-    StepUnderflowError below min_step, MatchAmbiguousError when the final
-    nearest-neighbor match is not clear by separation_factor, and
-    NotBijectiveError when two trajectories land on one fiber point.
+    StepUnderflowError below min_step.
     """
     stages = _stage_polys(e)
     derivs = [s.derivative() for s in stages]
     proj = e.proj
 
-    x = np.array([pt.x for pt in points], dtype=complex)
-    y = np.array([pt.y for pt in points], dtype=complex) if proj else None
-    x0, y0 = x.copy(), (y.copy() if y is not None else None)
-
     t = 0.0
-    h = 1.0 / loop.steps
+    h = 1.0 / path.steps
     h_nominal = h
-    gamma_t = loop.point(0.0)
+    gamma_t = path.point(0.0)
     while t < 1.0:
         h = min(h, 1.0 - t)
-        target = loop.point(t + h)
+        target = path.point(t + h)
         _, slope = _composite_and_derivative(stages, derivs, x)
         x_new = x + (target - gamma_t) / slope
 
@@ -288,13 +335,10 @@ def track_loop(
             y_new = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
             ok = bool(np.all(np.abs(y_new - y) < 0.5 * np.abs(y)))
         if ok:
-            gaps = _metric(x, y, x, y)
-            np.fill_diagonal(gaps, np.inf)
-            nearest = gaps.min(axis=1)
             moved = np.abs(x_new - x)
             if y_new is not None:
                 moved = moved + np.abs(y_new - y)
-            ok = bool(np.all(moved < 0.4 * nearest))
+            ok = bool(np.all(moved < 0.4 * _gaps(x, y)))
 
         if not ok:
             h /= 2
@@ -308,12 +352,23 @@ def track_loop(
         t += h
         gamma_t = target
         h = min(h * 2, h_nominal)
+    return x, y
 
-    d = _metric(x, y, x0, y0)
+
+def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
+    """Index of the start point each end point landed on.
+
+    Raises MatchAmbiguousError when an end point is farther than match_tol
+    from every start point or its runner-up is not separation_factor times
+    farther, and NotBijectiveError when two end points land on one start
+    point.
+    """
+    d = _metric(*end, *start)
     order = np.argsort(d, axis=1)
+    rows = np.arange(len(d))
     nearest = order[:, 0]
-    best = d[np.arange(len(points)), nearest]
-    second = d[np.arange(len(points)), order[:, 1]]
+    best = d[rows, nearest]
+    second = d[rows, order[:, 1]]
     if np.any(best > cfg.match_tol):
         raise MatchAmbiguousError(
             f"endpoint {best.max():.3e} away from every start point")
@@ -323,11 +378,35 @@ def track_loop(
         raise MatchAmbiguousError(
             f"match separation ratio {ratio.min():.2f} below "
             f"{cfg.separation_factor}")
+    if len(np.unique(nearest)) != len(nearest):
+        raise NotBijectiveError("two trajectories matched one fiber point")
+    return nearest
+
+
+def track_loop(
+    e: MapExpr,
+    loop: LoopSpec,
+    points: Sequence[FiberPoint],
+    cfg: TrackingConfig = TrackingConfig(),
+) -> Permutation:
+    """Continue the fiber around the loop; returns start label -> end label.
+
+    The step is a fraction of the loop, starting at 1/steps and halving
+    whenever Newton fails, a point moves more than 0.4 of the gap to its
+    nearest neighbor, or y moves more than |y| / 2.  On curves the fiber
+    must come as from ``fiber``, in adjacent (x, y), (x, -y) pairs, and
+    only one sheet of each pair is continued.  Raises TrackingError for an
+    unpaired curve fiber, StepUnderflowError below min_step,
+    MatchAmbiguousError when the final nearest-neighbor match is not clear
+    by separation_factor, and NotBijectiveError when two trajectories land
+    on one fiber point.
+    """
+    start = _sheets(e, points)
+    end = _continue(e, loop, *start, cfg)
+    nearest = _match(_unfold(*end), _unfold(*start), cfg)
     images = [0] * len(points)
     for row, pt in enumerate(points):
         images[pt.label - 1] = points[nearest[row]].label
-    if sorted(images) != list(range(1, len(points) + 1)):
-        raise NotBijectiveError("two trajectories matched one fiber point")
     return Permutation(tuple(images))
 
 
@@ -353,34 +432,122 @@ def monodromy(
 
     The chain must be branched only over {0, 1, infinity}.  The loop
     around infinity is never tracked; inverse(compose(g0, g1)) plays its
-    part.
+    part.  A leading b(1,1) over a Belyi chain is peeled off exactly (see
+    _doubled); every other chain has both loops tracked.
     """
     if not maps.is_belyi(e):
         raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
+    return _pair(e, fiber(e, BASEPOINT, cfg), cfg, radius_scale, steps_scale)
+
+
+def _pair(
+    e: MapExpr,
+    points: Sequence[FiberPoint],
+    cfg: TrackingConfig,
+    radius_scale: float,
+    steps_scale: int,
+) -> MonodromyPair:
+    """The pair of a Belyi chain on its labeled fiber over the base point."""
     steps = max(1, round(1.0 / cfg.initial_step)) * steps_scale
-    base_fiber = fiber(e, BASEPOINT, cfg)
-    perms = []
-    for center in (0.0, 1.0):
-        radius = default_radius(complex(center), e) * radius_scale
-        loop = LoopSpec(center=complex(center), radius=radius, steps=steps)
-        perms.append(track_loop(e, loop, base_fiber, cfg))
-    return MonodromyPair(g0=perms[0], g1=perms[1])
+    loops = [
+        LoopSpec(center=center, radius=default_radius(center, e) * radius_scale, steps=steps)
+        for center in (0j, 1 + 0j)
+    ]
+    inner = e.inner()
+    if e.chain[0] == maps.BelyiMN(1, 1) and inner is not None and maps.is_belyi(inner):
+        arc_step = loops[0].length / steps
+        return _doubled(inner, points, cfg, radius_scale, steps_scale, arc_step)
+    g0, g1 = (track_loop(e, loop, points, cfg) for loop in loops)
+    return MonodromyPair(g0=g0, g1=g1)
+
+
+# The preimages w1 < 1/2 < w2 of the base point under b(1,1) = 4w(1 - w).
+_HALF_PREIMAGES = ((1 - math.sqrt(0.5)) / 2, (1 + math.sqrt(0.5)) / 2)
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """The straight path from start to end, in nominal steps no longer
+    than arc_step."""
+
+    start: complex
+    end: complex
+    arc_step: float
+
+    @property
+    def steps(self) -> int:
+        return max(1, math.ceil(abs(self.end - self.start) / self.arc_step))
+
+    def point(self, t: float) -> complex:
+        return self.start + t * (self.end - self.start)
+
+
+def _doubled(
+    inner: MapExpr,
+    points: Sequence[FiberPoint],
+    cfg: TrackingConfig,
+    radius_scale: float,
+    steps_scale: int,
+    arc_step: float,
+) -> MonodromyPair:
+    """The pair of b(1,1) . inner on ``points``, its fiber over 1/2, from
+    the pair (s0, s1) of the Belyi chain ``inner`` on its own fiber.
+
+    Each inner fiber point k is carried along the real segments from 1/2
+    to w1 and to w2, which meet no branch value of ``inner``, with the
+    loops' nominal step length arc_step; a(k) and b(k) are the labels of
+    the points it lands on.  The loop around 0 lifts through 4w(1 - w) to
+    a loop around 0 at w1 and around 1 at w2, and the loop around 1 to a
+    path from w1 to w2 through 1/2, so
+
+        g0: a(k) -> a(s0 k),  b(k) -> b(s1 k);    g1: a(k) <-> b(k),
+
+    the composition of Belyi functions in Lando and Zvonkin, Graphs on
+    Surfaces and Their Applications (2004): the dessin of inner with a
+    white vertex on each edge.
+    """
+    inner_points = fiber(inner, BASEPOINT, cfg)
+    s0, s1 = _pair(inner, inner_points, cfg, radius_scale, steps_scale)
+    start = _sheets(inner, inner_points)
+    ends = [
+        _unfold(*_continue(inner, _Segment(BASEPOINT, w, arc_step), *start, cfg))
+        for w in _HALF_PREIMAGES
+    ]
+    x = np.concatenate([end[0] for end in ends])
+    y = None if inner.proj is None else np.concatenate([end[1] for end in ends])
+    landed = [points[k].label for k in _match((x, y), _coords(points), cfg)]
+    n = len(inner_points)
+    a = {pt.label: landed[k] for k, pt in enumerate(inner_points)}
+    b = {pt.label: landed[n + k] for k, pt in enumerate(inner_points)}
+    g0 = [0] * len(points)
+    g1 = [0] * len(points)
+    for k in a:
+        g0[a[k] - 1] = a[s0(k)]
+        g0[b[k] - 1] = b[s1(k)]
+        g1[a[k] - 1] = b[k]
+        g1[b[k] - 1] = a[k]
+    return MonodromyPair(g0=Permutation(tuple(g0)), g1=Permutation(tuple(g1)))
 
 
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:
     """Recompute with doubled steps and radius scaled by 0.8; True when
     both permutation pairs agree label for label."""
-    base = monodromy(e, cfg)
-    probe = monodromy(e, cfg, radius_scale=0.8, steps_scale=2)
-    return base.g0 == probe.g0 and base.g1 == probe.g1
+    return _agrees_with_probe(e, cfg, monodromy(e, cfg))
+
+
+def _agrees_with_probe(e: MapExpr, cfg: TrackingConfig, base: MonodromyPair) -> bool:
+    return monodromy(e, cfg, radius_scale=0.8, steps_scale=2) == base
 
 
 def monodromy_json(
     e: MapExpr,
     cfg: TrackingConfig = TrackingConfig(),
-    stability: bool | None = None,
+    check_stability: bool = False,
 ) -> dict:
+    """The CLI payload; with check_stability, ``stability`` reports
+    verify_stability, reusing the pair of the payload as its base run."""
     pair = monodromy(e, cfg)
+    stability = _agrees_with_probe(e, cfg, pair) if check_stability else None
     ginf = inverse(compose(pair.g0, pair.g1))
     return {
         "degree": maps.degree(e),

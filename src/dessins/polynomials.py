@@ -108,10 +108,12 @@ def roots(
 ) -> tuple[complex, ...]:
     """All complex roots, sorted by (re, im).
 
-    Raises NonConvergedError if the iteration stalls or a residual stays
-    above ``residual_tol * max(1, max|c|)``, and ClusteredRootsError if two
-    approximations end up closer than 1e-8 (multiple roots are out of scope
-    for the simultaneous iteration).
+    Raises NonConvergedError if a residual stays above
+    ``residual_tol * max(1, max|c|)``, and ClusteredRootsError if two
+    approximations end up closer than 1e-8 or the iteration stalls with
+    every residual within tolerance, as it does at a multiple root, where
+    rounding keeps the approximations jittering (multiple roots are out of
+    scope for the simultaneous iteration).
     """
     n = poly.degree
     if n < 1:
@@ -125,6 +127,7 @@ def roots(
     z = radius * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
 
     deriv = np.arange(1, n + 1) * monic[1:]
+    converged = False
     for _ in range(max_iterations):
         pv = np.zeros_like(z)
         for c in monic[::-1]:
@@ -141,16 +144,20 @@ def roots(
         w = np.where(np.isfinite(w), w, 0.0)
         z = z - w
         if np.all(np.abs(w) <= tol * np.maximum(1.0, np.abs(z))):
+            converged = True
             break
-    else:
-        raise NonConvergedError(f"no convergence in {max_iterations} iterations")
 
     scale = max(1.0, max(abs(c) for c in monic))
     residuals = np.abs(poly.eval_many(z) / lead)
-    if np.any(residuals > residual_tol * scale):
+    if not np.all(residuals <= residual_tol * scale):  # NaN fails too
+        if not converged:
+            raise NonConvergedError(f"no convergence in {max_iterations} iterations")
         raise NonConvergedError(f"residual {residuals.max():.3e} above tolerance")
     diff = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(diff, np.inf)
+    if not converged:
+        raise ClusteredRootsError(
+            f"iteration stalled at a root cluster, separation {diff.min():.3e}")
     if diff.min() < CLUSTER_TOL:
         raise ClusteredRootsError(f"root separation {diff.min():.3e}")
     return tuple(sorted((complex(v) for v in z), key=lambda v: (v.real, v.imag)))

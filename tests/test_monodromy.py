@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from dessins.monodromy import (
     NearBranchError,
     NotBelyiError,
     TrackingConfig,
+    TrackingError,
     default_radius,
     fiber,
     monodromy,
@@ -200,3 +203,84 @@ class TestJsonAndErrors:
         base = fiber(e, BASEPOINT, cfg)
         loop = LoopSpec(center=0.5 + 0.3j, radius=0.05)
         assert track_loop(e, loop, base, cfg) == identity(2)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# format_cycles(g0), format_cycles(g1) as the dense 528-point tracker of the
+# initial import computed them: the labels, not only the isomorphism class,
+# must survive changes to the continuation.
+GOLDEN_SHA256 = {
+    "b(1,1).b(10,1).f.pi(2,7,11)": (
+        "50d294d6e0a58a951e640b863a787759698fdfe07d9bc8fb244fbc781224be7f",
+        "660b5e1052e05689172b645a1804a68a848798e680cc1909667867c152a399df",
+    ),
+    "b(1,1).b(10,1).f": (
+        "a1dad728c9e42330ddedbe7166c0425c69bff42689e7956e6a825849b0781e1a",
+        "973a4d085b7c832914abd9b032b61e0cff98b2d2c1c851c98d7c4caa52fd5553",
+    ),
+    "b(10,1).f.pi(3,5,8)": (
+        "a9bcfd806e0dc78d0a9ef28b95c02233ca4953fb33ee2a75bd36ca989473496d",
+        "8878d11805d60b884653098a66736ef404330aab8fc23249c389c250543ae2e0",
+    ),
+}
+DOUBLED_PSI = (
+    "(1)(2,3)(4)(5)(6,8)(7,9)(10,11,19,21,29,35,30,22,20,12)(13)(14)(15,17)"
+    "(16,18)(23,25)(24,26)(27)(28)(31,33)(32,34)(36)(37)(38,39)(40,41)(42,43)(44)",
+    "(1,2)(3,10)(4,6)(5,7)(8,11)(9,12)(13,15)(14,16)(17,19)(18,20)(21,23)"
+    "(22,24)(25,27)(26,28)(29,31)(30,32)(33,36)(34,37)(35,38)(39,40)(41,42)(43,44)",
+)
+
+
+class TestGoldenLabels:
+    def test_full_chain(self, full_pair):
+        got = tuple(_sha256(format_cycles(g)) for g in full_pair)
+        assert got == GOLDEN_SHA256["b(1,1).b(10,1).f.pi(2,7,11)"]
+
+    def test_pre_curve_chain(self, pair264):
+        got = tuple(_sha256(format_cycles(g)) for g in pair264)
+        assert got == GOLDEN_SHA256["b(1,1).b(10,1).f"]
+
+    def test_curve_chain_without_doubling(self, cfg):
+        pair = monodromy(parse_map_expr("b(10,1).f.pi(3,5,8)"), cfg)
+        got = tuple(_sha256(format_cycles(g)) for g in pair)
+        assert got == GOLDEN_SHA256["b(10,1).f.pi(3,5,8)"]
+
+    def test_twice_doubled(self, cfg):
+        pair = monodromy(parse_map_expr("b(1,1).b(1,1).b(10,1)"), cfg)
+        assert (format_cycles(pair.g0), format_cycles(pair.g1)) == DOUBLED_PSI
+
+
+class TestDoubling:
+    """b(1,1) . inner puts a white vertex on every edge of the dessin of
+    inner: g1 is a fixed-point-free involution and the black vertices are
+    the black and white vertices of inner."""
+
+    @pytest.mark.parametrize("inner", ["b(10,1)", "b(1,1).b(10,1)", "b(10,1).f"])
+    def test_cycle_types(self, cfg, inner):
+        s0, s1 = monodromy(parse_map_expr(inner), cfg)
+        g0, g1 = monodromy(parse_map_expr(f"b(1,1).{inner}"), cfg)
+        assert cycle_type(g1).parts == (2,) * s0.degree
+        expected = sorted(cycle_type(s0).parts + cycle_type(s1).parts, reverse=True)
+        assert cycle_type(g0).parts == tuple(expected)
+
+
+class TestSheetPairing:
+    """Only one sheet of each (x, y), (x, -y) pair is continued, so a curve
+    fiber that does not come in exact adjacent pairs is refused."""
+
+    @pytest.mark.parametrize("corrupt", ["rotated", "y_off_by_one_ulp"])
+    def test_unpaired_curve_fiber_refused(self, cfg, corrupt):
+        e = parse_map_expr("f.pi(2,7,11)")
+        points = list(fiber(e, BASEPOINT, cfg))
+        if corrupt == "rotated":
+            points = points[1:] + points[:1]
+        else:
+            y = points[1].y
+            points[1] = dataclasses.replace(
+                points[1], y=complex(np.nextafter(y.real, np.inf), y.imag))
+        loop = LoopSpec(center=0.5 + 0.3j, radius=0.05)
+        with pytest.raises(TrackingError, match="pairs"):
+            track_loop(e, loop, points, cfg)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dessins.polynomials import (
     ClusteredRootsError,
@@ -66,6 +66,11 @@ class TestRoots:
         with pytest.raises(ClusteredRootsError):
             roots(ComplexPoly((1, -2, 1)))  # (x-1)^2
 
+    def test_stall_at_double_root_raises_clustered(self):
+        # -(x^2+2x+2)^2: the iteration never settles at the double roots -1 +- i
+        with pytest.raises(ClusteredRootsError):
+            roots(ComplexPoly((-4, -8, -8, -4, -1)))
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             roots(ComplexPoly((5,)))
@@ -75,6 +80,7 @@ class TestRoots:
             lambda c: c[-1] != 0
         )
     )
+    @example(coeffs=[-4, -8, -8, -4, -1])
     @settings(max_examples=150, deadline=None)
     def test_random_integer_polynomials(self, coeffs):
         p = ComplexPoly(tuple(coeffs))

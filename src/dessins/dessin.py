@@ -29,6 +29,8 @@ from .perms import (
     cycle_decomposition,
     cycle_type,
     inverse,
+    is_transitive,
+    orbit,
 )
 
 
@@ -48,7 +50,7 @@ class Constellation:
     def __post_init__(self) -> None:
         if self.g0.degree != self.g1.degree:
             raise ValueError("g0 and g1 must share a degree")
-        object.__setattr__(self, "_transitive", _transitive(self.g0, self.g1))
+        object.__setattr__(self, "_transitive", is_transitive((self.g0, self.g1)))
 
     @property
     def degree(self) -> int:
@@ -59,40 +61,15 @@ class Constellation:
         return self._transitive
 
 
-def _transitive(g0: Permutation, g1: Permutation) -> bool:
-    n = g0.degree
-    seen = [False] * (n + 1)
-    seen[1] = True
-    queue = deque([1])
-    found = 1
-    while queue:
-        x = queue.popleft()
-        for y in (g0(x), g1(x)):
-            if not seen[y]:
-                seen[y] = True
-                found += 1
-                queue.append(y)
-    return found == n
-
-
 def _orbits(c: Constellation) -> list[list[int]]:
-    n = c.degree
-    seen = [False] * (n + 1)
+    """Connected components, each sorted, in order of their least point."""
+    seen: set[int] = set()
     out = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in (c.g0(x), c.g1(x)):
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        out.append(sorted(comp))
+    for start in range(1, c.degree + 1):
+        if start not in seen:
+            comp = orbit((c.g0, c.g1), start)
+            seen |= comp
+            out.append(sorted(comp))
     return out
 
 

@@ -14,16 +14,17 @@ covering chain b(1,1).b(10,1).f.pi(i,j,k) yields one dessin per triple.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import dessin as dessin_mod
 from . import monodromy as monodromy_mod
 from .dessin import Constellation, Passport
 from .maps import MapExpr, parse_map_expr
 from .monodromy import TrackingConfig
-from .perms import Permutation, compose, identity, group_order, parse_cycles, power
+from .perms import CycleType, Permutation, compose, identity, group_order, parse_cycles, power
 from .polynomials import roots_of_f
 
 
@@ -228,15 +229,12 @@ def _dessin_worker(args) -> tuple[tuple[int, int, int], tuple, tuple, tuple, int
     pair = monodromy_mod.monodromy(full_chain(t), cfg)
     c = Constellation(pair.g0, pair.g1)
     cf = dessin_mod.canonical_form(c)
+    p = dessin_mod.passport(c)
     return (
         triple_tuple,
         (pair.g0.images, pair.g1.images),
         (cf.g0.images, cf.g1.images),
-        (
-            dessin_mod.passport(c).black.parts,
-            dessin_mod.passport(c).white.parts,
-            dessin_mod.passport(c).faces.parts,
-        ),
+        (p.black.parts, p.white.parts, p.faces.parts),
         dessin_mod.genus(c),
     )
 
@@ -255,16 +253,12 @@ def orbit_dessins(
     orbit = tuple(sorted(orbit_triples(spec, base), key=Triple.as_tuple))
     jobs = [(t.as_tuple(), cfg) for t in orbit]
     if workers is None:
-        import os
-
         workers = min(len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_dessin_worker, jobs))
     else:
         results = [_dessin_worker(job) for job in jobs]
-
-    from .perms import CycleType
 
     passports = []
     genera = []

@@ -22,7 +22,6 @@ references) wherever the chain allows it.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -361,11 +360,9 @@ def _curve_coordinates(point) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class BranchData:
-    """Branch values of a chain, and per-value critical data when the
-    chain is a single primitive (closed-form only in that case)."""
+    """Branch values of a chain."""
 
     values: tuple[BranchPoint, ...]
-    ramification: tuple[tuple[BranchPoint, tuple[tuple[BranchPoint, int], ...]], ...] | None
 
     def finite_numeric(self) -> list[complex]:
         return [point_to_complex(v) for v in self.values if v is not INF]
@@ -433,32 +430,6 @@ def _dedup(values: Iterable[BranchPoint]) -> tuple[BranchPoint, ...]:
     return tuple(kept)
 
 
-def _single_primitive_ramification(prim: Primitive):
-    half = Fraction(1, 2)
-    if isinstance(prim, BelyiMN):
-        m, n = prim.m, prim.n
-        zero_data = []
-        if m >= 2:
-            zero_data.append((Fraction(0), m))
-        if n >= 2:
-            zero_data.append((Fraction(1), n))
-        out = []
-        if zero_data:
-            out.append((Fraction(0), tuple(zero_data)))
-        out.append((Fraction(1), ((Fraction(m, m + n), 2),)))
-        out.append((INF, ((INF, m + n),)))
-        return tuple(out)
-    if isinstance(prim, FPoly):
-        return (
-            (Fraction(1), ((Fraction(0), 11),)),
-            (Fraction(10, 11), ((Fraction(1), 2),)),
-            (INF, ((INF, 12),)),
-        )
-    return tuple(
-        [(RootRef(i), ((RootRef(i), 2),)) for i in prim.triple] + [(INF, ((INF, 2),))]
-    )
-
-
 def branch_values(e: MapExpr) -> BranchData:
     """Branch values of the composite, propagated innermost to outermost.
 
@@ -471,10 +442,7 @@ def branch_values(e: MapExpr) -> BranchData:
     for prim in reversed(e.chain):
         forwarded = [_forward_image(prim, v) for v in values]
         values = _dedup(list(_own_branch_values(prim)) + forwarded)
-    ramification = (
-        _single_primitive_ramification(e.chain[0]) if len(e.chain) == 1 else None
-    )
-    return BranchData(values=values, ramification=ramification)
+    return BranchData(values=values)
 
 
 def is_belyi(e: MapExpr) -> bool:

@@ -9,7 +9,7 @@ F(x) = gamma(t).  For chains ending in a projection the fiber lives on the
 curve y^2 = c(x); the x coordinate satisfies the polynomial stages alone
 and y follows the nearer square root, so a step is accepted only when it
 moves each point much less than the gap to its nearest neighbor and moves
-y by less than |y| / 2.
+y by less than |y| / 2.  The value ladders of render take the same step.
 
 Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
@@ -289,6 +289,48 @@ def _gaps(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
     return nearest
 
 
+def _stepper(e: MapExpr, max_newton_iters: int):
+    """The continuation step for the tracked half of a fiber of ``e`` (see
+    _sheets).
+
+    ``step(x, y, origin, target, tol)`` carries the points sitting over the
+    base value ``origin`` to ``target``: a tangent predictor, then Newton on
+    F(x) = target to relative tolerance ``tol`` in at most
+    max_newton_iters iterations, with y following the nearer square root.
+    It returns the new (x, y), or None when Newton does not converge, y
+    moves by |y| / 2 or more, or a point moves 0.4 of the gap to its
+    nearest neighbor in the full fiber (_gaps) or more.
+    """
+    stages = _stage_polys(e)
+    derivs = [s.derivative() for s in stages]
+    proj = e.proj
+
+    def step(x, y, origin, target, tol):
+        _, slope = _composite_and_derivative(stages, derivs, x)
+        x_new = x + (target - origin) / slope
+        for _ in range(max_newton_iters):
+            value, slope_new = _composite_and_derivative(stages, derivs, x_new)
+            delta = (value - target) / slope_new
+            x_new = x_new - delta
+            if np.all(np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))):
+                break
+        else:
+            return None
+        moved = np.abs(x_new - x)
+        y_new = None
+        if proj is not None:
+            s = np.sqrt(proj.curve_rhs(x_new))
+            y_new = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
+            if not np.all(np.abs(y_new - y) < 0.5 * np.abs(y)):
+                return None
+            moved = moved + np.abs(y_new - y)
+        if not np.all(moved < 0.4 * _gaps(x, y)):
+            return None
+        return x_new, y_new
+
+    return step
+
+
 def _continue(
     e: MapExpr,
     path,
@@ -300,15 +342,11 @@ def _continue(
     with ``.point(t)`` for t in [0, 1] and ``.steps``; returns the end
     positions.
 
-    The step is a fraction of the path, starting at 1/steps and halving
-    whenever Newton fails, a point moves more than 0.4 of the gap to its
-    nearest neighbor, or y moves more than |y| / 2.  Raises
-    StepUnderflowError below min_step.
+    The step is a fraction of the path, starting at 1/steps, halving
+    whenever the step of _stepper fails and doubling back toward 1/steps
+    after each accepted one.  Raises StepUnderflowError below min_step.
     """
-    stages = _stage_polys(e)
-    derivs = [s.derivative() for s in stages]
-    proj = e.proj
-
+    step = _stepper(e, cfg.max_newton_iters)
     t = 0.0
     h = 1.0 / path.steps
     h_nominal = h
@@ -316,39 +354,13 @@ def _continue(
     while t < 1.0:
         h = min(h, 1.0 - t)
         target = path.point(t + h)
-        _, slope = _composite_and_derivative(stages, derivs, x)
-        x_new = x + (target - gamma_t) / slope
-
-        converged = False
-        for _ in range(cfg.max_newton_iters):
-            value, slope_new = _composite_and_derivative(stages, derivs, x_new)
-            delta = (value - target) / slope_new
-            x_new = x_new - delta
-            if np.all(np.abs(delta) <= cfg.newton_tol * np.maximum(1.0, np.abs(x_new))):
-                converged = True
-                break
-
-        ok = converged
-        y_new = None
-        if ok and proj is not None:
-            s = np.sqrt(proj.curve_rhs(x_new))
-            y_new = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
-            ok = bool(np.all(np.abs(y_new - y) < 0.5 * np.abs(y)))
-        if ok:
-            moved = np.abs(x_new - x)
-            if y_new is not None:
-                moved = moved + np.abs(y_new - y)
-            ok = bool(np.all(moved < 0.4 * _gaps(x, y)))
-
-        if not ok:
+        landed = step(x, y, gamma_t, target, cfg.newton_tol)
+        if landed is None:
             h /= 2
             if h < cfg.min_step:
                 raise StepUnderflowError(f"step underflow at t = {t:.6f}")
             continue
-
-        x = x_new
-        if y_new is not None:
-            y = y_new
+        x, y = landed
         t += h
         gamma_t = target
         h = min(h * 2, h_nominal)

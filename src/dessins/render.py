@@ -3,15 +3,17 @@
 Vertices are the structural preimages of 0 (black) and 1 (white), computed
 stage by stage with exact multiplicity bookkeeping at critical values.
 Edges are the fiber points over 1/2, continued toward both endpoints along
-a geometric sample ladder; each strand is attached to the vertex nearest
-its deep endpoint (x and y jointly on curves).  The strand count at every
+a geometric sample ladder with the continuation step of loop tracking
+(monodromy._stepper); each strand is attached to the vertex nearest its
+deep endpoint (x and y jointly on curves).  The strand count at every
 vertex must equal the vertex's ramification order, and the drawing refuses
 to render when the two disagree.
 
-On curve chains the two y-sheets share x trajectories; they are drawn
-with two distinguishable strokes.  Vertices closer than the merge
-tolerance in the x plane are drawn as a single dot carrying the orders of
-all constituents.
+On curve chains only one sheet of each (x, y), (x, -y) pair is continued;
+the other is its exact negation in y, sharing the x trajectory.  The two
+y-sheets are drawn with two distinguishable strokes.  Vertices closer
+than the merge tolerance in the x plane are drawn as a single dot
+carrying the orders of all constituents.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import maps
-from .maps import INF, BelyiMN, FPoly, MapExpr, Proj, RootRef
-from .monodromy import TrackingConfig, _composite_and_derivative, _stage_polys, fiber
+from .maps import BelyiMN, FPoly, MapExpr, RootRef
+from .monodromy import TrackingConfig, _sheets, _stepper, _unfold, fiber
 from .polynomials import ComplexPoly, roots
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
@@ -164,71 +166,33 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
 # strand tracking
 
 
-def _track_to_value(e, x, y, targets, cfg: TrackingConfig):
-    """Continue the fiber through a decreasing ladder of base values.
+def _ladder(step, x, y, targets, tol):
+    """Continue the tracked half of the fiber over 1/2 through a
+    decreasing ladder of base values; returns the half after each rung.
 
-    Returns the positions after each rung, inserting midpoints in value
-    space whenever Newton or the sheet guards reject a rung.
+    A rejected step is retried to the midpoint in value space, as often
+    as needed; raises RenderError after 60 rejections in a row.
     """
-    stages = _stage_polys(e)
-    derivs = [s.derivative() for s in stages]
-    proj = e.proj
-    # Strands run into ramification points where |F'| -> 0, so the
-    # attainable Newton step plateaus near eps/|F'| (about 1e-8 on the
-    # last rung of a 10-fold point).  The loop tolerance is unreachable
-    # there; 1e-7 still sits three decades below the merge tolerance.
-    rtol = max(cfg.newton_tol, 1e-7)
-    xs = [x.copy()]
-    ys = [y.copy()] if y is not None else None
-    current = x.copy()
-    ycur = y.copy() if y is not None else None
+    rungs = [(x, y)]
     reached = 0.5
     for target in targets:
         pending = [float(target)]
         depth = 0
         while pending:
             sub = pending[-1]
-            base_value, slope = _composite_and_derivative(stages, derivs, current)
-            x_new = current + (sub - base_value) / slope
-            converged = False
-            for _ in range(cfg.max_newton_iters):
-                value, slope_new = _composite_and_derivative(stages, derivs, x_new)
-                delta = (value - sub) / slope_new
-                x_new = x_new - delta
-                if np.all(np.abs(delta) <= rtol * np.maximum(1.0, np.abs(x_new))):
-                    converged = True
-                    break
-            ok = converged
-            y_new = None
-            if ok and proj is not None:
-                s = np.sqrt(proj.curve_rhs(x_new))
-                y_new = np.where(np.abs(s - ycur) <= np.abs(s + ycur), s, -s)
-                ok = bool(np.all(np.abs(y_new - ycur) < 0.5 * np.abs(ycur)))
-            if ok:
-                gaps = np.abs(current[:, None] - current[None, :])
-                if ycur is not None:
-                    gaps = gaps + np.abs(ycur[:, None] - ycur[None, :])
-                np.fill_diagonal(gaps, np.inf)
-                moved = np.abs(x_new - current)
-                if y_new is not None:
-                    moved = moved + np.abs(y_new - ycur)
-                ok = bool(np.all(moved < 0.4 * gaps.min(axis=1)))
-            if not ok:
+            landed = step(x, y, reached, sub, tol)
+            if landed is None:
                 depth += 1
                 if depth > 60:
                     raise RenderError("substep bisection stalled")
                 pending.append((reached + sub) / 2)
                 continue
             depth = 0
-            current = x_new
-            if y_new is not None:
-                ycur = y_new
+            x, y = landed
             reached = sub
             pending.pop()
-        xs.append(current.copy())
-        if ys is not None:
-            ys.append(ycur.copy())
-    return xs, ys
+        rungs.append((x, y))
+    return rungs
 
 
 def _value_ladder(samples: int, toward_one: bool) -> list[float]:
@@ -243,15 +207,21 @@ def _value_ladder(samples: int, toward_one: bool) -> list[float]:
 # assembly
 
 
-def _nearest_vertex(x, y, vertices: list[RenderVertex]) -> int:
-    best, best_d = -1, float("inf")
-    for idx, v in enumerate(vertices):
-        d = abs(x - v.x)
-        if y is not None and v.y is not None:
-            d += abs(y - v.y)
-        if d < best_d:
-            best, best_d = idx, d
-    return best
+def _attach(x, y, vertices: list[RenderVertex], side: str) -> np.ndarray:
+    """The x of the vertex nearest each strand end, in |dx| + |dy| on
+    curves (the first of equals wins).  Raises RenderError unless every
+    vertex collects as many strands as its ramification order."""
+    vx = np.array([v.x for v in vertices])
+    d = np.abs(x[:, None] - vx[None, :])
+    if y is not None:
+        d = d + np.abs(y[:, None] - np.array([v.y for v in vertices])[None, :])
+    nearest = np.argmin(d, axis=1)
+    for count, v in zip(np.bincount(nearest, minlength=len(vertices)), vertices):
+        if count != v.order:
+            raise RenderError(
+                f"{side} vertex at {v.x:.6f} collected {count} strands, "
+                f"ramification order is {v.order}")
+    return vx[nearest]
 
 
 def render_graph(
@@ -263,50 +233,33 @@ def render_graph(
     blacks = structural_vertices(e, 0)
     whites = structural_vertices(e, 1)
     base = fiber(e, 0.5, cfg)
-    x0 = np.array([pt.x for pt in base], dtype=complex)
-    y0 = np.array([pt.y for pt in base], dtype=complex) if e.has_curve else None
+    half = _sheets(e, base)
+    step = _stepper(e, cfg.max_newton_iters)
+    # Strands run into ramification points where |F'| -> 0, so the
+    # attainable Newton step plateaus near eps/|F'| (about 1e-8 on the
+    # last rung of a 10-fold point).  The loop tolerance is unreachable
+    # there; 1e-7 still sits three decades below the merge tolerance.
+    tol = max(cfg.newton_tol, 1e-7)
+    to_zero = _ladder(step, *half, _value_ladder(plan.samples_per_edge, False), tol)
+    to_one = _ladder(step, *half, _value_ladder(plan.samples_per_edge, True), tol)
 
-    to_zero_x, to_zero_y = _track_to_value(
-        e, x0, y0, _value_ladder(plan.samples_per_edge, False), cfg)
-    to_one_x, to_one_y = _track_to_value(
-        e, x0, y0, _value_ladder(plan.samples_per_edge, True), cfg)
+    # one row per fiber point, from its vertex over 0 to its vertex over 1
+    lines = np.column_stack((
+        _attach(*_unfold(*to_zero[-1]), blacks, "black"),
+        np.array([_unfold(*rung)[0] for rung in to_zero[::-1] + to_one]).T,
+        _attach(*_unfold(*to_one[-1]), whites, "white"),
+    ))
+    sheets = [
+        0 if pt.y is None or (pt.y.imag, pt.y.real) >= (0.0, 0.0) else 1
+        for pt in base
+    ]
 
-    black_use = [0] * len(blacks)
-    white_use = [0] * len(whites)
-    arcs = []
-    for idx, pt in enumerate(base):
-        bx = to_zero_x[-1][idx]
-        by = to_zero_y[-1][idx] if to_zero_y is not None else None
-        wx = to_one_x[-1][idx]
-        wy = to_one_y[-1][idx] if to_one_y is not None else None
-        b = _nearest_vertex(bx, by, blacks)
-        w = _nearest_vertex(wx, wy, whites)
-        black_use[b] += 1
-        white_use[w] += 1
-        polyline = (
-            [blacks[b].x]
-            + [stage[idx] for stage in reversed(to_zero_x)]
-            + [stage[idx] for stage in to_one_x]
-            + [whites[w].x]
-        )
-        sheet = 0
-        if pt.y is not None:
-            sheet = 0 if (pt.y.imag, pt.y.real) >= (0.0, 0.0) else 1
-        arcs.append((pt.label, sheet, polyline))
-
-    for use, vertices, side in ((black_use, blacks, "black"), (white_use, whites, "white")):
-        for count, v in zip(use, vertices):
-            if count != v.order:
-                raise RenderError(
-                    f"{side} vertex at {v.x:.6f} collected {count} strands, "
-                    f"ramification order is {v.order}")
-
-    svg, merged_black, merged_white = _svg_document(e, plan, blacks, whites, arcs)
+    svg, merged_black, merged_white = _svg_document(e, plan, blacks, whites, lines, sheets)
     return RenderResult(
         svg=svg,
         black_vertices=tuple(blacks),
         white_vertices=tuple(whites),
-        arc_count=len(arcs),
+        arc_count=len(lines),
         merged_black_count=merged_black,
         merged_white_count=merged_white,
     )
@@ -325,22 +278,24 @@ def merge_dots(vertices, tol: float) -> list[list[RenderVertex]]:
     return groups
 
 
-def _svg_document(e, plan, blacks, whites, arcs):
-    points = [z for _, _, line in arcs for z in line]
-    points += [v.x for v in blacks] + [v.x for v in whites]
-    minx = min(z.real for z in points)
-    maxx = max(z.real for z in points)
-    miny = min(z.imag for z in points)
-    maxy = max(z.imag for z in points)
+def _svg_document(e, plan, blacks, whites, lines, sheets):
+    """The SVG of the strands ``lines`` (one row of x-plane points per fiber
+    point, in label order) on their sheets, and of the merged vertices."""
+    points = np.concatenate((lines.ravel(), [v.x for v in blacks + whites]))
+    minx = float(points.real.min())
+    maxx = float(points.real.max())
+    miny = float(points.imag.min())
+    maxy = float(points.imag.max())
     span_x = max(maxx - minx, 1e-9)
     span_y = max(maxy - miny, 1e-9)
     scale = (plan.width - 2 * plan.padding) / span_x
     height = span_y * scale + 2 * plan.padding
 
-    def sx(z: complex) -> float:
+    # complex scalars and arrays alike
+    def sx(z):
         return (z.real - minx) * scale + plan.padding
 
-    def sy(z: complex) -> float:
+    def sy(z):
         return (maxy - z.imag) * scale + plan.padding
 
     out = []
@@ -354,14 +309,14 @@ def _svg_document(e, plan, blacks, whites, arcs):
     out.append(f'<rect width="100%" height="100%" fill="{plan.white_fill}"/>')
 
     curve = e.has_curve
-    for label, sheet, line in sorted(arcs):
+    for sheet, px, py in zip(sheets, sx(lines), sy(lines)):
         if curve:
             color = plan.sheet_colors[sheet]
             width = plan.sheet_widths[sheet]
         else:
             color = plan.edge_color
             width = plan.edge_width
-        d = "M " + " L ".join(f"{sx(z):.2f},{sy(z):.2f}" for z in line)
+        d = "M " + " L ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         out.append(
             f'<path fill="none" stroke="{color}" stroke-width="{width:.2f}" '
             f'stroke-linecap="round" d="{d}"/>'

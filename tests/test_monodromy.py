@@ -14,6 +14,8 @@ from dessins.monodromy import (
     NotBelyiError,
     TrackingConfig,
     TrackingError,
+    _sheets,
+    _stepper,
     default_radius,
     fiber,
     monodromy,
@@ -284,3 +286,36 @@ class TestSheetPairing:
         loop = LoopSpec(center=0.5 + 0.3j, radius=0.05)
         with pytest.raises(TrackingError, match="pairs"):
             track_loop(e, loop, points, cfg)
+
+
+class TestStep:
+    """The shared continuation step on b(1,1) = 4x(1 - x): the fiber over
+    1/2 is (1 -+ 1/sqrt 2)/2, 0.71 apart, and the fiber over v is
+    (1 -+ sqrt(1 - v))/2."""
+
+    E = parse_map_expr("b(1,1)")
+
+    @pytest.fixture()
+    def step(self, cfg):
+        return _stepper(self.E, cfg.max_newton_iters)
+
+    @pytest.fixture()
+    def half(self, cfg):
+        return _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
+
+    @staticmethod
+    def _over(v):
+        return np.array([(1 - math.sqrt(1 - v)) / 2, (1 + math.sqrt(1 - v)) / 2])
+
+    def test_short_step_lands_on_fiber(self, cfg, step, half):
+        x, y = step(*half, BASEPOINT, 0.9, cfg.newton_tol)
+        assert y is None
+        assert np.allclose(x, self._over(0.9), atol=1e-12)
+
+    def test_over_long_step_refused_by_gap_guard(self, cfg, step, half):
+        # straight to 0.99 each point would move 0.30, past 0.4 of the
+        # 0.71 gap; Newton converges there, and two steps reach the target
+        assert step(*half, BASEPOINT, 0.99, cfg.newton_tol) is None
+        mid = step(*half, BASEPOINT, 0.9, cfg.newton_tol)
+        x, _ = step(*mid, 0.9, 0.99, cfg.newton_tol)
+        assert np.allclose(x, self._over(0.99), atol=1e-12)

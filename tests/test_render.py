@@ -1,12 +1,16 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from dessins.maps import parse_map_expr
 from dessins.perms import cycle_type
 from dessins.render import (
+    RenderError,
     RenderPlan,
     RenderVertex,
+    _attach,
     merge_dots,
     render_graph,
     structural_vertices,
@@ -75,6 +79,25 @@ class TestMergeDots:
     def test_singletons_below_tol(self):
         vs = [RenderVertex(complex(i), None, 1, "black") for i in range(5)]
         assert all(len(g) == 1 for g in merge_dots(vs, 1e-4))
+
+
+class TestAttach:
+    def test_first_of_equals_wins(self):
+        vs = [RenderVertex(0j, None, 2, "black"), RenderVertex(2 + 0j, None, 0, "black")]
+        ends = np.array([1 + 0j, 0.1 + 0j])
+        assert _attach(ends, None, vs, "black").tolist() == [0j, 0j]
+
+    def test_curve_distance_adds_y(self):
+        vs = [RenderVertex(0j, 1j, 1, "white"), RenderVertex(0.5 + 0j, -1j, 1, "white")]
+        # by x alone each end would take the other vertex
+        ends = np.array([0.1 + 0j, 0.4 + 0j])
+        attached = _attach(ends, np.array([-0.9j, 0.9j]), vs, "white")
+        assert attached.tolist() == [0.5 + 0j, 0j]
+
+    def test_count_mismatch_refused(self):
+        vs = [RenderVertex(0j, None, 1, "white"), RenderVertex(1 + 0j, None, 1, "white")]
+        with pytest.raises(RenderError, match="white vertex at 0.000000.* collected 2"):
+            _attach(np.array([0.1 + 0j, -0.1 + 0j]), None, vs, "white")
 
 
 class TestSmallRenders:
@@ -152,3 +175,33 @@ class TestFullChainRender:
         paths, circles = svg_counts(result.svg)
         assert paths == 528
         assert circles == result.merged_black_count + result.merged_white_count
+
+
+# sha256 of the SVG with the default plan and config; any change to the
+# tracked strands, the attachment or the number formatting shows here
+GOLDEN_SVG_SHA256 = {
+    "b(1,1)": "d3a637dc1ad4ab03892cdba0007a86a5b9f27b7087f53d76d1099d4d70f12927",
+    "b(1,1).b(10,1)": "3afb618ded8460f8dffa7b69c73615aa7c8e8d3b122049d9a2eb9ec9277d5a3b",
+    "b(1,1).b(10,1).f": "420a30bf6a5bce1cad6196401e2e4f80c6738bd4c7344f8851a6db7fcc7adabf",
+    "b(10,1).f.pi(3,5,8)": "1467dfa40e58d6eff680095ffff16eb3f153e19966b6963419657fc5ffc9d592",
+    "b(1,1).b(10,1).f.pi(2,7,11)": "8ec15bf4bdc21ccd7cc527e2c7cda9b36e15cedb7966f9c108b1ff3e4e6d6ce9",
+}
+
+
+def _svg_sha256(svg: str) -> str:
+    return hashlib.sha256(svg.encode()).hexdigest()
+
+
+class TestGoldenSvg:
+    @pytest.mark.parametrize(
+        "chain", ["b(1,1)", "b(1,1).b(10,1)", "b(1,1).b(10,1).f", "b(10,1).f.pi(3,5,8)"])
+    def test_chain(self, chain):
+        svg = render_graph(parse_map_expr(chain)).svg
+        assert _svg_sha256(svg) == GOLDEN_SVG_SHA256[chain]
+
+    def test_full_chain(self, result):
+        assert _svg_sha256(result.svg) == GOLDEN_SVG_SHA256["b(1,1).b(10,1).f.pi(2,7,11)"]
+
+    def test_stalled_ladder_refused(self):
+        with pytest.raises(RenderError, match="stalled"):
+            render_graph(parse_map_expr("b(1,1).b(20,2).f.pi(1,6,9)"))

@@ -5,7 +5,7 @@ import argparse
 import pathlib
 
 from dessins.maps import parse_map_expr
-from dessins.render import RenderPlan, render_graph
+from dessins.render import render_graph
 
 CHAINS = {
     "b11": "b(1,1)",
@@ -22,10 +22,9 @@ def main() -> None:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    plan = RenderPlan(samples_per_edge=args.samples)
 
     for name, chain in CHAINS.items():
-        result = render_graph(parse_map_expr(chain), plan)
+        result = render_graph(parse_map_expr(chain), args.samples)
         path = out_dir / f"{name}.svg"
         path.write_text(result.svg, encoding="utf-8")
         print(f"{path}: {result.arc_count} arcs, "

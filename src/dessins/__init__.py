@@ -62,7 +62,7 @@ from .perms import (
     power,
 )
 from .polynomials import LabeledRoots, f_polynomial, roots_of_f, s12_evidence
-from .render import RenderPlan, RenderResult, render_graph
+from .render import RenderResult, render_graph
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "MonodromyPair",
     "Passport",
     "Permutation",
-    "RenderPlan",
     "RenderResult",
     "SubgroupSpec",
     "TrackingConfig",

@@ -23,7 +23,7 @@ from .monodromy import (
     monodromy_json,
 )
 from .polynomials import EvidenceIncompleteError, RootFindingError
-from .render import RenderError, RenderPlan, render_graph
+from .render import RenderError, render_graph
 
 PARSE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -86,7 +86,7 @@ def _load_config(path: str | None) -> TrackingConfig:
 
 
 def cmd_roots(args, cfg: TrackingConfig):
-    return polynomials.roots_of_f().to_json_list()
+    return polynomials.roots_of_f(args.seed_offset).to_json_list()
 
 
 def cmd_monodromy(args, cfg: TrackingConfig):
@@ -119,8 +119,7 @@ def cmd_evidence(args, cfg: TrackingConfig):
 
 def cmd_render(args, cfg: TrackingConfig):
     e = maps.parse_map_expr(args.map)
-    plan = RenderPlan(samples_per_edge=args.samples)
-    result = render_graph(e, plan, cfg)
+    result = render_graph(e, args.samples, cfg)
     if args.out == "-":
         sys.stdout.write(result.svg + "\n")
         return None
@@ -146,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="indent the JSON output")
     common.add_argument("--config", metavar="PATH", default=None,
                         help="tracking configuration as a JSON file")
-    common.add_argument("--seed-offset", type=float, default=None, metavar="RAD",
-                        help="angular offset for the root finder's start circle")
 
     parser = argparse.ArgumentParser(
         prog="dessins",
@@ -158,6 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", parents=[common],
                        help="labeled roots of the degree-12 polynomial f")
+    p.add_argument("--seed-offset", type=float, default=polynomials.ANGULAR_OFFSET,
+                   metavar="RAD", help="angular offset for the root finder's start circle")
     p.set_defaults(handler=cmd_roots)
 
     p = sub.add_parser("monodromy", parents=[common],
@@ -204,8 +203,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed_offset is not None:
-            polynomials.set_default_angular_offset(args.seed_offset)
         cfg = _load_config(args.config)
     except json.JSONDecodeError as exc:
         return _fail(exc, PARSE_EXIT)

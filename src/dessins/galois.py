@@ -24,7 +24,7 @@ from . import monodromy as monodromy_mod
 from .dessin import Constellation, Passport
 from .maps import MapExpr, parse_map_expr
 from .monodromy import TrackingConfig
-from .perms import CycleType, Permutation, compose, identity, group_order, parse_cycles, power
+from .perms import Permutation, compose, identity, group_order, parse_cycles, power
 from .polynomials import roots_of_f
 
 
@@ -223,18 +223,15 @@ class OrbitReport:
         }
 
 
-def _dessin_worker(args) -> tuple[tuple[int, int, int], tuple, tuple, tuple, int]:
+def _dessin_worker(args) -> tuple[tuple[int, int, int], tuple, Passport, int]:
     triple_tuple, cfg = args
-    t = Triple(*triple_tuple)
-    pair = monodromy_mod.monodromy(full_chain(t), cfg)
+    pair = monodromy_mod.monodromy(full_chain(Triple(*triple_tuple)), cfg)
     c = Constellation(pair.g0, pair.g1)
     cf = dessin_mod.canonical_form(c)
-    p = dessin_mod.passport(c)
     return (
         triple_tuple,
-        (pair.g0.images, pair.g1.images),
         (cf.g0.images, cf.g1.images),
-        (p.black.parts, p.white.parts, p.faces.parts),
+        dessin_mod.passport(c),
         dessin_mod.genus(c),
     )
 
@@ -263,17 +260,10 @@ def orbit_dessins(
     passports = []
     genera = []
     classes: dict[tuple, list[Triple]] = {}
-    for triple_tuple, _, cf_images, passport_parts, g in results:
-        t = Triple(*triple_tuple)
-        passports.append(
-            Passport(
-                black=CycleType(passport_parts[0]),
-                white=CycleType(passport_parts[1]),
-                faces=CycleType(passport_parts[2]),
-            )
-        )
+    for triple_tuple, cf_images, p, g in results:
+        passports.append(p)
         genera.append(g)
-        classes.setdefault(cf_images, []).append(t)
+        classes.setdefault(cf_images, []).append(Triple(*triple_tuple))
 
     iso_classes = tuple(
         tuple(sorted(members, key=Triple.as_tuple))

@@ -186,9 +186,9 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tup
         if abs(p - v) < 1e-6:
             raise NearBranchError(f"base point {p} within 1e-6 of branch value {v}")
 
+    stages = _stage_polys(e)
     values: list[complex] = [complex(p)]
-    for prim in e.polynomial_part():
-        poly = maps.as_poly(prim)
+    for poly in stages:
         pulled: list[complex] = []
         for v in values:
             shifted = ComplexPoly((poly.coeffs[0] - v,) + poly.coeffs[1:])
@@ -216,10 +216,10 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tup
     dist = _pairwise_min(coords)
     if dist <= cfg.match_tol:
         raise CollisionError(f"fiber points within {dist:.3e}")
-    for pt in out:
-        probe = pt if e.has_curve else pt.x
-        if abs(maps.eval_chain(e, probe) - p) >= 1e-8:
-            raise TrackingError("fiber point fails to evaluate back to base")
+    # on curves y is a square root of c(x) by construction, so x decides
+    value, _ = _composite_and_derivative(stages, [s.derivative() for s in stages], coords[0])
+    if np.any(np.abs(value - p) >= 1e-8):
+        raise TrackingError("fiber point fails to evaluate back to base")
     return out
 
 
@@ -422,24 +422,7 @@ def track_loop(
     return Permutation(tuple(images))
 
 
-def default_radius(center: complex, e: MapExpr, basepoint: complex = BASEPOINT) -> float:
-    """Half the least distance from the center to any other finite branch
-    value or to the base point (1/4 for a chain branched over {0, 1})."""
-    data = maps.branch_values(e)
-    distances = [abs(basepoint - center)]
-    for v in data.finite_numeric():
-        gap = abs(v - center)
-        if gap > 1e-9:
-            distances.append(gap)
-    return 0.5 * min(distances)
-
-
-def monodromy(
-    e: MapExpr,
-    cfg: TrackingConfig = TrackingConfig(),
-    radius_scale: float = 1.0,
-    steps_scale: int = 1,
-) -> MonodromyPair:
+def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPair:
     """Loop permutations (g0, g1) around 0 and 1 from the base point 1/2.
 
     The chain must be branched only over {0, 1, infinity}.  The loop
@@ -449,26 +432,31 @@ def monodromy(
     """
     if not maps.is_belyi(e):
         raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
-    return _pair(e, fiber(e, BASEPOINT, cfg), cfg, radius_scale, steps_scale)
+    return _pair(e, fiber(e, BASEPOINT, cfg), cfg, _loops(cfg))
+
+
+def _loops(cfg: TrackingConfig, radius: float = 0.25, refine: int = 1) -> tuple[LoopSpec, LoopSpec]:
+    """The loops around 0 and 1, in refine / initial_step nominal steps.
+
+    The default radius 1/4 is half the distance from each center to the
+    base point 1/2, which on a chain branched over {0, 1, infinity} is
+    nearer than the other finite branch value.
+    """
+    steps = max(1, round(1.0 / cfg.initial_step)) * refine
+    return tuple(LoopSpec(center=c, radius=radius, steps=steps) for c in (0j, 1 + 0j))
 
 
 def _pair(
     e: MapExpr,
     points: Sequence[FiberPoint],
     cfg: TrackingConfig,
-    radius_scale: float,
-    steps_scale: int,
+    loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
-    """The pair of a Belyi chain on its labeled fiber over the base point."""
-    steps = max(1, round(1.0 / cfg.initial_step)) * steps_scale
-    loops = [
-        LoopSpec(center=center, radius=default_radius(center, e) * radius_scale, steps=steps)
-        for center in (0j, 1 + 0j)
-    ]
+    """The pair of a Belyi chain on its labeled fiber over the base point,
+    by continuation around ``loops`` (see _loops)."""
     inner = e.inner()
     if e.chain[0] == maps.BelyiMN(1, 1) and inner is not None and maps.is_belyi(inner):
-        arc_step = loops[0].length / steps
-        return _doubled(inner, points, cfg, radius_scale, steps_scale, arc_step)
+        return _doubled(inner, points, cfg, loops)
     g0, g1 = (track_loop(e, loop, points, cfg) for loop in loops)
     return MonodromyPair(g0=g0, g1=g1)
 
@@ -498,16 +486,15 @@ def _doubled(
     inner: MapExpr,
     points: Sequence[FiberPoint],
     cfg: TrackingConfig,
-    radius_scale: float,
-    steps_scale: int,
-    arc_step: float,
+    loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
     """The pair of b(1,1) . inner on ``points``, its fiber over 1/2, from
-    the pair (s0, s1) of the Belyi chain ``inner`` on its own fiber.
+    the pair (s0, s1) of the Belyi chain ``inner`` on its own fiber,
+    tracked around ``loops``.
 
     Each inner fiber point k is carried along the real segments from 1/2
     to w1 and to w2, which meet no branch value of ``inner``, with the
-    loops' nominal step length arc_step; a(k) and b(k) are the labels of
+    loops' nominal step length; a(k) and b(k) are the labels of
     the points it lands on.  The loop around 0 lifts through 4w(1 - w) to
     a loop around 0 at w1 and around 1 at w2, and the loop around 1 to a
     path from w1 to w2 through 1/2, so
@@ -519,7 +506,8 @@ def _doubled(
     white vertex on each edge.
     """
     inner_points = fiber(inner, BASEPOINT, cfg)
-    s0, s1 = _pair(inner, inner_points, cfg, radius_scale, steps_scale)
+    s0, s1 = _pair(inner, inner_points, cfg, loops)
+    arc_step = loops[0].length / loops[0].steps
     start = _sheets(inner, inner_points)
     ends = [
         _unfold(*_continue(inner, _Segment(BASEPOINT, w, arc_step), *start, cfg))
@@ -548,7 +536,8 @@ def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool
 
 
 def _agrees_with_probe(e: MapExpr, cfg: TrackingConfig, base: MonodromyPair) -> bool:
-    return monodromy(e, cfg, radius_scale=0.8, steps_scale=2) == base
+    probe = _loops(cfg, radius=0.25 * 0.8, refine=2)
+    return _pair(e, fiber(e, BASEPOINT, cfg), cfg, probe) == base
 
 
 def monodromy_json(

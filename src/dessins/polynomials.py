@@ -239,23 +239,9 @@ class LabeledRoots:
         ]
 
 
-_default_offset = ANGULAR_OFFSET
-
-
-def default_angular_offset() -> float:
-    return _default_offset
-
-
-def set_default_angular_offset(value: float) -> None:
-    """Override the starting-circle rotation used by ``roots_of_f``."""
-    global _default_offset
-    _default_offset = float(value)
-
-
-def roots_of_f(angular_offset: float | None = None) -> LabeledRoots:
-    """Labeled roots of ``f``, cached; label 1 has the least argument."""
-    if angular_offset is None:
-        angular_offset = _default_offset
+def roots_of_f(angular_offset: float = ANGULAR_OFFSET) -> LabeledRoots:
+    """Labeled roots of ``f``, cached per starting-circle rotation; label 1
+    has the least argument."""
     return _roots_of_f_cached(angular_offset)
 
 

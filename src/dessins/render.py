@@ -25,33 +25,26 @@ import numpy as np
 
 from . import maps
 from .maps import BelyiMN, FPoly, MapExpr, RootRef
-from .monodromy import TrackingConfig, _sheets, _stepper, _unfold, fiber
+from .monodromy import NotBelyiError, TrackingConfig, _sheets, _stepper, _unfold, fiber
 from .polynomials import ComplexPoly, roots
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
 
+# drawing style
+WIDTH = 840.0
+PADDING = 28.0
+MERGE_TOL = 1e-4
+EDGE_WIDTH = 1.6
+SHEET_WIDTHS = (2.4, 1.1)
+SHEET_COLORS = ("#5b8dd9", "#d97b5b")
+EDGE_COLOR = "#555555"
+BLACK_COLOR = "#111111"
+WHITE_FILL = "#ffffff"
+VERTEX_RADIUS = 3.2
+
 
 class RenderError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RenderPlan:
-    samples_per_edge: int = 48
-    width: float = 840.0
-    padding: float = 28.0
-    merge_tol: float = 1e-4
-    edge_width: float = 1.6
-    sheet_widths: tuple[float, float] = (2.4, 1.1)
-    sheet_colors: tuple[str, str] = ("#5b8dd9", "#d97b5b")
-    edge_color: str = "#555555"
-    black_color: str = "#111111"
-    white_fill: str = "#ffffff"
-    vertex_radius: float = 3.2
-
-    def __post_init__(self) -> None:
-        if self.samples_per_edge < 8:
-            raise ValueError("samples_per_edge must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -226,10 +219,19 @@ def _attach(x, y, vertices: list[RenderVertex], side: str) -> np.ndarray:
 
 def render_graph(
     e: MapExpr,
-    plan: RenderPlan = RenderPlan(),
+    samples_per_edge: int = 48,
     cfg: TrackingConfig = TrackingConfig(),
 ) -> RenderResult:
-    """Render the dessin of a chain; see the module docstring."""
+    """Render the dessin of a chain with samples_per_edge rungs on each
+    half-edge; see the module docstring.
+
+    Raises ValueError below 8 samples and NotBelyiError for a chain
+    branched off {0, 1, infinity}.
+    """
+    if samples_per_edge < 8:
+        raise ValueError("samples_per_edge must be at least 8")
+    if not maps.is_belyi(e):
+        raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
     blacks = structural_vertices(e, 0)
     whites = structural_vertices(e, 1)
     base = fiber(e, 0.5, cfg)
@@ -240,8 +242,8 @@ def render_graph(
     # last rung of a 10-fold point).  The loop tolerance is unreachable
     # there; 1e-7 still sits three decades below the merge tolerance.
     tol = max(cfg.newton_tol, 1e-7)
-    to_zero = _ladder(step, *half, _value_ladder(plan.samples_per_edge, False), tol)
-    to_one = _ladder(step, *half, _value_ladder(plan.samples_per_edge, True), tol)
+    to_zero = _ladder(step, *half, _value_ladder(samples_per_edge, False), tol)
+    to_one = _ladder(step, *half, _value_ladder(samples_per_edge, True), tol)
 
     # one row per fiber point, from its vertex over 0 to its vertex over 1
     lines = np.column_stack((
@@ -254,7 +256,7 @@ def render_graph(
         for pt in base
     ]
 
-    svg, merged_black, merged_white = _svg_document(e, plan, blacks, whites, lines, sheets)
+    svg, merged_black, merged_white = _svg_document(e, blacks, whites, lines, sheets)
     return RenderResult(
         svg=svg,
         black_vertices=tuple(blacks),
@@ -278,7 +280,7 @@ def merge_dots(vertices, tol: float) -> list[list[RenderVertex]]:
     return groups
 
 
-def _svg_document(e, plan, blacks, whites, lines, sheets):
+def _svg_document(e, blacks, whites, lines, sheets):
     """The SVG of the strands ``lines`` (one row of x-plane points per fiber
     point, in label order) on their sheets, and of the merged vertices."""
     points = np.concatenate((lines.ravel(), [v.x for v in blacks + whites]))
@@ -288,49 +290,49 @@ def _svg_document(e, plan, blacks, whites, lines, sheets):
     maxy = float(points.imag.max())
     span_x = max(maxx - minx, 1e-9)
     span_y = max(maxy - miny, 1e-9)
-    scale = (plan.width - 2 * plan.padding) / span_x
-    height = span_y * scale + 2 * plan.padding
+    scale = (WIDTH - 2 * PADDING) / span_x
+    height = span_y * scale + 2 * PADDING
 
     # complex scalars and arrays alike
     def sx(z):
-        return (z.real - minx) * scale + plan.padding
+        return (z.real - minx) * scale + PADDING
 
     def sy(z):
-        return (maxy - z.imag) * scale + plan.padding
+        return (maxy - z.imag) * scale + PADDING
 
     out = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{plan.width:.0f}" height="{height:.2f}" '
-        f'viewBox="0 0 {plan.width:.2f} {height:.2f}">'
+        f'width="{WIDTH:.0f}" height="{height:.2f}" '
+        f'viewBox="0 0 {WIDTH:.2f} {height:.2f}">'
     )
     title = maps.format_map_expr(e)
     out.append(f"<title>{title}</title>")
-    out.append(f'<rect width="100%" height="100%" fill="{plan.white_fill}"/>')
+    out.append(f'<rect width="100%" height="100%" fill="{WHITE_FILL}"/>')
 
     curve = e.has_curve
     for sheet, px, py in zip(sheets, sx(lines), sy(lines)):
         if curve:
-            color = plan.sheet_colors[sheet]
-            width = plan.sheet_widths[sheet]
+            color = SHEET_COLORS[sheet]
+            width = SHEET_WIDTHS[sheet]
         else:
-            color = plan.edge_color
-            width = plan.edge_width
+            color = EDGE_COLOR
+            width = EDGE_WIDTH
         d = "M " + " L ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         out.append(
             f'<path fill="none" stroke="{color}" stroke-width="{width:.2f}" '
             f'stroke-linecap="round" d="{d}"/>'
         )
 
-    merged_black = merge_dots(blacks, plan.merge_tol)
-    merged_white = merge_dots(whites, plan.merge_tol)
+    merged_black = merge_dots(blacks, MERGE_TOL)
+    merged_white = merge_dots(whites, MERGE_TOL)
     for groups, fill, stroke in (
-        (merged_black, plan.black_color, "none"),
-        (merged_white, plan.white_fill, plan.black_color),
+        (merged_black, BLACK_COLOR, "none"),
+        (merged_white, WHITE_FILL, BLACK_COLOR),
     ):
         for g in groups:
             total = sum(v.order for v in g)
-            r = plan.vertex_radius * (1.0 + 0.25 * min(total, 24) ** 0.5)
+            r = VERTEX_RADIUS * (1.0 + 0.25 * min(total, 24) ** 0.5)
             z = g[0].x
             orders = "+".join(str(v.order) for v in sorted(g, key=lambda u: -u.order))
             extra = '' if stroke == "none" else f' stroke="{stroke}" stroke-width="1.2"'
@@ -341,12 +343,12 @@ def _svg_document(e, plan, blacks, whites, lines, sheets):
 
     if curve:
         out.append(
-            f'<text x="{plan.padding:.0f}" y="16" font-family="sans-serif" '
-            f'font-size="12" fill="{plan.sheet_colors[0]}">sheet 1</text>'
+            f'<text x="{PADDING:.0f}" y="16" font-family="sans-serif" '
+            f'font-size="12" fill="{SHEET_COLORS[0]}">sheet 1</text>'
         )
         out.append(
-            f'<text x="{plan.padding + 70:.0f}" y="16" font-family="sans-serif" '
-            f'font-size="12" fill="{plan.sheet_colors[1]}">sheet 2</text>'
+            f'<text x="{PADDING + 70:.0f}" y="16" font-family="sans-serif" '
+            f'font-size="12" fill="{SHEET_COLORS[1]}">sheet 2</text>'
         )
     out.append("</svg>")
     return "\n".join(out), len(merged_black), len(merged_white)

@@ -15,13 +15,6 @@ from dessins.schemas import (
 )
 
 
-@pytest.fixture(autouse=True)
-def restore_offset():
-    saved = polynomials.default_angular_offset()
-    yield
-    polynomials.set_default_angular_offset(saved)
-
-
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -48,6 +41,15 @@ class TestRoots:
         for r1, r2 in zip(base, moved):
             assert r1["re"] == pytest.approx(r2["re"], abs=1e-9)
             assert r1["im"] == pytest.approx(r2["im"], abs=1e-9)
+
+    def test_seed_offset_does_not_leak(self, capsys):
+        run_json(capsys, "roots", "--seed-offset", "0.37")
+        assert polynomials.roots_of_f() is polynomials.roots_of_f(polynomials.ANGULAR_OFFSET)
+
+    def test_seed_offset_only_on_roots(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dessin", "--triple", "2,7,11", "--seed-offset", "0.3"])
+        assert exc.value.code == 2
 
 
 class TestMonodromy:
@@ -182,6 +184,12 @@ class TestRender:
         code, _, err = run(capsys, "render", "--map", "b(1,1)",
                            "--out", "-", "--samples", "3")
         assert code == 2
+
+    def test_non_belyi_map(self, capsys):
+        code, out, err = run(capsys, "render", "--map", "b(1,1).b(2,1).f", "--out", "-")
+        assert code == 2
+        assert json.loads(err)["error"] == "NotBelyiError"
+        assert out == ""
 
 
 class TestOutputDiscipline:

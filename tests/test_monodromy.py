@@ -16,7 +16,6 @@ from dessins.monodromy import (
     TrackingError,
     _sheets,
     _stepper,
-    default_radius,
     fiber,
     monodromy,
     monodromy_json,
@@ -119,11 +118,6 @@ class TestSmallMonodromy:
     def test_rejects_non_belyi(self, cfg):
         with pytest.raises(NotBelyiError):
             monodromy(parse_map_expr("f"), cfg)
-
-    def test_default_radius_quarter(self):
-        e = parse_map_expr("b(1,1).b(10,1)")
-        assert default_radius(0j, e) == pytest.approx(0.25)
-        assert default_radius(1 + 0j, e) == pytest.approx(0.25)
 
 
 class TestPsi:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from dessins.maps import parse_map_expr
+from dessins.monodromy import NotBelyiError
 from dessins.perms import cycle_type
 from dessins.render import (
+    SHEET_COLORS,
     RenderError,
-    RenderPlan,
     RenderVertex,
     _attach,
     merge_dots,
@@ -28,14 +29,14 @@ def svg_counts(svg: str) -> tuple[int, int]:
 
 
 class TestPlan:
-    def test_defaults(self):
-        plan = RenderPlan()
-        assert plan.samples_per_edge == 48
-        assert plan.merge_tol == pytest.approx(1e-4)
-
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            RenderPlan(samples_per_edge=7)
+            render_graph(parse_map_expr("b(1,1)"), samples_per_edge=7)
+
+    @pytest.mark.parametrize("chain", ["b(1,1).b(2,1).f", "b(5,1).f.pi(1,2,3)"])
+    def test_non_belyi_rejected(self, chain):
+        with pytest.raises(NotBelyiError):
+            render_graph(parse_map_expr(chain))
 
 
 class TestStructuralVertices:
@@ -138,9 +139,8 @@ class TestSmallRenders:
         assert abs(two_petal[0][0].x - 10 / 11) < 1e-4
 
     def test_plain_chain_has_no_sheet_colors(self):
-        plan = RenderPlan()
-        res = render_graph(parse_map_expr("b(1,1).b(10,1)"), plan)
-        for color in plan.sheet_colors:
+        res = render_graph(parse_map_expr("b(1,1).b(10,1)"))
+        for color in SHEET_COLORS:
             assert color not in res.svg
 
 
@@ -167,8 +167,7 @@ class TestFullChainRender:
         assert len(with_twenty) == 3
 
     def test_sheet_colors_present(self, result):
-        plan = RenderPlan()
-        for color in plan.sheet_colors:
+        for color in SHEET_COLORS:
             assert color in result.svg
 
     def test_svg_parses_with_matching_counts(self, result):

@@ -13,13 +13,17 @@ the underlying graph.
 
 Isomorphism is simultaneous conjugacy, decided through a canonical form:
 the least relabeled pair over breadth-first relabelings rooted at every
-point (neighbors visited g0 first, then g1).
+point (neighbors visited g0 first, then g1).  The relabeled g0 of a root
+is built position by position as its BFS runs, and the root is abandoned
+at the first position where it exceeds the best pair so far; roots that
+tie run to the end and are compared in full.  The result is still the
+least relabeled pair over all roots; only a dessin whose roots all tie
+(one with automorphisms) costs a full BFS per root.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 
 from .perms import (
@@ -152,43 +156,59 @@ def invariants(c: Constellation) -> DessinInvariants:
 # canonical form and isomorphism
 
 
-def _bfs_relabeling(g0: list[int], g1: list[int], root: int, points: list[int]) -> dict[int, int]:
-    """New label of every reachable point, BFS from root, g0 before g1."""
+def _bfs_key(
+    g0: list[int],
+    g1: list[int],
+    root: int,
+    points: list[int],
+    best_a: tuple[int, ...] | None,
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] | None:
+    """Relabeled pair and relabeling (old point -> 1..k) of the BFS from
+    root, g0 before g1; None as soon as the relabeled g0 exceeds best_a.
+
+    Label i + 1 is dequeued at position i, so a[i] and b[i] are known
+    while the BFS runs and the comparison with best_a needs no full pass.
+    """
     new_of = {root: 1}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in (g0[x - 1], g1[x - 1]):
-            if y not in new_of:
-                new_of[y] = len(new_of) + 1
-                queue.append(y)
-    if len(new_of) != len(points):
+    order = [root]
+    a = []
+    b = []
+    tied = best_a is not None
+    # order grows while it is walked: it is the BFS queue
+    for i, x in enumerate(order):
+        y = g0[x - 1]
+        if y not in new_of:
+            new_of[y] = len(order) + 1
+            order.append(y)
+        ai = new_of[y]
+        if tied:
+            if ai > best_a[i]:
+                return None
+            tied = ai == best_a[i]
+        y = g1[x - 1]
+        if y not in new_of:
+            new_of[y] = len(order) + 1
+            order.append(y)
+        a.append(ai)
+        b.append(new_of[y])
+    if len(order) != len(points):
         raise NotConnectedError("relabeling did not reach every point")
-    return new_of
-
-
-def _relabeled_key(
-    g0: list[int], g1: list[int], new_of: dict[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    k = len(new_of)
-    a = [0] * k
-    b = [0] * k
-    for old, new in new_of.items():
-        a[new - 1] = new_of[g0[old - 1]]
-        b[new - 1] = new_of[g1[old - 1]]
-    return tuple(a), tuple(b)
+    return (tuple(a), tuple(b)), new_of
 
 
 def _component_canonical(
     g0: list[int], g1: list[int], points: list[int]
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
     """Least relabeled pair over all BFS roots in one component, with the
-    winning relabeling (old point -> 1..k)."""
+    winning relabeling (old point -> 1..k).  A root is dropped at the
+    first position where its relabeled g0 exceeds the best so far."""
     best_key = None
     best_map = None
     for root in points:
-        new_of = _bfs_relabeling(g0, g1, root, points)
-        key = _relabeled_key(g0, g1, new_of)
+        found = _bfs_key(g0, g1, root, points, None if best_key is None else best_key[0])
+        if found is None:
+            continue
+        key, new_of = found
         if best_key is None or key < best_key:
             best_key = key
             best_map = new_of

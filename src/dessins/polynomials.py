@@ -81,7 +81,8 @@ class ComplexPoly:
     def eval_many(self, x: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(x, dtype=complex)
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc *= x
+            acc += c
         return acc
 
     def derivative(self) -> "ComplexPoly":

@@ -118,6 +118,13 @@ class TestDessin:
         assert data["passport"]["faces"] == [528]
         assert data["passport"]["white"] == [2] * 264
 
+    def test_published_triple_hash_pinned(self, capsys):
+        # measured before the canonical form abandoned losing roots early
+        data = run_json(capsys, "dessin", "--triple", "2,7,11")
+        assert data["canonical_hash"] == (
+            "f38a8e85fbc94c7e1b957bc326844b03173010dc870d429e97e0a3fe5c3def89"
+        )
+
     def test_bad_triple(self, capsys):
         code, _, err = run(capsys, "dessin", "--triple", "2,2,7")
         assert code == 2

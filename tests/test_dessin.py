@@ -8,6 +8,8 @@ from dessins.dessin import (
     CleannessRequiredError,
     Constellation,
     NotConnectedError,
+    _component_canonical,
+    _orbits,
     bouquet_profile,
     canonical_form,
     canonical_hash,
@@ -27,7 +29,10 @@ from dessins.perms import (
     identity,
     inverse,
     parse_cycles,
+    power,
 )
+
+from naive_canonical import naive_component_canonical
 
 PSI_G0 = parse_cycles("(1,2,3,4,5,6,7,8,9,10)(11,21)", 22)
 PSI_G1 = parse_cycles(
@@ -125,6 +130,52 @@ class TestCanonical:
         c1 = Constellation(parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)(3,4)", 4))
         c2 = Constellation(parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4))
         assert canonical_hash(c1) != canonical_hash(c2)
+
+
+class TestCanonicalPinned:
+    """canonical_hash values measured before roots were abandoned early."""
+
+    def test_published_psi_pair(self):
+        c = Constellation(PSI_G0, PSI_G1)
+        assert canonical_hash(c) == (
+            "b852cd233acec361457932f0c5c97624f769cf29f18815b5c035354222467160"
+        )
+
+
+class TestPrunedAgainstAllRoots:
+    """The pruned search returns the key and relabeling of the all-roots one."""
+
+    @staticmethod
+    def _agree(c: Constellation) -> None:
+        g0, g1 = list(c.g0.images), list(c.g1.images)
+        for pts in _orbits(c):
+            assert _component_canonical(g0, g1, pts) == naive_component_canonical(g0, g1, pts)
+
+    def test_random_pairs(self):
+        rng = random.Random(20240)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            self._agree(Constellation(random_permutation(rng, n), random_permutation(rng, n)))
+
+    def test_cyclic_pairs_where_every_root_ties(self):
+        for n in range(1, 31):
+            c = Permutation(tuple(list(range(2, n + 1)) + [1]))
+            for k in range(n):
+                self._agree(Constellation(c, power(c, k)))
+
+    def test_full_chain(self, full_pair):
+        self._agree(Constellation(full_pair.g0, full_pair.g1))
+
+    def test_disconnected_pair_raises(self):
+        c = Constellation(parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4))
+        g0, g1 = list(c.g0.images), list(c.g1.images)
+        points = list(range(1, 5))
+        with pytest.raises(NotConnectedError):
+            _component_canonical(g0, g1, points)
+        with pytest.raises(NotConnectedError):
+            naive_component_canonical(g0, g1, points)
+        with pytest.raises(NotConnectedError):
+            canonical_form(c)
 
 
 class TestIsomorphism:

@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Exact check of every triple of b(1,1).b(10,1).f.pi(i,j,k) against a table.
+
+For each of the 220 triples the committed table ``check_triples.json``
+holds the sha256 of format_cycles(g0) and of format_cycles(g1) from
+monodromy(full_chain(t)), and the sha256 of the stdout of
+``dessins dessin --triple i,j,k``.  The script recomputes all three and
+exits 1 on any mismatch, so a change to the continuation that moves a
+single label or output byte on any triple is caught.
+
+    PYTHONPATH=src python3 scripts/check_triples.py            # check
+    PYTHONPATH=src python3 scripts/check_triples.py --write    # rebuild
+
+``--write`` replaces the table with the output of the current code; use it
+only when the output is meant to change, and record why.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import time
+from pathlib import Path
+
+from dessins import cli
+from dessins.galois import Triple, all_triples, full_chain
+from dessins.monodromy import monodromy
+from dessins.perms import format_cycles
+
+TABLE = Path(__file__).with_name("check_triples.json")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _key(t: Triple) -> str:
+    return ",".join(str(v) for v in t.as_tuple())
+
+
+def row(t: Triple) -> dict:
+    """The three hashes of one triple."""
+    pair = monodromy(full_chain(t))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["dessin", "--triple", _key(t)])
+    if code != 0:
+        raise RuntimeError(f"dessin --triple {_key(t)} exited {code}")
+    return {
+        "g0": _sha256(format_cycles(pair.g0)),
+        "g1": _sha256(format_cycles(pair.g1)),
+        "dessin_stdout": _sha256(out.getvalue()),
+    }
+
+
+def _write(table: dict) -> None:
+    lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in table.items()]
+    TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--write", action="store_true",
+                        help="rebuild the table from the current code")
+    args = parser.parse_args()
+    expected = {} if args.write else json.loads(TABLE.read_text(encoding="utf-8"))
+
+    start = time.perf_counter()
+    got, mismatches = {}, 0
+    for t in all_triples():
+        key = _key(t)
+        got[key] = row(t)
+        if not args.write and got[key] != expected.get(key):
+            mismatches += 1
+            print(f"MISMATCH {key}: {got[key]} != {expected.get(key)}")
+    seconds = time.perf_counter() - start
+
+    if args.write:
+        _write(got)
+        print(f"wrote {len(got)} triples to {TABLE.name} in {seconds:.1f} s")
+        return 0
+    print(f"{len(got)} triples, {mismatches} mismatches, {seconds:.1f} s")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,16 @@ and y follows the nearer square root, so a step is accepted only when it
 moves each point much less than the gap to its nearest neighbor and moves
 y by less than |y| / 2.  The value ladders of render take the same step.
 
+The gap guard does not rebuild the all-pairs gaps on every step.  The
+caller of the step carries a per-point lower bound on the gaps from step
+to step: in the |dx| + |dy| metric an accepted step shrinks the gap of
+point i by at most moved_i + max_j moved_j, so the bound is lowered by
+that much (less a relative rounding slack).  The exact gaps are computed
+only when the bound is too weak to accept a step, and then decide it, so
+every step is accepted or refused exactly as if the gaps were rebuilt
+each time.  This is the cheap form of the disjoint-disk condition of
+Beltran and Leykin, Certified numerical homotopy tracking (2012).
+
 Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
 of y, so one sheet of each pair is tracked and the gap to the other sheet
@@ -76,6 +86,21 @@ class TrackingConfig:
     min_step: float = 2.0**-20          # fraction of the loop length
     match_tol: float = 1e-6
     separation_factor: float = 10.0
+
+    def __post_init__(self) -> None:
+        """Raises ValueError unless every float setting is a finite positive
+        number, max_newton_iters is an integer of at least 1, and
+        min_step <= initial_step <= 1."""
+        for name in ("newton_tol", "initial_step", "min_step", "match_tol", "separation_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        n = self.max_newton_iters
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"max_newton_iters must be an integer >= 1, got {n!r}")
+        if not self.min_step <= self.initial_step <= 1:
+            raise ValueError(
+                f"need min_step <= initial_step <= 1, got {self.min_step!r} and {self.initial_step!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -212,12 +237,12 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tup
     if len(out) != maps.degree(e):
         raise TrackingError(
             f"fiber has {len(out)} points, expected {maps.degree(e)}")
-    coords = _coords(out)
-    dist = _pairwise_min(coords)
+    x, y = _sheets(e, out)
+    dist = float(_gaps(x, y).min())
     if dist <= cfg.match_tol:
         raise CollisionError(f"fiber points within {dist:.3e}")
     # on curves y is a square root of c(x) by construction, so x decides
-    value, _ = _composite_and_derivative(stages, [s.derivative() for s in stages], coords[0])
+    value, _ = _composite_and_derivative(stages, [s.derivative() for s in stages], x)
     if np.any(np.abs(value - p) >= 1e-8):
         raise TrackingError("fiber point fails to evaluate back to base")
     return out
@@ -237,13 +262,6 @@ def _metric(ax, ay, bx, by) -> np.ndarray:
     if ay is not None:
         d = d + np.abs(ay[:, None] - by[None, :])
     return d
-
-
-def _pairwise_min(coords) -> float:
-    x, y = coords
-    d = _metric(x, y, x, y)
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
 
 
 def _sheets(e: MapExpr, points: Sequence[FiberPoint]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -289,23 +307,59 @@ def _gaps(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
     return nearest
 
 
+# Relative slack of _lowered.  Away from underflow, the float values of
+# _gaps and of the moves are within a few units of roundoff (2**-53) of the
+# exact |dx| + |dy| distances between the stored coordinates, and the
+# update itself rounds three times; about 15 units would do, and 1e-12 is
+# some thousand times that.
+_BOUND_SLACK = 1e-12
+
+
+def _lowered(bound: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """A lower bound on the float gaps (_gaps) after each tracked point i
+    moves by moved_i in |dx| + |dy|, from a lower bound before the move.
+
+    By the triangle inequality the distance from point i to any other
+    fiber point shrinks by at most moved_i + max_j moved_j, and the
+    distance |2 y_i| to its partner sheet by at most 2 moved_i, so the
+    bound drops by moved_i + max_j moved_j, with the relative slack
+    _BOUND_SLACK taken off both terms so that rounding cannot lift it
+    above the float gaps.
+    """
+    return bound * (1 - _BOUND_SLACK) - (moved + moved.max()) * (1 + _BOUND_SLACK)
+
+
 def _stepper(e: MapExpr, max_newton_iters: int):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     _sheets).
 
-    ``step(x, y, origin, target, tol)`` carries the points sitting over the
-    base value ``origin`` to ``target``: a tangent predictor, then Newton on
-    F(x) = target to relative tolerance ``tol`` in at most
+    ``step(x, y, bound, origin, target, tol)`` carries the points sitting
+    over the base value ``origin`` to ``target``: a tangent predictor, then
+    Newton on F(x) = target to relative tolerance ``tol`` in at most
     max_newton_iters iterations, with y following the nearer square root.
-    It returns the new (x, y), or None when Newton does not converge, y
-    moves by |y| / 2 or more, or a point moves 0.4 of the gap to its
-    nearest neighbor in the full fiber (_gaps) or more.
+    The step is refused when Newton does not converge, y moves by |y| / 2
+    or more, or a point moves 0.4 of the gap to its nearest neighbor in
+    the full fiber (_gaps) or more.
+
+    ``bound`` is a per-point lower bound on the float value of _gaps(x, y),
+    kept by the caller from step to step; zeros are always valid, and make
+    the first step of a path compute the gaps.  The gap guard tests
+    ``moved < 0.4 * bound`` first.  Only when that fails is _gaps(x, y)
+    computed, and ``moved < 0.4 * _gaps(x, y)`` decides.  Float
+    multiplication by 0.4 is monotone, so a step the bound accepts is one
+    the exact guard accepts too, and every decision is the exact one.
+
+    Returns (landed, bound): landed is the new (x, y), or None when the
+    step is refused; bound holds for the points the caller now has.  After
+    a refusal it is the old bound, or the exact gaps when they were
+    computed.  After an acceptance it is the old bound, or the exact gaps,
+    lowered by moved_i + max_j moved_j less a rounding slack (_lowered).
     """
     stages = _stage_polys(e)
     derivs = [s.derivative() for s in stages]
     proj = e.proj
 
-    def step(x, y, origin, target, tol):
+    def step(x, y, bound, origin, target, tol):
         _, slope = _composite_and_derivative(stages, derivs, x)
         x_new = x + (target - origin) / slope
         for _ in range(max_newton_iters):
@@ -315,18 +369,20 @@ def _stepper(e: MapExpr, max_newton_iters: int):
             if np.all(np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))):
                 break
         else:
-            return None
+            return None, bound
         moved = np.abs(x_new - x)
         y_new = None
         if proj is not None:
             s = np.sqrt(proj.curve_rhs(x_new))
             y_new = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
             if not np.all(np.abs(y_new - y) < 0.5 * np.abs(y)):
-                return None
+                return None, bound
             moved = moved + np.abs(y_new - y)
-        if not np.all(moved < 0.4 * _gaps(x, y)):
-            return None
-        return x_new, y_new
+        if not np.all(moved < 0.4 * bound):
+            bound = _gaps(x, y)
+            if not np.all(moved < 0.4 * bound):
+                return None, bound
+        return (x_new, y_new), _lowered(bound, moved)
 
     return step
 
@@ -344,17 +400,21 @@ def _continue(
 
     The step is a fraction of the path, starting at 1/steps, halving
     whenever the step of _stepper fails and doubling back toward 1/steps
-    after each accepted one.  Raises StepUnderflowError below min_step.
+    after each accepted one.  The gap bound of _stepper starts at zero, so
+    the first step computes the exact gaps, and is then carried along the
+    path; the exact gaps are recomputed only where the bound cannot accept
+    a step.  Raises StepUnderflowError below min_step.
     """
     step = _stepper(e, cfg.max_newton_iters)
     t = 0.0
     h = 1.0 / path.steps
     h_nominal = h
     gamma_t = path.point(0.0)
+    bound = np.zeros(len(x))
     while t < 1.0:
         h = min(h, 1.0 - t)
         target = path.point(t + h)
-        landed = step(x, y, gamma_t, target, cfg.newton_tol)
+        landed, bound = step(x, y, bound, gamma_t, target, cfg.newton_tol)
         if landed is None:
             h /= 2
             if h < cfg.min_step:

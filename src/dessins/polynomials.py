@@ -79,10 +79,20 @@ class ComplexPoly:
         return acc
 
     def eval_many(self, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(x, dtype=complex)
-        for c in reversed(self.coeffs):
+        """Horner's rule elementwise, in place, skipping zero coefficients.
+
+        Adding an exact zero changes no value but the sign of an exact
+        zero, and neither does starting from the leading coefficient in
+        place of zero times x plus it.  So at finite x the result is that
+        of dense Horner bit for bit up to signed zeros, at one multiply
+        per degree and one add per nonzero coefficient (f has 3 nonzero
+        coefficients of 13, b(10,1) 2 of 12).
+        """
+        acc = np.full(np.shape(x), self.coeffs[-1], dtype=complex)
+        for c in reversed(self.coeffs[:-1]):
             acc *= x
-            acc += c
+            if c:
+                acc += c
         return acc
 
     def derivative(self) -> "ComplexPoly":

@@ -164,16 +164,20 @@ def _ladder(step, x, y, targets, tol):
     decreasing ladder of base values; returns the half after each rung.
 
     A rejected step is retried to the midpoint in value space, as often
-    as needed; raises RenderError after 60 rejections in a row.
+    as needed; raises RenderError after 60 rejections in a row.  The gap
+    bound of the step starts at zero, so the first step computes the exact
+    gaps, and is carried across substeps and rungs (see
+    monodromy._stepper).
     """
     rungs = [(x, y)]
     reached = 0.5
+    bound = np.zeros(len(x))
     for target in targets:
         pending = [float(target)]
         depth = 0
         while pending:
             sub = pending[-1]
-            landed = step(x, y, reached, sub, tol)
+            landed, bound = step(x, y, bound, reached, sub, tol)
             if landed is None:
                 depth += 1
                 if depth > 60:

@@ -87,6 +87,24 @@ class TestMonodromy:
         assert code == 2
         jsonschema.validate(json.loads(err), ERROR_SCHEMA)
 
+    @pytest.mark.parametrize("bad", [
+        {"match_tol": "x"},
+        {"initial_step": 0},
+        {"initial_step": -0.01},
+        {"min_step": 0.5},
+    ], ids=["string", "zero_step", "negative_step", "min_above_initial"])
+    def test_config_bad_value(self, capsys, tmp_path, bad):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "monodromy", "--map", "b(1,1)",
+                             "--config", str(cfg_file))
+        assert code == 2
+        assert out == ""
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "ValueError"
+        assert next(iter(bad)) in body["message"]
+
     def test_config_missing_file(self, capsys):
         code, _, err = run(capsys, "monodromy", "--map", "b(1,1)",
                            "--config", "/nonexistent/cfg.json")

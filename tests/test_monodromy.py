@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
+import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins.dessin import Constellation, isomorphic
+from dessins.galois import Triple, full_chain
 from dessins.maps import parse_map_expr
 from dessins.monodromy import (
     BASEPOINT,
@@ -14,6 +19,10 @@ from dessins.monodromy import (
     NotBelyiError,
     TrackingConfig,
     TrackingError,
+    _continue,
+    _gaps,
+    _loops,
+    _lowered,
     _sheets,
     _stepper,
     fiber,
@@ -32,6 +41,9 @@ from dessins.perms import (
     parse_cycles,
 )
 
+# the module itself: the package re-exports the function of the same name
+MONODROMY = importlib.import_module("dessins.monodromy")
+
 # verbatim from the published degree-22 example
 PSI_G0 = "(1,2,3,4,5,6,7,8,9,10)(11,21)"
 PSI_G1 = "(1,11)(2,12)(3,13)(4,14)(5,15)(6,16)(7,17)(8,18)(9,19)(10,20)(21,22)"
@@ -45,6 +57,26 @@ class TestTrackingConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             TrackingConfig.from_json_dict({"newton_tol": 1e-12, "bogus": 1})
+
+    @pytest.mark.parametrize("bad", [
+        {"newton_tol": float("nan")},
+        {"match_tol": float("inf")},
+        {"separation_factor": -1.0},
+        {"match_tol": True},
+        {"newton_tol": "1e-12"},
+        {"max_newton_iters": 0},
+        {"max_newton_iters": 2.5},
+        {"max_newton_iters": True},
+        {"initial_step": 2.0, "min_step": 1e-6},
+        {"initial_step": 1e-3, "min_step": 1e-2},
+    ])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrackingConfig(**bad)
+
+    def test_integer_floats_and_bounds_accepted(self):
+        cfg = TrackingConfig(separation_factor=10, initial_step=1, min_step=1)
+        assert cfg.separation_factor == 10
 
 
 class TestLoopSpec:
@@ -285,7 +317,8 @@ class TestSheetPairing:
 class TestStep:
     """The shared continuation step on b(1,1) = 4x(1 - x): the fiber over
     1/2 is (1 -+ 1/sqrt 2)/2, 0.71 apart, and the fiber over v is
-    (1 -+ sqrt(1 - v))/2."""
+    (1 -+ sqrt(1 - v))/2.  A zero gap bound is always valid and makes the
+    step compute the exact gaps."""
 
     E = parse_map_expr("b(1,1)")
 
@@ -302,14 +335,172 @@ class TestStep:
         return np.array([(1 - math.sqrt(1 - v)) / 2, (1 + math.sqrt(1 - v)) / 2])
 
     def test_short_step_lands_on_fiber(self, cfg, step, half):
-        x, y = step(*half, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, y), _ = step(*half, np.zeros(2), BASEPOINT, 0.9, cfg.newton_tol)
         assert y is None
         assert np.allclose(x, self._over(0.9), atol=1e-12)
 
     def test_over_long_step_refused_by_gap_guard(self, cfg, step, half):
         # straight to 0.99 each point would move 0.30, past 0.4 of the
         # 0.71 gap; Newton converges there, and two steps reach the target
-        assert step(*half, BASEPOINT, 0.99, cfg.newton_tol) is None
-        mid = step(*half, BASEPOINT, 0.9, cfg.newton_tol)
-        x, _ = step(*mid, 0.9, 0.99, cfg.newton_tol)
+        # refused from the trivial bound and from the tightest valid one;
+        # either way the exact gaps are computed and handed back
+        for bound in (np.zeros(2), _gaps(*half)):
+            landed, bound = step(*half, bound, BASEPOINT, 0.99, cfg.newton_tol)
+            assert landed is None
+            assert np.array_equal(bound, _gaps(*half))
+        mid, bound = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _), _ = step(*mid, bound, 0.9, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
+
+    def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
+        # the gap guard alone refuses the over-long step
+        monkeypatch.setattr(MONODROMY, "_gaps", lambda x, y: np.full(len(x), np.inf))
+        (x, _), _ = step(*half, np.zeros(2), BASEPOINT, 0.99, cfg.newton_tol)
+        assert np.allclose(x, self._over(0.99), atol=1e-12)
+
+    def test_accepting_bound_skips_exact_gaps(self, cfg, step, half, monkeypatch):
+        bound = _gaps(*half)
+
+        def refuse(x, y):
+            raise AssertionError("exact gaps computed")
+
+        monkeypatch.setattr(MONODROMY, "_gaps", refuse)
+        (x, _), lowered = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
+        moved = np.abs(x - half[0])
+        assert np.all(lowered <= bound - moved - moved.max())
+
+
+def _nearest_other(x, y):
+    """Index of the nearest other tracked point, in |dx| + |dy|."""
+    d = np.abs(x[:, None] - x[None, :])
+    if y is not None:
+        d = d + np.abs(y[:, None] - y[None, :])
+    np.fill_diagonal(d, np.inf)
+    return d.argmin(axis=1)
+
+
+class TestGapBound:
+    """The bound carried between steps (_lowered) never exceeds the float
+    value of _gaps, so a step it accepts is one the exact guard accepts."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        curve=st.booleans(),
+        pull=st.floats(min_value=0.0, max_value=0.3),
+        noise=st.floats(min_value=0.0, max_value=0.05),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_never_above_gaps_on_random_walks(self, seed, curve, pull, noise):
+        # each point drifts toward its nearest neighbor, which makes the
+        # triangle inequality nearly tight, plus a random jitter
+        rng = np.random.default_rng(seed)
+        n = 7
+
+        def cloud():
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        x = cloud()
+        y = cloud() if curve else None
+        bound = _gaps(x, y)
+        for _ in range(30):
+            j = _nearest_other(x, y)
+            x_new = x + pull * (x[j] - x) + noise * cloud()
+            moved = np.abs(x_new - x)
+            y_new = None
+            if curve:
+                y_new = y + pull * (y[j] - y) + noise * cloud()
+                moved = moved + np.abs(y_new - y)
+            bound = _lowered(bound, moved)
+            x, y = x_new, y_new
+            assert np.all(bound <= _gaps(x, y))
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_never_above_gaps_head_on(self, curve):
+        # two points closing in on each other at equal speed, or on curves a
+        # point closing in on its partner sheet: the triangle inequality is
+        # an equality, and only the rounding slack keeps the bound below
+        a, delta = math.pi / 3, math.e * 1e-4
+        if curve:
+            x, y = np.array([0.3 + 0.1j]), np.array([a + 0j])
+        else:
+            x, y = np.array([-a + 0j, a + 0j]), None
+        bound = _gaps(x, y)
+        for _ in range(3000):
+            if curve:
+                y_new = y - delta
+                moved = np.abs(y_new - y)
+                y = y_new
+            else:
+                x_new = x + np.array([delta, -delta])
+                moved = np.abs(x_new - x)
+                x = x_new
+            bound = _lowered(bound, moved)
+            assert np.all(bound <= _gaps(x, y))
+        assert np.all(bound > 0.9 * _gaps(x, y))
+
+
+def _recording_stepper(log, exact_only):
+    """A _stepper that logs (origin, target, accepted) for every step,
+    and with exact_only passes a zero bound, so that every gap guard
+    computes the exact gaps."""
+    def make(e, max_newton_iters):
+        step = _stepper(e, max_newton_iters)
+
+        def logged(x, y, bound, origin, target, tol):
+            if exact_only:
+                bound = np.zeros(len(x))
+            landed, bound = step(x, y, bound, origin, target, tol)
+            log.append((origin, target, landed is not None))
+            return landed, bound
+
+        return logged
+
+    return make
+
+
+def _counting(counts, name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+class TestDecisionsUnchanged:
+    E = parse_map_expr("b(10,1).f.pi(2,7,11)")
+
+    @pytest.mark.parametrize("loop", [
+        LoopSpec(center=0j, radius=0.25),
+        # tight around 1 in few steps, so that the gap guard refuses steps
+        LoopSpec(center=1 + 0j, radius=0.02, steps=32),
+    ], ids=["loop_0", "tight_loop_1"])
+    def test_loop_matches_exact_guard(self, cfg, monkeypatch, loop):
+        """Same accept/refuse sequence and bit-identical end positions as
+        the guard that computes the exact gaps on every step."""
+        start = _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
+        runs = []
+        for exact_only in (False, True):
+            log, counts = [], Counter()
+            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only))
+            monkeypatch.setattr(MONODROMY, "_gaps", _counting(counts, "gaps", _gaps))
+            end = _continue(self.E, loop, *start, cfg)
+            runs.append((log, end, counts["gaps"]))
+        (log, end, gaps), (exact_log, exact_end, exact_gaps) = runs
+        assert log == exact_log
+        assert np.array_equal(end[0], exact_end[0])
+        assert np.array_equal(end[1], exact_end[1])
+        assert exact_gaps == len(log)
+        assert gaps < exact_gaps / 2
+        if loop.steps == 32:
+            assert not all(accepted for *_, accepted in log)
+
+    def test_full_chain_work(self, cfg, monkeypatch, full_pair):
+        # the trajectory is the one of the exact guard: as many composite
+        # evaluations as before the bound was carried, and far fewer gaps
+        counts = Counter()
+        for name in ("_gaps", "_composite_and_derivative"):
+            monkeypatch.setattr(
+                MONODROMY, name, _counting(counts, name, getattr(MONODROMY, name)))
+        assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
+        assert counts["_composite_and_derivative"] == 2406
+        assert counts["_gaps"] <= 150

@@ -5,7 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from naive_horner import dense_eval_many
 
+from dessins.maps import BelyiMN, FPoly, as_poly
 from dessins.polynomials import (
     ClusteredRootsError,
     ComplexPoly,
@@ -47,6 +49,45 @@ class TestComplexPoly:
         q = p.deflate(1.0)
         assert q.degree == 2
         assert abs(q(2)) < 1e-12 and abs(q(3)) < 1e-12
+
+
+_coeff = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+_points = st.lists(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=8)
+
+
+class TestSparseHorner:
+    """eval_many skips zero coefficients; the values must be those of
+    dense Horner bit for bit (np.array_equal does not tell signed zeros
+    apart, which is the one thing the skipped additions change)."""
+
+    @given(st.lists(_coeff, min_size=1, max_size=17).filter(any), _points)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_horner(self, coeffs, xs):
+        p = ComplexPoly(tuple(coeffs))
+        x = np.array(xs, dtype=complex)
+        assert np.array_equal(p.eval_many(x), dense_eval_many(p.coeffs, x))
+
+    @pytest.mark.parametrize("prim", [FPoly(), BelyiMN(10, 1), BelyiMN(1, 1)])
+    def test_chain_polynomials_and_derivatives(self, prim):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([
+            rng.normal(size=200) + 1j * rng.normal(size=200),
+            np.linspace(-1.5, 1.5, 31) + 0j,
+            np.array([0j, 1 + 0j, 12 / 11 + 0j]),
+        ])
+        p = as_poly(prim)
+        for q in (p, p.derivative()):
+            assert np.array_equal(q.eval_many(x), dense_eval_many(q.coeffs, x))
+
+    def test_scalar_and_shape(self):
+        p = ComplexPoly((0, 0, 3))
+        assert p.eval_many(np.array(2.0)) == 12
+        assert p.eval_many(np.ones((2, 3))).shape == (2, 3)
 
 
 class TestRoots:

@@ -5,28 +5,26 @@ primitive first, each value pulled back through the next primitive).  A
 loop is a segment from the base point to a circle, the full circle
 counterclockwise, and the segment back; the fiber is continued along it
 with a tangent predictor and a Newton corrector on the composite equation
-F(x) = gamma(t).  For chains ending in a projection the fiber lives on the
-curve y^2 = c(x); the x coordinate satisfies the polynomial stages alone
-and y follows the nearer square root, so a step is accepted only when it
-moves each point much less than the gap to its nearest neighbor and moves
-y by less than |y| / 2.  The value ladders of render take the same step.
+F(x) = gamma(t).  On a curve y^2 = c(x) only x is continued, on the
+polynomial stages alone, and y is carried by the exact ratio sqrt(c(x_new)
+/ c(x)); a step is accepted only when it moves each x much less than its
+gap to the other x and to the roots of c.  Render's ladders take this step.
 
 The gap guard does not rebuild the all-pairs gaps on every step.  The
 caller of the step carries a per-point lower bound on the gaps from step
-to step: in the |dx| + |dy| metric an accepted step shrinks the gap of
-point i by at most moved_i + max_j moved_j, so the bound is lowered by
-that much (less a relative rounding slack).  The exact gaps are computed
-only when the bound is too weak to accept a step, and then decide it, so
-every step is accepted or refused exactly as if the gaps were rebuilt
-each time.  This is the cheap form of the disjoint-disk condition of
-Beltran and Leykin, Certified numerical homotopy tracking (2012).
+to step: an accepted step shrinks the gap of point i by at most moved_i +
+max_j moved_j, so the bound is lowered by that much (less a relative
+rounding slack).  The exact gaps are computed only when the bound is too
+weak to accept a step, and then decide it, so every step is accepted or
+refused exactly as if the gaps were rebuilt each time.  This is the cheap
+form of the disjoint-disk condition of Beltran and Leykin, Certified
+numerical homotopy tracking (2012), with the roots of c among the disks.
 
 Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
-of y, so one sheet of each pair is tracked and the gap to the other sheet
-is computed from it exactly.  A leading b(1,1) over a Belyi chain only
-doubles the inner dessin: its pair is assembled from the inner pair and
-the transport of the inner fiber to the two preimages of the base point.
+of y, so one sheet of each pair is tracked.  A leading b(1,1) over a Belyi
+chain only doubles the inner dessin: its pair is assembled from the inner
+pair and the transport of the inner fiber to the two preimages of 1/2.
 
 Permutations map start labels to end labels, so the product of the loop
 permutations taken in traversal order is the permutation of the
@@ -237,8 +235,9 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tup
     if len(out) != maps.degree(e):
         raise TrackingError(
             f"fiber has {len(out)} points, expected {maps.degree(e)}")
-    x, y = _sheets(e, out)
-    dist = float(_gaps(x, y).min())
+    x, _ = _sheets(e, out)
+    branch = None if e.proj is None else np.array(e.proj.cubic_roots())
+    dist = float(_gaps(x, branch).min())
     if dist <= cfg.match_tol:
         raise CollisionError(f"fiber points within {dist:.3e}")
     # on curves y is a square root of c(x) by construction, so x decides
@@ -287,44 +286,36 @@ def _unfold(x: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray
     return np.repeat(x, 2), np.column_stack((y, -y)).ravel()
 
 
-def _gaps(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
-    """Distance in |dx| + |dy| from each tracked point to its nearest
-    neighbor in the full fiber.
-
-    On curves the neighbors of (x_i, y_i) are its partner (x_i, -y_i) at
-    |2 y_i| and the nearer sheet of every other pair, at |x_i - x_j| +
-    min(|y_i - y_j|, |y_i + y_j|).  Negation is exact and rounding is
-    monotone, so this is the full-fiber minimum bit for bit, and the same
-    for both points of a pair.
+def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
+    """Distance from each tracked x to the nearest other tracked x and, on
+    curves, to the nearest root of c in ``branch``: the two sheets of a
+    pair share x and meet where x is a root, as |2 y|^2 = 4 |c(x)|.
     """
     d = np.abs(x[:, None] - x[None, :])
-    if y is not None:
-        d = d + np.minimum(np.abs(y[:, None] - y[None, :]), np.abs(y[:, None] + y[None, :]))
     np.fill_diagonal(d, np.inf)
     nearest = d.min(axis=1)
-    if y is not None:
-        nearest = np.minimum(nearest, np.abs(y + y))
+    if branch is not None:
+        nearest = np.minimum(nearest, np.abs(x[:, None] - branch[None, :]).min(axis=1))
     return nearest
 
 
 # Relative slack of _lowered.  Away from underflow, the float values of
 # _gaps and of the moves are within a few units of roundoff (2**-53) of the
-# exact |dx| + |dy| distances between the stored coordinates, and the
-# update itself rounds three times; about 15 units would do, and 1e-12 is
-# some thousand times that.
+# exact distances between the stored coordinates, and the update itself
+# rounds three times; about 15 units would do, and 1e-12 is some thousand
+# times that.
 _BOUND_SLACK = 1e-12
 
 
 def _lowered(bound: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """A lower bound on the float gaps (_gaps) after each tracked point i
-    moves by moved_i in |dx| + |dy|, from a lower bound before the move.
+    """A lower bound on the float gaps (_gaps) after each tracked x_i
+    moves by moved_i = |dx_i|, from a lower bound before the move.
 
-    By the triangle inequality the distance from point i to any other
-    fiber point shrinks by at most moved_i + max_j moved_j, and the
-    distance |2 y_i| to its partner sheet by at most 2 moved_i, so the
-    bound drops by moved_i + max_j moved_j, with the relative slack
-    _BOUND_SLACK taken off both terms so that rounding cannot lift it
-    above the float gaps.
+    By the triangle inequality the distance from x_i to another x_j shrinks
+    by at most moved_i + moved_j, and to a fixed root of c by at most
+    moved_i, so the bound drops by moved_i + max_j moved_j, with the
+    relative slack _BOUND_SLACK taken off both terms so that rounding
+    cannot lift it above the float gaps.
     """
     return bound * (1 - _BOUND_SLACK) - (moved + moved.max()) * (1 + _BOUND_SLACK)
 
@@ -336,16 +327,23 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     ``step(x, y, bound, origin, target, tol)`` carries the points sitting
     over the base value ``origin`` to ``target``: a tangent predictor, then
     Newton on F(x) = target to relative tolerance ``tol`` in at most
-    max_newton_iters iterations, with y following the nearer square root.
-    The step is refused when Newton does not converge, y moves by |y| / 2
-    or more, or a point moves 0.4 of the gap to its nearest neighbor in
-    the full fiber (_gaps) or more.
+    max_newton_iters iterations.  The step is refused when Newton does not
+    converge (a non-finite iterate never does) or some x moves 0.4 of its
+    gap (_gaps) or more.
 
-    ``bound`` is a per-point lower bound on the float value of _gaps(x, y),
+    On curves y is then carried by y_new = y sqrt(c(x_new) / c(x)), with
+    the principal root, and this is its continuation along the step: the
+    guard keeps |x_new - x| < 0.4 |x - r| for each root r of c, so for x'
+    on the segment from x to x_new each factor (x' - r) / (x - r) of
+    c(x') / c(x) lies in the disc of radius 0.4 about 1, the product has
+    argument below 3 asin 0.4 < 1.24 < pi, and its principal root moves
+    continuously from 1.
+
+    ``bound`` is a per-point lower bound on the float value of _gaps,
     kept by the caller from step to step; zeros are always valid, and make
     the first step of a path compute the gaps.  The gap guard tests
-    ``moved < 0.4 * bound`` first.  Only when that fails is _gaps(x, y)
-    computed, and ``moved < 0.4 * _gaps(x, y)`` decides.  Float
+    ``moved < 0.4 * bound`` first.  Only when that fails are the gaps
+    computed, and ``moved < 0.4 * _gaps(x, branch)`` decides.  Float
     multiplication by 0.4 is monotone, so a step the bound accepts is one
     the exact guard accepts too, and every decision is the exact one.
 
@@ -358,31 +356,28 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     stages = _stage_polys(e)
     derivs = [s.derivative() for s in stages]
     proj = e.proj
+    branch = None if proj is None else np.array(proj.cubic_roots())
 
     def step(x, y, bound, origin, target, tol):
-        _, slope = _composite_and_derivative(stages, derivs, x)
-        x_new = x + (target - origin) / slope
-        for _ in range(max_newton_iters):
-            value, slope_new = _composite_and_derivative(stages, derivs, x_new)
-            delta = (value - target) / slope_new
-            x_new = x_new - delta
-            if np.all(np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))):
-                break
-        else:
-            return None, bound
-        moved = np.abs(x_new - x)
-        y_new = None
-        if proj is not None:
-            s = np.sqrt(proj.curve_rhs(x_new))
-            y_new = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
-            if not np.all(np.abs(y_new - y) < 0.5 * np.abs(y)):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _, slope = _composite_and_derivative(stages, derivs, x)
+            x_new = x + (target - origin) / slope
+            for _ in range(max_newton_iters):
+                value, slope_new = _composite_and_derivative(stages, derivs, x_new)
+                delta = (value - target) / slope_new
+                x_new = x_new - delta
+                if np.all(np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))):
+                    break
+            else:
                 return None, bound
-            moved = moved + np.abs(y_new - y)
+        moved = np.abs(x_new - x)
         if not np.all(moved < 0.4 * bound):
-            bound = _gaps(x, y)
+            bound = _gaps(x, branch)
             if not np.all(moved < 0.4 * bound):
                 return None, bound
-        return (x_new, y_new), _lowered(bound, moved)
+        if proj is not None:
+            y = y * np.sqrt(proj.curve_rhs(x_new) / proj.curve_rhs(x))
+        return (x_new, y), _lowered(bound, moved)
 
     return step
 
@@ -464,10 +459,10 @@ def track_loop(
     """Continue the fiber around the loop; returns start label -> end label.
 
     The step is a fraction of the loop, starting at 1/steps and halving
-    whenever Newton fails, a point moves more than 0.4 of the gap to its
-    nearest neighbor, or y moves more than |y| / 2.  On curves the fiber
-    must come as from ``fiber``, in adjacent (x, y), (x, -y) pairs, and
-    only one sheet of each pair is continued.  Raises TrackingError for an
+    whenever Newton fails or an x moves 0.4 of its gap or more (see
+    _stepper).  On curves the fiber must come as from ``fiber``, in
+    adjacent (x, y), (x, -y) pairs, and only one sheet of each pair is
+    continued, its y carried along x.  Raises TrackingError for an
     unpaired curve fiber, StepUnderflowError below min_step,
     MatchAmbiguousError when the final nearest-neighbor match is not clear
     by separation_factor, and NotBijectiveError when two trajectories land

@@ -9,8 +9,8 @@ deep endpoint (x and y jointly on curves).  The strand count at every
 vertex must equal the vertex's ramification order, and the drawing refuses
 to render when the two disagree.
 
-On curve chains only one sheet of each (x, y), (x, -y) pair is continued;
-the other is its exact negation in y, sharing the x trajectory.  The two
+On curve chains one sheet of each (x, y), (x, -y) pair is continued, y
+carried along x; the other is its negation in y, on the same x.  The two
 y-sheets are drawn with two distinguishable strokes.  Vertices closer
 than the merge tolerance in the x plane are drawn as a single dot
 carrying the orders of all constituents.
@@ -164,20 +164,16 @@ def _ladder(step, x, y, targets, tol):
     decreasing ladder of base values; returns the half after each rung.
 
     A rejected step is retried to the midpoint in value space, as often
-    as needed; raises RenderError after 60 rejections in a row.  The gap
-    bound of the step starts at zero, so the first step computes the exact
-    gaps, and is carried across substeps and rungs (see
-    monodromy._stepper).
+    as needed; raises RenderError after 60 rejections in a row.
     """
     rungs = [(x, y)]
     reached = 0.5
-    bound = np.zeros(len(x))
     for target in targets:
         pending = [float(target)]
         depth = 0
         while pending:
             sub = pending[-1]
-            landed, bound = step(x, y, bound, reached, sub, tol)
+            landed, _ = step(x, y, np.zeros(len(x)), reached, sub, tol)
             if landed is None:
                 depth += 1
                 if depth > 60:

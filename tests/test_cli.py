@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import pytest
@@ -104,6 +105,19 @@ class TestMonodromy:
         jsonschema.validate(body, ERROR_SCHEMA)
         assert body["error"] == "ValueError"
         assert next(iter(bad)) in body["message"]
+
+    def test_diverging_newton_leaves_stderr_empty(self, capsys, tmp_path):
+        # in steps of a quarter loop Newton overflows on refused steps
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"initial_step": 0.25}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "monodromy", "--map", "b(10,1).f.pi(2,7,11)",
+                                 "--config", str(cfg_file))
+        assert (code, err, caught) == (0, "", [])
+        coarse = json.loads(out)
+        default = run_json(capsys, "monodromy", "--map", "b(10,1).f.pi(2,7,11)")
+        assert (coarse["g0"], coarse["g1"]) == (default["g0"], default["g1"])
 
     def test_config_missing_file(self, capsys):
         code, _, err = run(capsys, "monodromy", "--map", "b(1,1)",

@@ -40,6 +40,8 @@ from dessins.perms import (
     is_transitive,
     parse_cycles,
 )
+from dessins.polynomials import f_polynomial
+from dessins.render import render_graph
 
 # the module itself: the package re-exports the function of the same name
 MONODROMY = importlib.import_module("dessins.monodromy")
@@ -354,14 +356,14 @@ class TestStep:
 
     def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
         # the gap guard alone refuses the over-long step
-        monkeypatch.setattr(MONODROMY, "_gaps", lambda x, y: np.full(len(x), np.inf))
+        monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: np.full(len(x), np.inf))
         (x, _), _ = step(*half, np.zeros(2), BASEPOINT, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_accepting_bound_skips_exact_gaps(self, cfg, step, half, monkeypatch):
         bound = _gaps(*half)
 
-        def refuse(x, y):
+        def refuse(x, branch):
             raise AssertionError("exact gaps computed")
 
         monkeypatch.setattr(MONODROMY, "_gaps", refuse)
@@ -370,13 +372,82 @@ class TestStep:
         assert np.all(lowered <= bound - moved - moved.max())
 
 
-def _nearest_other(x, y):
-    """Index of the nearest other tracked point, in |dx| + |dy|."""
-    d = np.abs(x[:, None] - x[None, :])
-    if y is not None:
-        d = d + np.abs(y[:, None] - y[None, :])
+class TestCurveStep:
+    """The step on f.pi(2,7,11): tracked point 0 of the fiber over 1/2 is
+    0.055 from the root r_7 of c and 0.48 from the nearest other x, so a
+    step toward r_7 is guarded by the distance to the root alone."""
+
+    E = parse_map_expr("f.pi(2,7,11)")
+    BRANCH = np.array(E.proj.cubic_roots())
+
+    def _toward_root(self, cfg, frac):
+        """(tracked half, target, goal): the target value over which point
+        0 sits ``frac`` of the way to its nearest root of c, at goal."""
+        half = _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
+        x = half[0]
+        root = self.BRANCH[np.abs(x[0] - self.BRANCH).argmin()]
+        goal = x[0] + frac * (root - x[0])
+        return half, f_polynomial()(goal), goal
+
+    def _step(self, cfg, frac):
+        half, target, goal = self._toward_root(cfg, frac)
+        step = _stepper(self.E, cfg.max_newton_iters)
+        return step(*half, np.zeros(len(half[0])), BASEPOINT, target, cfg.newton_tol), goal
+
+    def test_step_toward_root_refused(self, cfg):
+        (landed, bound), _ = self._step(cfg, 0.41)
+        assert landed is None
+        half, *_ = self._toward_root(cfg, 0.41)
+        assert np.array_equal(bound, _gaps(half[0], self.BRANCH))
+        (landed, _), _ = self._step(cfg, 0.39)
+        assert landed is not None
+
+    def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
+        monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: _gaps(x, None))
+        ((x, y), _), goal = self._step(cfg, 0.41)
+        assert abs(x[0] - goal) < 1e-12
+        c = self.E.proj.curve_rhs(x)
+        assert np.all(np.abs(y**2 - c) <= 1e-12 * np.abs(c))
+
+
+class TestCurveY:
+    """y is carried by the ratio sqrt(c(x_new) / c(x)) on every step."""
+
+    E = parse_map_expr("b(10,1).f.pi(2,7,11)")
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["loop_0", "loop_1"])
+    def test_loop_end_y(self, cfg, monkeypatch, which):
+        # every step lands on the sheet that the nearer of the two square
+        # roots of c(x_new) picks, and the loop ends on the curve
+        c = self.E.proj.curve_rhs
+        agree = []
+
+        def make(e, max_newton_iters):
+            step = _stepper(e, max_newton_iters)
+
+            def checked(x, y, bound, origin, target, tol):
+                landed, bound = step(x, y, bound, origin, target, tol)
+                if landed is not None:
+                    s = np.sqrt(c(landed[0]))
+                    nearer = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
+                    agree.append(np.all(np.abs(landed[1] - nearer) < np.abs(landed[1] + nearer)))
+                return landed, bound
+
+            return checked
+
+        monkeypatch.setattr(MONODROMY, "_stepper", make)
+        start = _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
+        x, y = _continue(self.E, _loops(cfg)[which], *start, cfg)
+        assert np.all(np.abs(y**2 - c(x)) <= 1e-12 * np.abs(c(x)))
+        assert len(agree) >= 256 and all(agree)
+
+
+def _nearest_other(x, branch):
+    """The nearest other tracked x or fixed branch point to each x."""
+    others = x if branch is None else np.concatenate((x, branch))
+    d = np.abs(x[:, None] - others[None, :])
     np.fill_diagonal(d, np.inf)
-    return d.argmin(axis=1)
+    return others[d.argmin(axis=1)]
 
 
 class TestGapBound:
@@ -391,52 +462,45 @@ class TestGapBound:
     )
     @settings(max_examples=80, deadline=None)
     def test_never_above_gaps_on_random_walks(self, seed, curve, pull, noise):
-        # each point drifts toward its nearest neighbor, which makes the
-        # triangle inequality nearly tight, plus a random jitter
+        # each point drifts toward its nearest neighbor, which on curves may
+        # be one of three fixed branch points, plus a random jitter
         rng = np.random.default_rng(seed)
-        n = 7
 
-        def cloud():
+        def cloud(n):
             return rng.normal(size=n) + 1j * rng.normal(size=n)
 
-        x = cloud()
-        y = cloud() if curve else None
-        bound = _gaps(x, y)
+        x = cloud(7)
+        branch = cloud(3) if curve else None
+        bound = _gaps(x, branch)
         for _ in range(30):
-            j = _nearest_other(x, y)
-            x_new = x + pull * (x[j] - x) + noise * cloud()
-            moved = np.abs(x_new - x)
-            y_new = None
-            if curve:
-                y_new = y + pull * (y[j] - y) + noise * cloud()
-                moved = moved + np.abs(y_new - y)
-            bound = _lowered(bound, moved)
-            x, y = x_new, y_new
-            assert np.all(bound <= _gaps(x, y))
+            x_new = x + pull * (_nearest_other(x, branch) - x) + noise * cloud(7)
+            bound = _lowered(bound, np.abs(x_new - x))
+            x = x_new
+            assert np.all(bound <= _gaps(x, branch))
 
     @pytest.mark.parametrize("curve", [False, True])
     def test_never_above_gaps_head_on(self, curve):
-        # two points closing in on each other at equal speed, or on curves a
-        # point closing in on its partner sheet: the triangle inequality is
-        # an equality, and only the rounding slack keeps the bound below
-        a, delta = math.pi / 3, math.e * 1e-4
+        # two points closing in on each other at equal speed make the
+        # triangle inequality an equality, and only the rounding slack keeps
+        # the bound below; on curves a point closing in on a fixed branch
+        # point shrinks its gap by its own move alone, so the bound trails
+        # the gap by exactly the distance travelled
+        a, delta, steps = math.pi / 3, math.e * 1e-4, 3000
         if curve:
-            x, y = np.array([0.3 + 0.1j]), np.array([a + 0j])
+            x, branch, velocity = np.array([a + 0j]), np.array([-a + 0j]), np.array([-delta])
         else:
-            x, y = np.array([-a + 0j, a + 0j]), None
-        bound = _gaps(x, y)
-        for _ in range(3000):
-            if curve:
-                y_new = y - delta
-                moved = np.abs(y_new - y)
-                y = y_new
-            else:
-                x_new = x + np.array([delta, -delta])
-                moved = np.abs(x_new - x)
-                x = x_new
-            bound = _lowered(bound, moved)
-            assert np.all(bound <= _gaps(x, y))
-        assert np.all(bound > 0.9 * _gaps(x, y))
+            x, branch, velocity = np.array([-a + 0j, a + 0j]), None, np.array([delta, -delta])
+        bound = _gaps(x, branch)
+        for _ in range(steps):
+            x_new = x + velocity
+            bound = _lowered(bound, np.abs(x_new - x))
+            x = x_new
+            assert np.all(bound <= _gaps(x, branch))
+        if branch is None:
+            assert np.all(bound > 0.9 * _gaps(x, branch))
+        else:
+            # less the slack: 1e-12 of the bound on each of the 3000 steps
+            assert bound == pytest.approx(_gaps(x, branch) - steps * delta, abs=1e-8)
 
 
 def _recording_stepper(log, exact_only):
@@ -504,3 +568,11 @@ class TestDecisionsUnchanged:
         assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
         assert counts["_composite_and_derivative"] == 2406
         assert counts["_gaps"] <= 150
+        # the stability probe on a curve chain and the render ladders, both
+        # as measured before y was carried by the square-root ratio
+        counts.clear()
+        monodromy_json(parse_map_expr("b(10,1).f.pi(3,4,12)"), cfg, check_stability=True)
+        assert counts["_composite_and_derivative"] == 6146
+        counts.clear()
+        render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
+        assert counts["_composite_and_derivative"] == 363

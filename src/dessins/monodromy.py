@@ -20,6 +20,15 @@ refused exactly as if the gaps were rebuilt each time.  This is the cheap
 form of the disjoint-disk condition of Beltran and Leykin, Certified
 numerical homotopy tracking (2012), with the roots of c among the disks.
 
+The paths of one run are continued together.  Their tracked points are
+stacked as rows of one (P, n) array, one row per path, all starting from
+the same fiber; the rows share the parameter t and the step, and a
+refusal on any row halves the step for all.  Each row keeps its own gaps
+and gap bound, so a point is guarded against its own path's fiber only.
+Both loops of a chain are one run, and so are the two loops and two
+transport segments under a leading b(1,1) (see below).  The fiber itself
+is pulled back through each stage by one batched root solve.
+
 Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
 of y, so one sheet of each pair is tracked.  A leading b(1,1) over a Belyi
@@ -43,7 +52,7 @@ import numpy as np
 from . import maps
 from .maps import MapExpr
 from .perms import Permutation, compose, inverse, format_cycles
-from .polynomials import ComplexPoly, roots
+from .polynomials import ComplexPoly, shifted_roots
 
 BASEPOINT = 0.5
 
@@ -146,6 +155,10 @@ class LoopSpec:
     def length(self) -> float:
         return 2 * abs(self._entry - self.basepoint) + 2 * math.pi * self.radius
 
+    @property
+    def name(self) -> str:
+        return f"loop around {self.center:g} of radius {self.radius:g}"
+
     def point(self, t: float) -> complex:
         """Position along the loop at arc-length fraction t in [0, 1]."""
         entry = self._entry
@@ -212,11 +225,7 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tup
     stages = _stage_polys(e)
     values: list[complex] = [complex(p)]
     for poly in stages:
-        pulled: list[complex] = []
-        for v in values:
-            shifted = ComplexPoly((poly.coeffs[0] - v,) + poly.coeffs[1:])
-            pulled.extend(roots(shifted))
-        values = pulled
+        values = [x for row in shifted_roots(poly, values) for x in row]
 
     if e.has_curve:
         proj = e.proj
@@ -287,15 +296,18 @@ def _unfold(x: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray
 
 
 def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
-    """Distance from each tracked x to the nearest other tracked x and, on
-    curves, to the nearest root of c in ``branch``: the two sheets of a
-    pair share x and meet where x is a root, as |2 y|^2 = 4 |c(x)|.
+    """Distance from each tracked x to the nearest other tracked x of its
+    row and, on curves, to the nearest root of c in ``branch``: the two
+    sheets of a pair share x and meet where x is a root, as |2 y|^2 =
+    4 |c(x)|.  x is one row of shape (n,) or stacked rows of shape (P, n),
+    one per path, which do not see each other.
     """
-    d = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(d, np.inf)
-    nearest = d.min(axis=1)
+    d = np.abs(x[..., :, None] - x[..., None, :])
+    diagonal = np.arange(x.shape[-1])
+    d[..., diagonal, diagonal] = np.inf
+    nearest = d.min(axis=-1)
     if branch is not None:
-        nearest = np.minimum(nearest, np.abs(x[:, None] - branch[None, :]).min(axis=1))
+        nearest = np.minimum(nearest, np.abs(x[..., :, None] - branch).min(axis=-1))
     return nearest
 
 
@@ -309,27 +321,31 @@ _BOUND_SLACK = 1e-12
 
 def _lowered(bound: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """A lower bound on the float gaps (_gaps) after each tracked x_i
-    moves by moved_i = |dx_i|, from a lower bound before the move.
+    moves by moved_i = |dx_i|, from a lower bound before the move; row by
+    row on stacked points.
 
-    By the triangle inequality the distance from x_i to another x_j shrinks
-    by at most moved_i + moved_j, and to a fixed root of c by at most
-    moved_i, so the bound drops by moved_i + max_j moved_j, with the
-    relative slack _BOUND_SLACK taken off both terms so that rounding
+    By the triangle inequality the distance from x_i to another x_j of its
+    row shrinks by at most moved_i + moved_j, and to a fixed root of c by
+    at most moved_i, so the bound drops by moved_i + max_j moved_j, with
+    the relative slack _BOUND_SLACK taken off both terms so that rounding
     cannot lift it above the float gaps.
     """
-    return bound * (1 - _BOUND_SLACK) - (moved + moved.max()) * (1 + _BOUND_SLACK)
+    farthest = moved.max(axis=-1, keepdims=True)
+    return bound * (1 - _BOUND_SLACK) - (moved + farthest) * (1 + _BOUND_SLACK)
 
 
 def _stepper(e: MapExpr, max_newton_iters: int):
     """The continuation step for the tracked half of a fiber of ``e`` (see
-    _sheets).
+    _sheets), one row of shape (n,) or rows stacked as (P, n).
 
     ``step(x, y, bound, origin, target, tol)`` carries the points sitting
     over the base value ``origin`` to ``target``: a tangent predictor, then
     Newton on F(x) = target to relative tolerance ``tol`` in at most
-    max_newton_iters iterations.  The step is refused when Newton does not
-    converge (a non-finite iterate never does) or some x moves 0.4 of its
-    gap (_gaps) or more.
+    max_newton_iters iterations.  On stacked rows, origin and target have
+    shape (P, 1), one base value per row, and Newton runs until every row
+    has converged.  The step is refused when Newton does not converge (a
+    non-finite iterate never does) or some x moves 0.4 of its gap (_gaps)
+    or more.
 
     On curves y is then carried by y_new = y sqrt(c(x_new) / c(x)), with
     the principal root, and this is its continuation along the step: the
@@ -347,11 +363,13 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     multiplication by 0.4 is monotone, so a step the bound accepts is one
     the exact guard accepts too, and every decision is the exact one.
 
-    Returns (landed, bound): landed is the new (x, y), or None when the
-    step is refused; bound holds for the points the caller now has.  After
-    a refusal it is the old bound, or the exact gaps when they were
-    computed.  After an acceptance it is the old bound, or the exact gaps,
-    lowered by moved_i + max_j moved_j less a rounding slack (_lowered).
+    Returns (landed, refused, bound).  landed is the new (x, y), or None
+    when the step is refused; refused tells, row by row, which rows failed
+    Newton or the gap guard.  bound holds for the points the caller now
+    has.  After a refusal it is the old bound, or the exact gaps when they
+    were computed.  After an acceptance it is the old bound, or the exact
+    gaps, lowered by moved_i + max_j moved_j less a rounding slack
+    (_lowered).
     """
     stages = _stage_polys(e)
     derivs = [s.derivative() for s in stages]
@@ -366,54 +384,67 @@ def _stepper(e: MapExpr, max_newton_iters: int):
                 value, slope_new = _composite_and_derivative(stages, derivs, x_new)
                 delta = (value - target) / slope_new
                 x_new = x_new - delta
-                if np.all(np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))):
+                converged = np.all(np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new)), axis=-1)
+                if np.all(converged):
                     break
             else:
-                return None, bound
+                return None, ~converged, bound
         moved = np.abs(x_new - x)
-        if not np.all(moved < 0.4 * bound):
+        fits = moved < 0.4 * bound
+        if not np.all(fits):
             bound = _gaps(x, branch)
-            if not np.all(moved < 0.4 * bound):
-                return None, bound
+            fits = moved < 0.4 * bound
+            if not np.all(fits):
+                return None, ~np.all(fits, axis=-1), bound
         if proj is not None:
             y = y * np.sqrt(proj.curve_rhs(x_new) / proj.curve_rhs(x))
-        return (x_new, y), _lowered(bound, moved)
+        return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), _lowered(bound, moved)
 
     return step
 
 
 def _continue(
     e: MapExpr,
-    path,
+    paths: Sequence,
     x: np.ndarray,
     y: np.ndarray | None,
     cfg: TrackingConfig,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Continue the tracked half of a fiber (see _sheets) along a path
-    with ``.point(t)`` for t in [0, 1] and ``.steps``; returns the end
-    positions.
+    """Continue the tracked half of a fiber (see _sheets) along every one
+    of ``paths`` at once; returns the end positions stacked as (P, n), row
+    p for paths[p].
 
-    The step is a fraction of the path, starting at 1/steps, halving
-    whenever the step of _stepper fails and doubling back toward 1/steps
-    after each accepted one.  The gap bound of _stepper starts at zero, so
-    the first step computes the exact gaps, and is then carried along the
-    path; the exact gaps are recomputed only where the bound cannot accept
-    a step.  Raises StepUnderflowError below min_step.
+    A path has ``.point(t)`` for t in [0, 1], ``.steps`` and ``.name``.
+    All paths share one parameter t, and each step carries every row from
+    its path's point at t to its point at t + h.  The step h starts at
+    1/max(steps), so no path takes a longer step than its own 1/steps,
+    halves whenever the step of _stepper is refused on any row, and doubles
+    back toward 1/max(steps) after each accepted one.  The rows share
+    nothing else: each gap counts only the fiber of its own path.  The gap
+    bound of _stepper starts at zero, so the first step computes the exact
+    gaps, and is then carried along the paths; the exact gaps are
+    recomputed only where the bound cannot accept a step.  Raises
+    StepUnderflowError below min_step, naming the paths whose rows refused
+    the last step.
     """
     step = _stepper(e, cfg.max_newton_iters)
+    x = np.tile(x, (len(paths), 1))
+    if y is not None:
+        y = np.tile(y, (len(paths), 1))
     t = 0.0
-    h = 1.0 / path.steps
+    h = 1.0 / max(path.steps for path in paths)
     h_nominal = h
-    gamma_t = path.point(0.0)
-    bound = np.zeros(len(x))
+    gamma_t = np.array([[path.point(0.0)] for path in paths])
+    bound = np.zeros(x.shape)
     while t < 1.0:
         h = min(h, 1.0 - t)
-        target = path.point(t + h)
-        landed, bound = step(x, y, bound, gamma_t, target, cfg.newton_tol)
+        target = np.array([[path.point(t + h)] for path in paths])
+        landed, refused, bound = step(x, y, bound, gamma_t, target, cfg.newton_tol)
         if landed is None:
             h /= 2
             if h < cfg.min_step:
-                raise StepUnderflowError(f"step underflow at t = {t:.6f}")
+                names = ", ".join(path.name for path, r in zip(paths, refused) if r)
+                raise StepUnderflowError(f"step underflow at t = {t:.6f} on {names}")
             continue
         x, y = landed
         t += h
@@ -422,16 +453,23 @@ def _continue(
     return x, y
 
 
+def _row(end: tuple[np.ndarray, np.ndarray | None], p: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row p of stacked end positions from _continue."""
+    x, y = end
+    return x[p], None if y is None else y[p]
+
+
 def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
     """Index of the start point each end point landed on.
 
     Raises MatchAmbiguousError when an end point is farther than match_tol
     from every start point or its runner-up is not separation_factor times
     farther, and NotBijectiveError when two end points land on one start
-    point.
+    point.  Only the two nearest start points are ranked; when they tie,
+    either is the nearest and the ratio 1 raises.
     """
     d = _metric(*end, *start)
-    order = np.argsort(d, axis=1)
+    order = np.argpartition(d, 1, axis=1)
     rows = np.arange(len(d))
     nearest = order[:, 0]
     best = d[rows, nearest]
@@ -450,6 +488,23 @@ def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
     return nearest
 
 
+def _permutation(points, start, end, cfg: TrackingConfig) -> Permutation:
+    """Start label -> end label of a closed path whose tracked half (see
+    _sheets) runs from ``start`` to ``end``."""
+    nearest = _match(_unfold(*end), _unfold(*start), cfg)
+    images = [0] * len(points)
+    for row, pt in enumerate(points):
+        images[pt.label - 1] = points[nearest[row]].label
+    return Permutation(tuple(images))
+
+
+def _loop_permutations(e: MapExpr, loops: Sequence[LoopSpec], points, cfg: TrackingConfig):
+    """The permutation of each loop, from one stacked continuation."""
+    start = _sheets(e, points)
+    end = _continue(e, loops, *start, cfg)
+    return [_permutation(points, start, _row(end, p), cfg) for p in range(len(loops))]
+
+
 def track_loop(
     e: MapExpr,
     loop: LoopSpec,
@@ -466,15 +521,10 @@ def track_loop(
     unpaired curve fiber, StepUnderflowError below min_step,
     MatchAmbiguousError when the final nearest-neighbor match is not clear
     by separation_factor, and NotBijectiveError when two trajectories land
-    on one fiber point.
+    on one fiber point.  This is the one-loop case of the stacked
+    continuation that ``monodromy`` runs.
     """
-    start = _sheets(e, points)
-    end = _continue(e, loop, *start, cfg)
-    nearest = _match(_unfold(*end), _unfold(*start), cfg)
-    images = [0] * len(points)
-    for row, pt in enumerate(points):
-        images[pt.label - 1] = points[nearest[row]].label
-    return Permutation(tuple(images))
+    return _loop_permutations(e, [loop], points, cfg)[0]
 
 
 def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPair:
@@ -483,11 +533,23 @@ def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPa
     The chain must be branched only over {0, 1, infinity}.  The loop
     around infinity is never tracked; inverse(compose(g0, g1)) plays its
     part.  A leading b(1,1) over a Belyi chain is peeled off exactly (see
-    _doubled); every other chain has both loops tracked.
+    _doubled); every other chain has both loops tracked in one stacked
+    continuation.
     """
+    return _base_and_probe(e, cfg, probe=False)[0]
+
+
+def _base_and_probe(e: MapExpr, cfg: TrackingConfig, probe: bool) -> tuple[MonodromyPair, MonodromyPair | None]:
+    """The pair of ``e`` on its fiber over the base point and, with probe,
+    the pair on the same fiber around the stability probe's loops: steps
+    doubled and radius scaled by 0.8."""
     if not maps.is_belyi(e):
         raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
-    return _pair(e, fiber(e, BASEPOINT, cfg), cfg, _loops(cfg))
+    points = fiber(e, BASEPOINT, cfg)
+    base = _pair(e, points, cfg, _loops(cfg))
+    if not probe:
+        return base, None
+    return base, _pair(e, points, cfg, _loops(cfg, radius=0.25 * 0.8, refine=2))
 
 
 def _loops(cfg: TrackingConfig, radius: float = 0.25, refine: int = 1) -> tuple[LoopSpec, LoopSpec]:
@@ -501,6 +563,12 @@ def _loops(cfg: TrackingConfig, radius: float = 0.25, refine: int = 1) -> tuple[
     return tuple(LoopSpec(center=c, radius=radius, steps=steps) for c in (0j, 1 + 0j))
 
 
+def _doubles(e: MapExpr) -> bool:
+    """Whether ``e`` is b(1,1) over a Belyi chain (see _doubled)."""
+    inner = e.inner()
+    return e.chain[0] == maps.BelyiMN(1, 1) and inner is not None and maps.is_belyi(inner)
+
+
 def _pair(
     e: MapExpr,
     points: Sequence[FiberPoint],
@@ -509,10 +577,9 @@ def _pair(
 ) -> MonodromyPair:
     """The pair of a Belyi chain on its labeled fiber over the base point,
     by continuation around ``loops`` (see _loops)."""
-    inner = e.inner()
-    if e.chain[0] == maps.BelyiMN(1, 1) and inner is not None and maps.is_belyi(inner):
-        return _doubled(inner, points, cfg, loops)
-    g0, g1 = (track_loop(e, loop, points, cfg) for loop in loops)
+    if _doubles(e):
+        return _doubled(e.inner(), points, cfg, loops)
+    g0, g1 = _loop_permutations(e, loops, points, cfg)
     return MonodromyPair(g0=g0, g1=g1)
 
 
@@ -533,6 +600,10 @@ class _Segment:
     def steps(self) -> int:
         return max(1, math.ceil(abs(self.end - self.start) / self.arc_step))
 
+    @property
+    def name(self) -> str:
+        return f"segment to {self.end:g}"
+
     def point(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)
 
@@ -548,11 +619,13 @@ def _doubled(
     tracked around ``loops``.
 
     Each inner fiber point k is carried along the real segments from 1/2
-    to w1 and to w2, which meet no branch value of ``inner``, with the
-    loops' nominal step length; a(k) and b(k) are the labels of
-    the points it lands on.  The loop around 0 lifts through 4w(1 - w) to
-    a loop around 0 at w1 and around 1 at w2, and the loop around 1 to a
-    path from w1 to w2 through 1/2, so
+    to w1 and to w2, which meet no branch value of ``inner``, with steps
+    no longer than the loops' nominal step; a(k) and b(k) are the labels
+    of the points it lands on.  The two segments and, unless ``inner`` is
+    itself doubled, the two loops of ``inner`` are one stacked
+    continuation.  The loop around 0 lifts through 4w(1 - w) to a loop
+    around 0 at w1 and around 1 at w2, and the loop around 1 to a path
+    from w1 to w2 through 1/2, so
 
         g0: a(k) -> a(s0 k),  b(k) -> b(s1 k);    g1: a(k) <-> b(k),
 
@@ -561,13 +634,16 @@ def _doubled(
     white vertex on each edge.
     """
     inner_points = fiber(inner, BASEPOINT, cfg)
-    s0, s1 = _pair(inner, inner_points, cfg, loops)
     arc_step = loops[0].length / loops[0].steps
+    segments = [_Segment(BASEPOINT, w, arc_step) for w in _HALF_PREIMAGES]
     start = _sheets(inner, inner_points)
-    ends = [
-        _unfold(*_continue(inner, _Segment(BASEPOINT, w, arc_step), *start, cfg))
-        for w in _HALF_PREIMAGES
-    ]
+    if _doubles(inner):
+        s0, s1 = _pair(inner, inner_points, cfg, loops)
+        end = _continue(inner, segments, *start, cfg)
+    else:
+        end = _continue(inner, list(loops) + segments, *start, cfg)
+        s0, s1 = (_permutation(inner_points, start, _row(end, p), cfg) for p in (0, 1))
+    ends = [_unfold(*_row(end, p)) for p in (-2, -1)]
     x = np.concatenate([end[0] for end in ends])
     y = None if inner.proj is None else np.concatenate([end[1] for end in ends])
     landed = [points[k].label for k in _match((x, y), _coords(points), cfg)]
@@ -587,12 +663,8 @@ def _doubled(
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:
     """Recompute with doubled steps and radius scaled by 0.8; True when
     both permutation pairs agree label for label."""
-    return _agrees_with_probe(e, cfg, monodromy(e, cfg))
-
-
-def _agrees_with_probe(e: MapExpr, cfg: TrackingConfig, base: MonodromyPair) -> bool:
-    probe = _loops(cfg, radius=0.25 * 0.8, refine=2)
-    return _pair(e, fiber(e, BASEPOINT, cfg), cfg, probe) == base
+    base, probe = _base_and_probe(e, cfg, probe=True)
+    return base == probe
 
 
 def monodromy_json(
@@ -601,15 +673,15 @@ def monodromy_json(
     check_stability: bool = False,
 ) -> dict:
     """The CLI payload; with check_stability, ``stability`` reports
-    verify_stability, reusing the pair of the payload as its base run."""
-    pair = monodromy(e, cfg)
-    stability = _agrees_with_probe(e, cfg, pair) if check_stability else None
+    verify_stability, whose base run is the pair of the payload and whose
+    probe reuses its fiber."""
+    pair, probe = _base_and_probe(e, cfg, check_stability)
     ginf = inverse(compose(pair.g0, pair.g1))
     return {
         "degree": maps.degree(e),
         "g0": format_cycles(pair.g0),
         "g1": format_cycles(pair.g1),
         "ginf": format_cycles(ginf),
-        "stability": stability,
+        "stability": pair == probe if check_stability else None,
         "config_echo": cfg.to_json_dict(),
     }

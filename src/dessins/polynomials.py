@@ -4,7 +4,11 @@ Coefficients are stored ascending, so ``coeffs[k]`` multiplies ``x**k``.
 The root finder is an Aberth-style simultaneous iteration started on a
 circle of radius ``1 + max|c_i / c_lead|`` (the Cauchy bound), rotated by a
 fixed angular offset so that no starting point sits on a coordinate axis or
-aligns with a symmetric root configuration.
+aligns with a symmetric root configuration.  ``shifted_roots`` solves
+poly - v for many values v in one iteration over a (K, n) array of
+approximations, each row leaving it at the iteration where it would stop
+alone, so its roots equal those of ``roots`` bit for bit; ``roots`` is its
+one-row case.
 
 The mod-p half of the module computes the multiset of irreducible factor
 degrees of a monic integer polynomial over GF(p), which for a squarefree
@@ -126,52 +130,112 @@ def roots(
     rounding keeps the approximations jittering (multiple roots are out of
     scope for the simultaneous iteration).
     """
+    return _aberth(poly, (poly.coeffs[0],), tol, residual_tol, max_iterations, angular_offset)[0]
+
+
+def shifted_roots(
+    poly: ComplexPoly,
+    values: Sequence[complex],
+    tol: float = ITERATION_TOL,
+    residual_tol: float = RESIDUAL_TOL,
+    max_iterations: int = MAX_ITERATIONS,
+    angular_offset: float = ANGULAR_OFFSET,
+) -> list[tuple[complex, ...]]:
+    """The roots of poly - v for each v in ``values``, each as ``roots``
+    gives them, bit for bit, from one simultaneous iteration over all rows.
+
+    Raises what ``roots`` raises on the first row, in the order of
+    ``values``, on which it would raise.
+    """
+    c0 = poly.coeffs[0]
+    heads = tuple(c0 - complex(v) for v in values)
+    return _aberth(poly, heads, tol, residual_tol, max_iterations, angular_offset)
+
+
+def _aberth(
+    poly: ComplexPoly,
+    heads: Sequence[complex],
+    tol: float,
+    residual_tol: float,
+    max_iterations: int,
+    angular_offset: float,
+) -> list[tuple[complex, ...]]:
+    """The roots of each polynomial that is ``poly`` with its constant
+    coefficient replaced by one of ``heads``.
+
+    The rows are iterated as one (K, n) array, and a row leaves it at the
+    iteration where it would stop alone: its arithmetic is elementwise or
+    along its own row, so each row computes what a one-row call computes.
+    The monic coefficients are divided in Python complex arithmetic and
+    their moduli taken by numpy's scalar abs, as a one-row call does: numpy
+    arrays round both differently.
+    """
     n = poly.degree
     if n < 1:
         raise ValueError("need degree >= 1")
     lead = poly.coeffs[-1]
-    if n == 1:
-        return (-poly.coeffs[0] / lead,)
+    if n == 1 or not heads:
+        return [(-h / lead,) for h in heads]
 
-    monic = np.array([c / lead for c in poly.coeffs], dtype=complex)
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    z = radius * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
+    tail = [c / lead for c in poly.coeffs[1:]]
+    monic = np.array([[h / lead] + tail for h in heads], dtype=complex)
+    radius = np.array([1.0 + max(abs(c) for c in row[:-1]) for row in monic])
+    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
 
-    deriv = np.arange(1, n + 1) * monic[1:]
-    converged = False
+    deriv = np.arange(1, n + 1) * monic[0, 1:]
+    diagonal = np.arange(n)
+    active = np.arange(len(heads))
+    converged = np.zeros(len(heads), dtype=bool)
     for _ in range(max_iterations):
-        pv = np.zeros_like(z)
-        for c in monic[::-1]:
-            pv = pv * z + c
-        dv = np.zeros_like(z)
+        za = z[active]
+        pv = np.zeros_like(za)
+        for c in monic[active, ::-1].T:
+            pv = pv * za + c[:, None]
+        dv = np.zeros_like(za)
         for c in deriv[::-1]:
-            dv = dv * z + c
+            dv = dv * za + c
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dv != 0, pv / dv, 0.25 + 0.25j)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulse = np.sum(1.0 / diff, axis=1)
+            diff = za[:, :, None] - za[:, None, :]
+            diff[:, diagonal, diagonal] = np.inf
+            repulse = np.sum(1.0 / diff, axis=2)
             w = newton / (1.0 - newton * repulse)
         w = np.where(np.isfinite(w), w, 0.0)
-        z = z - w
-        if np.all(np.abs(w) <= tol * np.maximum(1.0, np.abs(z))):
-            converged = True
+        za = za - w
+        z[active] = za
+        done = np.all(np.abs(w) <= tol * np.maximum(1.0, np.abs(za)), axis=1)
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
             break
 
-    scale = max(1.0, max(abs(c) for c in monic))
-    residuals = np.abs(poly.eval_many(z) / lead)
-    if not np.all(residuals <= residual_tol * scale):  # NaN fails too
-        if not converged:
-            raise NonConvergedError(f"no convergence in {max_iterations} iterations")
-        raise NonConvergedError(f"residual {residuals.max():.3e} above tolerance")
-    diff = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if not converged:
-        raise ClusteredRootsError(
-            f"iteration stalled at a root cluster, separation {diff.min():.3e}")
-    if diff.min() < CLUSTER_TOL:
-        raise ClusteredRootsError(f"root separation {diff.min():.3e}")
-    return tuple(sorted((complex(v) for v in z), key=lambda v: (v.real, v.imag)))
+    # Horner on poly - v, skipping zero coefficients as eval_many does; an
+    # added zero constant could only flip the sign of a zero residual
+    acc = np.full(z.shape, lead, dtype=complex)
+    for c in reversed(poly.coeffs[1:-1]):
+        acc *= z
+        if c:
+            acc += c
+    acc *= z
+    acc += np.array(heads, dtype=complex)[:, None]
+    residuals = np.abs(acc / lead)
+    scale = [max(1.0, max(abs(c) for c in row)) for row in monic]
+    diff = np.abs(z[:, :, None] - z[:, None, :])
+    diff[:, diagonal, diagonal] = np.inf
+    separation = diff.min(axis=(1, 2))
+    out = []
+    for k, row in enumerate(z):
+        if not np.all(residuals[k] <= residual_tol * scale[k]):  # NaN fails too
+            if not converged[k]:
+                raise NonConvergedError(f"no convergence in {max_iterations} iterations")
+            raise NonConvergedError(f"residual {residuals[k].max():.3e} above tolerance")
+        if not converged[k]:
+            raise ClusteredRootsError(
+                f"iteration stalled at a root cluster, separation {separation[k]:.3e}")
+        if separation[k] < CLUSTER_TOL:
+            raise ClusteredRootsError(f"root separation {separation[k]:.3e}")
+        out.append(tuple(sorted((complex(v) for v in row), key=lambda v: (v.real, v.imag))))
+    return out
 
 
 # ---------------------------------------------------------------------------

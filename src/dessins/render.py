@@ -173,7 +173,7 @@ def _ladder(step, x, y, targets, tol):
         depth = 0
         while pending:
             sub = pending[-1]
-            landed, _ = step(x, y, np.zeros(len(x)), reached, sub, tol)
+            landed, _, _ = step(x, y, np.zeros(len(x)), reached, sub, tol)
             if landed is None:
                 depth += 1
                 if depth > 60:

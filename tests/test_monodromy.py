@@ -17,12 +17,16 @@ from dessins.monodromy import (
     LoopSpec,
     NearBranchError,
     NotBelyiError,
+    StepUnderflowError,
     TrackingConfig,
     TrackingError,
     _continue,
     _gaps,
     _loops,
     _lowered,
+    _permutation,
+    _row,
+    _Segment,
     _sheets,
     _stepper,
     fiber,
@@ -45,6 +49,7 @@ from dessins.render import render_graph
 
 # the module itself: the package re-exports the function of the same name
 MONODROMY = importlib.import_module("dessins.monodromy")
+POLYNOMIALS = importlib.import_module("dessins.polynomials")
 
 # verbatim from the published degree-22 example
 PSI_G0 = "(1,2,3,4,5,6,7,8,9,10)(11,21)"
@@ -337,7 +342,8 @@ class TestStep:
         return np.array([(1 - math.sqrt(1 - v)) / 2, (1 + math.sqrt(1 - v)) / 2])
 
     def test_short_step_lands_on_fiber(self, cfg, step, half):
-        (x, y), _ = step(*half, np.zeros(2), BASEPOINT, 0.9, cfg.newton_tol)
+        (x, y), refused, _ = step(*half, np.zeros(2), BASEPOINT, 0.9, cfg.newton_tol)
+        assert not refused
         assert y is None
         assert np.allclose(x, self._over(0.9), atol=1e-12)
 
@@ -347,17 +353,17 @@ class TestStep:
         # refused from the trivial bound and from the tightest valid one;
         # either way the exact gaps are computed and handed back
         for bound in (np.zeros(2), _gaps(*half)):
-            landed, bound = step(*half, bound, BASEPOINT, 0.99, cfg.newton_tol)
-            assert landed is None
+            landed, refused, bound = step(*half, bound, BASEPOINT, 0.99, cfg.newton_tol)
+            assert landed is None and refused
             assert np.array_equal(bound, _gaps(*half))
-        mid, bound = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
-        (x, _), _ = step(*mid, bound, 0.9, 0.99, cfg.newton_tol)
+        mid, _, bound = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _), _, _ = step(*mid, bound, 0.9, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
         # the gap guard alone refuses the over-long step
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: np.full(len(x), np.inf))
-        (x, _), _ = step(*half, np.zeros(2), BASEPOINT, 0.99, cfg.newton_tol)
+        (x, _), _, _ = step(*half, np.zeros(2), BASEPOINT, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_accepting_bound_skips_exact_gaps(self, cfg, step, half, monkeypatch):
@@ -367,7 +373,7 @@ class TestStep:
             raise AssertionError("exact gaps computed")
 
         monkeypatch.setattr(MONODROMY, "_gaps", refuse)
-        (x, _), lowered = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _), _, lowered = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
         moved = np.abs(x - half[0])
         assert np.all(lowered <= bound - moved - moved.max())
 
@@ -395,16 +401,16 @@ class TestCurveStep:
         return step(*half, np.zeros(len(half[0])), BASEPOINT, target, cfg.newton_tol), goal
 
     def test_step_toward_root_refused(self, cfg):
-        (landed, bound), _ = self._step(cfg, 0.41)
-        assert landed is None
+        (landed, refused, bound), _ = self._step(cfg, 0.41)
+        assert landed is None and refused
         half, *_ = self._toward_root(cfg, 0.41)
         assert np.array_equal(bound, _gaps(half[0], self.BRANCH))
-        (landed, _), _ = self._step(cfg, 0.39)
+        (landed, _, _), _ = self._step(cfg, 0.39)
         assert landed is not None
 
     def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: _gaps(x, None))
-        ((x, y), _), goal = self._step(cfg, 0.41)
+        ((x, y), _, _), goal = self._step(cfg, 0.41)
         assert abs(x[0] - goal) < 1e-12
         c = self.E.proj.curve_rhs(x)
         assert np.all(np.abs(y**2 - c) <= 1e-12 * np.abs(c))
@@ -426,18 +432,18 @@ class TestCurveY:
             step = _stepper(e, max_newton_iters)
 
             def checked(x, y, bound, origin, target, tol):
-                landed, bound = step(x, y, bound, origin, target, tol)
+                landed, refused, bound = step(x, y, bound, origin, target, tol)
                 if landed is not None:
                     s = np.sqrt(c(landed[0]))
                     nearer = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
                     agree.append(np.all(np.abs(landed[1] - nearer) < np.abs(landed[1] + nearer)))
-                return landed, bound
+                return landed, refused, bound
 
             return checked
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
         start = _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
-        x, y = _continue(self.E, _loops(cfg)[which], *start, cfg)
+        x, y = _continue(self.E, [_loops(cfg)[which]], *start, cfg)
         assert np.all(np.abs(y**2 - c(x)) <= 1e-12 * np.abs(c(x)))
         assert len(agree) >= 256 and all(agree)
 
@@ -513,9 +519,9 @@ def _recording_stepper(log, exact_only):
         def logged(x, y, bound, origin, target, tol):
             if exact_only:
                 bound = np.zeros(len(x))
-            landed, bound = step(x, y, bound, origin, target, tol)
+            landed, refused, bound = step(x, y, bound, origin, target, tol)
             log.append((origin, target, landed is not None))
-            return landed, bound
+            return landed, refused, bound
 
         return logged
 
@@ -547,7 +553,7 @@ class TestDecisionsUnchanged:
             log, counts = [], Counter()
             monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only))
             monkeypatch.setattr(MONODROMY, "_gaps", _counting(counts, "gaps", _gaps))
-            end = _continue(self.E, loop, *start, cfg)
+            end = _continue(self.E, [loop], *start, cfg)
             runs.append((log, end, counts["gaps"]))
         (log, end, gaps), (exact_log, exact_end, exact_gaps) = runs
         assert log == exact_log
@@ -566,13 +572,111 @@ class TestDecisionsUnchanged:
             monkeypatch.setattr(
                 MONODROMY, name, _counting(counts, name, getattr(MONODROMY, name)))
         assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
-        assert counts["_composite_and_derivative"] == 2406
-        assert counts["_gaps"] <= 150
-        # the stability probe on a curve chain and the render ladders, both
-        # as measured before y was carried by the square-root ratio
+        # the four paths are one stacked run of 256 steps, where they took
+        # 600 one path at a time (2406 evaluations)
+        assert counts["_composite_and_derivative"] == 1026
+        assert counts["_gaps"] <= 40
+        # the stability probe on a curve chain (6146 one path at a time) and
+        # the render ladders, which continue one row as before
         counts.clear()
         monodromy_json(parse_map_expr("b(10,1).f.pi(3,4,12)"), cfg, check_stability=True)
-        assert counts["_composite_and_derivative"] == 6146
+        assert counts["_composite_and_derivative"] == 3073
         counts.clear()
         render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
         assert counts["_composite_and_derivative"] == 363
+
+    def test_fiber_root_solves(self, monkeypatch):
+        # one batched solve per polynomial stage, none one value at a time
+        counts = Counter()
+        monkeypatch.setattr(POLYNOMIALS, "_aberth", _counting(counts, "_aberth", POLYNOMIALS._aberth))
+        monkeypatch.setattr(POLYNOMIALS, "roots", _counting(counts, "roots", POLYNOMIALS.roots))
+        e = full_chain(Triple(2, 7, 11))
+        fiber(e, BASEPOINT)
+        assert counts == {"_aberth": len(e.polynomial_part())}
+
+    def test_stability_fiber_computed_once(self, cfg, monkeypatch):
+        counts = Counter()
+        monkeypatch.setattr(MONODROMY, "fiber", _counting(counts, "fiber", fiber))
+        payload = monodromy_json(parse_map_expr("b(10,1).f.pi(3,4,12)"), cfg, check_stability=True)
+        assert payload["stability"] is True
+        assert counts["fiber"] == 1
+
+
+def _one_path_at_a_time(continue_):
+    """A _continue that runs each path on its own and stacks the ends,
+    logging the number of paths of each call."""
+    calls = []
+
+    def unstacked(e, paths, x, y, cfg):
+        calls.append(len(paths))
+        ends = [continue_(e, [path], x, y, cfg) for path in paths]
+        return (np.concatenate([end[0] for end in ends]),
+                None if y is None else np.concatenate([end[1] for end in ends]))
+
+    return unstacked, calls
+
+
+class TestStacked:
+    """All paths of a run share one parameter t and one step; each row's
+    gaps count only its own path's fiber.  The permutations must be those
+    of continuing one path at a time."""
+
+    @pytest.mark.parametrize("text", [
+        "b(2,3).b(3,2)",
+        "b(10,1).f",
+        "b(20,2).f",
+        "b(10,1).f.pi(2,7,11)",
+        "b(1,1).b(1,1).b(10,1)",
+    ])
+    def test_same_pair_as_one_path_at_a_time(self, cfg, monkeypatch, text):
+        e = parse_map_expr(text)
+        stacked = monodromy(e, cfg)
+        unstacked, calls = _one_path_at_a_time(_continue)
+        monkeypatch.setattr(MONODROMY, "_continue", unstacked)
+        assert monodromy(e, cfg) == stacked
+        assert max(calls) >= 2
+
+    def test_tight_loop_where_the_guard_refuses(self, cfg, monkeypatch):
+        e = parse_map_expr("b(10,1).f.pi(2,7,11)")
+        points = fiber(e, BASEPOINT, cfg)
+        # in 32 common steps the tight loop's row is refused on some of them
+        loops = [LoopSpec(center=0j, radius=0.25, steps=32),
+                 LoopSpec(center=1 + 0j, radius=0.02, steps=32)]
+        log = []
+        monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only=False))
+        start = _sheets(e, points)
+        end = _continue(e, loops, *start, cfg)
+        assert not all(accepted for *_, accepted in log)
+        for p, loop in enumerate(loops):
+            assert _permutation(points, start, _row(end, p), cfg) == track_loop(e, loop, points, cfg)
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_gaps_and_lowered_row_by_row(self, curve):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+        branch = rng.normal(size=3) + 1j * rng.normal(size=3) if curve else None
+        moved = np.abs(rng.normal(size=(4, 9)))
+        # row 2 alone has two points close together
+        x[2, 1] = x[2, 0] + 1e-3
+        gaps = _gaps(x, branch)
+        lowered = _lowered(gaps, moved)
+        for p in range(4):
+            assert np.array_equal(gaps[p], _gaps(x[p], branch))
+            assert np.array_equal(lowered[p], _lowered(gaps[p], moved[p]))
+        assert gaps[2].min() < 1e-2 < np.delete(gaps, 2, axis=0).min()
+
+    def test_underflow_names_the_refusing_path(self):
+        cfg = TrackingConfig(initial_step=1 / 32, min_step=1 / 32)
+        e = parse_map_expr("b(10,1).f.pi(2,7,11)")
+        start = _sheets(e, fiber(e, BASEPOINT, cfg))
+        loops = [LoopSpec(center=0j, radius=0.25, steps=32),
+                 LoopSpec(center=1 + 0j, radius=0.02, steps=32)]
+        with pytest.raises(StepUnderflowError) as caught:
+            _continue(e, loops, *start, cfg)
+        message = str(caught.value)
+        assert "at t = 0." in message
+        assert message.endswith("on loop around 1+0j of radius 0.02")
+
+    def test_path_names(self):
+        assert LoopSpec(center=1 + 0j, radius=0.02).name == "loop around 1+0j of radius 0.02"
+        assert _Segment(BASEPOINT, 0.25 + 0j, 0.01).name == "segment to 0.25+0j"

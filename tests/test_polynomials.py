@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from naive_horner import dense_eval_many
+from naive_roots import naive_roots
 
 from dessins.maps import BelyiMN, FPoly, as_poly
 from dessins.polynomials import (
@@ -13,11 +14,13 @@ from dessins.polynomials import (
     ComplexPoly,
     LabeledRoot,
     LabeledRoots,
+    RootFindingError,
     f_polynomial,
     fraction_eval_f,
     roots,
     roots_of_f,
     scaled_integer_model,
+    shifted_roots,
 )
 
 
@@ -141,6 +144,86 @@ class TestRoots:
         a = roots(p, angular_offset=0.4)
         b = roots(p, angular_offset=1.3)
         assert np.allclose(a, b, atol=1e-10)
+
+
+def _shifted(poly, v):
+    return ComplexPoly((poly.coeffs[0] - complex(v),) + poly.coeffs[1:])
+
+
+def _naive_rows(poly, values):
+    """naive_roots of poly - v for each v in order, up to the first error:
+    (the root tuples, the error or None)."""
+    rows = []
+    for v in values:
+        try:
+            rows.append(naive_roots(_shifted(poly, v)))
+        except RootFindingError as exc:
+            return rows, exc
+    return rows, None
+
+
+def _iterations(poly):
+    """The iterations naive_roots takes to converge on poly."""
+    for k in range(1, 200):
+        try:
+            naive_roots(poly, max_iterations=k)
+            return k
+        except RootFindingError:
+            continue
+    raise AssertionError("no convergence in 200 iterations")
+
+
+class TestShiftedRoots:
+    """shifted_roots solves poly - v for every v in one batched iteration;
+    each row must equal the one-polynomial iteration (naive_roots) bit for
+    bit, and raise its error on the first row that fails."""
+
+    @given(
+        st.lists(_coeff, min_size=3, max_size=13).filter(lambda c: c[-1] != 0),
+        st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+                 min_size=1, max_size=5),
+    )
+    @example(coeffs=[0j, -2 + 0j, 1 + 0j], values=[0.5, -1, 3j])  # (x - 1)^2 at -1
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_polynomial_iteration(self, coeffs, values):
+        poly = ComplexPoly(tuple(coeffs))
+        # on wild coefficients the iterates of both may overflow before
+        # the residual check refuses them; the arithmetic is the same
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows, error = _naive_rows(poly, values)
+            if error is None:
+                assert shifted_roots(poly, values) == rows
+                return
+            with pytest.raises(type(error)) as caught:
+                shifted_roots(poly, values)
+        assert str(caught.value) == str(error)
+
+    def test_rows_stop_at_different_iterations(self):
+        poly = f_polynomial()
+        values = [0.5, 1e-3, 7 + 2j, 1e4, -3j]
+        iterations = {_iterations(_shifted(poly, v)) for v in values}
+        assert len(iterations) > 1
+        assert shifted_roots(poly, values) == _naive_rows(poly, values)[0]
+
+    def test_double_root_row_raises_its_error(self):
+        # x^2 - 2x + 1 = (x - 1)^2: the middle row has a double root, and the
+        # rows after it are not reached
+        poly = ComplexPoly((0, -2, 1))
+        rows, error = _naive_rows(poly, [0.5, -1, -1 + 1e-30j, 3j])
+        assert len(rows) == 1 and isinstance(error, ClusteredRootsError)
+        with pytest.raises(ClusteredRootsError) as caught:
+            shifted_roots(poly, [0.5, -1, -1 + 1e-30j, 3j])
+        assert str(caught.value) == str(error)
+
+    def test_roots_is_the_one_row_case(self):
+        for poly in (f_polynomial(), _shifted(as_poly(BelyiMN(10, 1)), 0.5), ComplexPoly((-6, 11, -6, 1))):
+            assert roots(poly) == naive_roots(poly)
+            assert shifted_roots(poly, [0]) == [roots(poly)]
+
+    def test_degree_one_and_empty(self):
+        poly = ComplexPoly((1, 2))
+        assert shifted_roots(poly, [1, 3 + 1j]) == [naive_roots(_shifted(poly, v)) for v in (1, 3 + 1j)]
+        assert shifted_roots(f_polynomial(), []) == []
 
 
 class TestFPolynomial:

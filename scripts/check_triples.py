@@ -6,7 +6,10 @@ holds the sha256 of format_cycles(g0) and of format_cycles(g1) from
 monodromy(full_chain(t)), and the sha256 of the stdout of
 ``dessins dessin --triple i,j,k``.  The script recomputes all three and
 exits 1 on any mismatch, so a change to the continuation that moves a
-single label or output byte on any triple is caught.
+single label or output byte on any triple is caught.  The pair is tracked
+on the full chain, while ``dessin`` reads its dessin off the double cover
+of the one planar dessin of b(1,1).b(10,1).f; the table was written when
+``dessin`` tracked the full chain too, so it holds the cover to that.
 
     PYTHONPATH=src python3 scripts/check_triples.py            # check
     PYTHONPATH=src python3 scripts/check_triples.py --write    # rebuild

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Survey dessin invariants along a subgroup orbit of a triple.
 
-For each triple in the orbit, runs the full chain and tabulates passport,
-genus, and face count, then reports the isomorphism classes.  Words are
-over the alphabet a, b, A, B.
+For each triple in the orbit, takes the dessin of the full chain as a
+double cover of the one planar dessin of b(1,1).b(10,1).f, tabulates
+passport, genus, and face count, then reports the isomorphism classes.
+Words are over the alphabet a, b, A, B.
 """
 
 import argparse
@@ -18,13 +19,12 @@ def main() -> None:
     parser.add_argument("--triple", default="2,7,11", metavar="I,J,K")
     parser.add_argument("--subgroup", default="a",
                         help="generator word, e.g. a, b, ab (default a)")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     base = Triple.of(int(v) for v in args.triple.split(","))
     spec = SubgroupSpec((args.subgroup,))
     t0 = time.perf_counter()
-    report = orbit_dessins(spec, base, TrackingConfig(), workers=args.workers)
+    report = orbit_dessins(spec, base, TrackingConfig())
 
     print(f"orbit of {base.as_tuple()} under <{report.subgroup}>: "
           f"{len(report.orbit)} triples")

@@ -13,15 +13,9 @@ import json
 import sys
 
 from . import galois, maps, polynomials
-from .dessin import Constellation, dessin_json
+from .dessin import dessin_json
 from .maps import MapExprError
-from .monodromy import (
-    NotBelyiError,
-    TrackingConfig,
-    TrackingError,
-    monodromy,
-    monodromy_json,
-)
+from .monodromy import NotBelyiError, TrackingConfig, TrackingError, monodromy_json
 from .polynomials import EvidenceIncompleteError, RootFindingError
 from .render import RenderError, render_graph
 
@@ -96,12 +90,10 @@ def cmd_monodromy(args, cfg: TrackingConfig):
 
 def cmd_dessin(args, cfg: TrackingConfig):
     t = _parse_triple(args.triple)
-    e = galois.full_chain(t)
-    pair = monodromy(e, cfg)
-    body = dessin_json(Constellation(pair.g0, pair.g1))
+    body = dessin_json(galois.planar_dessin(cfg).cover(t))
     return {
         "triple": list(t.as_tuple()),
-        "map": maps.format_map_expr(e),
+        "map": maps.format_map_expr(galois.full_chain(t)),
         **body,
     }
 
@@ -109,7 +101,7 @@ def cmd_dessin(args, cfg: TrackingConfig):
 def cmd_orbit(args, cfg: TrackingConfig):
     t = _parse_triple(args.triple)
     spec = galois.SubgroupSpec(generator_words=(args.subgroup,))
-    report = galois.orbit_dessins(spec, t, cfg, workers=args.workers)
+    report = galois.orbit_dessins(spec, t, cfg)
     return report.to_json_dict()
 
 
@@ -178,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", required=True, metavar="I,J,K")
     p.add_argument("--subgroup", required=True,
                    help="generator word(s) over a,b,A,B, e.g. a or ab")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count for per-triple dessins")
     p.set_defaults(handler=cmd_orbit)
 
     p = sub.add_parser("evidence", parents=[common],

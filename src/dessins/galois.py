@@ -9,22 +9,31 @@ the word "ab" acts by a first and then b.
 A triple of distinct root labels names the curve y^2 = (x-ri)(x-rj)(x-rk);
 the action permutes the 220 sorted triples, and per orbit the full
 covering chain b(1,1).b(10,1).f.pi(i,j,k) yields one dessin per triple.
+
+That dessin is read off one planar dessin.  D0, the dessin of the
+polynomial P = b(1,1).b(10,1).f, has 264 edges, one face and a ten-valent
+black vertex at each root r_m of f; the chain at (i, j, k) is P after the
+double cover pi, branched over r_i, r_j, r_k and infinity, so its dessin
+is the double cover of D0 branched at the vertices at r_i, r_j, r_k and
+at the face (Lando and Zvonkin, Graphs on Surfaces and Their
+Applications, 2004, ch. 1-2).  D0 is tracked once per call, and A5 acts
+by moving the three branched vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from . import dessin as dessin_mod
 from . import monodromy as monodromy_mod
 from .dessin import Constellation, Passport
 from .maps import MapExpr, parse_map_expr
-from .monodromy import TrackingConfig
-from .perms import Permutation, compose, identity, group_order, parse_cycles, power
+from .monodromy import TrackingConfig, TrackingError
+from .perms import Permutation, compose, cycle_decomposition, group_order, identity, parse_cycles, power
 from .polynomials import roots_of_f
 
 
@@ -193,10 +202,73 @@ def j_invariant(t: Triple) -> complex:
 # dessins along an orbit
 
 FULL_CHAIN_TEMPLATE = "b(1,1).b(10,1).f.pi({},{},{})"
+PLANAR_CHAIN = "b(1,1).b(10,1).f"
 
 
 def full_chain(t: Triple) -> MapExpr:
     return parse_map_expr(FULL_CHAIN_TEMPLATE.format(*t.as_tuple()))
+
+
+@dataclass(frozen=True)
+class PlanarDessin:
+    """The dessin D0 of P = b(1,1).b(10,1).f, of degree 264 with one face;
+    ``root_darts[m - 1]`` is a dart of its ten-valent black vertex at root
+    m of f."""
+
+    g0: Permutation
+    g1: Permutation
+    root_darts: tuple[int, ...]
+
+    def cover(self, t: Triple) -> Constellation:
+        """The dessin of the full chain at ``t``: the double cover of D0
+        branched at the vertices at r_i, r_j, r_k and at the face.
+
+        Dart (d, s), s in Z/2, is point d + n s of the cover, n = 264:
+        g1 (d, s) = (g1 d, s) and g0 (d, s) = (g0 d, s + eps(d)), where eps
+        is 1 on the one dart root_darts names at each branched vertex.
+        """
+        n = self.g0.degree
+        flips = {self.root_darts[v - 1] for v in t.as_tuple()}
+        g0 = [0] * (2 * n)
+        g1 = [0] * (2 * n)
+        for d in range(1, n + 1):
+            flip = d in flips
+            for s in (0, 1):
+                g0[d - 1 + s * n] = self.g0(d) + n * (s ^ flip)
+                g1[d - 1 + s * n] = self.g1(d) + n * s
+        return Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))
+
+
+def planar_dessin(cfg: TrackingConfig = TrackingConfig()) -> PlanarDessin:
+    """D0, tracked once, with its ten-valent vertices labeled by the roots
+    of f.
+
+    Each vertex takes the label of the root nearest the mean x of its
+    darts, the fiber points over 1/2 around it.  Raises TrackingError
+    unless there are exactly 12 ten-valent vertices, they take the 12
+    labels one to one, and each runner-up root is at least
+    separation_factor times farther from the mean than the nearest.
+    """
+    points, pair, _ = monodromy_mod._base_and_probe(
+        parse_map_expr(PLANAR_CHAIN), cfg, probe=False)
+    tens = [c for c in cycle_decomposition(pair.g0) if len(c) == 10]
+    if len(tens) != 12:
+        raise TrackingError(f"{len(tens)} ten-valent black vertices, expected 12")
+    roots = np.array(roots_of_f().values)
+    darts = {}
+    for cycle in tens:
+        mean = sum(points[d - 1].x for d in cycle) / len(cycle)
+        distance = np.abs(roots - mean)
+        nearest, second = np.argsort(distance)[:2]
+        if distance[second] < cfg.separation_factor * distance[nearest]:
+            raise TrackingError(
+                f"vertex at {mean:.6f} is {distance[nearest]:.3e} from root "
+                f"{nearest + 1} and {distance[second]:.3e} from root {second + 1}, "
+                f"not separation_factor {cfg.separation_factor} apart")
+        darts[int(nearest) + 1] = cycle[0]
+    if len(darts) != 12:
+        raise TrackingError("two ten-valent vertices took the same root label")
+    return PlanarDessin(pair.g0, pair.g1, tuple(darts[m] for m in range(1, 13)))
 
 
 @dataclass(frozen=True)
@@ -223,47 +295,24 @@ class OrbitReport:
         }
 
 
-def _dessin_worker(args) -> tuple[tuple[int, int, int], tuple, Passport, int]:
-    triple_tuple, cfg = args
-    pair = monodromy_mod.monodromy(full_chain(Triple(*triple_tuple)), cfg)
-    c = Constellation(pair.g0, pair.g1)
-    cf = dessin_mod.canonical_form(c)
-    return (
-        triple_tuple,
-        (cf.g0.images, cf.g1.images),
-        dessin_mod.passport(c),
-        dessin_mod.genus(c),
-    )
-
-
 def orbit_dessins(
     spec: SubgroupSpec,
     base: Triple,
     cfg: TrackingConfig = TrackingConfig(),
-    workers: int | None = None,
 ) -> OrbitReport:
-    """One dessin per orbit triple, grouped into isomorphism classes.
-
-    Monodromy runs for distinct triples are independent; with workers > 1
-    they execute in separate processes.
-    """
+    """One dessin per orbit triple, grouped into isomorphism classes: the
+    covers of one planar dessin (see planar_dessin)."""
     orbit = tuple(sorted(orbit_triples(spec, base), key=Triple.as_tuple))
-    jobs = [(t.as_tuple(), cfg) for t in orbit]
-    if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_dessin_worker, jobs))
-    else:
-        results = [_dessin_worker(job) for job in jobs]
-
+    d0 = planar_dessin(cfg)
     passports = []
     genera = []
     classes: dict[tuple, list[Triple]] = {}
-    for triple_tuple, cf_images, p, g in results:
-        passports.append(p)
-        genera.append(g)
-        classes.setdefault(cf_images, []).append(Triple(*triple_tuple))
+    for t in orbit:
+        c = d0.cover(t)
+        cf = dessin_mod.canonical_form(c)
+        passports.append(dessin_mod.passport(c))
+        genera.append(dessin_mod.genus(c))
+        classes.setdefault((cf.g0.images, cf.g1.images), []).append(t)
 
     iso_classes = tuple(
         tuple(sorted(members, key=Triple.as_tuple))

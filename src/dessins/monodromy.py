@@ -536,20 +536,22 @@ def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPa
     _doubled); every other chain has both loops tracked in one stacked
     continuation.
     """
-    return _base_and_probe(e, cfg, probe=False)[0]
+    return _base_and_probe(e, cfg, probe=False)[1]
 
 
-def _base_and_probe(e: MapExpr, cfg: TrackingConfig, probe: bool) -> tuple[MonodromyPair, MonodromyPair | None]:
-    """The pair of ``e`` on its fiber over the base point and, with probe,
-    the pair on the same fiber around the stability probe's loops: steps
-    doubled and radius scaled by 0.8."""
+def _base_and_probe(
+    e: MapExpr, cfg: TrackingConfig, probe: bool,
+) -> tuple[tuple[FiberPoint, ...], MonodromyPair, MonodromyPair | None]:
+    """The labeled fiber of ``e`` over the base point, the pair of ``e`` on
+    it and, with probe, the pair on the same fibers around the stability
+    probe's loops: steps doubled and radius scaled by 0.8."""
     if not maps.is_belyi(e):
         raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
-    points = fiber(e, BASEPOINT, cfg)
-    base = _pair(e, points, cfg, _loops(cfg))
+    fibers = _fibers(e, cfg)
+    base = _pair(e, fibers, cfg, _loops(cfg))
     if not probe:
-        return base, None
-    return base, _pair(e, points, cfg, _loops(cfg, radius=0.25 * 0.8, refine=2))
+        return fibers[0], base, None
+    return fibers[0], base, _pair(e, fibers, cfg, _loops(cfg, radius=0.25 * 0.8, refine=2))
 
 
 def _loops(cfg: TrackingConfig, radius: float = 0.25, refine: int = 1) -> tuple[LoopSpec, LoopSpec]:
@@ -569,17 +571,30 @@ def _doubles(e: MapExpr) -> bool:
     return e.chain[0] == maps.BelyiMN(1, 1) and inner is not None and maps.is_belyi(inner)
 
 
+def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[tuple[FiberPoint, ...]]:
+    """The labeled fiber over the base point of ``e`` and, for as long as
+    the chain is b(1,1) over a Belyi chain, of each inner chain in turn:
+    the fibers that _pair reads, one per b(1,1) it peels off and one for
+    the chain it tracks."""
+    out = [fiber(e, BASEPOINT, cfg)]
+    while _doubles(e):
+        e = e.inner()
+        out.append(fiber(e, BASEPOINT, cfg))
+    return out
+
+
 def _pair(
     e: MapExpr,
-    points: Sequence[FiberPoint],
+    fibers: Sequence[Sequence[FiberPoint]],
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
-    """The pair of a Belyi chain on its labeled fiber over the base point,
-    by continuation around ``loops`` (see _loops)."""
-    if _doubles(e):
-        return _doubled(e.inner(), points, cfg, loops)
-    g0, g1 = _loop_permutations(e, loops, points, cfg)
+    """The pair of a Belyi chain on its labeled fibers over the base point
+    (see _fibers), by continuation around ``loops`` (see _loops); a leading
+    b(1,1) is peeled off (see _doubled) while more than one fiber is left."""
+    if len(fibers) > 1:
+        return _doubled(e.inner(), fibers, cfg, loops)
+    g0, g1 = _loop_permutations(e, loops, fibers[0], cfg)
     return MonodromyPair(g0=g0, g1=g1)
 
 
@@ -610,13 +625,13 @@ class _Segment:
 
 def _doubled(
     inner: MapExpr,
-    points: Sequence[FiberPoint],
+    fibers: Sequence[Sequence[FiberPoint]],
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
-    """The pair of b(1,1) . inner on ``points``, its fiber over 1/2, from
-    the pair (s0, s1) of the Belyi chain ``inner`` on its own fiber,
-    tracked around ``loops``.
+    """The pair of b(1,1) . inner on ``fibers[0]``, its fiber over 1/2,
+    from the pair (s0, s1) of the Belyi chain ``inner`` on its own fiber
+    ``fibers[1]``, tracked around ``loops``.
 
     Each inner fiber point k is carried along the real segments from 1/2
     to w1 and to w2, which meet no branch value of ``inner``, with steps
@@ -633,12 +648,12 @@ def _doubled(
     Surfaces and Their Applications (2004): the dessin of inner with a
     white vertex on each edge.
     """
-    inner_points = fiber(inner, BASEPOINT, cfg)
+    points, inner_points = fibers[0], fibers[1]
     arc_step = loops[0].length / loops[0].steps
     segments = [_Segment(BASEPOINT, w, arc_step) for w in _HALF_PREIMAGES]
     start = _sheets(inner, inner_points)
-    if _doubles(inner):
-        s0, s1 = _pair(inner, inner_points, cfg, loops)
+    if len(fibers) > 2:
+        s0, s1 = _pair(inner, fibers[1:], cfg, loops)
         end = _continue(inner, segments, *start, cfg)
     else:
         end = _continue(inner, list(loops) + segments, *start, cfg)
@@ -663,7 +678,7 @@ def _doubled(
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:
     """Recompute with doubled steps and radius scaled by 0.8; True when
     both permutation pairs agree label for label."""
-    base, probe = _base_and_probe(e, cfg, probe=True)
+    _, base, probe = _base_and_probe(e, cfg, probe=True)
     return base == probe
 
 
@@ -674,8 +689,8 @@ def monodromy_json(
 ) -> dict:
     """The CLI payload; with check_stability, ``stability`` reports
     verify_stability, whose base run is the pair of the payload and whose
-    probe reuses its fiber."""
-    pair, probe = _base_and_probe(e, cfg, check_stability)
+    probe reuses its fibers."""
+    _, pair, probe = _base_and_probe(e, cfg, check_stability)
     ginf = inverse(compose(pair.g0, pair.g1))
     return {
         "degree": maps.degree(e),

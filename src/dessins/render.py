@@ -26,7 +26,7 @@ import numpy as np
 from . import maps
 from .maps import BelyiMN, FPoly, MapExpr, RootRef
 from .monodromy import NotBelyiError, TrackingConfig, _sheets, _stepper, _unfold, fiber
-from .polynomials import ComplexPoly, roots
+from .polynomials import ComplexPoly, roots, shifted_roots
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
 
@@ -88,7 +88,9 @@ def _deflated_roots(prim, v: complex, at: complex, times: int) -> tuple[complex,
 
 
 def _preimages(prim, v):
-    """(preimage, multiplicity) pairs of a single primitive at one value."""
+    """(preimage, multiplicity) pairs of a single primitive at an exact
+    value where it ramifies or is given by labels; None at a regular value
+    (see _solve_regular)."""
     if isinstance(prim, BelyiMN):
         if v == Fraction(0):
             return [(Fraction(0), prim.m), (Fraction(1), prim.n)]
@@ -96,7 +98,7 @@ def _preimages(prim, v):
             crit = Fraction(prim.m, prim.m + prim.n)
             extra = _deflated_roots(prim, 1.0, complex(crit), 2)
             return [(crit, 2)] + [(r, 1) for r in extra]
-        return [(r, 1) for r in _solve_regular(prim, v)]
+        return None
     if isinstance(prim, FPoly):
         if v == Fraction(1):
             return [(Fraction(0), 11), (Fraction(12, 11), 1)]
@@ -105,18 +107,26 @@ def _preimages(prim, v):
             return [(Fraction(1), 2)] + [(r, 1) for r in extra]
         if v == Fraction(0):
             return [(RootRef(i), 1) for i in range(1, 13)]
-        return [(r, 1) for r in _solve_regular(prim, v)]
+        return None
     raise TypeError("pi preimages are handled on the curve")
 
 
-def _solve_regular(prim, v) -> tuple[complex, ...]:
-    vc = maps.point_to_complex(v) if not isinstance(v, complex) else v
+def _solve_regular(prim, values) -> list[tuple[complex, ...]]:
+    """The roots of prim - v for each regular value v, from one batched
+    solve; raises RenderError for a value on a critical value without an
+    exact tag."""
+    if not values:
+        return []
     data = maps.branch_values(MapExpr((prim,)))
-    for bv in data.finite_numeric():
-        if abs(vc - bv) < 1e-9 and not _is_exact(v):
-            raise RenderError(
-                f"value {vc} sits on a critical value without an exact tag")
-    return roots(_poly_minus(prim, vc))
+    vcs = []
+    for v in values:
+        vc = maps.point_to_complex(v) if not isinstance(v, complex) else v
+        for bv in data.finite_numeric():
+            if abs(vc - bv) < 1e-9 and not _is_exact(v):
+                raise RenderError(
+                    f"value {vc} sits on a critical value without an exact tag")
+        vcs.append(vc)
+    return shifted_roots(maps.as_poly(prim), vcs)
 
 
 def _is_exact(v) -> bool:
@@ -124,16 +134,21 @@ def _is_exact(v) -> bool:
 
 
 def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
-    """Preimages of 0 or 1 under the chain, with ramification orders."""
+    """Preimages of 0 or 1 under the chain, with ramification orders; the
+    regular values of each stage are solved together."""
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
     color = "black" if target == 0 else "white"
     current: list[tuple[object, int]] = [(Fraction(target), 1)]
     for prim in e.polynomial_part():
+        exact = [_preimages(prim, v) for v, _ in current]
+        regular = iter(_solve_regular(
+            prim, [v for (v, _), pre in zip(current, exact) if pre is None]))
         nxt: list[tuple[object, int]] = []
-        for v, mult in current:
-            for w, m in _preimages(prim, v):
-                nxt.append((w, mult * m))
+        for (v, mult), pre in zip(current, exact):
+            if pre is None:
+                pre = [(r, 1) for r in next(regular)]
+            nxt.extend((w, mult * m) for w, m in pre)
         current = nxt
 
     out = []

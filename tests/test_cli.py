@@ -170,12 +170,17 @@ class TestDessin:
 class TestOrbit:
     def test_ab_orbit(self, capsys):
         data = run_json(capsys, "orbit", "--triple", "2,7,11",
-                        "--subgroup", "ab", "--workers", "1")
+                        "--subgroup", "ab")
         jsonschema.validate(data, ORBIT_SCHEMA)
         assert data["subgroup"] == "ab"
         assert data["orbit"] == [[1, 4, 5], [2, 7, 11]]
         assert data["genus"] == [1, 1]
         assert data["shared_passport"] is True
+
+    def test_workers_option_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["orbit", "--triple", "2,7,11", "--subgroup", "a", "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_bad_word(self, capsys):
         code, _, err = run(capsys, "orbit", "--triple", "2,7,11",

@@ -1,9 +1,14 @@
+import hashlib
+import importlib
 import itertools
+import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessins.dessin import Constellation, canonical_hash, isomorphic
 from dessins.galois import (
     BadWordError,
     SubgroupSpec,
@@ -16,12 +21,17 @@ from dessins.galois import (
     generators_a5,
     j_from_cubic_roots,
     j_invariant,
+    orbit_dessins,
     orbit_triples,
+    planar_dessin,
     verify_a5,
     word_permutation,
 )
-from dessins.perms import compose, format_cycles, group_order, identity, power
+from dessins.monodromy import TrackingError, monodromy
+from dessins.perms import compose, cycle_decomposition, format_cycles, group_order, identity, power
 from dessins.polynomials import roots_of_f
+
+GALOIS = importlib.import_module("dessins.galois")
 
 # the three cyclic subgroups studied alongside the full group
 SPEC_A = SubgroupSpec(("a",))
@@ -230,3 +240,48 @@ class TestFullChain:
 
     def test_has_curve(self):
         assert full_chain(Triple(1, 2, 3)).has_curve
+
+
+@pytest.fixture(scope="module")
+def d0(cfg):
+    return planar_dessin(cfg)
+
+
+class TestPlanarDessin:
+    """D0 = b(1,1).b(10,1).f and its double covers, with the tracked full
+    chain as the oracle."""
+
+    def test_one_face_of_264(self, d0):
+        assert d0.g0.degree == 264
+        assert len(cycle_decomposition(compose(d0.g0, d0.g1))) == 1
+
+    def test_labels_are_a_bijection(self, d0):
+        tens = {c for c in cycle_decomposition(d0.g0) if len(c) == 10}
+        assert len(tens) == 12
+        labelled = [next(c for c in tens if dart in c) for dart in d0.root_darts]
+        assert set(labelled) == tens
+
+    @pytest.mark.parametrize("orbit", range(5))
+    def test_cover_is_the_tracked_dessin(self, cfg, d0, orbit):
+        # one triple from each A5 orbit
+        t = min(a5_orbit_partition()[orbit], key=Triple.as_tuple)
+        cover = d0.cover(t)
+        tracked = Constellation(*monodromy(full_chain(t), cfg))
+        assert isomorphic(cover, tracked)[0]
+        assert canonical_hash(cover) == canonical_hash(tracked)
+
+    def test_tied_roots_refused(self, cfg, monkeypatch):
+        # root 2 moved onto root 1: the vertex at root 1 has two nearest roots
+        values = list(roots_of_f().values)
+        values[1] = values[0]
+        monkeypatch.setattr(GALOIS, "roots_of_f", lambda: SimpleNamespace(values=tuple(values)))
+        with pytest.raises(TrackingError, match="separation_factor"):
+            planar_dessin(cfg)
+
+    def test_orbit_report_unchanged(self, cfg):
+        # sha256 of the report as the per-triple tracked dessins gave it
+        report = orbit_dessins(SPEC_A, Triple(2, 7, 11), cfg)
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "13fd6fbbdb51b22dd2578ab775ee3afd057fb1a92e145774d9c8a12e20600c9c"
+        )

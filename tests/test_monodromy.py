@@ -601,6 +601,15 @@ class TestDecisionsUnchanged:
         assert payload["stability"] is True
         assert counts["fiber"] == 1
 
+    def test_doubled_stability_inner_fiber_computed_once(self, cfg, monkeypatch):
+        # the fiber of the full chain and of b(10,1).f.pi(2,7,11), each read
+        # by the base run and the probe; the probe used to recompute the inner
+        counts = Counter()
+        monkeypatch.setattr(MONODROMY, "fiber", _counting(counts, "fiber", fiber))
+        payload = monodromy_json(full_chain(Triple(2, 7, 11)), cfg, check_stability=True)
+        assert payload["stability"] is True
+        assert counts["fiber"] == 2
+
 
 def _one_path_at_a_time(continue_):
     """A _continue that runs each path on its own and stacks the ends,

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from dessins.maps import parse_map_expr
 from dessins.monodromy import NotBelyiError
 from dessins.perms import cycle_type
+from dessins.polynomials import roots_of_f
 from dessins.render import (
     SHEET_COLORS,
     RenderError,
@@ -16,6 +19,9 @@ from dessins.render import (
     render_graph,
     structural_vertices,
 )
+
+RENDER = importlib.import_module("dessins.render")
+POLYNOMIALS = importlib.import_module("dessins.polynomials")
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -65,6 +71,28 @@ class TestStructuralVertices:
         assert sorted(v.order for v in blacks) == sorted(
             cycle_type(full_pair.g0).parts
         )
+
+    def test_full_chain_root_solves(self, monkeypatch):
+        # two deflated solves, at b(10,1) = 1 and f = 10/11, and one batched
+        # solve per stage with regular values: b(10,1) at 1/2, f at the 9
+        # preimages of 1 and f at the 11 preimages of 1/2, where one solve
+        # per value made 21
+        roots_of_f()
+        counts = Counter()
+        for module, name in ((RENDER, "roots"), (RENDER, "shifted_roots"), (POLYNOMIALS, "_aberth")):
+            monkeypatch.setattr(module, name, _counting(counts, name, getattr(module, name)))
+        e = parse_map_expr("b(1,1).b(10,1).f.pi(2,7,11)")
+        structural_vertices(e, 0)
+        structural_vertices(e, 1)
+        assert counts == {"roots": 2, "shifted_roots": 3, "_aberth": 5}
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 class TestMergeDots:

@@ -7,7 +7,7 @@ y^2 = (x - ri)(x - rj)(x - rk), and the chain
     b(1,1) . b(10,1) . f . pi(i,j,k)
 
 is a clean Belyi map of degree 528 on that curve.  This package finds the
-roots, parses and evaluates such chains, extracts monodromy permutation
+roots, parses such chains, extracts monodromy permutation
 pairs by numerical continuation around 0 and 1, reduces them to dessin
 invariants (passport, genus, bouquet profile, canonical form), moves the
 triples under an A5 action and compares the dessins along each orbit, and

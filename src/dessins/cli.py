@@ -194,8 +194,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-    except json.JSONDecodeError as exc:
-        return _fail(exc, PARSE_EXIT)
     except (OSError, ValueError) as exc:
         return _fail(exc, PARSE_EXIT)
 

@@ -257,7 +257,7 @@ def planar_dessin(cfg: TrackingConfig = TrackingConfig()) -> PlanarDessin:
     roots = np.array(roots_of_f().values)
     darts = {}
     for cycle in tens:
-        mean = sum(points[d - 1].x for d in cycle) / len(cycle)
+        mean = sum(points.x[d - 1] for d in cycle) / len(cycle)
         distance = np.abs(roots - mean)
         nearest, second = np.argsort(distance)[:2]
         if distance[second] < cfg.separation_factor * distance[nearest]:

@@ -30,9 +30,6 @@ import numpy as np
 
 from .polynomials import ComplexPoly, f_polynomial, fraction_eval_f, roots_of_f
 
-ON_CURVE_TOL = 1e-8
-
-
 class MapExprError(ValueError):
     """Base class for expression construction and parse failures."""
 
@@ -52,10 +49,6 @@ class BadTripleError(MapExprError):
 
 
 class MisplacedPrimitiveError(MapExprError):
-    pass
-
-
-class PointOffCurveError(ValueError):
     pass
 
 
@@ -302,58 +295,6 @@ def as_poly(prim: Primitive) -> ComplexPoly:
     raise TypeError("pi has no single-variable coefficient form")
 
 
-def eval_primitive(prim: Primitive, x):
-    if x is INF:
-        return INF
-    if isinstance(prim, BelyiMN):
-        return complex(prim.lead_constant) * x**prim.m * (1 - x) ** prim.n
-    if isinstance(prim, FPoly):
-        return f_polynomial()(x)
-    raise TypeError("pi consumes a curve point, not a plane value")
-
-
-def eval_chain(e: MapExpr, point) -> complex | _Infinity:
-    """Evaluate the chain at a point.
-
-    For chains ending in ``pi`` the point must carry coordinates (x, y)
-    with y^2 = (x-ri)(x-rj)(x-rk) up to 1e-8, else PointOffCurveError.
-    Plain chains take a complex number.  INF propagates symbolically.
-    """
-    if e.has_curve:
-        if point is INF:
-            return INF
-        x, y = _curve_coordinates(point)
-        proj = e.proj
-        if x is not INF:
-            gap = abs(y * y - proj.curve_rhs(x))
-            if gap >= ON_CURVE_TOL:
-                raise PointOffCurveError(
-                    f"|y^2 - c(x)| = {gap:.3e} exceeds {ON_CURVE_TOL}")
-        value: complex | _Infinity = x
-        rest = e.chain[:-1]
-    else:
-        if point is not INF and not isinstance(point, (int, float, complex)):
-            raise TypeError("plain chains take a complex point")
-        value = point
-        rest = e.chain
-    for prim in reversed(rest):
-        value = eval_primitive(prim, value)
-    return value
-
-
-def _curve_coordinates(point) -> tuple[complex, complex]:
-    if hasattr(point, "x") and hasattr(point, "y"):
-        x, y = point.x, point.y
-    else:
-        try:
-            x, y = point
-        except TypeError:
-            raise TypeError("curve chains take a point with x and y") from None
-    if y is None:
-        raise TypeError("curve chains need a y coordinate")
-    return x, y
-
-
 # ---------------------------------------------------------------------------
 # branch values
 
@@ -366,14 +307,6 @@ class BranchData:
 
     def finite_numeric(self) -> list[complex]:
         return [point_to_complex(v) for v in self.values if v is not INF]
-
-    def contains(self, target: BranchPoint, tol: float = 1e-9) -> bool:
-        if target is INF:
-            return any(v is INF for v in self.values)
-        t = point_to_complex(target)
-        return any(
-            v is not INF and abs(point_to_complex(v) - t) < tol for v in self.values
-        )
 
 
 def point_to_complex(v: BranchPoint) -> complex:
@@ -455,14 +388,3 @@ def is_belyi(e: MapExpr) -> bool:
         if abs(vc) >= 1e-9 and abs(vc - 1) >= 1e-9:
             return False
     return True
-
-
-def is_clean_syntactic(e: MapExpr) -> bool:
-    """True when the outermost primitive is b(1,1) and the rest of the
-    chain has branch values inside {0, 1, infinity}, which makes every
-    preimage of 1 ramify with order exactly 2."""
-    head = e.chain[0]
-    if not (isinstance(head, BelyiMN) and head.m == 1 and head.n == 1):
-        return False
-    inner = e.inner()
-    return inner is None or is_belyi(inner)

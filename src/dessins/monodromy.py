@@ -31,7 +31,8 @@ is pulled back through each stage by one batched root solve.
 
 Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
-of y, so one sheet of each pair is tracked.  A leading b(1,1) over a Belyi
+of y, so a fiber is held as one sheet of each pair (Fiber), and that
+sheet is the one tracked.  A leading b(1,1) over a Belyi
 chain only doubles the inner dessin: its pair is assembled from the inner
 pair and the transport of the inner fiber to the two preimages of 1/2.
 
@@ -176,11 +177,27 @@ class LoopSpec:
         return entry + frac * (self.basepoint - entry)
 
 
-@dataclass(frozen=True)
-class FiberPoint:
-    x: complex
-    y: complex | None
-    label: int
+@dataclass(frozen=True, eq=False)
+class Fiber:
+    """A fiber by its tracked half; labels follow from position.
+
+    On plain chains y is None and label i + 1 is the point x[i].  On curves
+    label 2i + 1 is (x[i], y[i]) and label 2i + 2 is (x[i], -y[i]): the two
+    sheets of a pair continue alike but for the sign of y, so only the
+    first is continued.  len() is the degree.
+    """
+
+    x: np.ndarray
+    y: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.x) if self.y is None else 2 * len(self.x)
+
+    def unfold(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (x, y) of every point, in label order."""
+        if self.y is None:
+            return self.x, None
+        return np.repeat(self.x, 2), np.column_stack((self.y, -self.y)).ravel()
 
 
 @dataclass(frozen=True)
@@ -209,13 +226,13 @@ def _composite_and_derivative(
     return value, slope
 
 
-def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tuple[FiberPoint, ...]:
-    """The full fiber over a base point, deterministically labeled.
+def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> Fiber:
+    """The fiber over a base point, deterministically labeled (see Fiber).
 
-    Points are sorted by (re x, im x) and, on curves, by (im y, re y) to
-    split the two sheets; labels count from 1.  Raises NearBranchError when
-    the base point sits within 1e-6 of a branch value and CollisionError
-    when two fiber points nearly coincide.
+    x is sorted by (re, im); on curves y[i] is the square root of c(x[i])
+    that sorts first by (im y, re y).  Raises NearBranchError when the base
+    point sits within 1e-6 of a branch value and CollisionError when two
+    fiber points nearly coincide.
     """
     data = maps.branch_values(e)
     for v in data.finite_numeric():
@@ -227,24 +244,17 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tup
     for poly in stages:
         values = [x for row in shifted_roots(poly, values) for x in row]
 
+    values.sort(key=lambda x: (x.real, x.imag))
+    x = np.array(values, dtype=complex)
+    y = None
     if e.has_curve:
-        proj = e.proj
-        points = []
-        for x in values:
-            y = cmath.sqrt(proj.curve_rhs(x))
-            points.extend([(x, y), (x, -y)])
-        points.sort(key=lambda pt: (pt[0].real, pt[0].imag, pt[1].imag, pt[1].real))
-        out = tuple(
-            FiberPoint(x=x, y=y, label=i) for i, (x, y) in enumerate(points, 1)
-        )
-    else:
-        values.sort(key=lambda x: (x.real, x.imag))
-        out = tuple(FiberPoint(x=x, y=None, label=i) for i, x in enumerate(values, 1))
+        sqrts = (cmath.sqrt(e.proj.curve_rhs(v)) for v in values)
+        y = np.array([min(s, -s, key=lambda v: (v.imag, v.real)) for s in sqrts])
+    out = Fiber(x, y)
 
     if len(out) != maps.degree(e):
         raise TrackingError(
             f"fiber has {len(out)} points, expected {maps.degree(e)}")
-    x, _ = _sheets(e, out)
     branch = None if e.proj is None else np.array(e.proj.cubic_roots())
     dist = float(_gaps(x, branch).min())
     if dist <= cfg.match_tol:
@@ -256,43 +266,11 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> tup
     return out
 
 
-def _coords(points: Sequence[FiberPoint]) -> tuple[np.ndarray, np.ndarray | None]:
-    x = np.array([pt.x for pt in points], dtype=complex)
-    if points[0].y is not None:
-        y = np.array([pt.y for pt in points], dtype=complex)
-    else:
-        y = None
-    return x, y
-
-
 def _metric(ax, ay, bx, by) -> np.ndarray:
     d = np.abs(ax[:, None] - bx[None, :])
     if ay is not None:
         d = d + np.abs(ay[:, None] - by[None, :])
     return d
-
-
-def _sheets(e: MapExpr, points: Sequence[FiberPoint]) -> tuple[np.ndarray, np.ndarray | None]:
-    """The tracked half of a fiber: every x on plain chains; on curves the
-    first point of each adjacent pair (x, y), (x, -y).
-
-    The pair shares x exactly and has exactly negated y, so the continuation
-    of the second point is the first with y negated.  Raises TrackingError
-    when the curve points do not pair this way.
-    """
-    x, y = _coords(points)
-    if not e.has_curve:
-        return x, None
-    if y is None or len(points) % 2 or np.any(x[0::2] != x[1::2]) or np.any(y[0::2] != -y[1::2]):
-        raise TrackingError("curve fiber is not in adjacent (x, y), (x, -y) pairs")
-    return x[0::2], y[0::2]
-
-
-def _unfold(x: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Full fiber coordinates, in fiber order, from the tracked half."""
-    if y is None:
-        return x, None
-    return np.repeat(x, 2), np.column_stack((y, -y)).ravel()
 
 
 def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
@@ -336,7 +314,7 @@ def _lowered(bound: np.ndarray, moved: np.ndarray) -> np.ndarray:
 
 def _stepper(e: MapExpr, max_newton_iters: int):
     """The continuation step for the tracked half of a fiber of ``e`` (see
-    _sheets), one row of shape (n,) or rows stacked as (P, n).
+    Fiber), one row of shape (n,) or rows stacked as (P, n).
 
     ``step(x, y, bound, origin, target, tol)`` carries the points sitting
     over the base value ``origin`` to ``target``: a tangent predictor, then
@@ -410,7 +388,7 @@ def _continue(
     y: np.ndarray | None,
     cfg: TrackingConfig,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Continue the tracked half of a fiber (see _sheets) along every one
+    """Continue the tracked half of a fiber (see Fiber) along every one
     of ``paths`` at once; returns the end positions stacked as (P, n), row
     p for paths[p].
 
@@ -453,10 +431,10 @@ def _continue(
     return x, y
 
 
-def _row(end: tuple[np.ndarray, np.ndarray | None], p: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _row(end: tuple[np.ndarray, np.ndarray | None], p: int) -> Fiber:
     """Row p of stacked end positions from _continue."""
     x, y = end
-    return x[p], None if y is None else y[p]
+    return Fiber(x[p], None if y is None else y[p])
 
 
 def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
@@ -488,41 +466,35 @@ def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
     return nearest
 
 
-def _permutation(points, start, end, cfg: TrackingConfig) -> Permutation:
-    """Start label -> end label of a closed path whose tracked half (see
-    _sheets) runs from ``start`` to ``end``."""
-    nearest = _match(_unfold(*end), _unfold(*start), cfg)
-    images = [0] * len(points)
-    for row, pt in enumerate(points):
-        images[pt.label - 1] = points[nearest[row]].label
-    return Permutation(tuple(images))
+def _permutation(start: Fiber, end: Fiber, cfg: TrackingConfig) -> Permutation:
+    """Start label -> end label of a closed path whose tracked half runs
+    from ``start`` to ``end``."""
+    nearest = _match(end.unfold(), start.unfold(), cfg)
+    return Permutation(tuple((nearest + 1).tolist()))
 
 
-def _loop_permutations(e: MapExpr, loops: Sequence[LoopSpec], points, cfg: TrackingConfig):
+def _loop_permutations(e: MapExpr, loops: Sequence[LoopSpec], start: Fiber, cfg: TrackingConfig):
     """The permutation of each loop, from one stacked continuation."""
-    start = _sheets(e, points)
-    end = _continue(e, loops, *start, cfg)
-    return [_permutation(points, start, _row(end, p), cfg) for p in range(len(loops))]
+    end = _continue(e, loops, start.x, start.y, cfg)
+    return [_permutation(start, _row(end, p), cfg) for p in range(len(loops))]
 
 
 def track_loop(
     e: MapExpr,
     loop: LoopSpec,
-    points: Sequence[FiberPoint],
+    points: Fiber,
     cfg: TrackingConfig = TrackingConfig(),
 ) -> Permutation:
     """Continue the fiber around the loop; returns start label -> end label.
 
     The step is a fraction of the loop, starting at 1/steps and halving
     whenever Newton fails or an x moves 0.4 of its gap or more (see
-    _stepper).  On curves the fiber must come as from ``fiber``, in
-    adjacent (x, y), (x, -y) pairs, and only one sheet of each pair is
-    continued, its y carried along x.  Raises TrackingError for an
-    unpaired curve fiber, StepUnderflowError below min_step,
-    MatchAmbiguousError when the final nearest-neighbor match is not clear
-    by separation_factor, and NotBijectiveError when two trajectories land
-    on one fiber point.  This is the one-loop case of the stacked
-    continuation that ``monodromy`` runs.
+    _stepper).  On curves only the tracked sheet of each pair is
+    continued, its y carried along x.  Raises StepUnderflowError below
+    min_step, MatchAmbiguousError when the final nearest-neighbor match is
+    not clear by separation_factor, and NotBijectiveError when two
+    trajectories land on one fiber point.  This is the one-loop case of the
+    stacked continuation that ``monodromy`` runs.
     """
     return _loop_permutations(e, [loop], points, cfg)[0]
 
@@ -541,7 +513,7 @@ def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPa
 
 def _base_and_probe(
     e: MapExpr, cfg: TrackingConfig, probe: bool,
-) -> tuple[tuple[FiberPoint, ...], MonodromyPair, MonodromyPair | None]:
+) -> tuple[Fiber, MonodromyPair, MonodromyPair | None]:
     """The labeled fiber of ``e`` over the base point, the pair of ``e`` on
     it and, with probe, the pair on the same fibers around the stability
     probe's loops: steps doubled and radius scaled by 0.8."""
@@ -571,7 +543,7 @@ def _doubles(e: MapExpr) -> bool:
     return e.chain[0] == maps.BelyiMN(1, 1) and inner is not None and maps.is_belyi(inner)
 
 
-def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[tuple[FiberPoint, ...]]:
+def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[Fiber]:
     """The labeled fiber over the base point of ``e`` and, for as long as
     the chain is b(1,1) over a Belyi chain, of each inner chain in turn:
     the fibers that _pair reads, one per b(1,1) it peels off and one for
@@ -585,7 +557,7 @@ def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[tuple[FiberPoint, ...]]:
 
 def _pair(
     e: MapExpr,
-    fibers: Sequence[Sequence[FiberPoint]],
+    fibers: Sequence[Fiber],
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
@@ -625,7 +597,7 @@ class _Segment:
 
 def _doubled(
     inner: MapExpr,
-    fibers: Sequence[Sequence[FiberPoint]],
+    fibers: Sequence[Fiber],
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
@@ -648,31 +620,29 @@ def _doubled(
     Surfaces and Their Applications (2004): the dessin of inner with a
     white vertex on each edge.
     """
-    points, inner_points = fibers[0], fibers[1]
+    points, start = fibers[0], fibers[1]
     arc_step = loops[0].length / loops[0].steps
     segments = [_Segment(BASEPOINT, w, arc_step) for w in _HALF_PREIMAGES]
-    start = _sheets(inner, inner_points)
     if len(fibers) > 2:
         s0, s1 = _pair(inner, fibers[1:], cfg, loops)
-        end = _continue(inner, segments, *start, cfg)
+        end = _continue(inner, segments, start.x, start.y, cfg)
     else:
-        end = _continue(inner, list(loops) + segments, *start, cfg)
-        s0, s1 = (_permutation(inner_points, start, _row(end, p), cfg) for p in (0, 1))
-    ends = [_unfold(*_row(end, p)) for p in (-2, -1)]
+        end = _continue(inner, list(loops) + segments, start.x, start.y, cfg)
+        s0, s1 = (_permutation(start, _row(end, p), cfg) for p in (0, 1))
+    ends = [_row(end, p).unfold() for p in (-2, -1)]
     x = np.concatenate([end[0] for end in ends])
     y = None if inner.proj is None else np.concatenate([end[1] for end in ends])
-    landed = [points[k].label for k in _match((x, y), _coords(points), cfg)]
-    n = len(inner_points)
-    a = {pt.label: landed[k] for k, pt in enumerate(inner_points)}
-    b = {pt.label: landed[n + k] for k, pt in enumerate(inner_points)}
-    g0 = [0] * len(points)
-    g1 = [0] * len(points)
-    for k in a:
-        g0[a[k] - 1] = a[s0(k)]
-        g0[b[k] - 1] = b[s1(k)]
-        g1[a[k] - 1] = b[k]
-        g1[b[k] - 1] = a[k]
-    return MonodromyPair(g0=Permutation(tuple(g0)), g1=Permutation(tuple(g1)))
+    # a[k - 1] and b[k - 1] are the labels that inner label k lands on
+    landed = _match((x, y), points.unfold(), cfg) + 1
+    a, b = landed[:len(start)], landed[len(start):]
+    s0, s1 = (np.array(s.images) - 1 for s in (s0, s1))
+    g0 = np.zeros(len(points), dtype=int)
+    g1 = np.zeros(len(points), dtype=int)
+    g0[a - 1] = a[s0]
+    g0[b - 1] = b[s1]
+    g1[a - 1] = b
+    g1[b - 1] = a
+    return MonodromyPair(g0=Permutation(tuple(g0.tolist())), g1=Permutation(tuple(g1.tolist())))
 
 
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:

@@ -151,10 +151,6 @@ def cycle_type(p: Permutation) -> CycleType:
     return CycleType.of(p)
 
 
-def cycle_count(p: Permutation) -> int:
-    return len(cycle_decomposition(p))
-
-
 def orbit(generators: Sequence[Permutation], point: int) -> frozenset[int]:
     """Orbit of a point under the group generated by ``generators``."""
     if not generators:

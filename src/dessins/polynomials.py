@@ -114,33 +114,20 @@ class ComplexPoly:
         return ComplexPoly(tuple(out))
 
 
-def roots(
-    poly: ComplexPoly,
-    tol: float = ITERATION_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-    angular_offset: float = ANGULAR_OFFSET,
-) -> tuple[complex, ...]:
+def roots(poly: ComplexPoly, angular_offset: float = ANGULAR_OFFSET) -> tuple[complex, ...]:
     """All complex roots, sorted by (re, im).
 
     Raises NonConvergedError if a residual stays above
-    ``residual_tol * max(1, max|c|)``, and ClusteredRootsError if two
+    ``RESIDUAL_TOL * max(1, max|c|)``, and ClusteredRootsError if two
     approximations end up closer than 1e-8 or the iteration stalls with
     every residual within tolerance, as it does at a multiple root, where
     rounding keeps the approximations jittering (multiple roots are out of
     scope for the simultaneous iteration).
     """
-    return _aberth(poly, (poly.coeffs[0],), tol, residual_tol, max_iterations, angular_offset)[0]
+    return _aberth(poly, (poly.coeffs[0],), angular_offset)[0]
 
 
-def shifted_roots(
-    poly: ComplexPoly,
-    values: Sequence[complex],
-    tol: float = ITERATION_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-    angular_offset: float = ANGULAR_OFFSET,
-) -> list[tuple[complex, ...]]:
+def shifted_roots(poly: ComplexPoly, values: Sequence[complex]) -> list[tuple[complex, ...]]:
     """The roots of poly - v for each v in ``values``, each as ``roots``
     gives them, bit for bit, from one simultaneous iteration over all rows.
 
@@ -149,16 +136,11 @@ def shifted_roots(
     """
     c0 = poly.coeffs[0]
     heads = tuple(c0 - complex(v) for v in values)
-    return _aberth(poly, heads, tol, residual_tol, max_iterations, angular_offset)
+    return _aberth(poly, heads, ANGULAR_OFFSET)
 
 
 def _aberth(
-    poly: ComplexPoly,
-    heads: Sequence[complex],
-    tol: float,
-    residual_tol: float,
-    max_iterations: int,
-    angular_offset: float,
+    poly: ComplexPoly, heads: Sequence[complex], angular_offset: float,
 ) -> list[tuple[complex, ...]]:
     """The roots of each polynomial that is ``poly`` with its constant
     coefficient replaced by one of ``heads``.
@@ -186,7 +168,7 @@ def _aberth(
     diagonal = np.arange(n)
     active = np.arange(len(heads))
     converged = np.zeros(len(heads), dtype=bool)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         za = z[active]
         pv = np.zeros_like(za)
         for c in monic[active, ::-1].T:
@@ -203,7 +185,7 @@ def _aberth(
         w = np.where(np.isfinite(w), w, 0.0)
         za = za - w
         z[active] = za
-        done = np.all(np.abs(w) <= tol * np.maximum(1.0, np.abs(za)), axis=1)
+        done = np.all(np.abs(w) <= ITERATION_TOL * np.maximum(1.0, np.abs(za)), axis=1)
         converged[active[done]] = True
         active = active[~done]
         if not active.size:
@@ -225,9 +207,9 @@ def _aberth(
     separation = diff.min(axis=(1, 2))
     out = []
     for k, row in enumerate(z):
-        if not np.all(residuals[k] <= residual_tol * scale[k]):  # NaN fails too
+        if not np.all(residuals[k] <= RESIDUAL_TOL * scale[k]):  # NaN fails too
             if not converged[k]:
-                raise NonConvergedError(f"no convergence in {max_iterations} iterations")
+                raise NonConvergedError(f"no convergence in {MAX_ITERATIONS} iterations")
             raise NonConvergedError(f"residual {residuals[k].max():.3e} above tolerance")
         if not converged[k]:
             raise ClusteredRootsError(

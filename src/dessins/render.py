@@ -11,7 +11,8 @@ to render when the two disagree.
 
 On curve chains one sheet of each (x, y), (x, -y) pair is continued, y
 carried along x; the other is its negation in y, on the same x.  The two
-y-sheets are drawn with two distinguishable strokes.  Vertices closer
+y-sheets are drawn with two distinguishable strokes: the tracked y of
+monodromy.Fiber as sheet 2, its negation as sheet 1.  Vertices closer
 than the merge tolerance in the x plane are drawn as a single dot
 carrying the orders of all constituents.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import maps
 from .maps import BelyiMN, FPoly, MapExpr, RootRef
-from .monodromy import NotBelyiError, TrackingConfig, _sheets, _stepper, _unfold, fiber
+from .monodromy import Fiber, NotBelyiError, TrackingConfig, _stepper, fiber
 from .polynomials import ComplexPoly, roots, shifted_roots
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
@@ -176,12 +177,12 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
 
 def _ladder(step, x, y, targets, tol):
     """Continue the tracked half of the fiber over 1/2 through a
-    decreasing ladder of base values; returns the half after each rung.
+    decreasing ladder of base values; returns the Fiber after each rung.
 
     A rejected step is retried to the midpoint in value space, as often
     as needed; raises RenderError after 60 rejections in a row.
     """
-    rungs = [(x, y)]
+    rungs = [Fiber(x, y)]
     reached = 0.5
     for target in targets:
         pending = [float(target)]
@@ -199,7 +200,7 @@ def _ladder(step, x, y, targets, tol):
             x, y = landed
             reached = sub
             pending.pop()
-        rungs.append((x, y))
+        rungs.append(Fiber(x, y))
     return rungs
 
 
@@ -250,28 +251,23 @@ def render_graph(
     blacks = structural_vertices(e, 0)
     whites = structural_vertices(e, 1)
     base = fiber(e, 0.5, cfg)
-    half = _sheets(e, base)
     step = _stepper(e, cfg.max_newton_iters)
     # Strands run into ramification points where |F'| -> 0, so the
     # attainable Newton step plateaus near eps/|F'| (about 1e-8 on the
     # last rung of a 10-fold point).  The loop tolerance is unreachable
     # there; 1e-7 still sits three decades below the merge tolerance.
     tol = max(cfg.newton_tol, 1e-7)
-    to_zero = _ladder(step, *half, _value_ladder(samples_per_edge, False), tol)
-    to_one = _ladder(step, *half, _value_ladder(samples_per_edge, True), tol)
+    to_zero = _ladder(step, base.x, base.y, _value_ladder(samples_per_edge, False), tol)
+    to_one = _ladder(step, base.x, base.y, _value_ladder(samples_per_edge, True), tol)
 
     # one row per fiber point, from its vertex over 0 to its vertex over 1
     lines = np.column_stack((
-        _attach(*_unfold(*to_zero[-1]), blacks, "black"),
-        np.array([_unfold(*rung)[0] for rung in to_zero[::-1] + to_one]).T,
-        _attach(*_unfold(*to_one[-1]), whites, "white"),
+        _attach(*to_zero[-1].unfold(), blacks, "black"),
+        np.array([rung.unfold()[0] for rung in to_zero[::-1] + to_one]).T,
+        _attach(*to_one[-1].unfold(), whites, "white"),
     ))
-    sheets = [
-        0 if pt.y is None or (pt.y.imag, pt.y.real) >= (0.0, 0.0) else 1
-        for pt in base
-    ]
 
-    svg, merged_black, merged_white = _svg_document(e, blacks, whites, lines, sheets)
+    svg, merged_black, merged_white = _svg_document(e, blacks, whites, lines)
     return RenderResult(
         svg=svg,
         black_vertices=tuple(blacks),
@@ -295,7 +291,7 @@ def merge_dots(vertices, tol: float) -> list[list[RenderVertex]]:
     return groups
 
 
-def _svg_document(e, blacks, whites, lines, sheets):
+def _svg_document(e, blacks, whites, lines):
     """The SVG of the strands ``lines`` (one row of x-plane points per fiber
     point, in label order) on their sheets, and of the merged vertices."""
     points = np.concatenate((lines.ravel(), [v.x for v in blacks + whites]))
@@ -326,8 +322,9 @@ def _svg_document(e, blacks, whites, lines, sheets):
     out.append(f'<rect width="100%" height="100%" fill="{WHITE_FILL}"/>')
 
     curve = e.has_curve
-    for sheet, px, py in zip(sheets, sx(lines), sy(lines)):
+    for k, (px, py) in enumerate(zip(sx(lines), sy(lines))):
         if curve:
+            sheet = 1 - k % 2  # label k + 1; odd labels carry the tracked y
             color = SHEET_COLORS[sheet]
             width = SHEET_WIDTHS[sheet]
         else:

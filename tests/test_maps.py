@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dessins.maps import (
@@ -11,19 +12,17 @@ from dessins.maps import (
     MapExprError,
     MapSyntaxError,
     MisplacedPrimitiveError,
-    PointOffCurveError,
     Proj,
     RootRef,
     as_poly,
     branch_values,
     degree,
-    eval_chain,
     format_map_expr,
     is_belyi,
-    is_clean_syntactic,
     parse_map_expr,
     point_to_complex,
 )
+from dessins.monodromy import _composite_and_derivative
 from dessins.polynomials import roots_of_f
 
 FULL = "b(1,1).b(10,1).f.pi(2,7,11)"
@@ -97,11 +96,19 @@ class TestParsing:
             parse_map_expr("b(0,1)")
 
 
+def _composite(text, x):
+    """The polynomial part of a chain at the points x, as continuation
+    evaluates it."""
+    stages = [as_poly(p) for p in parse_map_expr(text).polynomial_part()]
+    value, _ = _composite_and_derivative(stages, [s.derivative() for s in stages], np.array(x))
+    return value
+
+
 class TestEvaluation:
     def test_b11_peak(self):
-        e = parse_map_expr("b(1,1)")
-        assert eval_chain(e, 0.5) == pytest.approx(1.0)
-        assert eval_chain(e, 0.0) == pytest.approx(0.0)
+        b11 = as_poly(BelyiMN(1, 1))
+        assert b11(0.5) == pytest.approx(1.0)
+        assert b11(0.0) == pytest.approx(0.0)
 
     def test_b101_magic_value_is_exact_in_fractions(self):
         b = BelyiMN(10, 1)
@@ -109,33 +116,17 @@ class TestEvaluation:
         assert b.lead_constant * x**10 * (1 - x) == 1
 
     def test_b101_numeric(self):
-        e = parse_map_expr("b(10,1)")
-        assert eval_chain(e, 10 / 11) == pytest.approx(1.0, abs=1e-12)
+        assert as_poly(BelyiMN(10, 1))(10 / 11) == pytest.approx(1.0, abs=1e-12)
 
     def test_composite_matches_manual(self):
-        e = parse_map_expr("b(1,1).b(10,1)")
+        # outermost first: b(1,1) applied to the value of b(10,1)
         x = 0.3 + 0.2j
-        inner = eval_chain(parse_map_expr("b(10,1)"), x)
-        assert eval_chain(e, x) == pytest.approx(4 * inner * (1 - inner))
-
-    def test_infinity_propagates(self):
-        assert eval_chain(parse_map_expr("b(1,1).f"), INF) is INF
+        inner = as_poly(BelyiMN(10, 1))(x)
+        assert _composite("b(1,1).b(10,1)", [x])[0] == pytest.approx(4 * inner * (1 - inner))
 
     def test_curve_point_evaluation(self):
-        lr = roots_of_f()
-        e = parse_map_expr(FULL)
         # (r2, 0) sits on the curve; the whole chain sends it to 0
-        assert eval_chain(e, (lr[2], 0j)) == pytest.approx(0.0, abs=1e-9)
-
-    def test_off_curve_rejected(self):
-        e = parse_map_expr(FULL)
-        with pytest.raises(PointOffCurveError):
-            eval_chain(e, (0.5 + 0.5j, 123.0))
-
-    def test_curve_chain_requires_pair(self):
-        e = parse_map_expr(FULL)
-        with pytest.raises(TypeError):
-            eval_chain(e, 0.5)
+        assert _composite(FULL, [roots_of_f()[2]])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_as_poly_binomial_expansion(self):
         poly = as_poly(BelyiMN(2, 3))
@@ -186,19 +177,9 @@ class TestBranchValues:
     def test_is_belyi(self, text, belyi):
         assert is_belyi(parse_map_expr(text)) == belyi
 
-    @pytest.mark.parametrize("text,clean", [
-        ("b(1,1)", True),
-        ("b(10,1)", False),
-        ("b(1,1).b(10,1)", True),
-        (FULL, True),
-        ("b(1,1).f", False),  # inner stage is not Belyi
-    ])
-    def test_is_clean_syntactic(self, text, clean):
-        assert is_clean_syntactic(parse_map_expr(text)) == clean
-
     def test_infinity_always_branches(self):
         data = branch_values(parse_map_expr("b(1,1)"))
-        assert data.contains(INF)
+        assert INF in data.values
 
 
 class TestCurveBits:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import math
@@ -14,20 +13,20 @@ from dessins.galois import Triple, full_chain
 from dessins.maps import parse_map_expr
 from dessins.monodromy import (
     BASEPOINT,
+    Fiber,
     LoopSpec,
     NearBranchError,
     NotBelyiError,
     StepUnderflowError,
     TrackingConfig,
-    TrackingError,
     _continue,
+    _doubles,
     _gaps,
     _loops,
     _lowered,
     _permutation,
     _row,
     _Segment,
-    _sheets,
     _stepper,
     fiber,
     monodromy,
@@ -118,10 +117,9 @@ class TestLoopSpec:
 class TestFiber:
     def test_b11_fiber_exact(self):
         pts = fiber(parse_map_expr("b(1,1)"), 0.5)
-        xs = sorted(p.x.real for p in pts)
         lo, hi = (1 - math.sqrt(0.5)) / 2, (1 + math.sqrt(0.5)) / 2
-        assert xs == pytest.approx([lo, hi])
-        assert [p.label for p in pts] == [1, 2]
+        assert isinstance(pts, Fiber) and pts.y is None
+        assert pts.x.tolist() == pytest.approx([lo, hi])
 
     @pytest.mark.parametrize("text,n", [
         ("b(1,1)", 2),
@@ -135,17 +133,32 @@ class TestFiber:
         e = parse_map_expr("b(1,1).b(10,1).f.pi(2,7,11)")
         pts = fiber(e, 0.5)
         assert len(pts) == 528
-        proj = e.proj
-        for p in pts[:20]:
-            assert abs(p.y**2 - proj.curve_rhs(p.x)) < 1e-8
+        assert len(pts.x) == len(pts.y) == 264
+        x, y = pts.unfold()
+        assert np.all(np.abs(y**2 - e.proj.curve_rhs(x)) < 1e-8)
 
     def test_near_branch_value_rejected(self):
         with pytest.raises(NearBranchError):
             fiber(parse_map_expr("b(1,1)"), 1 - 1e-9)
 
     def test_labels_are_consecutive(self):
+        # labels 1..22 are x[0..21] in order, and x is sorted by (re, im)
         pts = fiber(parse_map_expr("b(1,1).b(10,1)"), 0.5)
-        assert [p.label for p in pts] == list(range(1, 23))
+        x, y = pts.unfold()
+        assert y is None and len(pts) == 22
+        assert np.array_equal(x, pts.x)
+        assert sorted(x.tolist(), key=lambda v: (v.real, v.imag)) == x.tolist()
+
+    def test_curve_labels_pair_the_sheets(self):
+        # labels 2i + 1 and 2i + 2 are (x[i], y[i]) and (x[i], -y[i]), and
+        # y[i] is the square root of c(x[i]) that sorts first by (im y, re y)
+        pts = fiber(parse_map_expr("f.pi(2,7,11)"), BASEPOINT)
+        x, y = pts.unfold()
+        assert len(pts) == len(x) == 24
+        assert np.array_equal(x[0::2], pts.x) and np.array_equal(x[1::2], pts.x)
+        assert np.array_equal(y[0::2], pts.y) and np.array_equal(y[1::2], -pts.y)
+        assert all((v.imag, v.real) < (-v.imag, -v.real) for v in pts.y.tolist())
+        assert sorted(pts.x.tolist(), key=lambda v: (v.real, v.imag)) == pts.x.tolist()
 
 
 class TestSmallMonodromy:
@@ -269,6 +282,24 @@ DOUBLED_PSI = (
 )
 
 
+# sha256 of repr([(x, y), ...]) over every fiber point in label order: the
+# coordinates, and the labels they carry, must survive changes to how a
+# fiber is held.
+FIBER_SHA256 = {
+    "b(1,1).b(10,1).f.pi(2,7,11)": "2cb7d11182ff852d4e398e4ceb1efe22254b3389fb8b1704dc0052893f9c03e5",
+    "b(1,1).b(10,1).f": "61c0cb37f85cdcce4a1c78448c2bae2291a69a2baa612afb13da860b58ca8ef4",
+}
+
+
+class TestGoldenFibers:
+    @pytest.mark.parametrize("text", FIBER_SHA256)
+    def test_coordinates(self, text):
+        x, y = fiber(parse_map_expr(text), BASEPOINT).unfold()
+        ys = [None] * len(x) if y is None else y.tolist()
+        points = [(complex(a), b) for a, b in zip(x.tolist(), ys)]
+        assert _sha256(repr(points)) == FIBER_SHA256[text]
+
+
 class TestGoldenLabels:
     def test_full_chain(self, full_pair):
         got = tuple(_sha256(format_cycles(g)) for g in full_pair)
@@ -301,24 +332,15 @@ class TestDoubling:
         expected = sorted(cycle_type(s0).parts + cycle_type(s1).parts, reverse=True)
         assert cycle_type(g0).parts == tuple(expected)
 
-
-class TestSheetPairing:
-    """Only one sheet of each (x, y), (x, -y) pair is continued, so a curve
-    fiber that does not come in exact adjacent pairs is refused."""
-
-    @pytest.mark.parametrize("corrupt", ["rotated", "y_off_by_one_ulp"])
-    def test_unpaired_curve_fiber_refused(self, cfg, corrupt):
-        e = parse_map_expr("f.pi(2,7,11)")
-        points = list(fiber(e, BASEPOINT, cfg))
-        if corrupt == "rotated":
-            points = points[1:] + points[:1]
-        else:
-            y = points[1].y
-            points[1] = dataclasses.replace(
-                points[1], y=complex(np.nextafter(y.real, np.inf), y.imag))
-        loop = LoopSpec(center=0.5 + 0.3j, radius=0.05)
-        with pytest.raises(TrackingError, match="pairs"):
-            track_loop(e, loop, points, cfg)
+    @pytest.mark.parametrize("text,doubles", [
+        ("b(1,1)", False),        # nothing inside to double
+        ("b(10,1)", False),
+        ("b(1,1).b(10,1)", True),
+        ("b(1,1).b(10,1).f.pi(2,7,11)", True),
+        ("b(1,1).f", False),      # the inner chain is not Belyi
+    ])
+    def test_doubles(self, text, doubles):
+        assert _doubles(parse_map_expr(text)) == doubles
 
 
 class TestStep:
@@ -335,14 +357,14 @@ class TestStep:
 
     @pytest.fixture()
     def half(self, cfg):
-        return _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
+        return fiber(self.E, BASEPOINT, cfg)
 
     @staticmethod
     def _over(v):
         return np.array([(1 - math.sqrt(1 - v)) / 2, (1 + math.sqrt(1 - v)) / 2])
 
     def test_short_step_lands_on_fiber(self, cfg, step, half):
-        (x, y), refused, _ = step(*half, np.zeros(2), BASEPOINT, 0.9, cfg.newton_tol)
+        (x, y), refused, _ = step(half.x, half.y, np.zeros(2), BASEPOINT, 0.9, cfg.newton_tol)
         assert not refused
         assert y is None
         assert np.allclose(x, self._over(0.9), atol=1e-12)
@@ -352,29 +374,29 @@ class TestStep:
         # 0.71 gap; Newton converges there, and two steps reach the target
         # refused from the trivial bound and from the tightest valid one;
         # either way the exact gaps are computed and handed back
-        for bound in (np.zeros(2), _gaps(*half)):
-            landed, refused, bound = step(*half, bound, BASEPOINT, 0.99, cfg.newton_tol)
+        for bound in (np.zeros(2), _gaps(half.x, None)):
+            landed, refused, bound = step(half.x, half.y, bound, BASEPOINT, 0.99, cfg.newton_tol)
             assert landed is None and refused
-            assert np.array_equal(bound, _gaps(*half))
-        mid, _, bound = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
+            assert np.array_equal(bound, _gaps(half.x, None))
+        mid, _, bound = step(half.x, half.y, bound, BASEPOINT, 0.9, cfg.newton_tol)
         (x, _), _, _ = step(*mid, bound, 0.9, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
         # the gap guard alone refuses the over-long step
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: np.full(len(x), np.inf))
-        (x, _), _, _ = step(*half, np.zeros(2), BASEPOINT, 0.99, cfg.newton_tol)
+        (x, _), _, _ = step(half.x, half.y, np.zeros(2), BASEPOINT, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_accepting_bound_skips_exact_gaps(self, cfg, step, half, monkeypatch):
-        bound = _gaps(*half)
+        bound = _gaps(half.x, None)
 
         def refuse(x, branch):
             raise AssertionError("exact gaps computed")
 
         monkeypatch.setattr(MONODROMY, "_gaps", refuse)
-        (x, _), _, lowered = step(*half, bound, BASEPOINT, 0.9, cfg.newton_tol)
-        moved = np.abs(x - half[0])
+        (x, _), _, lowered = step(half.x, half.y, bound, BASEPOINT, 0.9, cfg.newton_tol)
+        moved = np.abs(x - half.x)
         assert np.all(lowered <= bound - moved - moved.max())
 
 
@@ -389,8 +411,8 @@ class TestCurveStep:
     def _toward_root(self, cfg, frac):
         """(tracked half, target, goal): the target value over which point
         0 sits ``frac`` of the way to its nearest root of c, at goal."""
-        half = _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
-        x = half[0]
+        half = fiber(self.E, BASEPOINT, cfg)
+        x = half.x
         root = self.BRANCH[np.abs(x[0] - self.BRANCH).argmin()]
         goal = x[0] + frac * (root - x[0])
         return half, f_polynomial()(goal), goal
@@ -398,13 +420,13 @@ class TestCurveStep:
     def _step(self, cfg, frac):
         half, target, goal = self._toward_root(cfg, frac)
         step = _stepper(self.E, cfg.max_newton_iters)
-        return step(*half, np.zeros(len(half[0])), BASEPOINT, target, cfg.newton_tol), goal
+        return step(half.x, half.y, np.zeros(len(half.x)), BASEPOINT, target, cfg.newton_tol), goal
 
     def test_step_toward_root_refused(self, cfg):
         (landed, refused, bound), _ = self._step(cfg, 0.41)
         assert landed is None and refused
         half, *_ = self._toward_root(cfg, 0.41)
-        assert np.array_equal(bound, _gaps(half[0], self.BRANCH))
+        assert np.array_equal(bound, _gaps(half.x, self.BRANCH))
         (landed, _, _), _ = self._step(cfg, 0.39)
         assert landed is not None
 
@@ -442,8 +464,8 @@ class TestCurveY:
             return checked
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
-        start = _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
-        x, y = _continue(self.E, [_loops(cfg)[which]], *start, cfg)
+        start = fiber(self.E, BASEPOINT, cfg)
+        x, y = _continue(self.E, [_loops(cfg)[which]], start.x, start.y, cfg)
         assert np.all(np.abs(y**2 - c(x)) <= 1e-12 * np.abs(c(x)))
         assert len(agree) >= 256 and all(agree)
 
@@ -547,13 +569,13 @@ class TestDecisionsUnchanged:
     def test_loop_matches_exact_guard(self, cfg, monkeypatch, loop):
         """Same accept/refuse sequence and bit-identical end positions as
         the guard that computes the exact gaps on every step."""
-        start = _sheets(self.E, fiber(self.E, BASEPOINT, cfg))
+        start = fiber(self.E, BASEPOINT, cfg)
         runs = []
         for exact_only in (False, True):
             log, counts = [], Counter()
             monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only))
             monkeypatch.setattr(MONODROMY, "_gaps", _counting(counts, "gaps", _gaps))
-            end = _continue(self.E, [loop], *start, cfg)
+            end = _continue(self.E, [loop], start.x, start.y, cfg)
             runs.append((log, end, counts["gaps"]))
         (log, end, gaps), (exact_log, exact_end, exact_gaps) = runs
         assert log == exact_log
@@ -653,11 +675,10 @@ class TestStacked:
                  LoopSpec(center=1 + 0j, radius=0.02, steps=32)]
         log = []
         monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only=False))
-        start = _sheets(e, points)
-        end = _continue(e, loops, *start, cfg)
+        end = _continue(e, loops, points.x, points.y, cfg)
         assert not all(accepted for *_, accepted in log)
         for p, loop in enumerate(loops):
-            assert _permutation(points, start, _row(end, p), cfg) == track_loop(e, loop, points, cfg)
+            assert _permutation(points, _row(end, p), cfg) == track_loop(e, loop, points, cfg)
 
     @pytest.mark.parametrize("curve", [False, True])
     def test_gaps_and_lowered_row_by_row(self, curve):
@@ -677,11 +698,11 @@ class TestStacked:
     def test_underflow_names_the_refusing_path(self):
         cfg = TrackingConfig(initial_step=1 / 32, min_step=1 / 32)
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
-        start = _sheets(e, fiber(e, BASEPOINT, cfg))
+        start = fiber(e, BASEPOINT, cfg)
         loops = [LoopSpec(center=0j, radius=0.25, steps=32),
                  LoopSpec(center=1 + 0j, radius=0.02, steps=32)]
         with pytest.raises(StepUnderflowError) as caught:
-            _continue(e, loops, *start, cfg)
+            _continue(e, loops, start.x, start.y, cfg)
         message = str(caught.value)
         assert "at t = 0." in message
         assert message.endswith("on loop around 1+0j of radius 0.02")

@@ -6,7 +6,6 @@ from dessins.perms import (
     GroupOrderOverflow,
     Permutation,
     compose,
-    cycle_count,
     cycle_decomposition,
     cycle_type,
     format_cycles,
@@ -127,9 +126,6 @@ class TestCycles:
         s = power(p, 3)  # any permutation commensurate with the degree
         conj = compose(compose(inverse(s), p), s)
         assert cycle_type(conj) == cycle_type(p)
-
-    def test_cycle_count(self):
-        assert cycle_count(parse_cycles("(1,2,3)", 5)) == 3
 
 
 class TestGroupHelpers:

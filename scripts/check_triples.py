@@ -7,9 +7,10 @@ monodromy(full_chain(t)), and the sha256 of the stdout of
 ``dessins dessin --triple i,j,k``.  The script recomputes all three and
 exits 1 on any mismatch, so a change to the continuation that moves a
 single label or output byte on any triple is caught.  The pair is tracked
-on the full chain, while ``dessin`` reads its dessin off the double cover
-of the one planar dessin of b(1,1).b(10,1).f; the table was written when
-``dessin`` tracked the full chain too, so it holds the cover to that.
+on the full chain, while ``dessin`` tracks nothing: it reads its dessin
+off the double cover of the planar dessin of b(1,1).b(10,1).f, built
+exactly from the plane tree of f.  The table was written when ``dessin``
+tracked the full chain, so it holds the exact cover to that.
 
     PYTHONPATH=src python3 scripts/check_triples.py            # check
     PYTHONPATH=src python3 scripts/check_triples.py --write    # rebuild

@@ -11,7 +11,6 @@ import argparse
 import time
 
 from dessins.galois import SubgroupSpec, Triple, orbit_dessins
-from dessins.monodromy import TrackingConfig
 
 
 def main() -> None:
@@ -24,7 +23,7 @@ def main() -> None:
     base = Triple.of(int(v) for v in args.triple.split(","))
     spec = SubgroupSpec((args.subgroup,))
     t0 = time.perf_counter()
-    report = orbit_dessins(spec, base, TrackingConfig())
+    report = orbit_dessins(spec, base)
 
     print(f"orbit of {base.as_tuple()} under <{report.subgroup}>: "
           f"{len(report.orbit)} triples")

@@ -4,11 +4,14 @@ Subcommands: roots | monodromy | dessin | orbit | evidence | render.
 Payloads go to stdout as JSON (numbers trimmed to 15 significant digits);
 failures go to stderr as a structured JSON error object.  Exit codes:
 0 success, 2 bad arguments, 3 numerical failure, 4 incomplete evidence.
+Only monodromy and render track a continuation, and only they take
+--config; dessin and orbit are exact.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -79,7 +82,7 @@ def _load_config(path: str | None) -> TrackingConfig:
 # command handlers
 
 
-def cmd_roots(args, cfg: TrackingConfig):
+def cmd_roots(args):
     return polynomials.roots_of_f(args.seed_offset).to_json_list()
 
 
@@ -88,9 +91,9 @@ def cmd_monodromy(args, cfg: TrackingConfig):
     return monodromy_json(e, cfg, check_stability=args.check_stability)
 
 
-def cmd_dessin(args, cfg: TrackingConfig):
+def cmd_dessin(args):
     t = _parse_triple(args.triple)
-    body = dessin_json(galois.planar_dessin(cfg).cover(t))
+    body = dessin_json(galois.planar_dessin().cover(t))
     return {
         "triple": list(t.as_tuple()),
         "map": maps.format_map_expr(galois.full_chain(t)),
@@ -98,14 +101,14 @@ def cmd_dessin(args, cfg: TrackingConfig):
     }
 
 
-def cmd_orbit(args, cfg: TrackingConfig):
+def cmd_orbit(args):
     t = _parse_triple(args.triple)
     spec = galois.SubgroupSpec(generator_words=(args.subgroup,))
-    report = galois.orbit_dessins(spec, t, cfg)
+    report = galois.orbit_dessins(spec, t)
     return report.to_json_dict()
 
 
-def cmd_evidence(args, cfg: TrackingConfig):
+def cmd_evidence(args):
     return polynomials.s12_evidence(max_prime=args.max_prime).to_json_dict()
 
 
@@ -135,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json-pretty", action="store_true",
                         help="indent the JSON output")
-    common.add_argument("--config", metavar="PATH", default=None,
-                        help="tracking configuration as a JSON file")
+    tracking = argparse.ArgumentParser(add_help=False)
+    tracking.add_argument("--config", metavar="PATH", default=None,
+                          help="tracking configuration as a JSON file")
 
     parser = argparse.ArgumentParser(
         prog="dessins",
@@ -151,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RAD", help="angular offset for the root finder's start circle")
     p.set_defaults(handler=cmd_roots)
 
-    p = sub.add_parser("monodromy", parents=[common],
+    p = sub.add_parser("monodromy", parents=[common, tracking],
                        help="permutation pair of a Belyi chain")
     p.add_argument("--map", required=True,
                    help='chain expression, e.g. "b(1,1).b(10,1)"')
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest prime to scan (default 2000)")
     p.set_defaults(handler=cmd_evidence)
 
-    p = sub.add_parser("render", parents=[common],
+    p = sub.add_parser("render", parents=[common, tracking],
                        help="draw the dessin of a chain as SVG")
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True,
@@ -192,13 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        return _fail(exc, PARSE_EXIT)
+    handler = args.handler
+    if "config" in args:
+        try:
+            handler = functools.partial(handler, cfg=_load_config(args.config))
+        except (OSError, ValueError) as exc:
+            return _fail(exc, PARSE_EXIT)
 
     try:
-        payload = args.handler(args, cfg)
+        payload = handler(args)
     except EvidenceIncompleteError as exc:
         return _fail(exc, EVIDENCE_EXIT)
     except (RootFindingError, TrackingError, RenderError, ZeroDivisionError) as exc:

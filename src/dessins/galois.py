@@ -16,8 +16,9 @@ black vertex at each root r_m of f; the chain at (i, j, k) is P after the
 double cover pi, branched over r_i, r_j, r_k and infinity, so its dessin
 is the double cover of D0 branched at the vertices at r_i, r_j, r_k and
 at the face (Lando and Zvonkin, Graphs on Surfaces and Their
-Applications, 2004, ch. 1-2).  D0 is tracked once per call, and A5 acts
-by moving the three branched vertices.
+Applications, 2004, ch. 1-2).  D0 is built exactly from the plane tree
+of f (see planar_dessin), and A5 acts by moving the three branched
+vertices.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from . import dessin as dessin_mod
-from . import monodromy as monodromy_mod
 from .dessin import Constellation, Passport
 from .maps import MapExpr, parse_map_expr
-from .monodromy import TrackingConfig, TrackingError
-from .perms import Permutation, compose, cycle_decomposition, group_order, identity, parse_cycles, power
+from .perms import Permutation, compose, group_order, identity, parse_cycles, power
 from .polynomials import roots_of_f
 
 
@@ -158,26 +155,6 @@ def a5_orbit_partition() -> list[frozenset[Triple]]:
 # curves
 
 
-@dataclass(frozen=True)
-class CurveModel:
-    """Monic cubic right-hand side of y^2 = c(x), ascending coefficients."""
-
-    coeffs: tuple[complex, complex, complex, complex]
-    discriminant: complex
-
-
-def curve_from_triple(t: Triple) -> CurveModel:
-    labeled = roots_of_f()
-    ri, rj, rk = (labeled[v] for v in t.as_tuple())
-    p = -(ri + rj + rk)
-    q = ri * rj + ri * rk + rj * rk
-    s = -(ri * rj * rk)
-    disc = (
-        18 * p * q * s - 4 * p**3 * s + p**2 * q**2 - 4 * q**3 - 27 * s**2
-    )
-    return CurveModel(coeffs=(s, q, p, 1.0 + 0j), discriminant=disc)
-
-
 def j_from_cubic_roots(r1: complex, r2: complex, r3: complex) -> complex:
     """j-invariant of y^2 = (x-r1)(x-r2)(x-r3)."""
     p = -(r1 + r2 + r3)
@@ -239,36 +216,41 @@ class PlanarDessin:
         return Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))
 
 
-def planar_dessin(cfg: TrackingConfig = TrackingConfig()) -> PlanarDessin:
-    """D0, tracked once, with its ten-valent vertices labeled by the roots
-    of f.
+def planar_dessin() -> PlanarDessin:
+    """D0 built exactly from the plane tree of f, with no continuation.
 
-    Each vertex takes the label of the root nearest the mean x of its
-    darts, the fiber points over 1/2 around it.  Raises TrackingError
-    unless there are exactly 12 ten-valent vertices, they take the 12
-    labels one to one, and each runner-up root is at least
-    separation_factor times farther from the mean than the nearest.
+    The tree of b(10,1) has an edge from 0 through the white vertex 10/11
+    to 1 and nine leaves at 0.  D1, the dessin of b(10,1).f, is its
+    preimage under f, with 132 edges: e_m = m for m = 1..12, from root r_m
+    to a preimage of 10/11; t_k = 13 + k for k = 0..11; and the nine
+    leaves of each root after them.  f - 1 ~ x^11 at 0 and f - 10/11 ~
+    6(x - 1)^2 at 1, so t_0..t_10 leave x = 0 at angles 2 pi k / 11, t_0
+    along the real axis to x = 1, and t_11 runs from x = 1 to 12/11.  This
+    relies on the roots being labeled by ascending argument
+    (LabeledRoots): the preimage w_k of 10/11 at the end of t_k takes root
+    k + 1, and x = 1 takes roots 1 (leaving at +pi/2) and 12 (at -pi/2).
+    The counterclockwise rotations of D1 are
+
+        s0: (e_m, nine leaves of r_m), (t_0 ... t_10), (t_11);
+        s1: (t_k, e_{k+1}) for k = 1..10, (t_11, e_1, t_0, e_12),
+
+    and s1 fixes the leaves.  D0 is D1 with a white vertex on each edge
+    (monodromy._doubled): with a(k) = k and b(k) = k + 132, g0 sends a(k)
+    to a(s0 k) and b(k) to b(s1 k), and g1 swaps a(k) and b(k).
     """
-    points, pair, _ = monodromy_mod._base_and_probe(
-        parse_map_expr(PLANAR_CHAIN), cfg, probe=False)
-    tens = [c for c in cycle_decomposition(pair.g0) if len(c) == 10]
-    if len(tens) != 12:
-        raise TrackingError(f"{len(tens)} ten-valent black vertices, expected 12")
-    roots = np.array(roots_of_f().values)
-    darts = {}
-    for cycle in tens:
-        mean = sum(points.x[d - 1] for d in cycle) / len(cycle)
-        distance = np.abs(roots - mean)
-        nearest, second = np.argsort(distance)[:2]
-        if distance[second] < cfg.separation_factor * distance[nearest]:
-            raise TrackingError(
-                f"vertex at {mean:.6f} is {distance[nearest]:.3e} from root "
-                f"{nearest + 1} and {distance[second]:.3e} from root {second + 1}, "
-                f"not separation_factor {cfg.separation_factor} apart")
-        darts[int(nearest) + 1] = cycle[0]
-    if len(darts) != 12:
-        raise TrackingError("two ten-valent vertices took the same root label")
-    return PlanarDessin(pair.g0, pair.g1, tuple(darts[m] for m in range(1, 13)))
+    n = 132
+    e = list(range(1, 13))
+    t = list(range(13, 25))
+    leaves = iter(range(25, n + 1))
+    s0 = [[d, *itertools.islice(leaves, 9)] for d in e] + [t[:11], t[11:]]
+    s1 = [[t[k], e[k]] for k in range(1, 11)] + [[t[11], e[0], t[0], e[11]]]
+    g0 = list(range(1, 2 * n + 1))
+    for shift, cycles in ((0, s0), (n, s1)):
+        for cycle in cycles:
+            for d, image in zip(cycle, cycle[1:] + cycle[:1]):
+                g0[d - 1 + shift] = image + shift
+    g1 = [*range(n + 1, 2 * n + 1), *range(1, n + 1)]
+    return PlanarDessin(Permutation(tuple(g0)), Permutation(tuple(g1)), tuple(e))
 
 
 @dataclass(frozen=True)
@@ -295,15 +277,11 @@ class OrbitReport:
         }
 
 
-def orbit_dessins(
-    spec: SubgroupSpec,
-    base: Triple,
-    cfg: TrackingConfig = TrackingConfig(),
-) -> OrbitReport:
+def orbit_dessins(spec: SubgroupSpec, base: Triple) -> OrbitReport:
     """One dessin per orbit triple, grouped into isomorphism classes: the
     covers of one planar dessin (see planar_dessin)."""
     orbit = tuple(sorted(orbit_triples(spec, base), key=Triple.as_tuple))
-    d0 = planar_dessin(cfg)
+    d0 = planar_dessin()
     passports = []
     genera = []
     classes: dict[tuple, list[Triple]] = {}

@@ -508,22 +508,22 @@ def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPa
     _doubled); every other chain has both loops tracked in one stacked
     continuation.
     """
-    return _base_and_probe(e, cfg, probe=False)[1]
+    return _base_and_probe(e, cfg, probe=False)[0]
 
 
 def _base_and_probe(
     e: MapExpr, cfg: TrackingConfig, probe: bool,
-) -> tuple[Fiber, MonodromyPair, MonodromyPair | None]:
-    """The labeled fiber of ``e`` over the base point, the pair of ``e`` on
-    it and, with probe, the pair on the same fibers around the stability
-    probe's loops: steps doubled and radius scaled by 0.8."""
+) -> tuple[MonodromyPair, MonodromyPair | None]:
+    """The pair of ``e`` over the base point and, with probe, the pair on
+    the same fibers around the stability probe's loops: steps doubled and
+    radius scaled by 0.8."""
     if not maps.is_belyi(e):
         raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
     fibers = _fibers(e, cfg)
     base = _pair(e, fibers, cfg, _loops(cfg))
     if not probe:
-        return fibers[0], base, None
-    return fibers[0], base, _pair(e, fibers, cfg, _loops(cfg, radius=0.25 * 0.8, refine=2))
+        return base, None
+    return base, _pair(e, fibers, cfg, _loops(cfg, radius=0.25 * 0.8, refine=2))
 
 
 def _loops(cfg: TrackingConfig, radius: float = 0.25, refine: int = 1) -> tuple[LoopSpec, LoopSpec]:
@@ -648,7 +648,7 @@ def _doubled(
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:
     """Recompute with doubled steps and radius scaled by 0.8; True when
     both permutation pairs agree label for label."""
-    _, base, probe = _base_and_probe(e, cfg, probe=True)
+    base, probe = _base_and_probe(e, cfg, probe=True)
     return base == probe
 
 
@@ -660,7 +660,7 @@ def monodromy_json(
     """The CLI payload; with check_stability, ``stability`` reports
     verify_stability, whose base run is the pair of the payload and whose
     probe reuses its fibers."""
-    _, pair, probe = _base_and_probe(e, cfg, check_stability)
+    pair, probe = _base_and_probe(e, cfg, check_stability)
     ginf = inverse(compose(pair.g0, pair.g1))
     return {
         "degree": maps.degree(e),

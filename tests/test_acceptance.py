@@ -152,7 +152,7 @@ def test_c05_published_orbits():
 def test_c06_orbit_dessin_invariance():
     with criterion("C6 a-orbit: five dessins, all genus 1, one face, "
                    "shared passport", budget=1500.0):
-        report = orbit_dessins(SubgroupSpec(("a",)), Triple(2, 7, 11), CFG)
+        report = orbit_dessins(SubgroupSpec(("a",)), Triple(2, 7, 11))
         assert len(report.orbit) == 5
         assert report.genus == (1, 1, 1, 1, 1)
         assert report.shared_passport

@@ -189,6 +189,21 @@ class TestOrbit:
         assert json.loads(err)["error"] == "BadWordError"
 
 
+class TestConfigOnlyWhereTracked:
+    @pytest.mark.parametrize("argv", [
+        ["dessin", "--triple", "2,7,11"],
+        ["orbit", "--triple", "2,7,11", "--subgroup", "a"],
+        ["roots"],
+        ["evidence"],
+    ], ids=["dessin", "orbit", "roots", "evidence"])
+    def test_config_rejected(self, argv, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"initial_step": 0.25}')
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(cfg_file)])
+        assert exc.value.code == 2
+
+
 class TestEvidence:
     def test_default_scan(self, capsys):
         data = run_json(capsys, "evidence")

@@ -2,21 +2,23 @@ import hashlib
 import importlib
 import itertools
 import json
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessins import cli
 from dessins.dessin import Constellation, canonical_hash, isomorphic
 from dessins.galois import (
+    PLANAR_CHAIN,
     BadWordError,
+    PlanarDessin,
     SubgroupSpec,
     Triple,
     a5_orbit_partition,
     act,
     all_triples,
-    curve_from_triple,
     full_chain,
     generators_a5,
     j_from_cubic_roots,
@@ -27,11 +29,12 @@ from dessins.galois import (
     verify_a5,
     word_permutation,
 )
-from dessins.monodromy import TrackingError, monodromy
-from dessins.perms import compose, cycle_decomposition, format_cycles, group_order, identity, power
+from dessins.maps import parse_map_expr
+from dessins.monodromy import BASEPOINT, fiber, monodromy
+from dessins.perms import compose, cycle_decomposition, format_cycles, group_order, identity, inverse, power
 from dessins.polynomials import roots_of_f
 
-GALOIS = importlib.import_module("dessins.galois")
+MONODROMY = importlib.import_module("dessins.monodromy")
 
 # the three cyclic subgroups studied alongside the full group
 SPEC_A = SubgroupSpec(("a",))
@@ -178,19 +181,17 @@ class TestOrbits:
         assert SubgroupSpec(()).label() == "1"
 
 
-class TestCurves:
-    def test_discriminant_dual_route(self):
-        lr = roots_of_f()
-        for t in [Triple(2, 7, 11), Triple(1, 2, 3), Triple(4, 9, 12)]:
-            ri, rj, rk = (lr[v] for v in t.as_tuple())
-            product_form = ((ri - rj) * (ri - rk) * (rj - rk)) ** 2
-            assert curve_from_triple(t).discriminant == pytest.approx(
-                product_form, abs=1e-10
-            )
+def discriminant(t: Triple) -> complex:
+    """Of y^2 = (x - r_i)(x - r_j)(x - r_k), from the labeled roots."""
+    lr = roots_of_f()
+    ri, rj, rk = (lr[v] for v in t.as_tuple())
+    return ((ri - rj) * (ri - rk) * (rj - rk)) ** 2
 
+
+class TestCurves:
     def test_discriminant_271(self):
         # frozen from a 40-digit evaluation on the labeled roots
-        disc = curve_from_triple(Triple(2, 7, 11)).discriminant
+        disc = discriminant(Triple(2, 7, 11))
         assert disc == pytest.approx(
             -16.602771697569236897 - 9.4765077430620074003j, abs=1e-9
         )
@@ -198,18 +199,7 @@ class TestCurves:
 
     def test_every_triple_is_nonsingular(self):
         for t in all_triples():
-            assert abs(curve_from_triple(t).discriminant) > 1e-8
-
-    def test_curve_coefficients_expand_product(self):
-        lr = roots_of_f()
-        t = Triple(2, 7, 11)
-        model = curve_from_triple(t)
-        s0, s1, s2, s3 = model.coeffs
-        assert s3 == 1
-        for x in [0.3 + 0.1j, -1.2j, 2.0]:
-            expanded = s0 + s1 * x + s2 * x * x + x**3
-            product = (x - lr[2]) * (x - lr[7]) * (x - lr[11])
-            assert expanded == pytest.approx(product, abs=1e-10)
+            assert abs(discriminant(t)) > 1e-8
 
     def test_j_synthetic_lemniscatic(self):
         assert j_from_cubic_roots(0, 1, -1) == pytest.approx(1728.0)
@@ -243,8 +233,41 @@ class TestFullChain:
 
 
 @pytest.fixture(scope="module")
-def d0(cfg):
-    return planar_dessin(cfg)
+def d0():
+    return planar_dessin()
+
+
+@pytest.fixture(scope="module")
+def tracked_d0(cfg):
+    """D0 tracked, with each ten-valent vertex labelled by the root of f
+    nearest the mean x of its darts, the fiber points over 1/2 around it:
+    a labelling that does not rely on the order of the roots.  Returns
+    the constellation and, per root label m, that vertex's darts."""
+    e = parse_map_expr(PLANAR_CHAIN)
+    pair = monodromy(e, cfg)
+    x = fiber(e, BASEPOINT, cfg).x
+    roots = np.array(roots_of_f().values)
+    vertices = {}
+    for cycle in cycle_decomposition(pair.g0):
+        if len(cycle) == 10:
+            mean = x[np.array(cycle) - 1].mean()
+            vertices[int(np.argmin(np.abs(roots - mean))) + 1] = frozenset(cycle)
+    assert sorted(vertices) == list(range(1, 13))
+    return Constellation(*pair), vertices
+
+
+def labels_agree(exact: PlanarDessin, tracked_d0) -> bool:
+    """Whether an isomorphism takes the exact D0 onto the tracked one and
+    each root_darts[m - 1] into the tracked vertex labelled m."""
+    tracked, vertices = tracked_d0
+    found, witness = isomorphic(Constellation(exact.g0, exact.g1), tracked)
+    return found and all(
+        witness(dart) in vertices[m] for m, dart in enumerate(exact.root_darts, 1))
+
+
+def mirrored(d0: PlanarDessin) -> PlanarDessin:
+    """Every rotation reversed: the mirror image of D0."""
+    return PlanarDessin(inverse(d0.g0), inverse(d0.g1), d0.root_darts)
 
 
 class TestPlanarDessin:
@@ -261,6 +284,18 @@ class TestPlanarDessin:
         labelled = [next(c for c in tens if dart in c) for dart in d0.root_darts]
         assert set(labelled) == tens
 
+    def test_exact_is_the_tracked_d0(self, d0, tracked_d0):
+        assert labels_agree(d0, tracked_d0)
+
+    def test_mirror_is_refused(self, d0, tracked_d0):
+        # f is real, so the mirror is D0 again, but with root m at 13 - m
+        mirror = mirrored(d0)
+        assert isomorphic(Constellation(mirror.g0, mirror.g1), tracked_d0[0])[0]
+        assert not labels_agree(mirror, tracked_d0)
+        for orbit in a5_orbit_partition():
+            t = min(orbit, key=Triple.as_tuple)
+            assert canonical_hash(mirror.cover(t)) != canonical_hash(d0.cover(t))
+
     @pytest.mark.parametrize("orbit", range(5))
     def test_cover_is_the_tracked_dessin(self, cfg, d0, orbit):
         # one triple from each A5 orbit
@@ -270,17 +305,19 @@ class TestPlanarDessin:
         assert isomorphic(cover, tracked)[0]
         assert canonical_hash(cover) == canonical_hash(tracked)
 
-    def test_tied_roots_refused(self, cfg, monkeypatch):
-        # root 2 moved onto root 1: the vertex at root 1 has two nearest roots
-        values = list(roots_of_f().values)
-        values[1] = values[0]
-        monkeypatch.setattr(GALOIS, "roots_of_f", lambda: SimpleNamespace(values=tuple(values)))
-        with pytest.raises(TrackingError, match="separation_factor"):
-            planar_dessin(cfg)
+    def test_dessin_does_no_continuation(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dessin continued a path")
 
-    def test_orbit_report_unchanged(self, cfg):
+        monkeypatch.setattr(MONODROMY, "_continue", refuse)
+        assert cli.main(["dessin", "--triple", "2,7,11"]) == 0
+        assert json.loads(capsys.readouterr().out)["canonical_hash"] == (
+            "f38a8e85fbc94c7e1b957bc326844b03173010dc870d429e97e0a3fe5c3def89"
+        )
+
+    def test_orbit_report_unchanged(self):
         # sha256 of the report as the per-triple tracked dessins gave it
-        report = orbit_dessins(SPEC_A, Triple(2, 7, 11), cfg)
+        report = orbit_dessins(SPEC_A, Triple(2, 7, 11))
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "13fd6fbbdb51b22dd2578ab775ee3afd057fb1a92e145774d9c8a12e20600c9c"

@@ -8,7 +8,8 @@ with a tangent predictor and a Newton corrector on the composite equation
 F(x) = gamma(t).  On a curve y^2 = c(x) only x is continued, on the
 polynomial stages alone, and y is carried by the exact ratio sqrt(c(x_new)
 / c(x)); a step is accepted only when it moves each x much less than its
-gap to the other x and to the roots of c.  Render's ladders take this step.
+gap to the other x and to the roots of c.  Render's strands take this
+continuation too.
 
 The gap guard does not rebuild the all-pairs gaps on every step.  The
 caller of the step carries a per-point lower bound on the gaps from step
@@ -312,6 +313,22 @@ def _lowered(bound: np.ndarray, moved: np.ndarray) -> np.ndarray:
     return bound * (1 - _BOUND_SLACK) - (moved + farthest) * (1 + _BOUND_SLACK)
 
 
+def _rounding_error(stages: Sequence[ComplexPoly], derivs: Sequence[ComplexPoly], x):
+    """A first-order bound on the rounding error of the composite value
+    that _composite_and_derivative computes at x: Horner's rule on a stage
+    of degree n at u errs by at most gamma_2n sum |c_k| |u|^k, where
+    gamma_k = k u / (1 - k u) with u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 5.1), and the error already
+    in u is carried outward by |p'(u)|."""
+    error = np.zeros(x.shape)
+    for poly, dpoly in zip(reversed(stages), reversed(derivs)):
+        k = 2 * poly.degree * 2.0**-53
+        magnitude = ComplexPoly(tuple(abs(c) for c in poly.coeffs)).eval_many(np.abs(x)).real
+        error = np.abs(dpoly.eval_many(x)) * error + k / (1 - k) * magnitude
+        x = poly.eval_many(x)  # the stage's value, the next stage's argument
+    return error
+
+
 def _stepper(e: MapExpr, max_newton_iters: int):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     Fiber), one row of shape (n,) or rows stacked as (P, n).
@@ -321,9 +338,11 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     Newton on F(x) = target to relative tolerance ``tol`` in at most
     max_newton_iters iterations.  On stacked rows, origin and target have
     shape (P, 1), one base value per row, and Newton runs until every row
-    has converged.  The step is refused when Newton does not converge (a
-    non-finite iterate never does) or some x moves 0.4 of its gap (_gaps)
-    or more.
+    has converged; once the iterations run out, a row has converged if each
+    last correction is within 4 times F's rounding error (_rounding_error)
+    over |F'|, the floor near ramification points.  The step is refused
+    when Newton does not converge (a non-finite iterate never does) or some
+    x moves 0.4 of its gap (_gaps) or more.
 
     On curves y is then carried by y_new = y sqrt(c(x_new) / c(x)), with
     the principal root, and this is its continuation along the step: the
@@ -366,7 +385,11 @@ def _stepper(e: MapExpr, max_newton_iters: int):
                 if np.all(converged):
                     break
             else:
-                return None, ~converged, bound
+                floor = 4 * _rounding_error(stages, derivs, x_new) / np.abs(slope_new)
+                converged = np.all(np.abs(delta) <= np.maximum(
+                    tol * np.maximum(1.0, np.abs(x_new)), floor), axis=-1)
+                if not np.all(converged):
+                    return None, ~converged, bound
         moved = np.abs(x_new - x)
         fits = moved < 0.4 * bound
         if not np.all(fits):
@@ -390,7 +413,8 @@ def _continue(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Continue the tracked half of a fiber (see Fiber) along every one
     of ``paths`` at once; returns the end positions stacked as (P, n), row
-    p for paths[p].
+    p for paths[p].  The start x and y have shape (n,), one fiber that
+    every path starts from, or (P, n), row p the start of paths[p].
 
     A path has ``.point(t)`` for t in [0, 1], ``.steps`` and ``.name``.
     All paths share one parameter t, and each step carries every row from
@@ -406,9 +430,8 @@ def _continue(
     the last step.
     """
     step = _stepper(e, cfg.max_newton_iters)
-    x = np.tile(x, (len(paths), 1))
-    if y is not None:
-        y = np.tile(y, (len(paths), 1))
+    x = np.broadcast_to(x, (len(paths), x.shape[-1]))
+    y = None if y is None else np.broadcast_to(y, x.shape)
     t = 0.0
     h = 1.0 / max(path.steps for path in paths)
     h_nominal = h

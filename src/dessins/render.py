@@ -2,12 +2,13 @@
 
 Vertices are the structural preimages of 0 (black) and 1 (white), computed
 stage by stage with exact multiplicity bookkeeping at critical values.
-Edges are the fiber points over 1/2, continued toward both endpoints along
-a geometric sample ladder with the continuation step of loop tracking
-(monodromy._stepper); each strand is attached to the vertex nearest its
-deep endpoint (x and y jointly on curves).  The strand count at every
-vertex must equal the vertex's ramification order, and the drawing refuses
-to render when the two disagree.
+Edges are the fiber points over 1/2, continued toward both endpoints
+through geometric ladders of base values by the continuation of loop
+tracking (monodromy._continue), one stacked run of the two ladders per
+rung; each strand is attached to the vertex nearest its deep endpoint (x
+and y jointly on curves).  The strand count at every vertex must equal
+the vertex's ramification order, and the drawing refuses to render when
+the two disagree.
 
 On curve chains one sheet of each (x, y), (x, -y) pair is continued, y
 carried along x; the other is its negation in y, on the same x.  The two
@@ -19,14 +20,14 @@ carrying the orders of all constituents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import maps
 from .maps import BelyiMN, FPoly, MapExpr, RootRef
-from .monodromy import Fiber, NotBelyiError, TrackingConfig, _stepper, fiber
+from .monodromy import NotBelyiError, TrackingConfig, _continue, _row, _Segment, fiber
 from .polynomials import ComplexPoly, roots, shifted_roots
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
@@ -175,41 +176,11 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
 # strand tracking
 
 
-def _ladder(step, x, y, targets, tol):
-    """Continue the tracked half of the fiber over 1/2 through a
-    decreasing ladder of base values; returns the Fiber after each rung.
-
-    A rejected step is retried to the midpoint in value space, as often
-    as needed; raises RenderError after 60 rejections in a row.
-    """
-    rungs = [Fiber(x, y)]
-    reached = 0.5
-    for target in targets:
-        pending = [float(target)]
-        depth = 0
-        while pending:
-            sub = pending[-1]
-            landed, _, _ = step(x, y, np.zeros(len(x)), reached, sub, tol)
-            if landed is None:
-                depth += 1
-                if depth > 60:
-                    raise RenderError("substep bisection stalled")
-                pending.append((reached + sub) / 2)
-                continue
-            depth = 0
-            x, y = landed
-            reached = sub
-            pending.pop()
-        rungs.append(Fiber(x, y))
-    return rungs
-
-
-def _value_ladder(samples: int, toward_one: bool) -> list[float]:
+def _rungs(samples: int) -> list[tuple[float, float]]:
+    """The base values of the two ladders, (v, 1 - v) with v falling
+    geometrically from 1/2 to ENDPOINT_VALUE_GAP in ``samples`` rungs."""
     ratio = (ENDPOINT_VALUE_GAP / 0.5) ** (1.0 / samples)
-    ladder = [0.5 * ratio**k for k in range(1, samples + 1)]
-    if toward_one:
-        return [1.0 - v for v in ladder]
-    return ladder
+    return [(v, 1.0 - v) for v in (0.5 * ratio**k for k in range(samples + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +212,9 @@ def render_graph(
     """Render the dessin of a chain with samples_per_edge rungs on each
     half-edge; see the module docstring.
 
-    Raises ValueError below 8 samples and NotBelyiError for a chain
-    branched off {0, 1, infinity}.
+    Raises ValueError below 8 samples, NotBelyiError for a chain branched
+    off {0, 1, infinity}, and StepUnderflowError, naming its segment, for a
+    strand that cannot be continued.
     """
     if samples_per_edge < 8:
         raise ValueError("samples_per_edge must be at least 8")
@@ -251,14 +223,19 @@ def render_graph(
     blacks = structural_vertices(e, 0)
     whites = structural_vertices(e, 1)
     base = fiber(e, 0.5, cfg)
-    step = _stepper(e, cfg.max_newton_iters)
     # Strands run into ramification points where |F'| -> 0, so the
     # attainable Newton step plateaus near eps/|F'| (about 1e-8 on the
     # last rung of a 10-fold point).  The loop tolerance is unreachable
     # there; 1e-7 still sits three decades below the merge tolerance.
-    tol = max(cfg.newton_tol, 1e-7)
-    to_zero = _ladder(step, base.x, base.y, _value_ladder(samples_per_edge, False), tol)
-    to_one = _ladder(step, base.x, base.y, _value_ladder(samples_per_edge, True), tol)
+    cfg = replace(cfg, newton_tol=max(cfg.newton_tol, 1e-7))
+    rungs = _rungs(samples_per_edge)
+    end = (base.x, base.y)
+    to_zero, to_one = [base], [base]
+    for previous, rung in zip(rungs, rungs[1:]):
+        # one nominal step per rung, on each ladder
+        end = _continue(e, [_Segment(a, b, np.inf) for a, b in zip(previous, rung)], *end, cfg)
+        to_zero.append(_row(end, 0))
+        to_one.append(_row(end, 1))
 
     # one row per fiber point, from its vertex over 0 to its vertex over 1
     lines = np.column_stack((

@@ -3,6 +3,7 @@ import importlib
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -400,6 +401,60 @@ class TestStep:
         assert np.all(lowered <= bound - moved - moved.max())
 
 
+class TestRoundingFloor:
+    """When Newton runs out of iterations, a row is accepted only if its
+    last corrections sit within 4 times the rounding error of F over |F'|."""
+
+    E = parse_map_expr("b(1,1).b(10,1)")
+
+    def test_unreachable_tolerance_gives_default_pair(self, monkeypatch, psi_pair):
+        # no correction meets 1e-30, so every step ends on the floor test
+        cfg = TrackingConfig(newton_tol=1e-30)
+        counts = Counter()
+        monkeypatch.setattr(MONODROMY, "_rounding_error", _counting(
+            counts, "_rounding_error", MONODROMY._rounding_error))
+
+        def make(e, max_newton_iters):
+            return _counting(counts, "step", _stepper(e, max_newton_iters))
+
+        monkeypatch.setattr(MONODROMY, "_stepper", make)
+        assert monodromy(self.E, cfg) == psi_pair
+        assert counts["step"] >= 256
+        assert counts["_rounding_error"] == counts["step"]
+
+    def test_non_finite_newton_refused(self, cfg):
+        # no row can meet 1e-30: the row near its start converges on the
+        # floor, and the row whose far target overflows the composite is refused
+        half = fiber(self.E, BASEPOINT, cfg)
+        step = _stepper(self.E, cfg.max_newton_iters)
+        x = np.stack((half.x, half.x))
+        origin = np.full((2, 1), BASEPOINT)
+        target = np.array([[0.6], [1e300]])
+        landed, refused, bound = step(x, None, np.zeros(x.shape), origin, target, 1e-30)
+        assert landed is None
+        assert refused.tolist() == [False, True]
+        assert not bound.any()
+
+    def test_bound_holds_against_exact_evaluation(self):
+        # the float composite against the same coefficients evaluated in
+        # 200-bit arithmetic, near the vertices at 0, 1 and 10/11 and off them
+        stages = MONODROMY._stage_polys(self.E)
+        derivs = [s.derivative() for s in stages]
+        rng = np.random.default_rng(3)
+        x = np.concatenate((
+            [1e-3, 1 - 2e-5j, (1 - math.sqrt(1 / 11)) / 2 + 1e-6],
+            rng.normal(scale=0.6, size=40) + 1j * rng.normal(scale=0.6, size=40) + 0.5,
+        ))
+        value, _ = MONODROMY._composite_and_derivative(stages, derivs, x)
+        error = MONODROMY._rounding_error(stages, derivs, x)
+        with mpmath.workprec(200):
+            for xi, vi, ei in zip(x.tolist(), value.tolist(), error.tolist()):
+                exact = mpmath.mpc(xi)
+                for poly in reversed(stages):
+                    exact = mpmath.polyval([mpmath.mpc(c) for c in reversed(poly.coeffs)], exact)
+                assert abs(vi - exact) <= ei
+
+
 class TestCurveStep:
     """The step on f.pi(2,7,11): tracked point 0 of the fiber over 1/2 is
     0.055 from the root r_7 of c and 0.48 from the nearest other x, so a
@@ -599,13 +654,15 @@ class TestDecisionsUnchanged:
         assert counts["_composite_and_derivative"] == 1026
         assert counts["_gaps"] <= 40
         # the stability probe on a curve chain (6146 one path at a time) and
-        # the render ladders, which continue one row as before
+        # the render ladders, both ladders one stacked run per rung (363
+        # evaluations and 97 exact gaps one ladder at a time)
         counts.clear()
         monodromy_json(parse_map_expr("b(10,1).f.pi(3,4,12)"), cfg, check_stability=True)
         assert counts["_composite_and_derivative"] == 3073
         counts.clear()
         render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
-        assert counts["_composite_and_derivative"] == 363
+        assert counts["_composite_and_derivative"] == 193
+        assert counts["_gaps"] == 49
 
     def test_fiber_root_solves(self, monkeypatch):
         # one batched solve per polynomial stage, none one value at a time
@@ -694,6 +751,25 @@ class TestStacked:
             assert np.array_equal(gaps[p], _gaps(x[p], branch))
             assert np.array_equal(lowered[p], _lowered(gaps[p], moved[p]))
         assert gaps[2].min() < 1e-2 < np.delete(gaps, 2, axis=0).min()
+
+    @pytest.mark.parametrize("text", ["b(1,1).b(10,1)", "b(10,1).f.pi(2,7,11)"])
+    def test_stacked_start_row_for_row(self, cfg, text):
+        # row p of a (P, n) start continues along paths[p] as it would alone
+        e = parse_map_expr(text)
+        points = fiber(e, BASEPOINT, cfg)
+        first = [_Segment(BASEPOINT, v, 0.05) for v in (0.3, 0.6 + 0.1j, 0.7)]
+        start = _continue(e, first, points.x, points.y, cfg)
+        assert not np.allclose(start[0][0], start[0][1])
+        paths = [_Segment(a, b, 0.05) for a, b in ((0.3, 0.2), (0.6 + 0.1j, 0.6 - 0.1j), (0.7, 0.8))]
+        end = _continue(e, paths, *start, cfg)
+        for p, path in enumerate(paths):
+            row = _row(start, p)
+            alone = _continue(e, [path], row.x, row.y, cfg)
+            # equal to Newton's tolerance: a row may take the extra Newton
+            # iterations or shorter steps of another
+            assert np.allclose(end[0][p], alone[0][0], rtol=0, atol=1e-10)
+            if row.y is not None:
+                assert np.allclose(end[1][p], alone[1][0], rtol=0, atol=1e-10)
 
     def test_underflow_names_the_refusing_path(self):
         cfg = TrackingConfig(initial_step=1 / 32, min_step=1 / 32)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dessins.maps import parse_map_expr
-from dessins.monodromy import NotBelyiError
+from dessins.monodromy import NotBelyiError, monodromy
 from dessins.perms import cycle_type
 from dessins.polynomials import roots_of_f
 from dessins.render import (
@@ -204,6 +204,19 @@ class TestFullChainRender:
         assert circles == result.merged_black_count + result.merged_white_count
 
 
+class TestHighRamification:
+    """Strands into 6- to 20-fold vertices, where Newton meets its 1e-7
+    tolerance only to within rounding: every vertex collects its order."""
+
+    @pytest.mark.parametrize("chain", ["b(4,6)", "b(5,6)", "b(1,1).b(1,8)", "b(20,2).f"])
+    def test_orders_match_monodromy(self, chain):
+        e = parse_map_expr(chain)
+        res = render_graph(e)
+        g0, g1 = monodromy(e)
+        assert sorted(v.order for v in res.black_vertices) == sorted(cycle_type(g0).parts)
+        assert sorted(v.order for v in res.white_vertices) == sorted(cycle_type(g1).parts)
+
+
 # sha256 of the SVG with the default plan and config; any change to the
 # tracked strands, the attachment or the number formatting shows here
 GOLDEN_SVG_SHA256 = {
@@ -229,6 +242,7 @@ class TestGoldenSvg:
     def test_full_chain(self, result):
         assert _svg_sha256(result.svg) == GOLDEN_SVG_SHA256["b(1,1).b(10,1).f.pi(2,7,11)"]
 
-    def test_stalled_ladder_refused(self):
-        with pytest.raises(RenderError, match="stalled"):
+    def test_unreached_vertex_refused(self):
+        # the strands stop at value 1e-8, out of reach of this 40-fold vertex
+        with pytest.raises(RenderError, match="collected 2 strands, ramification order is 40$"):
             render_graph(parse_map_expr("b(1,1).b(20,2).f.pi(1,6,9)"))

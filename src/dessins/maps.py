@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -107,6 +108,26 @@ class BelyiMN:
         m, n = self.m, self.n
         return Fraction((m + n) ** (m + n), m**m * n**n)
 
+    @cached_property
+    def _lead(self) -> float:
+        return float(self.lead_constant)
+
+    def value_and_slope(self, u):
+        """b(u) and b'(u) in product form: with core = K u^(m-1) (1-u)^(n-1),
+        b = core u (1-u) and b' = core (m - (m+n) u)."""
+        m, n = self.m, self.n
+        w = 1 - u
+        core = self._lead
+        if m > 1:
+            core = core * u ** (m - 1)
+        if n > 1:
+            core = core * w ** (n - 1)
+        return core * u * w, core * (m - (m + n) * u)
+
+    def majorant(self, a):
+        """The sum of |c_k| a^k over the coefficients of b, K a^m (1+a)^n."""
+        return self._lead * a**self.m * (1 + a) ** self.n
+
     def text(self) -> str:
         return f"b({self.m},{self.n})"
 
@@ -114,6 +135,15 @@ class BelyiMN:
 @dataclass(frozen=True)
 class FPoly:
     degree = 12
+
+    def value_and_slope(self, u):
+        """f(u) = u^10 u (u - 12/11) + 1 and f'(u) = 12 u^10 (u - 1)."""
+        u10 = u**10
+        return u10 * u * (u - 12 / 11) + 1, 12 * u10 * (u - 1)
+
+    def majorant(self, a):
+        """The sum of |c_k| a^k over the coefficients of f."""
+        return a**12 + 12 / 11 * a**11 + 1
 
     def text(self) -> str:
         return "f"
@@ -287,11 +317,8 @@ def as_poly(prim: Primitive) -> ComplexPoly:
     if isinstance(prim, FPoly):
         return f_polynomial()
     if isinstance(prim, BelyiMN):
-        m, n, c = prim.m, prim.n, float(prim.lead_constant)
-        coeffs = [0.0] * (m + n + 1)
-        for k in range(n + 1):
-            coeffs[m + k] = c * ((-1) ** k) * math.comb(n, k)
-        return ComplexPoly(tuple(coeffs))
+        c, n = prim._lead, prim.n
+        return ComplexPoly((0.0,) * prim.m + tuple(c * (-1) ** k * math.comb(n, k) for k in range(n + 1)))
     raise TypeError("pi has no single-variable coefficient form")
 
 

@@ -5,7 +5,9 @@ primitive first, each value pulled back through the next primitive).  A
 loop is a segment from the base point to a circle, the full circle
 counterclockwise, and the segment back; the fiber is continued along it
 with a tangent predictor and a Newton corrector on the composite equation
-F(x) = gamma(t).  On a curve y^2 = c(x) only x is continued, on the
+F(x) = gamma(t), F and F' taken by the chain rule over each primitive's
+product form, and the predictor on the slope of the last Newton iteration
+of the step before.  On a curve y^2 = c(x) only x is continued, on the
 polynomial stages alone, and y is carried by the exact ratio sqrt(c(x_new)
 / c(x)); a step is accepted only when it moves each x much less than its
 gap to the other x and to the roots of c.  Render's strands take this
@@ -52,9 +54,9 @@ from typing import Sequence
 import numpy as np
 
 from . import maps
-from .maps import MapExpr
+from .maps import MapExpr, Primitive
 from .perms import Permutation, compose, inverse, format_cycles
-from .polynomials import ComplexPoly, shifted_roots
+from .polynomials import shifted_roots
 
 BASEPOINT = 0.5
 
@@ -210,20 +212,12 @@ class MonodromyPair:
         return iter((self.g0, self.g1))
 
 
-def _stage_polys(e: MapExpr) -> list[ComplexPoly]:
-    return [maps.as_poly(p) for p in e.polynomial_part()]
-
-
-def _composite_and_derivative(
-    stages: Sequence[ComplexPoly],
-    derivs: Sequence[ComplexPoly],
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    value = x
-    slope = np.ones_like(x)
-    for poly, dpoly in zip(reversed(stages), reversed(derivs)):
-        slope = dpoly.eval_many(value) * slope
-        value = poly.eval_many(value)
+def _composite_and_derivative(stages: Sequence[Primitive], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and F' at x by the chain rule over value_and_slope of each stage."""
+    value, slope = x, None
+    for prim in reversed(stages):
+        value, stage_slope = prim.value_and_slope(value)
+        slope = stage_slope if slope is None else stage_slope * slope
     return value, slope
 
 
@@ -240,10 +234,9 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> Fib
         if abs(p - v) < 1e-6:
             raise NearBranchError(f"base point {p} within 1e-6 of branch value {v}")
 
-    stages = _stage_polys(e)
     values: list[complex] = [complex(p)]
-    for poly in stages:
-        values = [x for row in shifted_roots(poly, values) for x in row]
+    for prim in e.polynomial_part():
+        values = [x for row in shifted_roots(maps.as_poly(prim), values) for x in row]
 
     values.sort(key=lambda x: (x.real, x.imag))
     x = np.array(values, dtype=complex)
@@ -261,7 +254,7 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> Fib
     if dist <= cfg.match_tol:
         raise CollisionError(f"fiber points within {dist:.3e}")
     # on curves y is a square root of c(x) by construction, so x decides
-    value, _ = _composite_and_derivative(stages, [s.derivative() for s in stages], x)
+    value, _ = _composite_and_derivative(e.polynomial_part(), x)
     if np.any(np.abs(value - p) >= 1e-8):
         raise TrackingError("fiber point fails to evaluate back to base")
     return out
@@ -313,19 +306,19 @@ def _lowered(bound: np.ndarray, moved: np.ndarray) -> np.ndarray:
     return bound * (1 - _BOUND_SLACK) - (moved + farthest) * (1 + _BOUND_SLACK)
 
 
-def _rounding_error(stages: Sequence[ComplexPoly], derivs: Sequence[ComplexPoly], x):
+def _rounding_error(stages: Sequence[Primitive], x: np.ndarray) -> np.ndarray:
     """A first-order bound on the rounding error of the composite value
     that _composite_and_derivative computes at x: Horner's rule on a stage
-    of degree n at u errs by at most gamma_2n sum |c_k| |u|^k, where
-    gamma_k = k u / (1 - k u) with u = 2**-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, 5.1), and the error already
-    in u is carried outward by |p'(u)|."""
+    of degree n at u errs by at most gamma_2n sum |c_k| |u|^k (.majorant),
+    where gamma_k = k u / (1 - k u) with u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 5.1), the product form within
+    half that in 200-bit checks, and the error in u is carried by |p'(u)|."""
     error = np.zeros(x.shape)
-    for poly, dpoly in zip(reversed(stages), reversed(derivs)):
-        k = 2 * poly.degree * 2.0**-53
-        magnitude = ComplexPoly(tuple(abs(c) for c in poly.coeffs)).eval_many(np.abs(x)).real
-        error = np.abs(dpoly.eval_many(x)) * error + k / (1 - k) * magnitude
-        x = poly.eval_many(x)  # the stage's value, the next stage's argument
+    for prim in reversed(stages):
+        k = 2 * prim.degree * 2.0**-53
+        value, slope = prim.value_and_slope(x)
+        error = np.abs(slope) * error + k / (1 - k) * prim.majorant(np.abs(x))
+        x = value  # the stage's value, the next stage's argument
     return error
 
 
@@ -333,16 +326,17 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     Fiber), one row of shape (n,) or rows stacked as (P, n).
 
-    ``step(x, y, bound, origin, target, tol)`` carries the points sitting
-    over the base value ``origin`` to ``target``: a tangent predictor, then
-    Newton on F(x) = target to relative tolerance ``tol`` in at most
-    max_newton_iters iterations.  On stacked rows, origin and target have
-    shape (P, 1), one base value per row, and Newton runs until every row
-    has converged; once the iterations run out, a row has converged if each
-    last correction is within 4 times F's rounding error (_rounding_error)
-    over |F'|, the floor near ramification points.  The step is refused
-    when Newton does not converge (a non-finite iterate never does) or some
-    x moves 0.4 of its gap (_gaps) or more.
+    ``step(x, y, bound, slope, origin, target, tol)`` carries the points
+    sitting over the base value ``origin`` to ``target``: a tangent
+    predictor along ``slope``, F' at or one Newton correction from x (None
+    evaluates it at x), then Newton on F(x) = target to relative tolerance
+    ``tol`` in at most max_newton_iters iterations.  On stacked rows, origin
+    and target have shape (P, 1), one base value per row, and Newton runs
+    until every row has converged; once the iterations run out, a row has
+    converged if each last correction is within 4 times F's rounding error
+    (_rounding_error) over |F'|, the floor near ramification points.  The
+    step is refused when Newton does not converge (a non-finite iterate
+    never does) or some x moves 0.4 of its gap (_gaps) or more.
 
     On curves y is then carried by y_new = y sqrt(c(x_new) / c(x)), with
     the principal root, and this is its continuation along the step: the
@@ -350,7 +344,7 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     on the segment from x to x_new each factor (x' - r) / (x - r) of
     c(x') / c(x) lies in the disc of radius 0.4 about 1, the product has
     argument below 3 asin 0.4 < 1.24 < pi, and its principal root moves
-    continuously from 1.
+    continuously from 1.  c(x) is Proj.curve_rhs bit for bit.
 
     ``bound`` is a per-point lower bound on the float value of _gaps,
     kept by the caller from step to step; zeros are always valid, and make
@@ -360,46 +354,46 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     multiplication by 0.4 is monotone, so a step the bound accepts is one
     the exact guard accepts too, and every decision is the exact one.
 
-    Returns (landed, refused, bound).  landed is the new (x, y), or None
-    when the step is refused; refused tells, row by row, which rows failed
-    Newton or the gap guard.  bound holds for the points the caller now
-    has.  After a refusal it is the old bound, or the exact gaps when they
-    were computed.  After an acceptance it is the old bound, or the exact
-    gaps, lowered by moved_i + max_j moved_j less a rounding slack
-    (_lowered).
+    Returns (landed, refused, bound, slope).  landed is the new (x, y), or
+    None when the step is refused; refused tells, row by row, which rows
+    failed Newton or the gap guard.  bound holds for the points the caller
+    now has: the old bound, or the exact gaps when they were computed,
+    lowered after an acceptance by moved_i + max_j moved_j less a rounding
+    slack (_lowered).  slope is the predictor's after a refusal, as x has
+    not moved, and F' at the last Newton iterate after an acceptance.
     """
-    stages = _stage_polys(e)
-    derivs = [s.derivative() for s in stages]
-    proj = e.proj
-    branch = None if proj is None else np.array(proj.cubic_roots())
+    stages = e.polynomial_part()
+    branch = None if e.proj is None else np.array(e.proj.cubic_roots())
 
-    def step(x, y, bound, origin, target, tol):
+    def step(x, y, bound, slope, origin, target, tol):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _, slope = _composite_and_derivative(stages, derivs, x)
+            if slope is None:
+                _, slope = _composite_and_derivative(stages, x)
             x_new = x + (target - origin) / slope
             for _ in range(max_newton_iters):
-                value, slope_new = _composite_and_derivative(stages, derivs, x_new)
+                value, slope_new = _composite_and_derivative(stages, x_new)
                 delta = (value - target) / slope_new
                 x_new = x_new - delta
-                converged = np.all(np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new)), axis=-1)
-                if np.all(converged):
+                if (np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))).all():
                     break
             else:
-                floor = 4 * _rounding_error(stages, derivs, x_new) / np.abs(slope_new)
+                floor = 4 * _rounding_error(stages, x_new) / np.abs(slope_new)
                 converged = np.all(np.abs(delta) <= np.maximum(
                     tol * np.maximum(1.0, np.abs(x_new)), floor), axis=-1)
-                if not np.all(converged):
-                    return None, ~converged, bound
+                if not converged.all():
+                    return None, ~converged, bound, slope
         moved = np.abs(x_new - x)
         fits = moved < 0.4 * bound
-        if not np.all(fits):
+        if not fits.all():
             bound = _gaps(x, branch)
             fits = moved < 0.4 * bound
-            if not np.all(fits):
-                return None, ~np.all(fits, axis=-1), bound
-        if proj is not None:
-            y = y * np.sqrt(proj.curve_rhs(x_new) / proj.curve_rhs(x))
-        return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), _lowered(bound, moved)
+            if not fits.all():
+                return None, ~fits.all(axis=-1), bound, slope
+        if branch is not None:
+            ri, rj, rk = branch
+            y = y * np.sqrt((x_new - ri) * (x_new - rj) * (x_new - rk)
+                            / ((x - ri) * (x - rj) * (x - rk)))
+        return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), _lowered(bound, moved), slope_new
 
     return step
 
@@ -425,9 +419,9 @@ def _continue(
     nothing else: each gap counts only the fiber of its own path.  The gap
     bound of _stepper starts at zero, so the first step computes the exact
     gaps, and is then carried along the paths; the exact gaps are
-    recomputed only where the bound cannot accept a step.  Raises
-    StepUnderflowError below min_step, naming the paths whose rows refused
-    the last step.
+    recomputed only where the bound cannot accept a step.  The predictor
+    slope is carried alike, from None.  Raises StepUnderflowError below
+    min_step, naming the paths whose rows refused the last step.
     """
     step = _stepper(e, cfg.max_newton_iters)
     x = np.broadcast_to(x, (len(paths), x.shape[-1]))
@@ -437,10 +431,11 @@ def _continue(
     h_nominal = h
     gamma_t = np.array([[path.point(0.0)] for path in paths])
     bound = np.zeros(x.shape)
+    slope = None
     while t < 1.0:
         h = min(h, 1.0 - t)
         target = np.array([[path.point(t + h)] for path in paths])
-        landed, refused, bound = step(x, y, bound, gamma_t, target, cfg.newton_tol)
+        landed, refused, bound, slope = step(x, y, bound, slope, gamma_t, target, cfg.newton_tol)
         if landed is None:
             h /= 2
             if h < cfg.min_step:

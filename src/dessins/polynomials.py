@@ -82,28 +82,6 @@ class ComplexPoly:
             acc = acc * x + c
         return acc
 
-    def eval_many(self, x: np.ndarray) -> np.ndarray:
-        """Horner's rule elementwise, in place, skipping zero coefficients.
-
-        Adding an exact zero changes no value but the sign of an exact
-        zero, and neither does starting from the leading coefficient in
-        place of zero times x plus it.  So at finite x the result is that
-        of dense Horner bit for bit up to signed zeros, at one multiply
-        per degree and one add per nonzero coefficient (f has 3 nonzero
-        coefficients of 13, b(10,1) 2 of 12).
-        """
-        acc = np.full(np.shape(x), self.coeffs[-1], dtype=complex)
-        for c in reversed(self.coeffs[:-1]):
-            acc *= x
-            if c:
-                acc += c
-        return acc
-
-    def derivative(self) -> "ComplexPoly":
-        if self.degree == 0:
-            return ComplexPoly((0j,))
-        return ComplexPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
     def deflate(self, root: complex) -> "ComplexPoly":
         """Synthetic division by (x - root); the remainder is discarded."""
         out = [0j] * self.degree
@@ -191,8 +169,8 @@ def _aberth(
         if not active.size:
             break
 
-    # Horner on poly - v, skipping zero coefficients as eval_many does; an
-    # added zero constant could only flip the sign of a zero residual
+    # Horner on poly - v, skipping zero coefficients: an added zero could
+    # only flip the sign of a zero, so this is dense Horner bit for bit
     acc = np.full(z.shape, lead, dtype=complex)
     for c in reversed(poly.coeffs[1:-1]):
         acc *= z

@@ -1,9 +1,8 @@
 """Dense Horner's rule, deliberately naive.
 
 Every coefficient is multiplied in and added, zeros included, starting
-from zero: the package's ComplexPoly.eval_many before zero coefficients
-were skipped, kept so that the sparse evaluation can be checked against
-it bit for bit.
+from zero: the reference that the product form of the chain primitives
+is checked against, and the residuals of the naive root finder.
 """
 
 from __future__ import annotations

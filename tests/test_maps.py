@@ -99,8 +99,7 @@ class TestParsing:
 def _composite(text, x):
     """The polynomial part of a chain at the points x, as continuation
     evaluates it."""
-    stages = [as_poly(p) for p in parse_map_expr(text).polynomial_part()]
-    value, _ = _composite_and_derivative(stages, [s.derivative() for s in stages], np.array(x))
+    value, _ = _composite_and_derivative(parse_map_expr(text).polynomial_part(), np.array(x))
     return value
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dessins.dessin import Constellation, isomorphic
 from dessins.galois import Triple, full_chain
-from dessins.maps import parse_map_expr
+from dessins.maps import as_poly, parse_map_expr
 from dessins.monodromy import (
     BASEPOINT,
     Fiber,
@@ -44,7 +44,7 @@ from dessins.perms import (
     is_transitive,
     parse_cycles,
 )
-from dessins.polynomials import f_polynomial
+from dessins.polynomials import ComplexPoly, f_polynomial, roots
 from dessins.render import render_graph
 
 # the module itself: the package re-exports the function of the same name
@@ -365,7 +365,7 @@ class TestStep:
         return np.array([(1 - math.sqrt(1 - v)) / 2, (1 + math.sqrt(1 - v)) / 2])
 
     def test_short_step_lands_on_fiber(self, cfg, step, half):
-        (x, y), refused, _ = step(half.x, half.y, np.zeros(2), BASEPOINT, 0.9, cfg.newton_tol)
+        (x, y), refused, _, _ = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
         assert not refused
         assert y is None
         assert np.allclose(x, self._over(0.9), atol=1e-12)
@@ -376,18 +376,31 @@ class TestStep:
         # refused from the trivial bound and from the tightest valid one;
         # either way the exact gaps are computed and handed back
         for bound in (np.zeros(2), _gaps(half.x, None)):
-            landed, refused, bound = step(half.x, half.y, bound, BASEPOINT, 0.99, cfg.newton_tol)
+            landed, refused, bound, _ = step(half.x, half.y, bound, None, BASEPOINT, 0.99, cfg.newton_tol)
             assert landed is None and refused
             assert np.array_equal(bound, _gaps(half.x, None))
-        mid, _, bound = step(half.x, half.y, bound, BASEPOINT, 0.9, cfg.newton_tol)
-        (x, _), _, _ = step(*mid, bound, 0.9, 0.99, cfg.newton_tol)
+        mid, _, bound, slope = step(half.x, half.y, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _), _, _, _ = step(*mid, bound, slope, 0.9, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
         # the gap guard alone refuses the over-long step
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: np.full(len(x), np.inf))
-        (x, _), _, _ = step(half.x, half.y, np.zeros(2), BASEPOINT, 0.99, cfg.newton_tol)
+        (x, _), _, _, _ = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
+
+    def test_slope_handed_back(self, cfg, step, half):
+        # a refused step leaves x where it was, and hands back F' there;
+        # an accepted one hands back F' at its last Newton iterate
+        stages = self.E.polynomial_part()
+        _, at_x = MONODROMY._composite_and_derivative(stages, half.x)
+        landed, _, _, slope = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
+        assert landed is None and np.array_equal(slope, at_x)
+        given = at_x * (1 + 1e-9)
+        landed, _, _, slope = step(half.x, half.y, np.zeros(2), given, BASEPOINT, 0.99, cfg.newton_tol)
+        assert landed is None and slope is given
+        (x, _), _, _, slope = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
+        assert np.allclose(slope, MONODROMY._composite_and_derivative(stages, x)[1], rtol=1e-10)
 
     def test_accepting_bound_skips_exact_gaps(self, cfg, step, half, monkeypatch):
         bound = _gaps(half.x, None)
@@ -396,7 +409,7 @@ class TestStep:
             raise AssertionError("exact gaps computed")
 
         monkeypatch.setattr(MONODROMY, "_gaps", refuse)
-        (x, _), _, lowered = step(half.x, half.y, bound, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _), _, lowered, _ = step(half.x, half.y, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
         moved = np.abs(x - half.x)
         assert np.all(lowered <= bound - moved - moved.max())
 
@@ -430,29 +443,48 @@ class TestRoundingFloor:
         x = np.stack((half.x, half.x))
         origin = np.full((2, 1), BASEPOINT)
         target = np.array([[0.6], [1e300]])
-        landed, refused, bound = step(x, None, np.zeros(x.shape), origin, target, 1e-30)
+        landed, refused, bound, _ = step(x, None, np.zeros(x.shape), None, origin, target, 1e-30)
         assert landed is None
         assert refused.tolist() == [False, True]
         assert not bound.any()
 
+    @staticmethod
+    def _near(rng, vertices, count):
+        """``count`` points within 1e-6 of each vertex."""
+        return [v + 1e-6 * rng.random() * np.exp(2j * np.pi * rng.random())
+                for v in vertices for _ in range(count)]
+
     def test_bound_holds_against_exact_evaluation(self):
         # the float composite against the same coefficients evaluated in
-        # 200-bit arithmetic, near the vertices at 0, 1 and 10/11 and off them
-        stages = MONODROMY._stage_polys(self.E)
-        derivs = [s.derivative() for s in stages]
+        # 200-bit arithmetic, near the vertices and off them.  Over f the
+        # vertices are 0 and 12/11 over 1, the roots of f, where b(m,n)
+        # ramifies m-fold, and the preimages of 10/11 = m/(m + n): 1,
+        # doubled, and the ten roots of (f - 10/11) / (x - 1)^2
         rng = np.random.default_rng(3)
-        x = np.concatenate((
-            [1e-3, 1 - 2e-5j, (1 - math.sqrt(1 / 11)) / 2 + 1e-6],
-            rng.normal(scale=0.6, size=40) + 1j * rng.normal(scale=0.6, size=40) + 0.5,
-        ))
-        value, _ = MONODROMY._composite_and_derivative(stages, derivs, x)
-        error = MONODROMY._rounding_error(stages, derivs, x)
-        with mpmath.workprec(200):
-            for xi, vi, ei in zip(x.tolist(), value.tolist(), error.tolist()):
-                exact = mpmath.mpc(xi)
-                for poly in reversed(stages):
-                    exact = mpmath.polyval([mpmath.mpc(c) for c in reversed(poly.coeffs)], exact)
-                assert abs(vi - exact) <= ei
+        chains = {
+            "b(1,1).b(10,1)": [1e-3, 1 - 2e-5j, (1 - math.sqrt(1 / 11)) / 2 + 1e-6],
+            "b(4,6)": self._near(rng, [0, 1, 0.4], 16),
+            "b(5,6)": self._near(rng, [0, 1, 5 / 11], 16),
+        }
+        f = f_polynomial()
+        white = ComplexPoly((1 / 11,) + f.coeffs[1:]).deflate(1).deflate(1)
+        over_f = self._near(rng, [0, 1, 12 / 11], 8) + self._near(rng, roots(f) + roots(white), 2)
+        chains.update({"b(20,2).f": over_f, "b(30,3).f": over_f})
+        for text, points in chains.items():
+            stages = parse_map_expr(text).polynomial_part()
+            x = np.concatenate((
+                points,
+                rng.normal(scale=0.6, size=40) + 1j * rng.normal(scale=0.6, size=40) + 0.5,
+            ))
+            value, _ = MONODROMY._composite_and_derivative(stages, x)
+            error = MONODROMY._rounding_error(stages, x)
+            with mpmath.workprec(200):
+                for xi, vi, ei in zip(x.tolist(), value.tolist(), error.tolist()):
+                    exact = mpmath.mpc(xi)
+                    for prim in reversed(stages):
+                        coeffs = reversed(as_poly(prim).coeffs)
+                        exact = mpmath.polyval([mpmath.mpc(c) for c in coeffs], exact)
+                    assert abs(vi - exact) <= ei, (text, xi)
 
 
 class TestCurveStep:
@@ -475,19 +507,19 @@ class TestCurveStep:
     def _step(self, cfg, frac):
         half, target, goal = self._toward_root(cfg, frac)
         step = _stepper(self.E, cfg.max_newton_iters)
-        return step(half.x, half.y, np.zeros(len(half.x)), BASEPOINT, target, cfg.newton_tol), goal
+        return step(half.x, half.y, np.zeros(len(half.x)), None, BASEPOINT, target, cfg.newton_tol), goal
 
     def test_step_toward_root_refused(self, cfg):
-        (landed, refused, bound), _ = self._step(cfg, 0.41)
+        (landed, refused, bound, _), _ = self._step(cfg, 0.41)
         assert landed is None and refused
         half, *_ = self._toward_root(cfg, 0.41)
         assert np.array_equal(bound, _gaps(half.x, self.BRANCH))
-        (landed, _, _), _ = self._step(cfg, 0.39)
+        (landed, _, _, _), _ = self._step(cfg, 0.39)
         assert landed is not None
 
     def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: _gaps(x, None))
-        ((x, y), _, _), goal = self._step(cfg, 0.41)
+        ((x, y), _, _, _), goal = self._step(cfg, 0.41)
         assert abs(x[0] - goal) < 1e-12
         c = self.E.proj.curve_rhs(x)
         assert np.all(np.abs(y**2 - c) <= 1e-12 * np.abs(c))
@@ -508,13 +540,13 @@ class TestCurveY:
         def make(e, max_newton_iters):
             step = _stepper(e, max_newton_iters)
 
-            def checked(x, y, bound, origin, target, tol):
-                landed, refused, bound = step(x, y, bound, origin, target, tol)
+            def checked(x, y, bound, slope, origin, target, tol):
+                landed, refused, bound, slope = step(x, y, bound, slope, origin, target, tol)
                 if landed is not None:
                     s = np.sqrt(c(landed[0]))
                     nearer = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
                     agree.append(np.all(np.abs(landed[1] - nearer) < np.abs(landed[1] + nearer)))
-                return landed, refused, bound
+                return landed, refused, bound, slope
 
             return checked
 
@@ -586,19 +618,22 @@ class TestGapBound:
             assert bound == pytest.approx(_gaps(x, branch) - steps * delta, abs=1e-8)
 
 
-def _recording_stepper(log, exact_only):
+def _recording_stepper(log, exact_only, fresh_slope=False):
     """A _stepper that logs (origin, target, accepted) for every step,
-    and with exact_only passes a zero bound, so that every gap guard
-    computes the exact gaps."""
+    with exact_only passes a zero bound, so that every gap guard computes
+    the exact gaps, and with fresh_slope passes no slope, so that every
+    predictor evaluates F' at its own x."""
     def make(e, max_newton_iters):
         step = _stepper(e, max_newton_iters)
 
-        def logged(x, y, bound, origin, target, tol):
+        def logged(x, y, bound, slope, origin, target, tol):
             if exact_only:
                 bound = np.zeros(len(x))
-            landed, refused, bound = step(x, y, bound, origin, target, tol)
+            if fresh_slope:
+                slope = None
+            landed, refused, bound, slope = step(x, y, bound, slope, origin, target, tol)
             log.append((origin, target, landed is not None))
-            return landed, refused, bound
+            return landed, refused, bound, slope
 
         return logged
 
@@ -641,6 +676,23 @@ class TestDecisionsUnchanged:
         if loop.steps == 32:
             assert not all(accepted for *_, accepted in log)
 
+    def test_carried_slope_same_decisions(self, cfg, monkeypatch):
+        """The predictor on the slope of the last Newton iterate takes the
+        steps that a predictor on F' at the landed x takes, and lands on
+        the same points to Newton's tolerance."""
+        loop = LoopSpec(center=1 + 0j, radius=0.02, steps=32)
+        start = fiber(self.E, BASEPOINT, cfg)
+        runs = []
+        for fresh_slope in (False, True):
+            log = []
+            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, False, fresh_slope))
+            runs.append((log, _continue(self.E, [loop], start.x, start.y, cfg)))
+        (log, end), (fresh_log, fresh_end) = runs
+        assert log == fresh_log
+        assert not all(accepted for *_, accepted in log)
+        assert np.allclose(end[0], fresh_end[0], rtol=0, atol=1e-10)
+        assert np.allclose(end[1], fresh_end[1], rtol=0, atol=1e-10)
+
     def test_full_chain_work(self, cfg, monkeypatch, full_pair):
         # the trajectory is the one of the exact guard: as many composite
         # evaluations as before the bound was carried, and far fewer gaps
@@ -650,15 +702,17 @@ class TestDecisionsUnchanged:
                 MONODROMY, name, _counting(counts, name, getattr(MONODROMY, name)))
         assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
         # the four paths are one stacked run of 256 steps, where they took
-        # 600 one path at a time (2406 evaluations)
-        assert counts["_composite_and_derivative"] == 1026
+        # 600 one path at a time (2406 evaluations); each step's predictor
+        # reuses the slope of the step before (1026 evaluating it afresh)
+        assert counts["_composite_and_derivative"] == 771
         assert counts["_gaps"] <= 40
-        # the stability probe on a curve chain (6146 one path at a time) and
-        # the render ladders, both ladders one stacked run per rung (363
-        # evaluations and 97 exact gaps one ladder at a time)
+        # the stability probe on a curve chain (6146 one path at a time, 3073
+        # evaluating each predictor slope afresh) and the render ladders, both
+        # ladders one stacked run per rung (363 evaluations and 97 exact gaps
+        # one ladder at a time)
         counts.clear()
         monodromy_json(parse_map_expr("b(10,1).f.pi(3,4,12)"), cfg, check_stability=True)
-        assert counts["_composite_and_derivative"] == 3073
+        assert counts["_composite_and_derivative"] == 2307
         counts.clear()
         render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
         assert counts["_composite_and_derivative"] == 193

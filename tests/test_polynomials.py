@@ -9,6 +9,7 @@ from naive_horner import dense_eval_many
 from naive_roots import naive_roots
 
 from dessins.maps import BelyiMN, FPoly, as_poly
+from dessins.monodromy import _rounding_error
 from dessins.polynomials import (
     ClusteredRootsError,
     ComplexPoly,
@@ -38,15 +39,6 @@ class TestComplexPoly:
         assert p(1) == 0
         assert p(3) == 4
 
-    def test_eval_many_matches_scalar(self):
-        p = ComplexPoly((2, 0, 1, 3))
-        xs = np.array([0.5, -1 + 2j, 3j])
-        assert np.allclose(p.eval_many(xs), [p(x) for x in xs])
-
-    def test_derivative(self):
-        p = ComplexPoly((5, 3, 2))  # 2x^2+3x+5
-        assert p.derivative().coeffs == (3, 4)
-
     def test_deflate_removes_root(self):
         p = ComplexPoly((-6, 11, -6, 1))  # (x-1)(x-2)(x-3)
         q = p.deflate(1.0)
@@ -58,39 +50,53 @@ _coeff = st.one_of(
     st.just(0j),
     st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
 )
-_points = st.lists(
-    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    min_size=1, max_size=8)
+
+_PRIMITIVES = [FPoly()] + [BelyiMN(m, n) for m in range(1, 13) for n in range(1, 13)]
 
 
-class TestSparseHorner:
-    """eval_many skips zero coefficients; the values must be those of
-    dense Horner bit for bit (np.array_equal does not tell signed zeros
-    apart, which is the one thing the skipped additions change)."""
+def _slope_coeffs(prim):
+    """The ascending coefficients of the derivative of a primitive."""
+    return [k * c for k, c in enumerate(as_poly(prim).coeffs)][1:]
 
-    @given(st.lists(_coeff, min_size=1, max_size=17).filter(any), _points)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_dense_horner(self, coeffs, xs):
-        p = ComplexPoly(tuple(coeffs))
-        x = np.array(xs, dtype=complex)
-        assert np.array_equal(p.eval_many(x), dense_eval_many(p.coeffs, x))
 
-    @pytest.mark.parametrize("prim", [FPoly(), BelyiMN(10, 1), BelyiMN(1, 1)])
-    def test_chain_polynomials_and_derivatives(self, prim):
-        rng = np.random.default_rng(7)
-        x = np.concatenate([
-            rng.normal(size=200) + 1j * rng.normal(size=200),
-            np.linspace(-1.5, 1.5, 31) + 0j,
-            np.array([0j, 1 + 0j, 12 / 11 + 0j]),
-        ])
-        p = as_poly(prim)
-        for q in (p, p.derivative()):
-            assert np.array_equal(q.eval_many(x), dense_eval_many(q.coeffs, x))
+class TestProductForm:
+    """Each primitive evaluates itself and its slope in product form; both
+    must agree with dense Horner on the coefficient form to within the
+    rounding bound of continuation (_rounding_error), at random points and
+    within 1e-6 of the vertices, where the two round most differently."""
+
+    @staticmethod
+    def _points(prim):
+        rng = np.random.default_rng(17)
+        vertices = [0, 1, 12 / 11] if isinstance(prim, FPoly) else [0, 1, prim.m / prim.degree]
+        near = [v + 1e-6 * rng.random() * np.exp(2j * np.pi * rng.random())
+                for v in vertices for _ in range(8)]
+        away = rng.normal(scale=0.7, size=40) + 1j * rng.normal(scale=0.7, size=40) + 0.5
+        return np.concatenate((near, away))
+
+    @pytest.mark.parametrize("prim", _PRIMITIVES, ids=[p.text() for p in _PRIMITIVES])
+    def test_matches_dense_horner(self, prim):
+        u = self._points(prim)
+        value, slope = prim.value_and_slope(u)
+        bound = _rounding_error((prim,), u)
+        assert np.all(np.abs(value - dense_eval_many(as_poly(prim).coeffs, u)) <= bound)
+        # the same bound on the slope: gamma_2n times sum |k c_k| |u|^(k - 1)
+        k = 2 * prim.degree * 2.0**-53
+        slope_bound = k / (1 - k) * dense_eval_many(np.abs(_slope_coeffs(prim)), np.abs(u)).real
+        assert np.all(np.abs(slope - dense_eval_many(_slope_coeffs(prim), u)) <= slope_bound)
+
+    def test_majorant_is_the_absolute_coefficient_sum(self):
+        a = np.linspace(0, 3, 31)
+        for prim in _PRIMITIVES:
+            expected = dense_eval_many(np.abs(as_poly(prim).coeffs), a).real
+            assert np.allclose(prim.majorant(a), expected, rtol=1e-13, atol=0)
 
     def test_scalar_and_shape(self):
-        p = ComplexPoly((0, 0, 3))
-        assert p.eval_many(np.array(2.0)) == 12
-        assert p.eval_many(np.ones((2, 3))).shape == (2, 3)
+        for prim in (FPoly(), BelyiMN(10, 1), BelyiMN(1, 1)):
+            value, slope = prim.value_and_slope(0.3 + 0.1j)
+            assert value == pytest.approx(as_poly(prim)(0.3 + 0.1j), rel=1e-13)
+            value, slope = prim.value_and_slope(np.ones((2, 3)))
+            assert value.shape == slope.shape == (2, 3)
 
 
 class TestRoots:

@@ -2,8 +2,8 @@
 
 The fiber over a base point is computed stage by stage (outermost
 primitive first, each value pulled back through the next primitive).  A
-loop is a segment from the base point to a circle, the full circle
-counterclockwise, and the segment back; the fiber is continued along it
+loop is the counterclockwise circle about its center through the base
+point 1/2, of radius 1/2 about 0 and 1; the fiber is continued along it
 with a tangent predictor and a Newton corrector on the composite equation
 F(x) = gamma(t), F and F' taken by the chain rule over each primitive's
 product form, and the predictor on the slope of the last Newton iteration
@@ -127,57 +127,36 @@ class TrackingConfig:
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Segment to the circle, counterclockwise circle, segment back.
+    """The counterclockwise circle about ``center`` through the base point,
+    in ``steps`` nominal steps.
 
-    The entry point sits at ``center + radius * exp(i * entry_angle)``;
-    by default the entry angle points from the center toward the base
-    point, so the segment is radial.
+    About 0 and 1 the radius is 1/2, so each circle keeps the other finite
+    branch value outside.  A loop of one step would land on its own origin
+    and could not be refused, so it needs at least two.
     """
 
     center: complex
-    radius: float
-    basepoint: complex = BASEPOINT
     steps: int = 256
-    entry_angle: float | None = None
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if abs(self.basepoint - self.center) == 0:
-            raise ValueError("basepoint must differ from center")
-
-    @property
-    def _entry(self) -> complex:
-        angle = self.entry_angle
-        if angle is None:
-            angle = cmath.phase(self.basepoint - self.center)
-        return self.center + self.radius * cmath.exp(1j * angle)
+        if self.center == BASEPOINT:
+            raise ValueError("center must differ from the base point")
+        if self.steps < 2:
+            raise ValueError(
+                f"a loop needs at least 2 steps, got {self.steps}: "
+                "one step would go from the base point straight back to it")
 
     @property
     def length(self) -> float:
-        return 2 * abs(self._entry - self.basepoint) + 2 * math.pi * self.radius
+        return 2 * math.pi * abs(BASEPOINT - self.center)
 
     @property
     def name(self) -> str:
-        return f"loop around {self.center:g} of radius {self.radius:g}"
+        return f"loop around {complex(self.center):g}"
 
     def point(self, t: float) -> complex:
         """Position along the loop at arc-length fraction t in [0, 1]."""
-        entry = self._entry
-        seg = abs(entry - self.basepoint)
-        total = 2 * seg + 2 * math.pi * self.radius
-        s = t * total
-        if s <= seg:
-            frac = s / seg if seg > 0 else 1.0
-            return self.basepoint + frac * (entry - self.basepoint)
-        if s <= seg + 2 * math.pi * self.radius:
-            theta0 = cmath.phase(entry - self.center)
-            theta = theta0 + (s - seg) / self.radius
-            return self.center + self.radius * cmath.exp(1j * theta)
-        frac = (s - seg - 2 * math.pi * self.radius) / seg if seg > 0 else 1.0
-        return entry + frac * (self.basepoint - entry)
+        return self.center + (BASEPOINT - self.center) * cmath.exp(2j * math.pi * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,26 +512,29 @@ def _base_and_probe(
     e: MapExpr, cfg: TrackingConfig, probe: bool,
 ) -> tuple[MonodromyPair, MonodromyPair | None]:
     """The pair of ``e`` over the base point and, with probe, the pair on
-    the same fibers around the stability probe's loops: steps doubled and
-    radius scaled by 0.8."""
+    the same fibers around the stability probe's loops: the circles about
+    1/10 and 9/10, radius 0.4, in twice the steps (see _loops)."""
     if not maps.is_belyi(e):
         raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
     fibers = _fibers(e, cfg)
     base = _pair(e, fibers, cfg, _loops(cfg))
     if not probe:
         return base, None
-    return base, _pair(e, fibers, cfg, _loops(cfg, radius=0.25 * 0.8, refine=2))
+    return base, _pair(e, fibers, cfg, _loops(cfg, centers=(0.1, 0.9), refine=2))
 
 
-def _loops(cfg: TrackingConfig, radius: float = 0.25, refine: int = 1) -> tuple[LoopSpec, LoopSpec]:
-    """The loops around 0 and 1, in refine / initial_step nominal steps.
+def _loops(
+    cfg: TrackingConfig, centers: tuple[complex, complex] = (0, 1), refine: int = 1,
+) -> tuple[LoopSpec, LoopSpec]:
+    """The circles through the base point about ``centers`` (see LoopSpec),
+    in refine / initial_step nominal steps.
 
-    The default radius 1/4 is half the distance from each center to the
-    base point 1/2, which on a chain branched over {0, 1, infinity} is
-    nearer than the other finite branch value.
+    Each encloses one of 0 and 1: the default circles have radius 1/2, and
+    the probe's, about 1/10 and 9/10, radius 0.4.  Raises ValueError when
+    initial_step leaves a loop fewer than two steps.
     """
-    steps = max(1, round(1.0 / cfg.initial_step)) * refine
-    return tuple(LoopSpec(center=c, radius=radius, steps=steps) for c in (0j, 1 + 0j))
+    steps = round(1.0 / cfg.initial_step) * refine
+    return tuple(LoopSpec(center=c, steps=steps) for c in centers)
 
 
 def _doubles(e: MapExpr) -> bool:
@@ -664,8 +646,9 @@ def _doubled(
 
 
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:
-    """Recompute with doubled steps and radius scaled by 0.8; True when
-    both permutation pairs agree label for label."""
+    """Recompute around the probe's circles about 1/10 and 9/10 in twice
+    the steps (see _loops); True when both permutation pairs agree label
+    for label."""
     base, probe = _base_and_probe(e, cfg, probe=True)
     return base == probe
 

@@ -5,10 +5,10 @@ stage by stage with exact multiplicity bookkeeping at critical values.
 Edges are the fiber points over 1/2, continued toward both endpoints
 through geometric ladders of base values by the continuation of loop
 tracking (monodromy._continue), one stacked run of the two ladders per
-rung; each strand is attached to the vertex nearest its deep endpoint (x
-and y jointly on curves).  The strand count at every vertex must equal
-the vertex's ramification order, and the drawing refuses to render when
-the two disagree.
+rung; each strand is attached to the vertex nearest its deep endpoint in
+the x plane (on curves y then picks the sheet).  The strand count at every
+vertex must equal the vertex's ramification order, and the drawing refuses
+to render when the two disagree.
 
 On curve chains one sheet of each (x, y), (x, -y) pair is continued, y
 carried along x; the other is its negation in y, on the same x.  The two
@@ -188,14 +188,16 @@ def _rungs(samples: int) -> list[tuple[float, float]]:
 
 
 def _attach(x, y, vertices: list[RenderVertex], side: str) -> np.ndarray:
-    """The x of the vertex nearest each strand end, in |dx| + |dy| on
-    curves (the first of equals wins).  Raises RenderError unless every
+    """The x of the vertex nearest each strand end in the x plane, where
+    the strands are continued; on curves y only chooses between the sheets
+    over that x (the first of equals wins).  Raises RenderError unless every
     vertex collects as many strands as its ramification order."""
     vx = np.array([v.x for v in vertices])
-    d = np.abs(x[:, None] - vx[None, :])
+    nearest = np.argmin(np.abs(x[:, None] - vx[None, :]), axis=1)
     if y is not None:
-        d = d + np.abs(y[:, None] - np.array([v.y for v in vertices])[None, :])
-    nearest = np.argmin(d, axis=1)
+        vy = np.array([v.y for v in vertices])
+        over = vx[None, :] == vx[nearest][:, None]
+        nearest = np.argmin(np.where(over, np.abs(y[:, None] - vy[None, :]), np.inf), axis=1)
     for count, v in zip(np.bincount(nearest, minlength=len(vertices)), vertices):
         if count != v.order:
             raise RenderError(

@@ -107,9 +107,9 @@ class TestMonodromy:
         assert next(iter(bad)) in body["message"]
 
     def test_diverging_newton_leaves_stderr_empty(self, capsys, tmp_path):
-        # in steps of a quarter loop Newton overflows on refused steps
+        # in steps of a third of a loop Newton overflows on refused steps
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text('{"initial_step": 0.25}')
+        cfg_file.write_text('{"initial_step": 0.33}')
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, "monodromy", "--map", "b(10,1).f.pi(2,7,11)",
@@ -117,6 +117,25 @@ class TestMonodromy:
         assert (code, err, caught) == (0, "", [])
         coarse = json.loads(out)
         default = run_json(capsys, "monodromy", "--map", "b(10,1).f.pi(2,7,11)")
+        assert (coarse["g0"], coarse["g1"]) == (default["g0"], default["g1"])
+
+    def test_one_step_loop_refused(self, capsys, tmp_path):
+        # one step would take each loop from the base point straight back to
+        # it, and every label would stay put
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"initial_step": 1}')
+        code, out, err = run(capsys, "monodromy", "--map", "b(2,3).b(3,2)", "--config", str(cfg_file))
+        assert (code, out) == (2, "")
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "ValueError"
+        assert "at least 2 steps" in body["message"]
+
+    def test_two_step_loop_gives_default_pair(self, capsys, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"initial_step": 0.5}')
+        coarse = run_json(capsys, "monodromy", "--map", "b(2,3).b(3,2)", "--config", str(cfg_file))
+        default = run_json(capsys, "monodromy", "--map", "b(2,3).b(3,2)")
         assert (coarse["g0"], coarse["g1"]) == (default["g0"], default["g1"])
 
     def test_config_missing_file(self, capsys):

@@ -1,7 +1,9 @@
+import cmath
 import hashlib
 import importlib
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -88,31 +90,24 @@ class TestTrackingConfig:
 
 class TestLoopSpec:
     def test_starts_and_ends_at_basepoint(self):
-        loop = LoopSpec(center=0j, radius=0.25)
+        loop = LoopSpec(center=0j)
         assert loop.point(0.0) == pytest.approx(BASEPOINT)
         assert loop.point(1.0) == pytest.approx(BASEPOINT)
 
-    def test_default_entry_is_radial(self):
-        loop = LoopSpec(center=0j, radius=0.25)
-        # entry sits on the segment from center toward the base point
-        seg_frac = 0.25 / loop.length
-        entry = loop.point(seg_frac)
-        assert entry == pytest.approx(0.25 + 0j)
-
     def test_circle_is_counterclockwise(self):
-        loop = LoopSpec(center=0j, radius=0.25)
-        seg = 0.25 / loop.length
-        quarter = loop.point(seg + (1 - 2 * seg) / 4)
-        assert quarter == pytest.approx(0.25j)
+        assert LoopSpec(center=0j).point(0.25) == pytest.approx(0.5j)
+        assert LoopSpec(center=1 + 0j).point(0.25) == pytest.approx(1 - 0.5j)
+        assert LoopSpec(center=0j).length == pytest.approx(math.pi)
 
-    def test_explicit_entry_angle(self):
-        loop = LoopSpec(center=0.99, radius=1.2, entry_angle=math.pi / 2)
-        seg_frac = abs(0.99 + 1.2j - BASEPOINT) / loop.length
-        assert loop.point(seg_frac) == pytest.approx(0.99 + 1.2j)
+    def test_rejects_center_on_basepoint(self):
+        with pytest.raises(ValueError, match="center"):
+            LoopSpec(center=BASEPOINT)
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            LoopSpec(center=0j, radius=0.0)
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_rejects_fewer_than_two_steps(self, steps):
+        # one step would go from the base point straight back to it
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            LoopSpec(center=0j, steps=steps)
 
 
 class TestFiber:
@@ -205,10 +200,29 @@ class TestPsi:
         e = parse_map_expr("b(1,1).b(10,1)")
         g0, g1 = psi_pair
         base = fiber(e, BASEPOINT, cfg)
-        top = track_loop(e, LoopSpec(0.99, 1.2, entry_angle=math.pi / 2), base, cfg)
+        paths = [_BigContour(entry=0.99 + 1.2j), _BigContour(entry=0.99 - 1.2j)]
+        end = _continue(e, paths, base.x, base.y, cfg)
+        top, bottom = (_permutation(base, _row(end, p), cfg) for p in (0, 1))
         assert top == compose(g0, g1)
-        bottom = track_loop(e, LoopSpec(0.99, 1.2, entry_angle=-math.pi / 2), base, cfg)
         assert bottom == compose(g1, g0)
+
+
+@dataclass(frozen=True)
+class _BigContour:
+    """Straight from the base point to ``entry``, counterclockwise once
+    around the circle about 0.99 through it, which encloses 0 and 1, and
+    straight back; in nominal steps of about 0.04."""
+
+    entry: complex
+    steps: int = 256
+    name: str = "big contour"
+
+    def point(self, t: float) -> complex:
+        if t <= 1 / 8:
+            return BASEPOINT + 8 * t * (self.entry - BASEPOINT)
+        if t <= 7 / 8:
+            return 0.99 + (self.entry - 0.99) * cmath.exp(2j * math.pi * (t - 1 / 8) * 4 / 3)
+        return self.entry + 8 * (t - 7 / 8) * (BASEPOINT - self.entry)
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +264,8 @@ class TestJsonAndErrors:
     def test_track_loop_around_regular_point_is_identity(self, cfg):
         e = parse_map_expr("b(1,1)")
         base = fiber(e, BASEPOINT, cfg)
-        loop = LoopSpec(center=0.5 + 0.3j, radius=0.05)
+        # radius 0.3: neither 0 nor 1 is enclosed
+        loop = LoopSpec(center=0.5 + 0.3j)
         assert track_loop(e, loop, base, cfg) == identity(2)
 
 
@@ -652,9 +667,9 @@ class TestDecisionsUnchanged:
     E = parse_map_expr("b(10,1).f.pi(2,7,11)")
 
     @pytest.mark.parametrize("loop", [
-        LoopSpec(center=0j, radius=0.25),
-        # tight around 1 in few steps, so that the gap guard refuses steps
-        LoopSpec(center=1 + 0j, radius=0.02, steps=32),
+        LoopSpec(center=0j),
+        # passes 0.02 from 1 in few steps, so that the gap guard refuses steps
+        LoopSpec(center=0.76, steps=40),
     ], ids=["loop_0", "tight_loop_1"])
     def test_loop_matches_exact_guard(self, cfg, monkeypatch, loop):
         """Same accept/refuse sequence and bit-identical end positions as
@@ -673,14 +688,14 @@ class TestDecisionsUnchanged:
         assert np.array_equal(end[1], exact_end[1])
         assert exact_gaps == len(log)
         assert gaps < exact_gaps / 2
-        if loop.steps == 32:
+        if loop.steps == 40:
             assert not all(accepted for *_, accepted in log)
 
     def test_carried_slope_same_decisions(self, cfg, monkeypatch):
         """The predictor on the slope of the last Newton iterate takes the
         steps that a predictor on F' at the landed x takes, and lands on
         the same points to Newton's tolerance."""
-        loop = LoopSpec(center=1 + 0j, radius=0.02, steps=32)
+        loop = LoopSpec(center=0.76, steps=40)
         start = fiber(self.E, BASEPOINT, cfg)
         runs = []
         for fresh_slope in (False, True):
@@ -781,9 +796,8 @@ class TestStacked:
     def test_tight_loop_where_the_guard_refuses(self, cfg, monkeypatch):
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
         points = fiber(e, BASEPOINT, cfg)
-        # in 32 common steps the tight loop's row is refused on some of them
-        loops = [LoopSpec(center=0j, radius=0.25, steps=32),
-                 LoopSpec(center=1 + 0j, radius=0.02, steps=32)]
+        # in 40 common steps the row passing 0.02 from 1 is refused on some
+        loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.76, steps=40)]
         log = []
         monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only=False))
         end = _continue(e, loops, points.x, points.y, cfg)
@@ -826,17 +840,16 @@ class TestStacked:
                 assert np.allclose(end[1][p], alone[1][0], rtol=0, atol=1e-10)
 
     def test_underflow_names_the_refusing_path(self):
-        cfg = TrackingConfig(initial_step=1 / 32, min_step=1 / 32)
+        cfg = TrackingConfig(initial_step=1 / 40, min_step=1 / 40)
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
         start = fiber(e, BASEPOINT, cfg)
-        loops = [LoopSpec(center=0j, radius=0.25, steps=32),
-                 LoopSpec(center=1 + 0j, radius=0.02, steps=32)]
+        loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.76, steps=40)]
         with pytest.raises(StepUnderflowError) as caught:
             _continue(e, loops, start.x, start.y, cfg)
         message = str(caught.value)
         assert "at t = 0." in message
-        assert message.endswith("on loop around 1+0j of radius 0.02")
+        assert message.endswith("on loop around 0.76+0j")
 
     def test_path_names(self):
-        assert LoopSpec(center=1 + 0j, radius=0.02).name == "loop around 1+0j of radius 0.02"
+        assert LoopSpec(center=0.76).name == "loop around 0.76+0j"
         assert _Segment(BASEPOINT, 0.25 + 0j, 0.01).name == "segment to 0.25+0j"

@@ -1,14 +1,15 @@
 import hashlib
 import importlib
+import math
 import xml.etree.ElementTree as ET
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 from dessins.maps import parse_map_expr
 from dessins.monodromy import NotBelyiError, monodromy
-from dessins.perms import cycle_type
+from dessins.perms import Permutation, cycle_type
 from dessins.polynomials import roots_of_f
 from dessins.render import (
     SHEET_COLORS,
@@ -116,12 +117,15 @@ class TestAttach:
         ends = np.array([1 + 0j, 0.1 + 0j])
         assert _attach(ends, None, vs, "black").tolist() == [0j, 0j]
 
-    def test_curve_distance_adds_y(self):
-        vs = [RenderVertex(0j, 1j, 1, "white"), RenderVertex(0.5 + 0j, -1j, 1, "white")]
-        # by x alone each end would take the other vertex
-        ends = np.array([0.1 + 0j, 0.4 + 0j])
-        attached = _attach(ends, np.array([-0.9j, 0.9j]), vs, "white")
-        assert attached.tolist() == [0.5 + 0j, 0j]
+    def test_curve_attaches_in_x(self):
+        # near a branch point of pi, |y| ~ sqrt|x - r| outweighs x in
+        # |dx| + |dy|, which would take both ends to the pair at 0.3; x takes
+        # the pair at 0, and y picks the sheet of each end there
+        vs = [RenderVertex(0j, 0.01j, 1, "black"), RenderVertex(0j, -0.01j, 1, "black"),
+              RenderVertex(0.3 + 0j, 1j, 0, "black"), RenderVertex(0.3 + 0j, -1j, 0, "black")]
+        ends = np.array([0.05 + 0j, 0.05 + 0j])
+        attached = _attach(ends, np.array([0.9j, -0.9j]), vs, "black")
+        assert attached.tolist() == [0j, 0j]
 
     def test_count_mismatch_refused(self):
         vs = [RenderVertex(0j, None, 1, "white"), RenderVertex(1 + 0j, None, 1, "white")]
@@ -205,10 +209,11 @@ class TestFullChainRender:
 
 
 class TestHighRamification:
-    """Strands into 6- to 20-fold vertices, where Newton meets its 1e-7
+    """Strands into 6- to 40-fold vertices, where Newton meets its 1e-7
     tolerance only to within rounding: every vertex collects its order."""
 
-    @pytest.mark.parametrize("chain", ["b(4,6)", "b(5,6)", "b(1,1).b(1,8)", "b(20,2).f"])
+    @pytest.mark.parametrize(
+        "chain", ["b(4,6)", "b(5,6)", "b(1,1).b(1,8)", "b(20,2).f", "b(1,1).b(20,2).f.pi(1,6,9)"])
     def test_orders_match_monodromy(self, chain):
         e = parse_map_expr(chain)
         res = render_graph(e)
@@ -243,6 +248,44 @@ class TestGoldenSvg:
         assert _svg_sha256(result.svg) == GOLDEN_SVG_SHA256["b(1,1).b(10,1).f.pi(2,7,11)"]
 
     def test_unreached_vertex_refused(self):
-        # the strands stop at value 1e-8, out of reach of this 40-fold vertex
-        with pytest.raises(RenderError, match="collected 2 strands, ramification order is 40$"):
-            render_graph(parse_map_expr("b(1,1).b(20,2).f.pi(1,6,9)"))
+        # the strands stop at value 1e-8, out of reach of this 36-fold vertex
+        with pytest.raises(RenderError, match="black vertex at 1.000000.* collected 5 strands, "
+                                              "ramification order is 36$"):
+            render_graph(parse_map_expr("b(3,3).b(4,2).b(1,3)"))
+
+
+def _drawn_pair(svg: str) -> tuple[Permutation, Permutation]:
+    """The rotation pair of a drawing of a plain chain.  Path k carries
+    label k + 1 from its black vertex (first point) to its white vertex
+    (last point); around each vertex the labels follow counterclockwise by
+    the direction to the deepest rung (second and second-to-last point),
+    with SVG's y axis pointing down."""
+    strands = [[tuple(map(float, point.split(","))) for point in path.get("d")[2:].split(" L ")]
+               for path in ET.fromstring(svg).findall(f".//{SVG_NS}path")]
+    pair = []
+    for vertex, rung in ((0, 1), (-1, -2)):
+        spokes = defaultdict(list)
+        for label, points in enumerate(strands, 1):
+            (vx, vy), (rx, ry) = points[vertex], points[rung]
+            spokes[points[vertex]].append((math.atan2(vy - ry, rx - vx), label))
+        images = [0] * len(strands)
+        for around in spokes.values():
+            labels = [label for _, label in sorted(around)]
+            for label, following in zip(labels, labels[1:] + labels[:1]):
+                images[label - 1] = following
+        pair.append(Permutation(tuple(images)))
+    return pair[0], pair[1]
+
+
+class TestDrawnDessin:
+    """The drawing is the dessin that monodromy prints: the strands around
+    each vertex, taken counterclockwise, are its cycle of g0 or g1 label for
+    label.  Plain chains only: on curves both sheets share one x-plane path."""
+
+    @pytest.mark.parametrize("chain", [
+        "b(1,1)", "b(1,1).b(10,1)", "b(1,1).b(10,1).f", "b(20,2).f", "b(4,6)", "b(5,6)",
+        "b(1,1).b(1,8)", "b(10,1).f", "b(2,3).b(3,2)",
+    ])
+    def test_rotations_are_the_pair(self, chain):
+        e = parse_map_expr(chain)
+        assert _drawn_pair(render_graph(e).svg) == tuple(monodromy(e))

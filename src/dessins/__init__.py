@@ -20,8 +20,10 @@ from .dessin import (
     Passport,
     canonical_form,
     canonical_hash,
+    canonical_key,
     dessin_json,
     genus,
+    genus_and_passport,
     invariants,
     isomorphic,
     passport,
@@ -85,6 +87,7 @@ __all__ = [
     "branch_values",
     "canonical_form",
     "canonical_hash",
+    "canonical_key",
     "compose",
     "cycle_decomposition",
     "cycle_type",
@@ -96,6 +99,7 @@ __all__ = [
     "full_chain",
     "generators_a5",
     "genus",
+    "genus_and_passport",
     "identity",
     "invariants",
     "inverse",

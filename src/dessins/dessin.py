@@ -13,12 +13,14 @@ the underlying graph.
 
 Isomorphism is simultaneous conjugacy, decided through a canonical form:
 the least relabeled pair over breadth-first relabelings rooted at every
-point (neighbors visited g0 first, then g1).  The relabeled g0 of a root
-is built position by position as its BFS runs, and the root is abandoned
-at the first position where it exceeds the best pair so far; roots that
-tie run to the end and are compared in full.  The result is still the
-least relabeled pair over all roots; only a dessin whose roots all tie
-(one with automorphisms) costs a full BFS per root.
+point (neighbors visited g0 first, then g1), the first root in point order
+winning a tie.  The relabeled g0 of a root is known position by position
+as its BFS runs, and the root is abandoned at the first position where it
+exceeds the best pair so far; roots that tie run to the end and are
+compared in full.  All roots share one label list and one stamp list, and
+a root's relabeled pair is built only when it completes its BFS.  So the
+search takes O(n^2) time in the worst case, a dessin whose roots all tie
+(one with automorphisms, such as a cyclic pair), and O(n) memory.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from dataclasses import dataclass
 from .perms import (
     CycleType,
     Permutation,
-    compose,
     cycle_decomposition,
     cycle_type,
-    inverse,
     is_transitive,
     orbit,
 )
@@ -78,7 +78,12 @@ def _orbits(c: Constellation) -> list[list[int]]:
 
 
 def g_infinity(c: Constellation) -> Permutation:
-    return inverse(compose(c.g0, c.g1))
+    """The inverse of "g0 then g1", built in one pass."""
+    g1 = c.g1.images
+    out = [0] * c.degree
+    for i, image in enumerate(c.g0.images, 1):
+        out[g1[image - 1] - 1] = i
+    return Permutation(tuple(out))
 
 
 def faces(c: Constellation) -> tuple[tuple[int, ...], ...]:
@@ -86,17 +91,7 @@ def faces(c: Constellation) -> tuple[tuple[int, ...], ...]:
 
 
 def genus(c: Constellation) -> int:
-    if not c.transitive:
-        raise NotConnectedError("genus needs a connected constellation")
-    chi = (
-        len(cycle_decomposition(c.g0))
-        + len(cycle_decomposition(c.g1))
-        + len(faces(c))
-        - c.degree
-    )
-    if chi % 2 != 0 or chi > 2:
-        raise AssertionError(f"Euler characteristic {chi} is impossible")
-    return (2 - chi) // 2
+    return genus_and_passport(c)[0]
 
 
 @dataclass(frozen=True)
@@ -121,8 +116,23 @@ def passport(c: Constellation) -> Passport:
     )
 
 
+def genus_and_passport(c: Constellation) -> tuple[int, Passport]:
+    """Genus and passport, from one cycle type each of g0, g1 and g_inf."""
+    if not c.transitive:
+        raise NotConnectedError("genus needs a connected constellation")
+    p = passport(c)
+    chi = len(p.black.parts) + len(p.white.parts) + len(p.faces.parts) - c.degree
+    if chi % 2 != 0 or chi > 2:
+        raise AssertionError(f"Euler characteristic {chi} is impossible")
+    return (2 - chi) // 2, p
+
+
+def _all_twos(white: CycleType) -> bool:
+    return all(length == 2 for length in white.parts)
+
+
 def is_clean(c: Constellation) -> bool:
-    return all(length == 2 for length in cycle_type(c.g1).parts)
+    return _all_twos(cycle_type(c.g1))
 
 
 def bouquet_profile(c: Constellation) -> tuple[int, ...]:
@@ -143,12 +153,13 @@ class DessinInvariants:
 
 
 def invariants(c: Constellation) -> DessinInvariants:
+    g, p = genus_and_passport(c)
     return DessinInvariants(
-        genus=genus(c),
-        black_count=len(cycle_decomposition(c.g0)),
-        white_count=len(cycle_decomposition(c.g1)),
-        face_count=len(faces(c)),
-        bouquets=bouquet_profile(c) if is_clean(c) else None,
+        genus=g,
+        black_count=len(p.black.parts),
+        white_count=len(p.white.parts),
+        face_count=len(p.faces.parts),
+        bouquets=p.black.parts if _all_twos(p.white) else None,
     )
 
 
@@ -156,79 +167,79 @@ def invariants(c: Constellation) -> DessinInvariants:
 # canonical form and isomorphism
 
 
-def _bfs_key(
-    g0: list[int],
-    g1: list[int],
-    root: int,
-    points: list[int],
-    best_a: tuple[int, ...] | None,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] | None:
-    """Relabeled pair and relabeling (old point -> 1..k) of the BFS from
-    root, g0 before g1; None as soon as the relabeled g0 exceeds best_a.
-
-    Label i + 1 is dequeued at position i, so a[i] and b[i] are known
-    while the BFS runs and the comparison with best_a needs no full pass.
-    """
-    new_of = {root: 1}
-    order = [root]
-    a = []
-    b = []
-    tied = best_a is not None
-    # order grows while it is walked: it is the BFS queue
-    for i, x in enumerate(order):
-        y = g0[x - 1]
-        if y not in new_of:
-            new_of[y] = len(order) + 1
-            order.append(y)
-        ai = new_of[y]
-        if tied:
-            if ai > best_a[i]:
-                return None
-            tied = ai == best_a[i]
-        y = g1[x - 1]
-        if y not in new_of:
-            new_of[y] = len(order) + 1
-            order.append(y)
-        a.append(ai)
-        b.append(new_of[y])
-    if len(order) != len(points):
-        raise NotConnectedError("relabeling did not reach every point")
-    return (tuple(a), tuple(b)), new_of
+CanonicalKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _component_canonical(
     g0: list[int], g1: list[int], points: list[int]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
+) -> tuple[CanonicalKey, dict[int, int]]:
     """Least relabeled pair over all BFS roots in one component, with the
-    winning relabeling (old point -> 1..k).  A root is dropped at the
-    first position where its relabeled g0 exceeds the best so far."""
-    best_key = None
-    best_map = None
-    for root in points:
-        found = _bfs_key(g0, g1, root, points, None if best_key is None else best_key[0])
-        if found is None:
-            continue
-        key, new_of = found
-        if best_key is None or key < best_key:
-            best_key = key
-            best_map = new_of
-    return best_key, best_map
+    winning relabeling (old point -> 1..k); the first root in ``points``
+    order wins a tie.
+
+    The BFS from a root visits neighbors g0 before g1.  Label i + 1 is
+    dequeued at position i, so the relabeled g0 at position i is known
+    while the BFS runs, and a root is dropped at the first position where
+    it exceeds the best pair so far.  All roots share one label list and
+    one stamp list: a point is labeled in the current BFS when its stamp
+    is the current root's number, so nothing is reset between roots.
+    """
+    g0 = [0, *g0]  # padded, so that g0[x] is the image of x
+    g1 = [0, *g1]
+    label = [0] * len(g0)
+    stamp = [0] * len(g0)
+    best_a = best_b = best_order = None
+    for number, root in enumerate(points, 1):
+        label[root] = 1
+        stamp[root] = number
+        order = [root]
+        tied = best_a is not None
+        # order grows while it is walked: it is the BFS queue
+        for i, x in enumerate(order):
+            y = g0[x]
+            if stamp[y] != number:
+                stamp[y] = number
+                order.append(y)
+                label[y] = len(order)
+            if tied:
+                ai = label[y]
+                if ai > best_a[i]:
+                    break
+                tied = ai == best_a[i]
+            y = g1[x]
+            if stamp[y] != number:
+                stamp[y] = number
+                order.append(y)
+                label[y] = len(order)
+        else:
+            if len(order) != len(points):
+                raise NotConnectedError("relabeling did not reach every point")
+            b = tuple([label[y] for y in map(g1.__getitem__, order)])
+            if tied and b >= best_b:
+                continue
+            best_a = tuple([label[y] for y in map(g0.__getitem__, order)])
+            best_b = b
+            best_order = order
+    return (best_a, best_b), {x: i for i, x in enumerate(best_order, 1)}
+
+
+def canonical_key(c: Constellation) -> CanonicalKey:
+    """The images of the canonical form's g0 and g1; connected only."""
+    if not c.transitive:
+        raise NotConnectedError("canonical form needs a connected constellation")
+    key, _ = _component_canonical(
+        list(c.g0.images), list(c.g1.images), list(range(1, c.degree + 1)))
+    return key
 
 
 def canonical_form(c: Constellation) -> Constellation:
     """The canonical representative of the conjugacy class; connected only."""
-    if not c.transitive:
-        raise NotConnectedError("canonical form needs a connected constellation")
-    g0 = list(c.g0.images)
-    g1 = list(c.g1.images)
-    key, _ = _component_canonical(g0, g1, list(range(1, c.degree + 1)))
-    return Constellation(Permutation(key[0]), Permutation(key[1]))
+    a, b = canonical_key(c)
+    return Constellation(Permutation(a), Permutation(b))
 
 
 def canonical_hash(c: Constellation) -> str:
-    cf = canonical_form(c)
-    blob = repr((cf.g0.images, cf.g1.images)).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(repr(canonical_key(c)).encode()).hexdigest()
 
 
 def isomorphic(c1: Constellation, c2: Constellation) -> tuple[bool, Permutation | None]:
@@ -264,21 +275,24 @@ def isomorphic(c1: Constellation, c2: Constellation) -> tuple[bool, Permutation 
 
 
 def dessin_json(c: Constellation) -> dict:
+    g, p = genus_and_passport(c)
+    clean = _all_twos(p.white)
     return {
         "degree": c.degree,
-        "genus": genus(c),
-        "passport": passport(c).to_json_dict(),
-        "clean": is_clean(c),
-        "bouquets": _bouquet_pairs(c),
+        "genus": g,
+        "passport": p.to_json_dict(),
+        "clean": clean,
+        "bouquets": _run_lengths(p.black.parts) if clean else None,
         "canonical_hash": canonical_hash(c),
     }
 
 
-def _bouquet_pairs(c: Constellation) -> list[list[int]] | None:
-    if not is_clean(c):
-        return None
-    profile = bouquet_profile(c)
-    pairs: dict[int, int] = {}
-    for order in profile:
-        pairs[order] = pairs.get(order, 0) + 1
-    return [[order, count] for order, count in sorted(pairs.items(), reverse=True)]
+def _run_lengths(parts: tuple[int, ...]) -> list[list[int]]:
+    """[[part, multiplicity], ...] of a descending tuple."""
+    pairs: list[list[int]] = []
+    for part in parts:
+        if pairs and pairs[-1][0] == part:
+            pairs[-1][1] += 1
+        else:
+            pairs.append([part, 1])
+    return pairs

@@ -27,8 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import dessin as dessin_mod
-from .dessin import Constellation, Passport
+from .dessin import Constellation, Passport, canonical_key, genus_and_passport
 from .maps import MapExpr, parse_map_expr
 from .perms import Permutation, compose, group_order, identity, parse_cycles, power
 from .polynomials import roots_of_f
@@ -205,14 +204,13 @@ class PlanarDessin:
         is 1 on the one dart root_darts names at each branched vertex.
         """
         n = self.g0.degree
-        flips = {self.root_darts[v - 1] for v in t.as_tuple()}
-        g0 = [0] * (2 * n)
-        g1 = [0] * (2 * n)
-        for d in range(1, n + 1):
-            flip = d in flips
-            for s in (0, 1):
-                g0[d - 1 + s * n] = self.g0(d) + n * (s ^ flip)
-                g1[d - 1 + s * n] = self.g1(d) + n * s
+        # the unbranched cover, then (d, s) -> (g0 d, s + 1) at the three darts
+        g0 = [*self.g0.images, *(image + n for image in self.g0.images)]
+        g1 = [*self.g1.images, *(image + n for image in self.g1.images)]
+        for v in t.as_tuple():
+            d = self.root_darts[v - 1]
+            g0[d - 1] += n
+            g0[d - 1 + n] -= n
         return Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))
 
 
@@ -287,10 +285,10 @@ def orbit_dessins(spec: SubgroupSpec, base: Triple) -> OrbitReport:
     classes: dict[tuple, list[Triple]] = {}
     for t in orbit:
         c = d0.cover(t)
-        cf = dessin_mod.canonical_form(c)
-        passports.append(dessin_mod.passport(c))
-        genera.append(dessin_mod.genus(c))
-        classes.setdefault((cf.g0.images, cf.g1.images), []).append(t)
+        g, p = genus_and_passport(c)
+        genera.append(g)
+        passports.append(p)
+        classes.setdefault(canonical_key(c), []).append(t)
 
     iso_classes = tuple(
         tuple(sorted(members, key=Triple.as_tuple))

@@ -305,7 +305,7 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     Fiber), one row of shape (n,) or rows stacked as (P, n).
 
-    ``step(x, y, bound, slope, origin, target, tol)`` carries the points
+    ``step(x, y, c, bound, slope, origin, target, tol)`` carries the points
     sitting over the base value ``origin`` to ``target``: a tangent
     predictor along ``slope``, F' at or one Newton correction from x (None
     evaluates it at x), then Newton on F(x) = target to relative tolerance
@@ -323,7 +323,9 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     on the segment from x to x_new each factor (x' - r) / (x - r) of
     c(x') / c(x) lies in the disc of radius 0.4 about 1, the product has
     argument below 3 asin 0.4 < 1.24 < pi, and its principal root moves
-    continuously from 1.  c(x) is Proj.curve_rhs bit for bit.
+    continuously from 1.  c(x) is Proj.curve_rhs bit for bit.  The caller
+    passes ``c`` = c(x) as the last accepted step handed it back, or None
+    to evaluate it at x; on planar chains it stays None.
 
     ``bound`` is a per-point lower bound on the float value of _gaps,
     kept by the caller from step to step; zeros are always valid, and make
@@ -333,8 +335,8 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     multiplication by 0.4 is monotone, so a step the bound accepts is one
     the exact guard accepts too, and every decision is the exact one.
 
-    Returns (landed, refused, bound, slope).  landed is the new (x, y), or
-    None when the step is refused; refused tells, row by row, which rows
+    Returns (landed, refused, bound, slope).  landed is the new (x, y, c),
+    or None when the step is refused; refused tells, row by row, which rows
     failed Newton or the gap guard.  bound holds for the points the caller
     now has: the old bound, or the exact gaps when they were computed,
     lowered after an acceptance by moved_i + max_j moved_j less a rounding
@@ -344,7 +346,7 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     stages = e.polynomial_part()
     branch = None if e.proj is None else np.array(e.proj.cubic_roots())
 
-    def step(x, y, bound, slope, origin, target, tol):
+    def step(x, y, c, bound, slope, origin, target, tol):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if slope is None:
                 _, slope = _composite_and_derivative(stages, x)
@@ -368,11 +370,14 @@ def _stepper(e: MapExpr, max_newton_iters: int):
             fits = moved < 0.4 * bound
             if not fits.all():
                 return None, ~fits.all(axis=-1), bound, slope
+        c_new = None
         if branch is not None:
             ri, rj, rk = branch
-            y = y * np.sqrt((x_new - ri) * (x_new - rj) * (x_new - rk)
-                            / ((x - ri) * (x - rj) * (x - rk)))
-        return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), _lowered(bound, moved), slope_new
+            if c is None:
+                c = (x - ri) * (x - rj) * (x - rk)
+            c_new = (x_new - ri) * (x_new - rj) * (x_new - rk)
+            y = y * np.sqrt(c_new / c)
+        return (x_new, y, c_new), np.zeros(x.shape[:-1], dtype=bool), _lowered(bound, moved), slope_new
 
     return step
 
@@ -399,8 +404,9 @@ def _continue(
     bound of _stepper starts at zero, so the first step computes the exact
     gaps, and is then carried along the paths; the exact gaps are
     recomputed only where the bound cannot accept a step.  The predictor
-    slope is carried alike, from None.  Raises StepUnderflowError below
-    min_step, naming the paths whose rows refused the last step.
+    slope and, on curves, c(x) are carried alike, from None.  Raises
+    StepUnderflowError below min_step, naming the paths whose rows refused
+    the last step.
     """
     step = _stepper(e, cfg.max_newton_iters)
     x = np.broadcast_to(x, (len(paths), x.shape[-1]))
@@ -410,18 +416,18 @@ def _continue(
     h_nominal = h
     gamma_t = np.array([[path.point(0.0)] for path in paths])
     bound = np.zeros(x.shape)
-    slope = None
+    slope = c = None
     while t < 1.0:
         h = min(h, 1.0 - t)
         target = np.array([[path.point(t + h)] for path in paths])
-        landed, refused, bound, slope = step(x, y, bound, slope, gamma_t, target, cfg.newton_tol)
+        landed, refused, bound, slope = step(x, y, c, bound, slope, gamma_t, target, cfg.newton_tol)
         if landed is None:
             h /= 2
             if h < cfg.min_step:
                 names = ", ".join(path.name for path, r in zip(paths, refused) if r)
                 raise StepUnderflowError(f"step underflow at t = {t:.6f} on {names}")
             continue
-        x, y = landed
+        x, y, c = landed
         t += h
         gamma_t = target
         h = min(h * 2, h_nominal)

@@ -68,7 +68,7 @@ class CycleType:
 
     @classmethod
     def of(cls, p: Permutation) -> "CycleType":
-        return cls(tuple(sorted((len(c) for c in cycle_decomposition(p)), reverse=True)))
+        return cls(tuple(sorted(_cycle_lengths(p.images), reverse=True)))
 
     @property
     def degree(self) -> int:
@@ -131,20 +131,38 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
     >>> cycle_decomposition(Permutation((2, 1, 3)))
     ((1, 2), (3,))
     """
-    seen = [False] * p.degree
+    images = p.images
+    seen = [False] * len(images)
     cycles = []
-    for start in range(1, p.degree + 1):
+    for start in range(1, len(images) + 1):
         if seen[start - 1]:
             continue
         cycle = [start]
         seen[start - 1] = True
-        point = p(start)
+        point = images[start - 1]
         while point != start:
             cycle.append(point)
             seen[point - 1] = True
-            point = p(point)
+            point = images[point - 1]
         cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def _cycle_lengths(images: tuple[int, ...]) -> list[int]:
+    """Cycle lengths in the order of the cycles' least points."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        point = start
+        while not seen[point]:
+            seen[point] = True
+            point = images[point] - 1
+            length += 1
+        lengths.append(length)
+    return lengths
 
 
 def cycle_type(p: Permutation) -> CycleType:
@@ -160,16 +178,18 @@ def orbit(generators: Sequence[Permutation], point: int) -> frozenset[int]:
         raise ValueError("degree mismatch among generators")
     if not 1 <= point <= degree:
         raise ValueError(f"point {point} outside 1..{degree}")
-    seen = {point}
-    queue = deque([point])
-    while queue:
-        x = queue.popleft()
-        for g in generators:
-            y = g(x)
-            if y not in seen:
-                seen.add(y)
+    tables = [g.images for g in generators]
+    seen = [False] * (degree + 1)
+    seen[point] = True
+    queue = [point]
+    # queue grows while it is walked
+    for x in queue:
+        for images in tables:
+            y = images[x - 1]
+            if not seen[y]:
+                seen[y] = True
                 queue.append(y)
-    return frozenset(seen)
+    return frozenset(queue)
 
 
 def is_transitive(generators: Sequence[Permutation]) -> bool:

@@ -1,10 +1,12 @@
 """All-roots canonical form, deliberately naive.
 
 A full breadth-first relabeling from every root of a component (g0 before
-g1), then the relabeled pair of each root; the least pair wins.  This is
-the package's canonical form before roots were abandoned early, kept so
-that the pruned search can be checked against it: both must return the
-same key and the same winning relabeling.
+g1), each in a dict of its own, then the relabeled pair of each root; the
+least pair wins, and of tied roots the first in ``points`` order.  This is
+the package's canonical form before roots were abandoned early and before
+the roots shared one label list and one stamp list, kept so that the
+search in ``dessins.dessin._component_canonical`` can be checked against
+it: both must return the same key and the same winning relabeling.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +34,19 @@ from dessins.perms import (
     power,
 )
 
+from dessins.galois import Triple, planar_dessin
+
 from naive_canonical import naive_component_canonical
 
 PSI_G0 = parse_cycles("(1,2,3,4,5,6,7,8,9,10)(11,21)", 22)
 PSI_G1 = parse_cycles(
     "(1,11)(2,12)(3,13)(4,14)(5,15)(6,16)(7,17)(8,18)(9,19)(10,20)(21,22)", 22
 )
+
+
+@pytest.fixture(scope="module")
+def d0():
+    return planar_dessin()
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:
@@ -166,6 +175,12 @@ class TestPrunedAgainstAllRoots:
     def test_full_chain(self, full_pair):
         self._agree(Constellation(full_pair.g0, full_pair.g1))
 
+    @pytest.mark.parametrize("t", [(1, 2, 3), (1, 2, 4), (1, 2, 8), (1, 2, 9), (1, 7, 9)])
+    def test_covers_where_two_roots_tie(self, d0, t):
+        # one base per A5 orbit; the sheet swap is an automorphism of each
+        # cover, so two roots tie to the end
+        self._agree(d0.cover(Triple(*t)))
+
     def test_disconnected_pair_raises(self):
         c = Constellation(parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4))
         g0, g1 = list(c.g0.images), list(c.g1.images)
@@ -176,6 +191,20 @@ class TestPrunedAgainstAllRoots:
             naive_component_canonical(g0, g1, points)
         with pytest.raises(NotConnectedError):
             canonical_form(c)
+
+
+class TestCanonicalMemory:
+    def test_cyclic_pair_of_degree_528(self):
+        # every root ties, and the search holds one relabeling at a time
+        c = Permutation(tuple(list(range(2, 529)) + [1]))
+        pair = Constellation(c, power(c, 5))
+        tracemalloc.start()
+        try:
+            canonical_form(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestIsomorphism:
@@ -244,6 +273,39 @@ class TestJson:
         c = Constellation(parse_cycles("(1,2,3)", 3), parse_cycles("(1,2,3)", 3))
         data = dessin_json(c)
         assert data["bouquets"] is None
+
+    def test_equals_the_separate_invariants(self):
+        rng = random.Random(515)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            white = random_permutation(rng, n)
+            if rng.random() < 0.5 and n % 2 == 0:
+                # a fixed-point-free involution: a clean constellation
+                points = list(range(1, n + 1))
+                rng.shuffle(points)
+                white = parse_cycles("".join(f"({x},{y})" for x, y in zip(points[::2], points[1::2])), n)
+            c = Constellation(random_permutation(rng, n), white)
+            if not c.transitive:
+                with pytest.raises(NotConnectedError):
+                    dessin_json(c)
+                seen["disconnected"] += 1
+                continue
+            clean = is_clean(c)
+            bouquets = None
+            if clean:
+                profile = bouquet_profile(c)
+                bouquets = [[k, profile.count(k)] for k in sorted(set(profile), reverse=True)]
+            assert dessin_json(c) == {
+                "degree": n,
+                "genus": genus(c),
+                "passport": passport(c).to_json_dict(),
+                "clean": clean,
+                "bouquets": bouquets,
+                "canonical_hash": canonical_hash(c),
+            }
+            seen["clean" if clean else "not clean"] += 1
+        assert seen["clean"] and seen["not clean"] and seen["disconnected"]
 
     def test_ginf_closes_triple(self):
         c = Constellation(PSI_G0, PSI_G1)

@@ -380,7 +380,7 @@ class TestStep:
         return np.array([(1 - math.sqrt(1 - v)) / 2, (1 + math.sqrt(1 - v)) / 2])
 
     def test_short_step_lands_on_fiber(self, cfg, step, half):
-        (x, y), refused, _, _ = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, y, _), refused, _, _ = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
         assert not refused
         assert y is None
         assert np.allclose(x, self._over(0.9), atol=1e-12)
@@ -391,17 +391,17 @@ class TestStep:
         # refused from the trivial bound and from the tightest valid one;
         # either way the exact gaps are computed and handed back
         for bound in (np.zeros(2), _gaps(half.x, None)):
-            landed, refused, bound, _ = step(half.x, half.y, bound, None, BASEPOINT, 0.99, cfg.newton_tol)
+            landed, refused, bound, _ = step(half.x, half.y, None, bound, None, BASEPOINT, 0.99, cfg.newton_tol)
             assert landed is None and refused
             assert np.array_equal(bound, _gaps(half.x, None))
-        mid, _, bound, slope = step(half.x, half.y, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
-        (x, _), _, _, _ = step(*mid, bound, slope, 0.9, 0.99, cfg.newton_tol)
+        mid, _, bound, slope = step(half.x, half.y, None, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _, _), _, _, _ = step(*mid, bound, slope, 0.9, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
         # the gap guard alone refuses the over-long step
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: np.full(len(x), np.inf))
-        (x, _), _, _, _ = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
+        (x, _, _), _, _, _ = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_slope_handed_back(self, cfg, step, half):
@@ -409,12 +409,12 @@ class TestStep:
         # an accepted one hands back F' at its last Newton iterate
         stages = self.E.polynomial_part()
         _, at_x = MONODROMY._composite_and_derivative(stages, half.x)
-        landed, _, _, slope = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
+        landed, _, _, slope = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
         assert landed is None and np.array_equal(slope, at_x)
         given = at_x * (1 + 1e-9)
-        landed, _, _, slope = step(half.x, half.y, np.zeros(2), given, BASEPOINT, 0.99, cfg.newton_tol)
+        landed, _, _, slope = step(half.x, half.y, None, np.zeros(2), given, BASEPOINT, 0.99, cfg.newton_tol)
         assert landed is None and slope is given
-        (x, _), _, _, slope = step(half.x, half.y, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _, _), _, _, slope = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
         assert np.allclose(slope, MONODROMY._composite_and_derivative(stages, x)[1], rtol=1e-10)
 
     def test_accepting_bound_skips_exact_gaps(self, cfg, step, half, monkeypatch):
@@ -424,7 +424,7 @@ class TestStep:
             raise AssertionError("exact gaps computed")
 
         monkeypatch.setattr(MONODROMY, "_gaps", refuse)
-        (x, _), _, lowered, _ = step(half.x, half.y, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _, _), _, lowered, _ = step(half.x, half.y, None, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
         moved = np.abs(x - half.x)
         assert np.all(lowered <= bound - moved - moved.max())
 
@@ -458,7 +458,7 @@ class TestRoundingFloor:
         x = np.stack((half.x, half.x))
         origin = np.full((2, 1), BASEPOINT)
         target = np.array([[0.6], [1e300]])
-        landed, refused, bound, _ = step(x, None, np.zeros(x.shape), None, origin, target, 1e-30)
+        landed, refused, bound, _ = step(x, None, None, np.zeros(x.shape), None, origin, target, 1e-30)
         assert landed is None
         assert refused.tolist() == [False, True]
         assert not bound.any()
@@ -522,7 +522,7 @@ class TestCurveStep:
     def _step(self, cfg, frac):
         half, target, goal = self._toward_root(cfg, frac)
         step = _stepper(self.E, cfg.max_newton_iters)
-        return step(half.x, half.y, np.zeros(len(half.x)), None, BASEPOINT, target, cfg.newton_tol), goal
+        return step(half.x, half.y, None, np.zeros(len(half.x)), None, BASEPOINT, target, cfg.newton_tol), goal
 
     def test_step_toward_root_refused(self, cfg):
         (landed, refused, bound, _), _ = self._step(cfg, 0.41)
@@ -534,7 +534,7 @@ class TestCurveStep:
 
     def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: _gaps(x, None))
-        ((x, y), _, _, _), goal = self._step(cfg, 0.41)
+        ((x, y, _), _, _, _), goal = self._step(cfg, 0.41)
         assert abs(x[0] - goal) < 1e-12
         c = self.E.proj.curve_rhs(x)
         assert np.all(np.abs(y**2 - c) <= 1e-12 * np.abs(c))
@@ -555,8 +555,8 @@ class TestCurveY:
         def make(e, max_newton_iters):
             step = _stepper(e, max_newton_iters)
 
-            def checked(x, y, bound, slope, origin, target, tol):
-                landed, refused, bound, slope = step(x, y, bound, slope, origin, target, tol)
+            def checked(x, y, cx, bound, slope, origin, target, tol):
+                landed, refused, bound, slope = step(x, y, cx, bound, slope, origin, target, tol)
                 if landed is not None:
                     s = np.sqrt(c(landed[0]))
                     nearer = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
@@ -633,20 +633,23 @@ class TestGapBound:
             assert bound == pytest.approx(_gaps(x, branch) - steps * delta, abs=1e-8)
 
 
-def _recording_stepper(log, exact_only, fresh_slope=False):
+def _recording_stepper(log, exact_only, fresh_slope=False, fresh_c=False):
     """A _stepper that logs (origin, target, accepted) for every step,
     with exact_only passes a zero bound, so that every gap guard computes
-    the exact gaps, and with fresh_slope passes no slope, so that every
-    predictor evaluates F' at its own x."""
+    the exact gaps, with fresh_slope passes no slope, so that every
+    predictor evaluates F' at its own x, and with fresh_c passes no c(x),
+    so that every step evaluates it at its own x."""
     def make(e, max_newton_iters):
         step = _stepper(e, max_newton_iters)
 
-        def logged(x, y, bound, slope, origin, target, tol):
+        def logged(x, y, c, bound, slope, origin, target, tol):
             if exact_only:
                 bound = np.zeros(len(x))
             if fresh_slope:
                 slope = None
-            landed, refused, bound, slope = step(x, y, bound, slope, origin, target, tol)
+            if fresh_c:
+                c = None
+            landed, refused, bound, slope = step(x, y, c, bound, slope, origin, target, tol)
             log.append((origin, target, landed is not None))
             return landed, refused, bound, slope
 
@@ -707,6 +710,23 @@ class TestDecisionsUnchanged:
         assert not all(accepted for *_, accepted in log)
         assert np.allclose(end[0], fresh_end[0], rtol=0, atol=1e-10)
         assert np.allclose(end[1], fresh_end[1], rtol=0, atol=1e-10)
+
+    def test_carried_c_bit_identical(self, cfg, monkeypatch):
+        """c(x) handed on from the step that landed on x is the c(x) each
+        step would evaluate afresh, so the decisions and the end positions
+        are the same bit for bit."""
+        loop = LoopSpec(center=0.76, steps=40)
+        start = fiber(self.E, BASEPOINT, cfg)
+        runs = []
+        for fresh_c in (False, True):
+            log = []
+            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, False, fresh_c=fresh_c))
+            runs.append((log, _continue(self.E, [loop], start.x, start.y, cfg)))
+        (log, end), (fresh_log, fresh_end) = runs
+        assert log == fresh_log
+        assert not all(accepted for *_, accepted in log)
+        assert np.array_equal(end[0], fresh_end[0])
+        assert np.array_equal(end[1], fresh_end[1])
 
     def test_full_chain_work(self, cfg, monkeypatch, full_pair):
         # the trajectory is the one of the exact guard: as many composite

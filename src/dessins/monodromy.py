@@ -13,24 +13,21 @@ polynomial stages alone, and y is carried by the exact ratio sqrt(c(x_new)
 gap to the other x and to the roots of c.  Render's strands take this
 continuation too.
 
-The gap guard does not rebuild the all-pairs gaps on every step.  The
-caller of the step carries a per-point lower bound on the gaps from step
-to step: an accepted step shrinks the gap of point i by at most moved_i +
-max_j moved_j, so the bound is lowered by that much (less a relative
-rounding slack).  The exact gaps are computed only when the bound is too
-weak to accept a step, and then decide it, so every step is accepted or
-refused exactly as if the gaps were rebuilt each time.  This is the cheap
-form of the disjoint-disk condition of Beltran and Leykin, Certified
-numerical homotopy tracking (2012), with the roots of c among the disks.
+The step starts at the nominal step, halves on a refusal and doubles
+after each acceptance up to eight nominal steps or a quarter of the path,
+whichever is less, but never below the nominal step (see _continue).  The
+gap guard is the disjoint-disk condition of Beltran and Leykin, Certified
+numerical homotopy tracking (2012), with the roots of c among the disks,
+on gaps computed afresh on every step.
 
 The paths of one run are continued together.  Their tracked points are
 stacked as rows of one (P, n) array, one row per path, all starting from
 the same fiber; the rows share the parameter t and the step, and a
-refusal on any row halves the step for all.  Each row keeps its own gaps
-and gap bound, so a point is guarded against its own path's fiber only.
-Both loops of a chain are one run, and so are the two loops and two
-transport segments under a leading b(1,1) (see below).  The fiber itself
-is pulled back through each stage by one batched root solve.
+refusal on any row halves the step for all.  Each row has its own gaps,
+so a point is guarded against its own path's fiber only.  Both loops of a
+chain are one run, and so are the two loops and two transport segments
+under a leading b(1,1) (see below).  The fiber itself is pulled back
+through each stage by one batched root solve.
 
 Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
@@ -93,7 +90,7 @@ class NotBelyiError(ValueError):
 class TrackingConfig:
     newton_tol: float = 1e-12
     max_newton_iters: int = 30
-    initial_step: float = 1.0 / 256.0   # fraction of the loop length
+    initial_step: float = 1.0 / 256.0   # nominal step, a fraction of the loop length
     min_step: float = 2.0**-20          # fraction of the loop length
     match_tol: float = 1e-6
     separation_factor: float = 10.0
@@ -118,6 +115,8 @@ class TrackingConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrackingConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -262,29 +261,6 @@ def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
     return nearest
 
 
-# Relative slack of _lowered.  Away from underflow, the float values of
-# _gaps and of the moves are within a few units of roundoff (2**-53) of the
-# exact distances between the stored coordinates, and the update itself
-# rounds three times; about 15 units would do, and 1e-12 is some thousand
-# times that.
-_BOUND_SLACK = 1e-12
-
-
-def _lowered(bound: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """A lower bound on the float gaps (_gaps) after each tracked x_i
-    moves by moved_i = |dx_i|, from a lower bound before the move; row by
-    row on stacked points.
-
-    By the triangle inequality the distance from x_i to another x_j of its
-    row shrinks by at most moved_i + moved_j, and to a fixed root of c by
-    at most moved_i, so the bound drops by moved_i + max_j moved_j, with
-    the relative slack _BOUND_SLACK taken off both terms so that rounding
-    cannot lift it above the float gaps.
-    """
-    farthest = moved.max(axis=-1, keepdims=True)
-    return bound * (1 - _BOUND_SLACK) - (moved + farthest) * (1 + _BOUND_SLACK)
-
-
 def _rounding_error(stages: Sequence[Primitive], x: np.ndarray) -> np.ndarray:
     """A first-order bound on the rounding error of the composite value
     that _composite_and_derivative computes at x: Horner's rule on a stage
@@ -305,17 +281,17 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     Fiber), one row of shape (n,) or rows stacked as (P, n).
 
-    ``step(x, y, c, bound, slope, origin, target, tol)`` carries the points
-    sitting over the base value ``origin`` to ``target``: a tangent
-    predictor along ``slope``, F' at or one Newton correction from x (None
-    evaluates it at x), then Newton on F(x) = target to relative tolerance
-    ``tol`` in at most max_newton_iters iterations.  On stacked rows, origin
-    and target have shape (P, 1), one base value per row, and Newton runs
-    until every row has converged; once the iterations run out, a row has
-    converged if each last correction is within 4 times F's rounding error
+    ``step(x, y, slope, origin, target, tol)`` carries the points sitting
+    over the base value ``origin`` to ``target``: a tangent predictor along
+    ``slope``, F' at or one Newton correction from x (None evaluates it at
+    x), then Newton on F(x) = target to relative tolerance ``tol`` in at
+    most max_newton_iters iterations.  On stacked rows, origin and target
+    have shape (P, 1), one base value per row, and Newton runs until every
+    row has converged; once the iterations run out, a row has converged if
+    each last correction is within 4 times F's rounding error
     (_rounding_error) over |F'|, the floor near ramification points.  The
     step is refused when Newton does not converge (a non-finite iterate
-    never does) or some x moves 0.4 of its gap (_gaps) or more.
+    never does) or some x moves 0.4 of its gap (_gaps at x) or more.
 
     On curves y is then carried by y_new = y sqrt(c(x_new) / c(x)), with
     the principal root, and this is its continuation along the step: the
@@ -323,30 +299,17 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     on the segment from x to x_new each factor (x' - r) / (x - r) of
     c(x') / c(x) lies in the disc of radius 0.4 about 1, the product has
     argument below 3 asin 0.4 < 1.24 < pi, and its principal root moves
-    continuously from 1.  c(x) is Proj.curve_rhs bit for bit.  The caller
-    passes ``c`` = c(x) as the last accepted step handed it back, or None
-    to evaluate it at x; on planar chains it stays None.
+    continuously from 1.  c is Proj.curve_rhs bit for bit.
 
-    ``bound`` is a per-point lower bound on the float value of _gaps,
-    kept by the caller from step to step; zeros are always valid, and make
-    the first step of a path compute the gaps.  The gap guard tests
-    ``moved < 0.4 * bound`` first.  Only when that fails are the gaps
-    computed, and ``moved < 0.4 * _gaps(x, branch)`` decides.  Float
-    multiplication by 0.4 is monotone, so a step the bound accepts is one
-    the exact guard accepts too, and every decision is the exact one.
-
-    Returns (landed, refused, bound, slope).  landed is the new (x, y, c),
-    or None when the step is refused; refused tells, row by row, which rows
-    failed Newton or the gap guard.  bound holds for the points the caller
-    now has: the old bound, or the exact gaps when they were computed,
-    lowered after an acceptance by moved_i + max_j moved_j less a rounding
-    slack (_lowered).  slope is the predictor's after a refusal, as x has
-    not moved, and F' at the last Newton iterate after an acceptance.
+    Returns (landed, refused, slope).  landed is the new (x, y), or None
+    when the step is refused; refused tells, row by row, which rows failed
+    Newton or the gap guard.  slope is the predictor's after a refusal, as
+    x has not moved, and F' at the last Newton iterate after an acceptance.
     """
     stages = e.polynomial_part()
     branch = None if e.proj is None else np.array(e.proj.cubic_roots())
 
-    def step(x, y, c, bound, slope, origin, target, tol):
+    def step(x, y, slope, origin, target, tol):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if slope is None:
                 _, slope = _composite_and_derivative(stages, x)
@@ -362,22 +325,15 @@ def _stepper(e: MapExpr, max_newton_iters: int):
                 converged = np.all(np.abs(delta) <= np.maximum(
                     tol * np.maximum(1.0, np.abs(x_new)), floor), axis=-1)
                 if not converged.all():
-                    return None, ~converged, bound, slope
-        moved = np.abs(x_new - x)
-        fits = moved < 0.4 * bound
+                    return None, ~converged, slope
+        fits = np.abs(x_new - x) < 0.4 * _gaps(x, branch)
         if not fits.all():
-            bound = _gaps(x, branch)
-            fits = moved < 0.4 * bound
-            if not fits.all():
-                return None, ~fits.all(axis=-1), bound, slope
-        c_new = None
+            return None, ~fits.all(axis=-1), slope
         if branch is not None:
             ri, rj, rk = branch
-            if c is None:
-                c = (x - ri) * (x - rj) * (x - rk)
-            c_new = (x_new - ri) * (x_new - rj) * (x_new - rk)
-            y = y * np.sqrt(c_new / c)
-        return (x_new, y, c_new), np.zeros(x.shape[:-1], dtype=bool), _lowered(bound, moved), slope_new
+            c = (x - ri) * (x - rj) * (x - rk)
+            y = y * np.sqrt((x_new - ri) * (x_new - rj) * (x_new - rk) / c)
+        return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), slope_new
 
     return step
 
@@ -396,15 +352,15 @@ def _continue(
 
     A path has ``.point(t)`` for t in [0, 1], ``.steps`` and ``.name``.
     All paths share one parameter t, and each step carries every row from
-    its path's point at t to its point at t + h.  The step h starts at
-    1/max(steps), so no path takes a longer step than its own 1/steps,
-    halves whenever the step of _stepper is refused on any row, and doubles
-    back toward 1/max(steps) after each accepted one.  The rows share
-    nothing else: each gap counts only the fiber of its own path.  The gap
-    bound of _stepper starts at zero, so the first step computes the exact
-    gaps, and is then carried along the paths; the exact gaps are
-    recomputed only where the bound cannot accept a step.  The predictor
-    slope and, on curves, c(x) are carried alike, from None.  Raises
+    its path's point at t to its point at t + h.  The step h starts at the
+    nominal step 1/max(steps), halves whenever the step of _stepper is
+    refused on any row, and doubles after each accepted one, up to
+    min(8 / max(steps), max(1 / max(steps), 1/4)): past the nominal step,
+    never more than a quarter of the path, as a step of half a loop or
+    more could land back near its origin, where no guard can refuse it.
+    Paths of at most four steps keep the nominal step.  The rows share
+    nothing else: each gap counts only the fiber of its own path.  The
+    predictor slope is carried from step to step, from None.  Raises
     StepUnderflowError below min_step, naming the paths whose rows refused
     the last step.
     """
@@ -413,24 +369,23 @@ def _continue(
     y = None if y is None else np.broadcast_to(y, x.shape)
     t = 0.0
     h = 1.0 / max(path.steps for path in paths)
-    h_nominal = h
+    h_max = min(8 * h, max(h, 0.25))
     gamma_t = np.array([[path.point(0.0)] for path in paths])
-    bound = np.zeros(x.shape)
-    slope = c = None
+    slope = None
     while t < 1.0:
         h = min(h, 1.0 - t)
         target = np.array([[path.point(t + h)] for path in paths])
-        landed, refused, bound, slope = step(x, y, c, bound, slope, gamma_t, target, cfg.newton_tol)
+        landed, refused, slope = step(x, y, slope, gamma_t, target, cfg.newton_tol)
         if landed is None:
             h /= 2
             if h < cfg.min_step:
                 names = ", ".join(path.name for path, r in zip(paths, refused) if r)
                 raise StepUnderflowError(f"step underflow at t = {t:.6f} on {names}")
             continue
-        x, y, c = landed
+        x, y = landed
         t += h
         gamma_t = target
-        h = min(h * 2, h_nominal)
+        h = min(h * 2, h_max)
     return x, y
 
 
@@ -490,14 +445,16 @@ def track_loop(
 ) -> Permutation:
     """Continue the fiber around the loop; returns start label -> end label.
 
-    The step is a fraction of the loop, starting at 1/steps and halving
+    The step is a fraction of the loop, starting at 1/steps, halving
     whenever Newton fails or an x moves 0.4 of its gap or more (see
-    _stepper).  On curves only the tracked sheet of each pair is
-    continued, its y carried along x.  Raises StepUnderflowError below
-    min_step, MatchAmbiguousError when the final nearest-neighbor match is
-    not clear by separation_factor, and NotBijectiveError when two
-    trajectories land on one fiber point.  This is the one-loop case of the
-    stacked continuation that ``monodromy`` runs.
+    _stepper) and growing up to 8/steps, past 1/steps never more than a
+    quarter of the loop (see _continue).  On curves only the tracked sheet
+    of each pair is continued, its y carried along x.  Raises
+    StepUnderflowError below min_step, MatchAmbiguousError when the final
+    nearest-neighbor match is not clear by separation_factor, and
+    NotBijectiveError when two trajectories land on one fiber point.  This
+    is the one-loop case of the stacked continuation that ``monodromy``
+    runs.
     """
     return _loop_permutations(e, [loop], points, cfg)[0]
 

@@ -106,6 +106,22 @@ class TestMonodromy:
         assert body["error"] == "ValueError"
         assert next(iter(bad)) in body["message"]
 
+    @pytest.mark.parametrize("text", ["null", "3", "[]", '[["initial_step", 0.5]]'],
+                             ids=["null", "number", "empty_list", "pairs"])
+    @pytest.mark.parametrize("command", [
+        ["monodromy", "--map", "b(1,1)"],
+        ["render", "--map", "b(1,1)", "--out", "-"],
+    ], ids=["monodromy", "render"])
+    def test_config_not_an_object(self, capsys, tmp_path, command, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        code, out, err = run(capsys, *command, "--config", str(cfg_file))
+        assert (code, out) == (2, "")
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "ValueError"
+        assert "JSON object" in body["message"]
+
     def test_diverging_newton_leaves_stderr_empty(self, capsys, tmp_path):
         # in steps of a third of a loop Newton overflows on refused steps
         cfg_file = tmp_path / "cfg.json"

@@ -2,14 +2,13 @@ import cmath
 import hashlib
 import importlib
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dessins.dessin import Constellation, isomorphic
 from dessins.galois import Triple, full_chain
@@ -26,7 +25,6 @@ from dessins.monodromy import (
     _doubles,
     _gaps,
     _loops,
-    _lowered,
     _permutation,
     _row,
     _Segment,
@@ -362,8 +360,7 @@ class TestDoubling:
 class TestStep:
     """The shared continuation step on b(1,1) = 4x(1 - x): the fiber over
     1/2 is (1 -+ 1/sqrt 2)/2, 0.71 apart, and the fiber over v is
-    (1 -+ sqrt(1 - v))/2.  A zero gap bound is always valid and makes the
-    step compute the exact gaps."""
+    (1 -+ sqrt(1 - v))/2."""
 
     E = parse_map_expr("b(1,1)")
 
@@ -380,7 +377,7 @@ class TestStep:
         return np.array([(1 - math.sqrt(1 - v)) / 2, (1 + math.sqrt(1 - v)) / 2])
 
     def test_short_step_lands_on_fiber(self, cfg, step, half):
-        (x, y, _), refused, _, _ = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, y), refused, _ = step(half.x, half.y, None, BASEPOINT, 0.9, cfg.newton_tol)
         assert not refused
         assert y is None
         assert np.allclose(x, self._over(0.9), atol=1e-12)
@@ -388,20 +385,16 @@ class TestStep:
     def test_over_long_step_refused_by_gap_guard(self, cfg, step, half):
         # straight to 0.99 each point would move 0.30, past 0.4 of the
         # 0.71 gap; Newton converges there, and two steps reach the target
-        # refused from the trivial bound and from the tightest valid one;
-        # either way the exact gaps are computed and handed back
-        for bound in (np.zeros(2), _gaps(half.x, None)):
-            landed, refused, bound, _ = step(half.x, half.y, None, bound, None, BASEPOINT, 0.99, cfg.newton_tol)
-            assert landed is None and refused
-            assert np.array_equal(bound, _gaps(half.x, None))
-        mid, _, bound, slope = step(half.x, half.y, None, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
-        (x, _, _), _, _, _ = step(*mid, bound, slope, 0.9, 0.99, cfg.newton_tol)
+        landed, refused, _ = step(half.x, half.y, None, BASEPOINT, 0.99, cfg.newton_tol)
+        assert landed is None and refused
+        mid, _, slope = step(half.x, half.y, None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _), _, _ = step(*mid, slope, 0.9, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
         # the gap guard alone refuses the over-long step
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: np.full(len(x), np.inf))
-        (x, _, _), _, _, _ = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
+        (x, _), _, _ = step(half.x, half.y, None, BASEPOINT, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
     def test_slope_handed_back(self, cfg, step, half):
@@ -409,24 +402,13 @@ class TestStep:
         # an accepted one hands back F' at its last Newton iterate
         stages = self.E.polynomial_part()
         _, at_x = MONODROMY._composite_and_derivative(stages, half.x)
-        landed, _, _, slope = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.99, cfg.newton_tol)
+        landed, _, slope = step(half.x, half.y, None, BASEPOINT, 0.99, cfg.newton_tol)
         assert landed is None and np.array_equal(slope, at_x)
         given = at_x * (1 + 1e-9)
-        landed, _, _, slope = step(half.x, half.y, None, np.zeros(2), given, BASEPOINT, 0.99, cfg.newton_tol)
+        landed, _, slope = step(half.x, half.y, given, BASEPOINT, 0.99, cfg.newton_tol)
         assert landed is None and slope is given
-        (x, _, _), _, _, slope = step(half.x, half.y, None, np.zeros(2), None, BASEPOINT, 0.9, cfg.newton_tol)
+        (x, _), _, slope = step(half.x, half.y, None, BASEPOINT, 0.9, cfg.newton_tol)
         assert np.allclose(slope, MONODROMY._composite_and_derivative(stages, x)[1], rtol=1e-10)
-
-    def test_accepting_bound_skips_exact_gaps(self, cfg, step, half, monkeypatch):
-        bound = _gaps(half.x, None)
-
-        def refuse(x, branch):
-            raise AssertionError("exact gaps computed")
-
-        monkeypatch.setattr(MONODROMY, "_gaps", refuse)
-        (x, _, _), _, lowered, _ = step(half.x, half.y, None, bound, None, BASEPOINT, 0.9, cfg.newton_tol)
-        moved = np.abs(x - half.x)
-        assert np.all(lowered <= bound - moved - moved.max())
 
 
 class TestRoundingFloor:
@@ -447,7 +429,8 @@ class TestRoundingFloor:
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
         assert monodromy(self.E, cfg) == psi_pair
-        assert counts["step"] >= 256
+        # 1, 2 and 4 nominal steps, then 32 steps of 8 (the last cut short)
+        assert counts["step"] == 35
         assert counts["_rounding_error"] == counts["step"]
 
     def test_non_finite_newton_refused(self, cfg):
@@ -458,10 +441,9 @@ class TestRoundingFloor:
         x = np.stack((half.x, half.x))
         origin = np.full((2, 1), BASEPOINT)
         target = np.array([[0.6], [1e300]])
-        landed, refused, bound, _ = step(x, None, None, np.zeros(x.shape), None, origin, target, 1e-30)
+        landed, refused, _ = step(x, None, None, origin, target, 1e-30)
         assert landed is None
         assert refused.tolist() == [False, True]
-        assert not bound.any()
 
     @staticmethod
     def _near(rng, vertices, count):
@@ -522,19 +504,17 @@ class TestCurveStep:
     def _step(self, cfg, frac):
         half, target, goal = self._toward_root(cfg, frac)
         step = _stepper(self.E, cfg.max_newton_iters)
-        return step(half.x, half.y, None, np.zeros(len(half.x)), None, BASEPOINT, target, cfg.newton_tol), goal
+        return step(half.x, half.y, None, BASEPOINT, target, cfg.newton_tol), goal
 
     def test_step_toward_root_refused(self, cfg):
-        (landed, refused, bound, _), _ = self._step(cfg, 0.41)
+        (landed, refused, _), _ = self._step(cfg, 0.41)
         assert landed is None and refused
-        half, *_ = self._toward_root(cfg, 0.41)
-        assert np.array_equal(bound, _gaps(half.x, self.BRANCH))
-        (landed, _, _, _), _ = self._step(cfg, 0.39)
+        (landed, _, _), _ = self._step(cfg, 0.39)
         assert landed is not None
 
     def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: _gaps(x, None))
-        ((x, y, _), _, _, _), goal = self._step(cfg, 0.41)
+        ((x, y), _, _), goal = self._step(cfg, 0.41)
         assert abs(x[0] - goal) < 1e-12
         c = self.E.proj.curve_rhs(x)
         assert np.all(np.abs(y**2 - c) <= 1e-12 * np.abs(c))
@@ -555,13 +535,13 @@ class TestCurveY:
         def make(e, max_newton_iters):
             step = _stepper(e, max_newton_iters)
 
-            def checked(x, y, cx, bound, slope, origin, target, tol):
-                landed, refused, bound, slope = step(x, y, cx, bound, slope, origin, target, tol)
+            def checked(x, y, slope, origin, target, tol):
+                landed, refused, slope = step(x, y, slope, origin, target, tol)
                 if landed is not None:
                     s = np.sqrt(c(landed[0]))
                     nearer = np.where(np.abs(s - y) <= np.abs(s + y), s, -s)
                     agree.append(np.all(np.abs(landed[1] - nearer) < np.abs(landed[1] + nearer)))
-                return landed, refused, bound, slope
+                return landed, refused, slope
 
             return checked
 
@@ -569,89 +549,22 @@ class TestCurveY:
         start = fiber(self.E, BASEPOINT, cfg)
         x, y = _continue(self.E, [_loops(cfg)[which]], start.x, start.y, cfg)
         assert np.all(np.abs(y**2 - c(x)) <= 1e-12 * np.abs(c(x)))
-        assert len(agree) >= 256 and all(agree)
+        assert len(agree) == 35 and all(agree)
 
 
-def _nearest_other(x, branch):
-    """The nearest other tracked x or fixed branch point to each x."""
-    others = x if branch is None else np.concatenate((x, branch))
-    d = np.abs(x[:, None] - others[None, :])
-    np.fill_diagonal(d, np.inf)
-    return others[d.argmin(axis=1)]
-
-
-class TestGapBound:
-    """The bound carried between steps (_lowered) never exceeds the float
-    value of _gaps, so a step it accepts is one the exact guard accepts."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        curve=st.booleans(),
-        pull=st.floats(min_value=0.0, max_value=0.3),
-        noise=st.floats(min_value=0.0, max_value=0.05),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_never_above_gaps_on_random_walks(self, seed, curve, pull, noise):
-        # each point drifts toward its nearest neighbor, which on curves may
-        # be one of three fixed branch points, plus a random jitter
-        rng = np.random.default_rng(seed)
-
-        def cloud(n):
-            return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-        x = cloud(7)
-        branch = cloud(3) if curve else None
-        bound = _gaps(x, branch)
-        for _ in range(30):
-            x_new = x + pull * (_nearest_other(x, branch) - x) + noise * cloud(7)
-            bound = _lowered(bound, np.abs(x_new - x))
-            x = x_new
-            assert np.all(bound <= _gaps(x, branch))
-
-    @pytest.mark.parametrize("curve", [False, True])
-    def test_never_above_gaps_head_on(self, curve):
-        # two points closing in on each other at equal speed make the
-        # triangle inequality an equality, and only the rounding slack keeps
-        # the bound below; on curves a point closing in on a fixed branch
-        # point shrinks its gap by its own move alone, so the bound trails
-        # the gap by exactly the distance travelled
-        a, delta, steps = math.pi / 3, math.e * 1e-4, 3000
-        if curve:
-            x, branch, velocity = np.array([a + 0j]), np.array([-a + 0j]), np.array([-delta])
-        else:
-            x, branch, velocity = np.array([-a + 0j, a + 0j]), None, np.array([delta, -delta])
-        bound = _gaps(x, branch)
-        for _ in range(steps):
-            x_new = x + velocity
-            bound = _lowered(bound, np.abs(x_new - x))
-            x = x_new
-            assert np.all(bound <= _gaps(x, branch))
-        if branch is None:
-            assert np.all(bound > 0.9 * _gaps(x, branch))
-        else:
-            # less the slack: 1e-12 of the bound on each of the 3000 steps
-            assert bound == pytest.approx(_gaps(x, branch) - steps * delta, abs=1e-8)
-
-
-def _recording_stepper(log, exact_only, fresh_slope=False, fresh_c=False):
-    """A _stepper that logs (origin, target, accepted) for every step,
-    with exact_only passes a zero bound, so that every gap guard computes
-    the exact gaps, with fresh_slope passes no slope, so that every
-    predictor evaluates F' at its own x, and with fresh_c passes no c(x),
-    so that every step evaluates it at its own x."""
+def _recording_stepper(log, fresh_slope=False):
+    """A _stepper that logs (origin, target, accepted) for every step, and
+    with fresh_slope passes no slope, so that every predictor evaluates F'
+    at its own x."""
     def make(e, max_newton_iters):
         step = _stepper(e, max_newton_iters)
 
-        def logged(x, y, c, bound, slope, origin, target, tol):
-            if exact_only:
-                bound = np.zeros(len(x))
+        def logged(x, y, slope, origin, target, tol):
             if fresh_slope:
                 slope = None
-            if fresh_c:
-                c = None
-            landed, refused, bound, slope = step(x, y, c, bound, slope, origin, target, tol)
+            landed, refused, slope = step(x, y, slope, origin, target, tol)
             log.append((origin, target, landed is not None))
-            return landed, refused, bound, slope
+            return landed, refused, slope
 
         return logged
 
@@ -669,31 +582,6 @@ def _counting(counts, name, fn):
 class TestDecisionsUnchanged:
     E = parse_map_expr("b(10,1).f.pi(2,7,11)")
 
-    @pytest.mark.parametrize("loop", [
-        LoopSpec(center=0j),
-        # passes 0.02 from 1 in few steps, so that the gap guard refuses steps
-        LoopSpec(center=0.76, steps=40),
-    ], ids=["loop_0", "tight_loop_1"])
-    def test_loop_matches_exact_guard(self, cfg, monkeypatch, loop):
-        """Same accept/refuse sequence and bit-identical end positions as
-        the guard that computes the exact gaps on every step."""
-        start = fiber(self.E, BASEPOINT, cfg)
-        runs = []
-        for exact_only in (False, True):
-            log, counts = [], Counter()
-            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only))
-            monkeypatch.setattr(MONODROMY, "_gaps", _counting(counts, "gaps", _gaps))
-            end = _continue(self.E, [loop], start.x, start.y, cfg)
-            runs.append((log, end, counts["gaps"]))
-        (log, end, gaps), (exact_log, exact_end, exact_gaps) = runs
-        assert log == exact_log
-        assert np.array_equal(end[0], exact_end[0])
-        assert np.array_equal(end[1], exact_end[1])
-        assert exact_gaps == len(log)
-        assert gaps < exact_gaps / 2
-        if loop.steps == 40:
-            assert not all(accepted for *_, accepted in log)
-
     def test_carried_slope_same_decisions(self, cfg, monkeypatch):
         """The predictor on the slope of the last Newton iterate takes the
         steps that a predictor on F' at the landed x takes, and lands on
@@ -703,7 +591,7 @@ class TestDecisionsUnchanged:
         runs = []
         for fresh_slope in (False, True):
             log = []
-            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, False, fresh_slope))
+            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, fresh_slope))
             runs.append((log, _continue(self.E, [loop], start.x, start.y, cfg)))
         (log, end), (fresh_log, fresh_end) = runs
         assert log == fresh_log
@@ -711,43 +599,23 @@ class TestDecisionsUnchanged:
         assert np.allclose(end[0], fresh_end[0], rtol=0, atol=1e-10)
         assert np.allclose(end[1], fresh_end[1], rtol=0, atol=1e-10)
 
-    def test_carried_c_bit_identical(self, cfg, monkeypatch):
-        """c(x) handed on from the step that landed on x is the c(x) each
-        step would evaluate afresh, so the decisions and the end positions
-        are the same bit for bit."""
-        loop = LoopSpec(center=0.76, steps=40)
-        start = fiber(self.E, BASEPOINT, cfg)
-        runs = []
-        for fresh_c in (False, True):
-            log = []
-            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, False, fresh_c=fresh_c))
-            runs.append((log, _continue(self.E, [loop], start.x, start.y, cfg)))
-        (log, end), (fresh_log, fresh_end) = runs
-        assert log == fresh_log
-        assert not all(accepted for *_, accepted in log)
-        assert np.array_equal(end[0], fresh_end[0])
-        assert np.array_equal(end[1], fresh_end[1])
-
     def test_full_chain_work(self, cfg, monkeypatch, full_pair):
-        # the trajectory is the one of the exact guard: as many composite
-        # evaluations as before the bound was carried, and far fewer gaps
         counts = Counter()
         for name in ("_gaps", "_composite_and_derivative"):
             monkeypatch.setattr(
                 MONODROMY, name, _counting(counts, name, getattr(MONODROMY, name)))
         assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
-        # the four paths are one stacked run of 256 steps, where they took
-        # 600 one path at a time (2406 evaluations); each step's predictor
-        # reuses the slope of the step before (1026 evaluating it afresh)
-        assert counts["_composite_and_derivative"] == 771
-        assert counts["_gaps"] <= 40
-        # the stability probe on a curve chain (6146 one path at a time, 3073
-        # evaluating each predictor slope afresh) and the render ladders, both
-        # ladders one stacked run per rung (363 evaluations and 97 exact gaps
-        # one ladder at a time)
+        # the four paths are one stacked run of 35 steps, growing from the
+        # nominal step to 8 of them; each step's predictor reuses the slope
+        # of the step before, and the gaps are built once per step and once
+        # per fiber
+        assert counts["_composite_and_derivative"] == 139
+        assert counts["_gaps"] == 37
+        # the stability probe on a curve chain, and the render ladders, whose
+        # one-step rungs do not grow: both ladders one stacked run per rung
         counts.clear()
         monodromy_json(parse_map_expr("b(10,1).f.pi(3,4,12)"), cfg, check_stability=True)
-        assert counts["_composite_and_derivative"] == 2307
+        assert counts["_composite_and_derivative"] == 380
         counts.clear()
         render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
         assert counts["_composite_and_derivative"] == 193
@@ -777,6 +645,82 @@ class TestDecisionsUnchanged:
         payload = monodromy_json(full_chain(Triple(2, 7, 11)), cfg, check_stability=True)
         assert payload["stability"] is True
         assert counts["fiber"] == 2
+
+
+class _LoggedPath:
+    """A path that logs every t its point is asked for."""
+
+    def __init__(self, path):
+        self.path, self.ts = path, []
+        self.steps, self.name = path.steps, path.name
+
+    def point(self, t):
+        self.ts.append(t)
+        return self.path.point(t)
+
+
+class TestStepGrowth:
+    """The step grows from the nominal step to at most eight of them and
+    never past a quarter of the path; the pairs do not depend on the step,
+    and the gap guard keeps a wide margin."""
+
+    @pytest.mark.parametrize("text", ["b(1,1).b(10,1).f.pi(2,7,11)", "b(20,2).f", "b(10,1).f"])
+    def test_guard_margin(self, cfg, monkeypatch, text):
+        # the largest move of an accepted step over its gap, where the guard
+        # refuses 0.4
+        ratios = []
+
+        def make(e, max_newton_iters):
+            step = _stepper(e, max_newton_iters)
+            branch = None if e.proj is None else np.array(e.proj.cubic_roots())
+
+            def measured(x, y, slope, origin, target, tol):
+                landed, refused, slope = step(x, y, slope, origin, target, tol)
+                if landed is not None:
+                    ratios.append((np.abs(landed[0] - x) / _gaps(x, branch)).max())
+                return landed, refused, slope
+
+            return measured
+
+        monkeypatch.setattr(MONODROMY, "_stepper", make)
+        monodromy(parse_map_expr(text), cfg)
+        assert 0 < max(ratios) < 0.2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pair_independent_of_step(self, cfg, seed):
+        # a random chain of 1-3 stages b(m,n) with m, n <= 5, tracked in
+        # steps growing from 1/256 and in steps of at most 8/1024
+        rng = random.Random(seed)
+        stages = [f"b({rng.randint(1, 5)},{rng.randint(1, 5)})" for _ in range(rng.randint(1, 3))]
+        e = parse_map_expr(".".join(stages))
+        assert monodromy(e, cfg) == monodromy(e, TrackingConfig(initial_step=1 / 1024)), stages
+
+    @pytest.mark.parametrize("initial_step,longest,probe_longest", [
+        (1 / 256, 8 / 256, 8 / 512),
+        (1 / 16, 1 / 4, 1 / 4),
+        (1 / 8, 1 / 4, 1 / 4),
+        # a loop of three nominal steps keeps them; the probe's six grow
+        (0.33, 1 / 3, 1 / 4),
+    ], ids=["default", "sixteenth", "eighth", "coarse"])
+    def test_longest_loop_step(self, monkeypatch, initial_step, longest, probe_longest):
+        cfg = TrackingConfig(initial_step=initial_step)
+        e = parse_map_expr("b(10,1).f.pi(2,7,11)")
+        start = fiber(e, BASEPOINT, cfg)
+        runs = ((_loops(cfg), longest), (_loops(cfg, centers=(0.1, 0.9), refine=2), probe_longest))
+        for loops, expected in runs:
+            log = []
+            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log))
+            paths = [_LoggedPath(loop) for loop in loops]
+            _continue(e, paths, start.x, start.y, cfg)
+            for path in paths:
+                # ts[0] is the start, then one target per step tried
+                t, tried = 0.0, []
+                for target, (*_, accepted) in zip(path.ts[1:], log, strict=True):
+                    tried.append(target - t)
+                    if accepted:
+                        t = target
+                assert t == 1.0
+                assert max(tried) == pytest.approx(expected, rel=1e-12)
 
 
 def _one_path_at_a_time(continue_):
@@ -819,25 +763,22 @@ class TestStacked:
         # in 40 common steps the row passing 0.02 from 1 is refused on some
         loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.76, steps=40)]
         log = []
-        monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log, exact_only=False))
+        monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log))
         end = _continue(e, loops, points.x, points.y, cfg)
         assert not all(accepted for *_, accepted in log)
         for p, loop in enumerate(loops):
             assert _permutation(points, _row(end, p), cfg) == track_loop(e, loop, points, cfg)
 
     @pytest.mark.parametrize("curve", [False, True])
-    def test_gaps_and_lowered_row_by_row(self, curve):
+    def test_gaps_row_by_row(self, curve):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
         branch = rng.normal(size=3) + 1j * rng.normal(size=3) if curve else None
-        moved = np.abs(rng.normal(size=(4, 9)))
         # row 2 alone has two points close together
         x[2, 1] = x[2, 0] + 1e-3
         gaps = _gaps(x, branch)
-        lowered = _lowered(gaps, moved)
         for p in range(4):
             assert np.array_equal(gaps[p], _gaps(x[p], branch))
-            assert np.array_equal(lowered[p], _lowered(gaps[p], moved[p]))
         assert gaps[2].min() < 1e-2 < np.delete(gaps, 2, axis=0).min()
 
     @pytest.mark.parametrize("text", ["b(1,1).b(10,1)", "b(10,1).f.pi(2,7,11)"])

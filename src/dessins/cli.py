@@ -209,7 +209,7 @@ def main(argv=None) -> int:
         return _fail(exc, EVIDENCE_EXIT)
     except (RootFindingError, TrackingError, RenderError, ZeroDivisionError) as exc:
         return _fail(exc, NUMERIC_EXIT)
-    except (MapExprError, galois.BadWordError, NotBelyiError, ValueError) as exc:
+    except (MapExprError, galois.BadWordError, NotBelyiError, ValueError, OSError) as exc:
         return _fail(exc, PARSE_EXIT)
 
     if payload is not None:

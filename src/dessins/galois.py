@@ -103,7 +103,8 @@ class SubgroupSpec:
         return tuple(word_permutation(w) for w in self.generator_words)
 
     def label(self) -> str:
-        return ",".join(self.generator_words) if self.generator_words else "1"
+        """The words joined by commas; the empty word, and no words, is 1."""
+        return ",".join(word or "1" for word in self.generator_words) or "1"
 
 
 def act(word: str, t: Triple) -> Triple:

@@ -14,9 +14,11 @@ Primitives:
                built on roots i, j, k of f, degree 2
 
 ``pi`` may only appear as the innermost element and at most once; ``f`` may
-appear at most once and no ``b`` may sit inside it.  Branch values are
-propagated forward exactly (rational arithmetic plus symbolic root
-references) wherever the chain allows it.
+appear at most once and no ``b`` may sit inside it.  Each primitive's
+ramification is one table (Ramification), which branch values and render's
+vertices both read.  Branch values are propagated forward exactly
+(rational arithmetic plus symbolic root references) wherever the chain
+allows it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .polynomials import ComplexPoly, f_polynomial, fraction_eval_f, roots_of_f
+from .polynomials import ComplexPoly, f_polynomial, roots_of_f
 
 class MapExprError(ValueError):
     """Base class for expression construction and parse failures."""
@@ -128,6 +130,15 @@ class BelyiMN:
         """The sum of |c_k| a^k over the coefficients of b, K a^m (1+a)^n."""
         return self._lead * a**self.m * (1 + a) ** self.n
 
+    def ramification(self) -> Ramification:
+        """0 is taken at 0 and 1 with orders m and n, and 1 doubly at the
+        critical point m/(m+n); see Ramification."""
+        m, n = self.m, self.n
+        return {
+            Fraction(0): ((Fraction(0), m), (Fraction(1), n)),
+            Fraction(1): ((Fraction(m, m + n), 2),),
+        }
+
     def text(self) -> str:
         return f"b({self.m},{self.n})"
 
@@ -144,6 +155,16 @@ class FPoly:
     def majorant(self, a):
         """The sum of |c_k| a^k over the coefficients of f."""
         return a**12 + 12 / 11 * a**11 + 1
+
+    def ramification(self) -> Ramification:
+        """f' = 12 x^10 (x - 1): 1 is taken at 0 with order 11 and at 12/11,
+        and 10/11 doubly at 1; 0 is taken at the twelve labeled roots, which
+        render needs by label.  See Ramification."""
+        return {
+            Fraction(1): ((Fraction(0), 11), (Fraction(12, 11), 1)),
+            Fraction(10, 11): ((Fraction(1), 2),),
+            Fraction(0): tuple((RootRef(i), 1) for i in range(1, 13)),
+        }
 
     def text(self) -> str:
         return "f"
@@ -168,11 +189,28 @@ class Proj:
         ri, rj, rk = self.cubic_roots()
         return (x - ri) * (x - rj) * (x - rk)
 
+    def ramification(self) -> Ramification:
+        """Each root r of the cubic is taken doubly, at (r, 0); see
+        Ramification."""
+        return {RootRef(i): ((RootRef(i), 2),) for i in self.triple}
+
     def text(self) -> str:
         return f"pi({self.triple[0]},{self.triple[1]},{self.triple[2]})"
 
 
 Primitive = Union[BelyiMN, FPoly, Proj]
+
+# A primitive's ramification table: each finite value it ramifies over, or
+# whose preimages render needs by label, to the exact preimages with their
+# orders.  Any further preimages of such a value are simple.  Every
+# primitive also ramifies over infinity, which no table lists.
+Ramification = dict[BranchPoint, tuple[tuple[BranchPoint, int], ...]]
+
+
+def critical_values(prim: Primitive) -> list[BranchPoint]:
+    """The finite values ``prim`` ramifies over: the values of its table
+    with a preimage of order above 1, in table order."""
+    return [v for v, points in prim.ramification().items() if any(k > 1 for _, k in points)]
 
 
 @dataclass(frozen=True)
@@ -346,26 +384,11 @@ def point_to_complex(v: BranchPoint) -> complex:
     return complex(v)
 
 
-def _own_branch_values(prim: Primitive) -> list[BranchPoint]:
-    if isinstance(prim, BelyiMN):
-        values: list[BranchPoint] = [Fraction(1), INF]
-        if prim.m >= 2 or prim.n >= 2:
-            values.insert(0, Fraction(0))
-        return values
-    if isinstance(prim, FPoly):
-        return [Fraction(1), Fraction(10, 11), INF]
-    return [RootRef(i) for i in prim.triple] + [INF]
-
-
 def _forward_image(prim: Primitive, v: BranchPoint) -> BranchPoint:
     if v is INF:
         return INF
     if isinstance(prim, FPoly):
-        if isinstance(v, RootRef):
-            return Fraction(0)
-        if isinstance(v, Fraction):
-            return fraction_eval_f(v)
-        return f_polynomial()(v)
+        return Fraction(0)  # only pi sits inside f: v is a root of f
     if isinstance(prim, BelyiMN):
         if isinstance(v, Fraction):
             return prim.lead_constant * v**prim.m * (1 - v) ** prim.n
@@ -393,15 +416,15 @@ def _dedup(values: Iterable[BranchPoint]) -> tuple[BranchPoint, ...]:
 def branch_values(e: MapExpr) -> BranchData:
     """Branch values of the composite, propagated innermost to outermost.
 
-    Every primitive contributes its own critical values, and all branch
-    values of the inner part are pushed forward through the outer
-    primitives.  Rational points and root references stay exact; anything
-    else is carried numerically.
+    Every primitive contributes its critical values (critical_values) and
+    infinity, and all branch values of the inner part are pushed forward
+    through the outer primitives.  Rational points and root references
+    stay exact; anything else is carried numerically.
     """
     values: tuple[BranchPoint, ...] = ()
     for prim in reversed(e.chain):
         forwarded = [_forward_image(prim, v) for v in values]
-        values = _dedup(list(_own_branch_values(prim)) + forwarded)
+        values = _dedup(critical_values(prim) + [INF] + forwarded)
     return BranchData(values=values)
 
 

@@ -25,9 +25,9 @@ stacked as rows of one (P, n) array, one row per path, all starting from
 the same fiber; the rows share the parameter t and the step, and a
 refusal on any row halves the step for all.  Each row has its own gaps,
 so a point is guarded against its own path's fiber only.  Both loops of a
-chain are one run, and so are the two loops and two transport segments
-under a leading b(1,1) (see below).  The fiber itself is pulled back
-through each stage by one batched root solve.
+chain are one run, and the two transport segments under a leading b(1,1)
+are another (see below).  The fiber itself is pulled back through each
+stage by one batched root solve.
 
 Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
@@ -571,11 +571,11 @@ def _doubled(
     Each inner fiber point k is carried along the real segments from 1/2
     to w1 and to w2, which meet no branch value of ``inner``, with steps
     no longer than the loops' nominal step; a(k) and b(k) are the labels
-    of the points it lands on.  The two segments and, unless ``inner`` is
-    itself doubled, the two loops of ``inner`` are one stacked
-    continuation.  The loop around 0 lifts through 4w(1 - w) to a loop
-    around 0 at w1 and around 1 at w2, and the loop around 1 to a path
-    from w1 to w2 through 1/2, so
+    of the points it lands on.  The two segments are one stacked
+    continuation of their own, apart from the run that gives (s0, s1).
+    The loop around 0 lifts through 4w(1 - w) to a loop around 0 at w1
+    and around 1 at w2, and the loop around 1 to a path from w1 to w2
+    through 1/2, so
 
         g0: a(k) -> a(s0 k),  b(k) -> b(s1 k);    g1: a(k) <-> b(k),
 
@@ -586,13 +586,9 @@ def _doubled(
     points, start = fibers[0], fibers[1]
     arc_step = loops[0].length / loops[0].steps
     segments = [_Segment(BASEPOINT, w, arc_step) for w in _HALF_PREIMAGES]
-    if len(fibers) > 2:
-        s0, s1 = _pair(inner, fibers[1:], cfg, loops)
-        end = _continue(inner, segments, start.x, start.y, cfg)
-    else:
-        end = _continue(inner, list(loops) + segments, start.x, start.y, cfg)
-        s0, s1 = (_permutation(start, _row(end, p), cfg) for p in (0, 1))
-    ends = [_row(end, p).unfold() for p in (-2, -1)]
+    s0, s1 = _pair(inner, fibers[1:], cfg, loops)
+    end = _continue(inner, segments, start.x, start.y, cfg)
+    ends = [_row(end, p).unfold() for p in (0, 1)]
     x = np.concatenate([end[0] for end in ends])
     y = None if inner.proj is None else np.concatenate([end[1] for end in ends])
     # a[k - 1] and b[k - 1] are the labels that inner label k lands on

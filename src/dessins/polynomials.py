@@ -21,9 +21,8 @@ the full symmetric group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Iterator, Sequence
 
 import cmath
@@ -100,8 +99,11 @@ def roots(poly: ComplexPoly, angular_offset: float = ANGULAR_OFFSET) -> tuple[co
     approximations end up closer than 1e-8 or the iteration stalls with
     every residual within tolerance, as it does at a multiple root, where
     rounding keeps the approximations jittering (multiple roots are out of
-    scope for the simultaneous iteration).
+    scope for the simultaneous iteration).  Raises ValueError for a
+    non-finite angular_offset.
     """
+    if not isfinite(angular_offset):
+        raise ValueError(f"angular offset must be finite, got {angular_offset!r}")
     return _aberth(poly, (poly.coeffs[0],), angular_offset)[0]
 
 
@@ -276,7 +278,7 @@ class LabeledRoots:
 
 def roots_of_f(angular_offset: float = ANGULAR_OFFSET) -> LabeledRoots:
     """Labeled roots of ``f``, cached per starting-circle rotation; label 1
-    has the least argument."""
+    has the least argument.  Raises ValueError for a non-finite offset."""
     return _roots_of_f_cached(angular_offset)
 
 
@@ -535,8 +537,3 @@ def s12_evidence(max_prime: int = 2000) -> EvidenceCertificate:
         if found is None
     ]
     raise EvidenceIncompleteError(missing, max_prime)
-
-
-def fraction_eval_f(x: Fraction) -> Fraction:
-    """Exact evaluation of ``f`` at a rational point."""
-    return x**12 - Fraction(12, 11) * x**11 + 1

@@ -1,7 +1,8 @@
 """Deterministic SVG drawings of dessins by lifting the segment [0, 1].
 
 Vertices are the structural preimages of 0 (black) and 1 (white), computed
-stage by stage with exact multiplicity bookkeeping at critical values.
+stage by stage with exact multiplicity bookkeeping at the values of each
+primitive's ramification table (maps.Ramification).
 Edges are the fiber points over 1/2, continued toward both endpoints
 through geometric ladders of base values by the continuation of loop
 tracking (monodromy._continue), one stacked run of the two ladders per
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import maps
-from .maps import BelyiMN, FPoly, MapExpr, RootRef
+from .maps import MapExpr
 from .monodromy import NotBelyiError, TrackingConfig, _continue, _row, _Segment, fiber
 from .polynomials import ComplexPoly, roots, shifted_roots
 
@@ -75,64 +76,35 @@ class RenderResult:
 # structural preimages with multiplicity
 
 
-def _poly_minus(prim, v: complex) -> ComplexPoly:
+def _preimages(prim, v, table: maps.Ramification):
+    """(preimage, multiplicity) pairs of a polynomial primitive at a value
+    of its ramification table: the table's exact points, then the simple
+    roots of prim - v left after deflating each exact point of order k
+    k times.  None at any other value (see _solve_regular)."""
+    exact = table.get(v)
+    if exact is None:
+        return None
     poly = maps.as_poly(prim)
-    return ComplexPoly((poly.coeffs[0] - v,) + poly.coeffs[1:])
-
-
-def _deflated_roots(prim, v: complex, at: complex, times: int) -> tuple[complex, ...]:
-    poly = _poly_minus(prim, v)
-    for _ in range(times):
-        poly = poly.deflate(at)
-    if poly.degree == 0:
-        return ()
-    return roots(poly)
-
-
-def _preimages(prim, v):
-    """(preimage, multiplicity) pairs of a single primitive at an exact
-    value where it ramifies or is given by labels; None at a regular value
-    (see _solve_regular)."""
-    if isinstance(prim, BelyiMN):
-        if v == Fraction(0):
-            return [(Fraction(0), prim.m), (Fraction(1), prim.n)]
-        if v == Fraction(1):
-            crit = Fraction(prim.m, prim.m + prim.n)
-            extra = _deflated_roots(prim, 1.0, complex(crit), 2)
-            return [(crit, 2)] + [(r, 1) for r in extra]
-        return None
-    if isinstance(prim, FPoly):
-        if v == Fraction(1):
-            return [(Fraction(0), 11), (Fraction(12, 11), 1)]
-        if v == Fraction(10, 11):
-            extra = _deflated_roots(prim, 10.0 / 11.0, 1.0, 2)
-            return [(Fraction(1), 2)] + [(r, 1) for r in extra]
-        if v == Fraction(0):
-            return [(RootRef(i), 1) for i in range(1, 13)]
-        return None
-    raise TypeError("pi preimages are handled on the curve")
+    poly = ComplexPoly((poly.coeffs[0] - maps.point_to_complex(v),) + poly.coeffs[1:])
+    for point, order in exact:
+        for _ in range(order):
+            poly = poly.deflate(maps.point_to_complex(point))
+    simple = roots(poly) if poly.degree else ()
+    return list(exact) + [(r, 1) for r in simple]
 
 
 def _solve_regular(prim, values) -> list[tuple[complex, ...]]:
-    """The roots of prim - v for each regular value v, from one batched
-    solve; raises RenderError for a value on a critical value without an
-    exact tag."""
+    """The roots of prim - v for each value v off the ramification table,
+    from one batched solve; raises RenderError for a numeric value within
+    1e-9 of a critical value, which it may only approximate."""
     if not values:
         return []
-    data = maps.branch_values(MapExpr((prim,)))
-    vcs = []
-    for v in values:
-        vc = maps.point_to_complex(v) if not isinstance(v, complex) else v
-        for bv in data.finite_numeric():
-            if abs(vc - bv) < 1e-9 and not _is_exact(v):
-                raise RenderError(
-                    f"value {vc} sits on a critical value without an exact tag")
-        vcs.append(vc)
+    vcs = [maps.point_to_complex(v) for v in values]
+    critical = [maps.point_to_complex(c) for c in maps.critical_values(prim)]
+    for v, vc in zip(values, vcs):
+        if isinstance(v, complex) and any(abs(vc - c) < 1e-9 for c in critical):
+            raise RenderError(f"value {vc} sits on a critical value without an exact tag")
     return shifted_roots(maps.as_poly(prim), vcs)
-
-
-def _is_exact(v) -> bool:
-    return isinstance(v, (Fraction, RootRef))
 
 
 def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
@@ -143,7 +115,8 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
     color = "black" if target == 0 else "white"
     current: list[tuple[object, int]] = [(Fraction(target), 1)]
     for prim in e.polynomial_part():
-        exact = [_preimages(prim, v) for v, _ in current]
+        table = prim.ramification()
+        exact = [_preimages(prim, v, table) for v, _ in current]
         regular = iter(_solve_regular(
             prim, [v for (v, _), pre in zip(current, exact) if pre is None]))
         nxt: list[tuple[object, int]] = []
@@ -156,10 +129,11 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
     out = []
     if e.has_curve:
         proj = e.proj
-        in_triple = set(proj.triple)
+        ramified = proj.ramification()
         for v, mult in current:
-            if isinstance(v, RootRef) and v.label in in_triple:
-                out.append(RenderVertex(x=v.value(), y=0j, order=2 * mult, color=color))
+            if v in ramified:
+                (x, order), = ramified[v]
+                out.append(RenderVertex(x=x.value(), y=0j, order=order * mult, color=color))
                 continue
             x = maps.point_to_complex(v)
             y = np.sqrt(complex(proj.curve_rhs(x)))

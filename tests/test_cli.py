@@ -47,6 +47,17 @@ class TestRoots:
         run_json(capsys, "roots", "--seed-offset", "0.37")
         assert polynomials.roots_of_f() is polynomials.roots_of_f(polynomials.ANGULAR_OFFSET)
 
+    @pytest.mark.parametrize("offset", ["inf", "nan"])
+    def test_non_finite_seed_offset(self, capsys, offset):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "roots", "--seed-offset", offset)
+        assert code == 2
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "ValueError"
+        assert out == ""
+
     def test_seed_offset_only_on_roots(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["dessin", "--triple", "2,7,11", "--seed-offset", "0.3"])
@@ -212,6 +223,12 @@ class TestOrbit:
         assert data["genus"] == [1, 1]
         assert data["shared_passport"] is True
 
+    def test_empty_word_is_the_identity(self, capsys):
+        data = run_json(capsys, "orbit", "--triple", "2,7,11", "--subgroup", "")
+        jsonschema.validate(data, ORBIT_SCHEMA)
+        assert data["subgroup"] == "1"
+        assert data["orbit"] == [[2, 7, 11]]
+
     def test_workers_option_removed(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["orbit", "--triple", "2,7,11", "--subgroup", "a", "--workers", "2"])
@@ -273,6 +290,15 @@ class TestRender:
         code, out, err = run(capsys, "render", "--map", "b(1,1)", "--out", "-")
         assert code == 0
         assert out.startswith("<svg")
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        code, out, err = run(capsys, "render", "--map", "b(1,1)",
+                             "--out", str(tmp_path / "missing" / "x.svg"))
+        assert code == 2
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "FileNotFoundError"
+        assert out == ""
 
     def test_bad_samples(self, capsys):
         code, _, err = run(capsys, "render", "--map", "b(1,1)",

@@ -179,6 +179,8 @@ class TestOrbits:
         assert SPEC_A.label() == "a"
         assert SubgroupSpec(("a", "b")).label() == "a,b"
         assert SubgroupSpec(()).label() == "1"
+        assert SubgroupSpec(("",)).label() == "1"
+        assert SubgroupSpec(("a", "")).label() == "a,1"
 
 
 def discriminant(t: Triple) -> complex:

@@ -8,6 +8,7 @@ from dessins.maps import (
     BadTripleError,
     BelyiMN,
     EmptyChainError,
+    FPoly,
     MapExpr,
     MapExprError,
     MapSyntaxError,
@@ -16,6 +17,7 @@ from dessins.maps import (
     RootRef,
     as_poly,
     branch_values,
+    critical_values,
     degree,
     format_map_expr,
     is_belyi,
@@ -179,6 +181,29 @@ class TestBranchValues:
     def test_infinity_always_branches(self):
         data = branch_values(parse_map_expr("b(1,1)"))
         assert INF in data.values
+
+
+class TestRamification:
+    @pytest.mark.parametrize("prim", [FPoly()] + [
+        BelyiMN(m, n) for m in range(1, 13) for n in range(1, 13)], ids=lambda p: p.text())
+    def test_riemann_hurwitz(self, prim):
+        # a polynomial of degree d has d - 1 finite ramification in all
+        orders = [k for points in prim.ramification().values() for _, k in points]
+        assert sum(k - 1 for k in orders) == prim.degree - 1
+
+    @pytest.mark.parametrize("prim", [FPoly(), BelyiMN(1, 1), BelyiMN(10, 1), BelyiMN(3, 5)],
+                             ids=lambda p: p.text())
+    def test_points_lie_over_their_values(self, prim):
+        for v, points in prim.ramification().items():
+            x = np.array([point_to_complex(p) for p, _ in points])
+            value, _ = prim.value_and_slope(x)
+            assert value == pytest.approx([point_to_complex(v)] * len(x), abs=1e-12)
+
+    def test_critical_values(self):
+        assert critical_values(BelyiMN(1, 1)) == [Fraction(1)]
+        assert critical_values(BelyiMN(10, 1)) == [Fraction(0), Fraction(1)]
+        assert critical_values(FPoly()) == [Fraction(1), Fraction(10, 11)]
+        assert critical_values(Proj((2, 7, 11))) == [RootRef(2), RootRef(7), RootRef(11)]
 
 
 class TestCurveBits:

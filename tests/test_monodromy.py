@@ -429,8 +429,10 @@ class TestRoundingFloor:
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
         assert monodromy(self.E, cfg) == psi_pair
-        # 1, 2 and 4 nominal steps, then 32 steps of 8 (the last cut short)
-        assert counts["step"] == 35
+        # the loops: 1, 2 and 4 nominal steps, then 32 steps of 8 (the last
+        # cut short); the segments: 1, 2 and 4 of their 29 nominal steps,
+        # then three quarters of the path and the rest
+        assert counts["step"] == 42
         assert counts["_rounding_error"] == counts["step"]
 
     def test_non_finite_newton_refused(self, cfg):
@@ -605,12 +607,13 @@ class TestDecisionsUnchanged:
             monkeypatch.setattr(
                 MONODROMY, name, _counting(counts, name, getattr(MONODROMY, name)))
         assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
-        # the four paths are one stacked run of 35 steps, growing from the
-        # nominal step to 8 of them; each step's predictor reuses the slope
-        # of the step before, and the gaps are built once per step and once
-        # per fiber
-        assert counts["_composite_and_derivative"] == 139
-        assert counts["_gaps"] == 37
+        # the two loops of the inner chain are one stacked run of 35 steps,
+        # growing from the nominal step to 8 of them, and the two transport
+        # segments another of 7, capped at a quarter of the path; each
+        # step's predictor reuses the slope of the step before, and the gaps
+        # are built once per step and once per fiber
+        assert counts["_composite_and_derivative"] == 165
+        assert counts["_gaps"] == 44
         # the stability probe on a curve chain, and the render ladders, whose
         # one-step rungs do not grow: both ladders one stacked run per rung
         counts.clear()

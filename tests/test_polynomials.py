@@ -17,7 +17,6 @@ from dessins.polynomials import (
     LabeledRoots,
     RootFindingError,
     f_polynomial,
-    fraction_eval_f,
     roots,
     roots_of_f,
     scaled_integer_model,
@@ -124,6 +123,13 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             roots(ComplexPoly((5,)))
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="finite"):
+            roots(f_polynomial(), angular_offset=offset)
+        with pytest.raises(ValueError, match="finite"):
+            roots_of_f(offset)
 
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(
@@ -239,12 +245,6 @@ class TestFPolynomial:
         assert f.coeffs[0] == 1.0
         assert f.coeffs[11] == pytest.approx(-12 / 11)
         assert f.coeffs[12] == 1.0
-
-    def test_exact_values_via_fractions(self):
-        assert fraction_eval_f(Fraction(0)) == 1
-        assert fraction_eval_f(Fraction(1)) == Fraction(10, 11)
-        # x^11 (x - 12/11) vanishes at 12/11 too
-        assert fraction_eval_f(Fraction(12, 11)) == 1
 
     def test_scaled_integer_model(self):
         coeffs = scaled_integer_model()

@@ -3,11 +3,12 @@ import importlib
 import math
 import xml.etree.ElementTree as ET
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dessins.maps import parse_map_expr
+from dessins.maps import BelyiMN, parse_map_expr
 from dessins.monodromy import NotBelyiError, monodromy
 from dessins.perms import Permutation, cycle_type
 from dessins.polynomials import roots_of_f
@@ -16,6 +17,7 @@ from dessins.render import (
     RenderError,
     RenderVertex,
     _attach,
+    _solve_regular,
     merge_dots,
     render_graph,
     structural_vertices,
@@ -72,6 +74,14 @@ class TestStructuralVertices:
         assert sorted(v.order for v in blacks) == sorted(
             cycle_type(full_pair.g0).parts
         )
+
+    def test_numeric_value_on_critical_value_refused(self):
+        # b(2,1) ramifies over 1: a float there may be the critical value
+        # itself, while an exact value off the table is solved as it is
+        with pytest.raises(RenderError, match="critical value"):
+            _solve_regular(BelyiMN(2, 1), [0.5, 1 + 1e-12j])
+        (got,) = _solve_regular(BelyiMN(2, 1), [Fraction(10**10 + 1, 10**10)])
+        assert len(got) == 3
 
     def test_full_chain_root_solves(self, monkeypatch):
         # two deflated solves, at b(10,1) = 1 and f = 10/11, and one batched

@@ -12,7 +12,32 @@ pairs by numerical continuation around 0 and 1, reduces them to dessin
 invariants (passport, genus, bouquet profile, canonical form), moves the
 triples under an A5 action and compares the dessins along each orbit, and
 draws the graphs as SVG.
+
+The exact layers (perms, dessin, galois, maps, the GF(p) half of
+polynomials) import no numpy, and neither does ``import dessins``: the
+numeric names, which continue fibers on numpy arrays, are imported from
+monodromy and render on first use (PEP 562).  ``dessins.monodromy`` stays
+the function of that name in every import order, also once the submodule
+of that name is imported (see _Package).
 """
+
+import importlib
+import sys
+import types
+
+
+class _Package(types.ModuleType):
+    """The package module.  Importing a submodule binds it on the package
+    by setattr; for ``monodromy``, which names both a submodule and its
+    function, the function is bound instead."""
+
+    def __setattr__(self, name, value):
+        if name == "monodromy" and isinstance(value, types.ModuleType):
+            value = value.monodromy
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 from .dessin import (
     Constellation,
@@ -42,15 +67,6 @@ from .galois import (
     word_permutation,
 )
 from .maps import MapExpr, branch_values, format_map_expr, is_belyi, parse_map_expr
-from .monodromy import (
-    LoopSpec,
-    MonodromyPair,
-    TrackingConfig,
-    fiber,
-    monodromy,
-    track_loop,
-    verify_stability,
-)
 from .perms import (
     CycleType,
     Permutation,
@@ -64,9 +80,29 @@ from .perms import (
     power,
 )
 from .polynomials import LabeledRoots, f_polynomial, roots_of_f, s12_evidence
-from .render import RenderResult, render_graph
+from .tracking import TrackingConfig
 
 __version__ = "0.1.0"
+
+_NUMERIC = {
+    "LoopSpec": "monodromy",
+    "MonodromyPair": "monodromy",
+    "fiber": "monodromy",
+    "monodromy": "monodromy",
+    "track_loop": "monodromy",
+    "verify_stability": "monodromy",
+    "RenderResult": "render",
+    "render_graph": "render",
+}
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CycleType",

@@ -5,7 +5,11 @@ Payloads go to stdout as JSON (numbers trimmed to 15 significant digits);
 failures go to stderr as a structured JSON error object.  Exit codes:
 0 success, 2 bad arguments, 3 numerical failure, 4 incomplete evidence.
 Only monodromy and render track a continuation, and only they take
---config; dessin and orbit are exact.
+--config.  dessin, orbit and evidence are exact and load no numpy:
+monodromy and render import their numeric modules when they run, and
+roots loads numpy for its root finder.  The parser is built once per
+process and never changed; each call looks its handler up by name,
+cmd_<command>, so a handler rebound on this module takes effect.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ import sys
 from . import galois, maps, polynomials
 from .dessin import dessin_json
 from .maps import MapExprError
-from .monodromy import NotBelyiError, TrackingConfig, TrackingError, monodromy_json
 from .polynomials import EvidenceIncompleteError, RootFindingError
-from .render import RenderError, render_graph
+from .tracking import NotBelyiError, RenderError, TrackingConfig, TrackingError
 
 PARSE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -87,6 +90,8 @@ def cmd_roots(args):
 
 
 def cmd_monodromy(args, cfg: TrackingConfig):
+    from .monodromy import monodromy_json
+
     e = maps.parse_map_expr(args.map)
     return monodromy_json(e, cfg, check_stability=args.check_stability)
 
@@ -113,6 +118,8 @@ def cmd_evidence(args):
 
 
 def cmd_render(args, cfg: TrackingConfig):
+    from .render import render_graph
+
     e = maps.parse_map_expr(args.map)
     result = render_graph(e, args.samples, cfg)
     if args.out == "-":
@@ -134,7 +141,10 @@ def cmd_render(args, cfg: TrackingConfig):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call; the
+    handler is not stored on it (see main)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json-pretty", action="store_true",
                         help="indent the JSON output")
@@ -153,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="labeled roots of the degree-12 polynomial f")
     p.add_argument("--seed-offset", type=float, default=polynomials.ANGULAR_OFFSET,
                    metavar="RAD", help="angular offset for the root finder's start circle")
-    p.set_defaults(handler=cmd_roots)
 
     p = sub.add_parser("monodromy", parents=[common, tracking],
                        help="permutation pair of a Belyi chain")
@@ -161,26 +170,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help='chain expression, e.g. "b(1,1).b(10,1)"')
     p.add_argument("--check-stability", action="store_true",
                    help="re-track with smaller loops and doubled sampling")
-    p.set_defaults(handler=cmd_monodromy)
 
     p = sub.add_parser("dessin", parents=[common],
                        help="dessin invariants of the full chain at a triple")
     p.add_argument("--triple", required=True, metavar="I,J,K",
                    help="three distinct root labels, e.g. 2,7,11")
-    p.set_defaults(handler=cmd_dessin)
 
     p = sub.add_parser("orbit", parents=[common],
                        help="subgroup orbit of a triple with per-dessin data")
     p.add_argument("--triple", required=True, metavar="I,J,K")
     p.add_argument("--subgroup", required=True,
                    help="generator word(s) over a,b,A,B, e.g. a or ab")
-    p.set_defaults(handler=cmd_orbit)
 
     p = sub.add_parser("evidence", parents=[common],
                        help="factorization witnesses for the Galois group of f")
     p.add_argument("--max-prime", type=int, default=2000,
                    help="largest prime to scan (default 2000)")
-    p.set_defaults(handler=cmd_evidence)
 
     p = sub.add_parser("render", parents=[common, tracking],
                        help="draw the dessin of a chain as SVG")
@@ -189,14 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help='output SVG path, or "-" for stdout')
     p.add_argument("--samples", type=int, default=48,
                    help="sample points per edge half (default 48)")
-    p.set_defaults(handler=cmd_render)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = args.handler
+    args = build_parser().parse_args(argv)
+    handler = globals()[f"cmd_{args.command}"]
     if "config" in args:
         try:
             handler = functools.partial(handler, cfg=_load_config(args.config))

@@ -29,8 +29,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Union
 
-import numpy as np
-
 from .polynomials import ComplexPoly, f_polynomial, roots_of_f
 
 class MapExprError(ValueError):
@@ -182,10 +180,18 @@ class Proj:
     degree = 2
 
     def cubic_roots(self) -> tuple[complex, complex, complex]:
+        return self._cubic_roots
+
+    @cached_property
+    def _cubic_roots(self) -> tuple[complex, complex, complex]:
+        """Read off roots_of_f() once per projection, as fiber and render
+        evaluate c point by point."""
         labeled = roots_of_f()
         return tuple(labeled[i] for i in self.triple)
 
-    def curve_rhs(self, x: complex | np.ndarray) -> complex | np.ndarray:
+    def curve_rhs(self, x):
+        """c(x) = (x - ri)(x - rj)(x - rk) at a complex x or elementwise on
+        an array."""
         ri, rj, rk = self.cubic_roots()
         return (x - ri) * (x - rj) * (x - rk)
 

@@ -8,7 +8,8 @@ aligns with a symmetric root configuration.  ``shifted_roots`` solves
 poly - v for many values v in one iteration over a (K, n) array of
 approximations, each row leaving it at the iteration where it would stop
 alone, so its roots equal those of ``roots`` bit for bit; ``roots`` is its
-one-row case.
+one-row case.  The iteration is the module's only use of numpy, which it
+imports when it runs.
 
 The mod-p half of the module computes the multiset of irreducible factor
 degrees of a monic integer polynomial over GF(p), which for a squarefree
@@ -23,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import cmath
-import numpy as np
 
 ANGULAR_OFFSET = 0.4  # radians; fixed rotation of the starting circle
 
@@ -132,6 +132,8 @@ def _aberth(
     their moduli taken by numpy's scalar abs, as a one-row call does: numpy
     arrays round both differently.
     """
+    import numpy as np
+
     n = poly.degree
     if n < 1:
         raise ValueError("need degree >= 1")
@@ -489,26 +491,21 @@ class EvidenceCertificate:
         }
 
 
-def _primes_up_to(n: int) -> Iterator[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-    return (i for i in range(n + 1) if sieve[i])
-
-
 def s12_evidence(max_prime: int = 2000) -> EvidenceCertificate:
     """Scan primes ascending for the three S12 witnesses of the monic model.
 
-    Stops at the first prime completing the certificate.  Raises
+    Stops at the first prime completing the certificate, so the primes are
+    tested one by one as the scan reaches them, however large ``max_prime``
+    is.  Raises ValueError for a negative ``max_prime``, and
     EvidenceIncompleteError listing the witness classes still missing when
     the scan passes ``max_prime``.
     """
+    if max_prime < 0:
+        raise ValueError(f"max_prime must be nonnegative, got {max_prime}")
     coeffs = scaled_integer_model()
     transitive = eleven = transposition = None
     scanned = 0
-    for p in _primes_up_to(max_prime):
+    for p in filter(_is_prime, range(2, max_prime + 1)):
         scanned += 1
         pattern = factor_degrees_mod_p(coeffs, p)
         if not pattern.squarefree:

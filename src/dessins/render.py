@@ -28,8 +28,9 @@ import numpy as np
 
 from . import maps
 from .maps import MapExpr
-from .monodromy import NotBelyiError, TrackingConfig, _continue, _row, _Segment, fiber
+from .monodromy import _continue, _row, _Segment, fiber
 from .polynomials import ComplexPoly, roots, shifted_roots
+from .tracking import NotBelyiError, RenderError, TrackingConfig
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
 
@@ -44,10 +45,6 @@ EDGE_COLOR = "#555555"
 BLACK_COLOR = "#111111"
 WHITE_FILL = "#ffffff"
 VERTEX_RADIUS = 3.2
-
-
-class RenderError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -275,7 +272,12 @@ def _svg_document(e, blacks, whites, lines):
     out.append(f'<rect width="100%" height="100%" fill="{WHITE_FILL}"/>')
 
     curve = e.has_curve
-    for k, (px, py) in enumerate(zip(sx(lines), sy(lines))):
+    # every row has as many points; one row is converted at a time
+    template = "M " + " L ".join(["%.2f,%.2f"] * lines.shape[1])
+    coords = [0.0] * (2 * lines.shape[1])
+    for k, row in enumerate(lines):
+        coords[::2] = sx(row).tolist()
+        coords[1::2] = sy(row).tolist()
         if curve:
             sheet = 1 - k % 2  # label k + 1; odd labels carry the tracked y
             color = SHEET_COLORS[sheet]
@@ -283,10 +285,9 @@ def _svg_document(e, blacks, whites, lines):
         else:
             color = EDGE_COLOR
             width = EDGE_WIDTH
-        d = "M " + " L ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         out.append(
             f'<path fill="none" stroke="{color}" stroke-width="{width:.2f}" '
-            f'stroke-linecap="round" d="{d}"/>'
+            f'stroke-linecap="round" d="{template % tuple(coords)}"/>'
         )
 
     merged_black = merge_dots(blacks, MERGE_TOL)

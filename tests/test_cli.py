@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -274,6 +278,16 @@ class TestEvidence:
         assert out == ""
 
 
+    def test_negative_bound_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "evidence", "--max-prime", "-5")
+        assert code == 2
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "ValueError"
+        assert "max_prime" in body["message"]
+        assert out == ""
+
+
 class TestRender:
     def test_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "b11.svg"
@@ -338,3 +352,84 @@ class TestOutputDiscipline:
         assert trimmed["c"] == "s"
         assert isinstance(trimmed["a"][2]["b"], list)
         assert trimmed["a"][0] == float(f"{1.23456789012345678:.15g}")
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from
+    this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestExactCommandsLoadNoNumpy:
+    @pytest.mark.parametrize("argv", [
+        ["dessin", "--triple", "2,7,11"],
+        ["orbit", "--triple", "2,7,11", "--subgroup", "a"],
+        ["evidence"],
+    ])
+    def test_fresh_interpreter(self, argv):
+        proc = run_fresh(
+            "import sys\n"
+            "from dessins.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
+
+    def test_numeric_command_loads_numpy(self):
+        proc = run_fresh(
+            "import sys\n"
+            "from dessins.cli import main\n"
+            "assert main(['monodromy', '--map', 'b(1,2)']) == 0\n"
+            "assert 'numpy' in sys.modules\n")
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestMonodromyNameInEveryImportOrder:
+    """dessins.monodromy names both a submodule and its function; the
+    package attribute stays the function whichever is imported first."""
+
+    @pytest.mark.parametrize("first", [
+        "import dessins.monodromy",
+        "import dessins.render",
+        "from dessins import render_graph",
+        "from dessins import cli; cli.main(['monodromy', '--map', 'b(1,2)'])",
+        "import dessins",
+    ])
+    def test_function_after(self, first):
+        proc = run_fresh(
+            f"{first}\n"
+            "import sys, types\n"
+            "import dessins\n"
+            "from dessins import monodromy\n"
+            "assert isinstance(monodromy, types.FunctionType), monodromy\n"
+            "assert monodromy is sys.modules['dessins.monodromy'].monodromy\n"
+            "assert all(hasattr(dessins, name) for name in dessins.__all__)\n")
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestRepeatedCalls:
+    """One process, many cli.main calls, as a script or a benchmark makes
+    them: the parser is built once, and nothing of a call reaches the next."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rebound_handler_runs(self, capsys, monkeypatch):
+        run_json(capsys, "dessin", "--triple", "2,7,11")
+        monkeypatch.setattr(cli, "cmd_dessin", lambda args: {"rebound": args.triple})
+        assert run_json(capsys, "dessin", "--triple", "2,7,11") == {"rebound": "2,7,11"}
+
+    def test_failed_parse_leaves_next_call_unchanged(self, capsys):
+        argv = ("orbit", "--triple", "2,7,11", "--subgroup", "a", "--json-pretty")
+        code, before, _ = run(capsys, *argv)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["orbit", "--triple", "2,7,11", "--subgroup", "a", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, after, _ = run(capsys, *argv)
+        assert code == 0
+        assert after == before

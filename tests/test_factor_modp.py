@@ -126,6 +126,15 @@ class TestEvidence:
         assert "11cycle" in err.value.missing
         assert "transposition" in err.value.missing
 
+    def test_negative_bound_names_max_prime(self):
+        with pytest.raises(ValueError, match="max_prime"):
+            s12_evidence(max_prime=-5)
+
+    def test_huge_bound_stops_at_the_certificate(self):
+        # the primes are tested as the scan reaches them: nothing is sized
+        # by the bound, and the scan still stops at 47
+        assert s12_evidence(max_prime=10**12) == s12_evidence()
+
     def test_json_shape(self):
         data = s12_evidence(2000).to_json_dict()
         assert set(data) == {

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: roots | monodromy | dessin | orbit | evidence | render.
-Payloads go to stdout as JSON (numbers trimmed to 15 significant digits);
-failures go to stderr as a structured JSON error object.  Exit codes:
+Payloads go to stdout as JSON; roots and monodromy, the only payloads
+with floats, trim them to 15 significant digits (round_floats).
+Failures go to stderr as a structured JSON error object.  Exit codes:
 0 success, 2 bad arguments, 3 numerical failure, 4 incomplete evidence.
 Only monodromy and render track a continuation, and only they take
 --config.  dessin, orbit and evidence are exact and load no numpy:
@@ -44,7 +45,6 @@ def round_floats(obj, digits: int = 15):
 
 
 def _emit(payload, pretty: bool) -> None:
-    payload = round_floats(payload)
     if pretty:
         text = json.dumps(payload, indent=2, sort_keys=False)
     else:
@@ -86,14 +86,14 @@ def _load_config(path: str | None) -> TrackingConfig:
 
 
 def cmd_roots(args):
-    return polynomials.roots_of_f(args.seed_offset).to_json_list()
+    return round_floats(polynomials.roots_of_f(args.seed_offset).to_json_list())
 
 
 def cmd_monodromy(args, cfg: TrackingConfig):
     from .monodromy import monodromy_json
 
     e = maps.parse_map_expr(args.map)
-    return monodromy_json(e, cfg, check_stability=args.check_stability)
+    return round_floats(monodromy_json(e, cfg, check_stability=args.check_stability))
 
 
 def cmd_dessin(args):

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .polynomials import ComplexPoly, f_polynomial, roots_of_f
 
@@ -403,44 +403,23 @@ def _forward_image(prim: Primitive, v: BranchPoint) -> BranchPoint:
     raise TypeError("pi is innermost and has no forward images to take")
 
 
-def _dedup(values: Iterable[BranchPoint]) -> tuple[BranchPoint, ...]:
-    kept: list[BranchPoint] = []
-    for v in values:
-        if v is INF:
-            if not any(k is INF for k in kept):
-                kept.append(v)
-            continue
-        vc = point_to_complex(v)
-        for k in kept:
-            if k is not INF and abs(point_to_complex(k) - vc) < 1e-9:
-                break
-        else:
-            kept.append(v)
-    return tuple(kept)
-
-
 def branch_values(e: MapExpr) -> BranchData:
     """Branch values of the composite, propagated innermost to outermost.
 
     Every primitive contributes its critical values (critical_values) and
     infinity, and all branch values of the inner part are pushed forward
     through the outer primitives.  Rational points and root references
-    stay exact; anything else is carried numerically.
+    stay exact; only the images of pi's roots under b(m,n) are numeric.
+    Repeats are dropped by equality, keeping the first.
     """
     values: tuple[BranchPoint, ...] = ()
     for prim in reversed(e.chain):
         forwarded = [_forward_image(prim, v) for v in values]
-        values = _dedup(critical_values(prim) + [INF] + forwarded)
+        values = tuple(dict.fromkeys(critical_values(prim) + [INF] + forwarded))
     return BranchData(values=values)
 
 
 def is_belyi(e: MapExpr) -> bool:
-    """True when all branch values lie in {0, 1, infinity}."""
-    data = branch_values(e)
-    for v in data.values:
-        if v is INF:
-            continue
-        vc = point_to_complex(v)
-        if abs(vc) >= 1e-9 and abs(vc - 1) >= 1e-9:
-            return False
-    return True
+    """True when every finite branch value equals 0 or 1 exactly: a value
+    merely near them, such as b(1,11)(10/11) ~ 1e-10, is one more."""
+    return all(v is INF or v == 0 or v == 1 for v in branch_values(e).values)

@@ -158,7 +158,10 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> Fib
     """The fiber over a base point, deterministically labeled (see Fiber).
 
     x is sorted by (re, im); on curves y[i] is the square root of c(x[i])
-    that sorts first by (im y, re y).  Raises NearBranchError when the base
+    that sorts first by (im y, re y).  A conjugate pair whose real parts
+    differ only in their last bits is ordered by those bits (labels 6 and 7
+    of b(2,2).b(3,5) by 6.9e-18, +im first), so the labels depend on the
+    exact bits of shifted_roots.  Raises NearBranchError when the base
     point sits within 1e-6 of a branch value and CollisionError when two
     fiber points nearly coincide.
     """

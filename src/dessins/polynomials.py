@@ -313,10 +313,6 @@ class DegreePattern:
     degrees: tuple[int, ...]
     squarefree: bool
 
-    def to_json_dict(self) -> dict:
-        return {"prime": self.prime, "pattern": list(self.degrees),
-                "squarefree": self.squarefree}
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -344,23 +340,27 @@ def _gfp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _gfp_trim(out)
 
 
-def _gfp_rem(a: list[int], b: list[int], p: int) -> list[int]:
+def _gfp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b over GF(p), by long division."""
     a = _gfp_trim([c % p for c in a])
+    b = _gfp_trim([c % p for c in b])
     inv = pow(b[-1], p - 2, p)
+    quot = [0] * (len(a) - len(b) + 1)
     while len(a) >= len(b):
         coef = a[-1] * inv % p
         shift = len(a) - len(b)
+        quot[shift] = coef
         for i, bc in enumerate(b):
             a[shift + i] = (a[shift + i] - coef * bc) % p
         _gfp_trim(a)
-    return a
+    return _gfp_trim(quot), a
 
 
 def _gfp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a = _gfp_trim([c % p for c in a])
     b = _gfp_trim([c % p for c in b])
     while b:
-        a, b = b, _gfp_rem(a, b, p)
+        a, b = b, _gfp_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
@@ -369,11 +369,11 @@ def _gfp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _gfp_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     acc = [1]
-    base = _gfp_rem(base, mod, p)
+    base = _gfp_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            acc = _gfp_rem(_gfp_mul(acc, base, p), mod, p)
-        base = _gfp_rem(_gfp_mul(base, base, p), mod, p)
+            acc = _gfp_divmod(_gfp_mul(acc, base, p), mod, p)[1]
+        base = _gfp_divmod(_gfp_mul(base, base, p), mod, p)[1]
         e >>= 1
     return acc
 
@@ -415,8 +415,8 @@ def factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> DegreePattern:
         shared = _gfp_gcd(probe, work, p)
         if len(shared) > 1:
             degrees.extend([d] * ((len(shared) - 1) // d))
-            work = _gfp_quot(work, shared, p)
-            h = _gfp_rem(h, work, p) if len(work) > 1 else [0]
+            work = _gfp_divmod(work, shared, p)[0]
+            h = _gfp_divmod(h, work, p)[1] if len(work) > 1 else [0]
     if squarefree and sum(degrees) != n:
         raise AssertionError("degree pattern does not sum to the degree")
     return DegreePattern(prime=p, degrees=tuple(sorted(degrees)), squarefree=squarefree)
@@ -436,25 +436,10 @@ def _gfp_radical(f: list[int], p: int) -> list[int]:
     if not deriv:
         return _gfp_radical([f[i] for i in range(0, len(f), p)], p)
     shared = _gfp_gcd(f, deriv, p)
-    tame = _gfp_quot(f, shared, p)
+    tame = _gfp_divmod(f, shared, p)[0]
     rest = _gfp_radical(shared, p)
-    extra = _gfp_quot(rest, _gfp_gcd(rest, tame, p), p)
+    extra = _gfp_divmod(rest, _gfp_gcd(rest, tame, p), p)[0]
     return _gfp_mul(tame, extra, p)
-
-
-def _gfp_quot(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _gfp_trim([c % p for c in a])
-    b = _gfp_trim([c % p for c in b])
-    inv = pow(b[-1], p - 2, p)
-    out = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        coef = a[-1] * inv % p
-        shift = len(a) - len(b)
-        out[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bc) % p
-        _gfp_trim(a)
-    return _gfp_trim(out)
 
 
 @dataclass(frozen=True)
@@ -474,21 +459,12 @@ class EvidenceCertificate:
     primes_scanned: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "witness_transitive": {
-                "prime": self.witness_transitive.prime,
-                "pattern": list(self.witness_transitive.degrees),
-            },
-            "witness_11cycle": {
-                "prime": self.witness_11cycle.prime,
-                "pattern": list(self.witness_11cycle.degrees),
-            },
-            "witness_transposition": {
-                "prime": self.witness_transposition.prime,
-                "pattern": list(self.witness_transposition.degrees),
-            },
-            "primes_scanned": self.primes_scanned,
+        """Each witness as its prime and pattern, in field order."""
+        witnesses = {
+            name: {"prime": w.prime, "pattern": list(w.degrees)}
+            for name, w in vars(self).items() if isinstance(w, DegreePattern)
         }
+        return {**witnesses, "primes_scanned": self.primes_scanned}
 
 
 def s12_evidence(max_prime: int = 2000) -> EvidenceCertificate:

@@ -36,12 +36,15 @@ class TrackingConfig:
 
     def __post_init__(self) -> None:
         """Raises ValueError unless every float setting is a finite positive
-        number, max_newton_iters is an integer of at least 1, and
+        number, separation_factor exceeds 1 (or _match's ratio guard could
+        never fire), max_newton_iters is an integer of at least 1, and
         min_step <= initial_step <= 1."""
         for name in ("newton_tol", "initial_step", "min_step", "match_tol", "separation_factor"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if not self.separation_factor > 1:
+            raise ValueError(f"separation_factor must exceed 1, got {self.separation_factor!r}")
         n = self.max_newton_iters
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"max_newton_iters must be an integer >= 1, got {n!r}")

@@ -108,7 +108,10 @@ class TestMonodromy:
         {"initial_step": 0},
         {"initial_step": -0.01},
         {"min_step": 0.5},
-    ], ids=["string", "zero_step", "negative_step", "min_above_initial"])
+        {"separation_factor": 1},
+        {"separation_factor": 0.5},
+    ], ids=["string", "zero_step", "negative_step", "min_above_initial",
+            "separation_one", "separation_below_one"])
     def test_config_bad_value(self, capsys, tmp_path, bad):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(bad))
@@ -183,9 +186,11 @@ class TestMonodromy:
         assert out == ""
 
     def test_non_belyi_map(self, capsys):
-        code, _, err = run(capsys, "monodromy", "--map", "f")
-        assert code == 2
-        assert json.loads(err)["error"] == "NotBelyiError"
+        # b(1,11).f has a branch value b(1,11)(10/11) ~ 1e-10 besides 0 and 1
+        for chain in ("f", "b(1,11).f"):
+            code, out, err = run(capsys, "monodromy", "--map", chain)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "NotBelyiError"
 
 
 class TestDessin:

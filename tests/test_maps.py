@@ -174,9 +174,23 @@ class TestBranchValues:
         ("f.pi(2,7,11)", False),
         ("b(10,1).f.pi(2,7,11)", True),
         (FULL, True),
+        # b(1,11)(10/11) ~ 1e-10 and b(2,11)(10/11) ~ 8e-10 are branch values
+        # near 0 but not 0
+        ("b(1,11).f", False),
+        ("b(2,11).f", False),
+        ("b(1,1).b(1,11).f", False),
+        ("b(30,3).f", True),
     ])
     def test_is_belyi(self, text, belyi):
         assert is_belyi(parse_map_expr(text)) == belyi
+
+    def test_b_over_f_is_belyi_exactly_when_m_is_10n(self):
+        # b(m,n) sends f's critical values 1 and 10/11 into {0, 1} only when
+        # 10/11 is its critical point m/(m+n); elsewhere b(m,n)(10/11) is
+        # some other rational, however close to 0
+        for m in range(1, 41):
+            for n in range(1, 16):
+                assert is_belyi(parse_map_expr(f"b({m},{n}).f")) == (m == 10 * n), (m, n)
 
     def test_infinity_always_branches(self):
         data = branch_values(parse_map_expr("b(1,1)"))

@@ -76,6 +76,9 @@ class TestTrackingConfig:
         {"max_newton_iters": True},
         {"initial_step": 2.0, "min_step": 1e-6},
         {"initial_step": 1e-3, "min_step": 1e-2},
+        # at or below 1 _match's ratio guard could never fire
+        {"separation_factor": 1.0},
+        {"separation_factor": 0.5},
     ])
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):

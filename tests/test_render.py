@@ -42,7 +42,7 @@ class TestPlan:
         with pytest.raises(ValueError):
             render_graph(parse_map_expr("b(1,1)"), samples_per_edge=7)
 
-    @pytest.mark.parametrize("chain", ["b(1,1).b(2,1).f", "b(5,1).f.pi(1,2,3)"])
+    @pytest.mark.parametrize("chain", ["b(1,1).b(2,1).f", "b(5,1).f.pi(1,2,3)", "b(1,11).f"])
     def test_non_belyi_rejected(self, chain):
         with pytest.raises(NotBelyiError):
             render_graph(parse_map_expr(chain))

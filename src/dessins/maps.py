@@ -90,6 +90,19 @@ class RootRef:
 BranchPoint = Union[Fraction, RootRef, _Infinity, complex]
 
 
+def _power(u, k: int):
+    """u^k for an integer k >= 1 by repeated squaring: on complex arrays a
+    few products cost less than numpy's complex power."""
+    out = None
+    while True:
+        if k & 1:
+            out = u if out is None else out * u
+        k >>= 1
+        if not k:
+            return out
+        u = u * u
+
+
 @dataclass(frozen=True)
 class BelyiMN:
     m: int
@@ -119,9 +132,9 @@ class BelyiMN:
         w = 1 - u
         core = self._lead
         if m > 1:
-            core = core * u ** (m - 1)
+            core = core * _power(u, m - 1)
         if n > 1:
-            core = core * w ** (n - 1)
+            core = core * _power(w, n - 1)
         return core * u * w, core * (m - (m + n) * u)
 
     def majorant(self, a):
@@ -147,7 +160,7 @@ class FPoly:
 
     def value_and_slope(self, u):
         """f(u) = u^10 u (u - 12/11) + 1 and f'(u) = 12 u^10 (u - 1)."""
-        u10 = u**10
+        u10 = _power(u, 10)
         return u10 * u * (u - 12 / 11) + 1, 12 * u10 * (u - 1)
 
     def majorant(self, a):

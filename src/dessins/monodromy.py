@@ -2,16 +2,26 @@
 
 The fiber over a base point is computed stage by stage (outermost
 primitive first, each value pulled back through the next primitive).  A
-loop is the counterclockwise circle about its center through the base
-point 1/2, of radius 1/2 about 0 and 1; the fiber is continued along it
-with a tangent predictor and a Newton corrector on the composite equation
-F(x) = gamma(t), F and F' taken by the chain rule over each primitive's
-product form, and the predictor on the slope of the last Newton iteration
-of the step before.  On a curve y^2 = c(x) only x is continued, on the
-polynomial stages alone, and y is carried by the exact ratio sqrt(c(x_new)
-/ c(x)); a step is accepted only when it moves each x much less than its
-gap to the other x and to the roots of c.  Render's strands take this
-continuation too.
+loop is the counterclockwise circle about its real center through the
+base point 1/2, of radius 1/2 about 0 and 1; the fiber is continued along
+it with a tangent predictor and a Newton corrector on the composite
+equation F(x) = gamma(t), F and F' taken by the chain rule over each
+primitive's product form, and the predictor on the slope of the last
+Newton iteration of the step before.  On a curve y^2 = c(x) only x is
+continued, on the polynomial stages alone, and y is carried by the exact
+ratio sqrt(c(x_new) / c(x)); a step is accepted only when it moves each x
+much less than its gap to the other x and to the roots of c.  Render's
+strands take this continuation too.
+
+Only the upper half of a loop is continued, from the base point to the
+antipode on the real axis.  Every stage has real coefficients and the
+circle is symmetric under conjugation, so the lift of the lower half is
+the conjugate of a lift of the upper half, run backwards: the loop's
+permutation is read off the half-loop ends and the conjugation of the
+fiber over 1/2 (see _loop_permutations).  Conjugation maps a curve y^2 =
+c(x) to y^2 = cbar(x), cbar the cubic with conjugated roots, so on curves
+the half loop also carries a square root of cbar along x and keeps x
+clear of the roots of cbar too.
 
 The step starts at the nominal step, halves on a refusal and doubles
 after each acceptance up to eight nominal steps or a quarter of the path,
@@ -81,18 +91,26 @@ class NotBijectiveError(TrackingError):
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """The counterclockwise circle about ``center`` through the base point,
-    in ``steps`` nominal steps.
+    """The counterclockwise circle about the real ``center`` through the
+    base point, in ``steps`` nominal steps.
 
     About 0 and 1 the radius is 1/2, so each circle keeps the other finite
-    branch value outside.  A loop of one step would land on its own origin
-    and could not be refused, so it needs at least two.
+    branch value outside.  point(1 - t) is the conjugate of point(t), so
+    only the upper half, t in [0, 1/2] from the base point to the antipode
+    2 center - 1/2, is continued, and the lower half is read off
+    conjugation (see _loop_permutations); a center off the real axis would
+    break that symmetry, so it is refused.  A loop of one step would land
+    on its own origin and could not be refused, so it needs at least two.
     """
 
-    center: complex
+    center: float
     steps: int = 256
 
     def __post_init__(self) -> None:
+        if complex(self.center).imag != 0:
+            raise ValueError(
+                f"center must be real, got {self.center!r}: the lower half "
+                "of the loop is read off conjugation")
         if self.center == BASEPOINT:
             raise ValueError("center must differ from the base point")
         if self.steps < 2:
@@ -235,7 +253,13 @@ def _rounding_error(stages: Sequence[Primitive], x: np.ndarray) -> np.ndarray:
     return error
 
 
-def _stepper(e: MapExpr, max_newton_iters: int):
+def _cubic(x, roots):
+    """(x - ri)(x - rj)(x - rk) over the three ``roots``, elementwise."""
+    ri, rj, rk = roots
+    return (x - ri) * (x - rj) * (x - rk)
+
+
+def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     Fiber), one row of shape (n,) or rows stacked as (P, n).
 
@@ -259,13 +283,26 @@ def _stepper(e: MapExpr, max_newton_iters: int):
     argument below 3 asin 0.4 < 1.24 < pi, and its principal root moves
     continuously from 1.  c is Proj.curve_rhs bit for bit.
 
+    With ``mirrored`` (the half loops, see _loop_permutations), y on curves
+    holds two blocks of n columns: y, carried on c as above, then a square
+    root w of cbar(x), cbar the cubic whose roots are the conjugates of
+    c's, carried by w_new = w R' with R' = sqrt(cbar(x_new) / cbar(x)).
+    The guard then also keeps each x clear of the roots of cbar, which
+    makes R' the continuation of w as above, and keeps the conjugate path
+    conj(x), whose distance to a root of c is that of x to a root of cbar,
+    as clear of the roots of c.
+
     Returns (landed, refused, slope).  landed is the new (x, y), or None
     when the step is refused; refused tells, row by row, which rows failed
     Newton or the gap guard.  slope is the predictor's after a refusal, as
     x has not moved, and F' at the last Newton iterate after an acceptance.
     """
     stages = e.polynomial_part()
-    branch = None if e.proj is None else np.array(e.proj.cubic_roots())
+    cubics = []
+    if e.proj is not None:
+        roots = np.array(e.proj.cubic_roots())
+        cubics = [roots, roots.conj()] if mirrored else [roots]
+    branch = np.concatenate(cubics) if cubics else None
 
     def step(x, y, slope, origin, target, tol):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -287,10 +324,9 @@ def _stepper(e: MapExpr, max_newton_iters: int):
         fits = np.abs(x_new - x) < 0.4 * _gaps(x, branch)
         if not fits.all():
             return None, ~fits.all(axis=-1), slope
-        if branch is not None:
-            ri, rj, rk = branch
-            c = (x - ri) * (x - rj) * (x - rk)
-            y = y * np.sqrt((x_new - ri) * (x_new - rj) * (x_new - rk) / c)
+        if cubics:
+            ratio = [_cubic(x_new, roots) / _cubic(x, roots) for roots in cubics]
+            y = y * np.sqrt(np.concatenate(ratio, axis=-1))
         return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), slope_new
 
     return step
@@ -302,11 +338,15 @@ def _continue(
     x: np.ndarray,
     y: np.ndarray | None,
     cfg: TrackingConfig,
+    mirrored: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Continue the tracked half of a fiber (see Fiber) along every one
     of ``paths`` at once; returns the end positions stacked as (P, n), row
     p for paths[p].  The start x and y have shape (n,), one fiber that
-    every path starts from, or (P, n), row p the start of paths[p].
+    every path starts from, or (P, n), row p the start of paths[p].  With
+    ``mirrored`` the paths are loops (LoopSpec), continued from t = 0 to
+    their antipode at t = 1/2 only, by _stepper's mirrored step: on curves
+    y then has 2n columns, y and w (see _stepper), at the start and end.
 
     A path has ``.point(t)`` for t in [0, 1], ``.steps`` and ``.name``.
     All paths share one parameter t, and each step carries every row from
@@ -322,16 +362,16 @@ def _continue(
     StepUnderflowError below min_step, naming the paths whose rows refused
     the last step.
     """
-    step = _stepper(e, cfg.max_newton_iters)
+    step = _stepper(e, cfg.max_newton_iters, mirrored)
     x = np.broadcast_to(x, (len(paths), x.shape[-1]))
-    y = None if y is None else np.broadcast_to(y, x.shape)
-    t = 0.0
+    y = None if y is None else np.broadcast_to(y, x.shape[:-1] + y.shape[-1:])
+    t, end = 0.0, 0.5 if mirrored else 1.0
     h = 1.0 / max(path.steps for path in paths)
     h_max = min(8 * h, max(h, 0.25))
     gamma_t = np.array([[path.point(0.0)] for path in paths])
     slope = None
-    while t < 1.0:
-        h = min(h, 1.0 - t)
+    while t < end:
+        h = min(h, end - t)
         target = np.array([[path.point(t + h)] for path in paths])
         landed, refused, slope = step(x, y, slope, gamma_t, target, cfg.newton_tol)
         if landed is None:
@@ -365,7 +405,7 @@ def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
     d = _metric(*end, *start)
     order = np.argpartition(d, 1, axis=1)
     rows = np.arange(len(d))
-    nearest = order[:, 0]
+    nearest = order[:, 0].copy()  # a view would keep all of order alive
     best = d[rows, nearest]
     second = d[rows, order[:, 1]]
     if np.any(best > cfg.match_tol):
@@ -383,16 +423,49 @@ def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
 
 
 def _permutation(start: Fiber, end: Fiber, cfg: TrackingConfig) -> Permutation:
-    """Start label -> end label of a closed path whose tracked half runs
-    from ``start`` to ``end``."""
+    """Label i -> the label of the point of ``start`` that point i of
+    ``end`` lands on; for a closed path whose tracked half runs from
+    ``start`` to ``end``, start label -> end label."""
     nearest = _match(end.unfold(), start.unfold(), cfg)
     return Permutation(tuple((nearest + 1).tolist()))
 
 
-def _loop_permutations(e: MapExpr, loops: Sequence[LoopSpec], start: Fiber, cfg: TrackingConfig):
-    """The permutation of each loop, from one stacked continuation."""
-    end = _continue(e, loops, start.x, start.y, cfg)
-    return [_permutation(start, _row(end, p), cfg) for p in range(len(loops))]
+def _conjugation(points: Fiber, cfg: TrackingConfig) -> np.ndarray:
+    """kappa, the conjugation of a fiber over a real base point: x[kappa[k]]
+    is the conjugate of x[k], by _match of conj(x) against x.  Only x is
+    matched, as on curves conjugation maps y^2 = c(x) to y^2 = cbar(x)."""
+    return _match((points.x.conj(), None), (points.x, None), cfg)
+
+
+def _conjugate(points: Fiber, kappa: np.ndarray) -> Fiber:
+    """Point k is the conjugate of point kappa[k] of ``points``."""
+    return Fiber(points.x.conj()[kappa], None if points.y is None else points.y.conj()[kappa])
+
+
+def _loop_permutations(
+    e: MapExpr, loops: Sequence[LoopSpec], start: Fiber, kappa: np.ndarray, cfg: TrackingConfig,
+):
+    """The permutation of each loop, from one stacked continuation of the
+    upper halves on the fiber ``start``, whose conjugation is ``kappa``
+    (see _conjugation).
+
+    F has real coefficients, so the lift of a loop's lower half from an
+    upper-half end z[i] is the conjugate, run backwards, of the upper-half
+    lift that ends at conj(z[i]).  That lift starts at some x[j], so the
+    loop ends at conj(x[j]) = x[kappa[j]]: label i goes to the label of
+    the point of conj(z)[kappa] that z[i] lands on.  On curves conjugation
+    maps y^2 = c(x) to y^2 = cbar(x), so w, the conjugate of start's y
+    reordered by kappa, is carried on cbar beside y (see _stepper), and
+    the conjugate of the end (z, w), reordered by kappa, is the start of
+    the lower half on y^2 = c(x).
+    """
+    yw = None if start.y is None else np.concatenate((start.y, _conjugate(start, kappa).y))
+    end_x, end_y = _continue(e, loops, start.x, yw, cfg, mirrored=True)
+    perms = []
+    for p, x in enumerate(end_x):
+        y, w = (None, None) if end_y is None else np.split(end_y[p], 2)
+        perms.append(_permutation(_conjugate(Fiber(x, w), kappa), Fiber(x, y), cfg))
+    return perms
 
 
 def track_loop(
@@ -403,18 +476,22 @@ def track_loop(
 ) -> Permutation:
     """Continue the fiber around the loop; returns start label -> end label.
 
-    The step is a fraction of the loop, starting at 1/steps, halving
-    whenever Newton fails or an x moves 0.4 of its gap or more (see
-    _stepper) and growing up to 8/steps, past 1/steps never more than a
-    quarter of the loop (see _continue).  On curves only the tracked sheet
-    of each pair is continued, its y carried along x.  Raises
-    StepUnderflowError below min_step, MatchAmbiguousError when the final
-    nearest-neighbor match is not clear by separation_factor, and
-    NotBijectiveError when two trajectories land on one fiber point.  This
-    is the one-loop case of the stacked continuation that ``monodromy``
-    runs.
+    Only the upper half of the loop is continued, to its antipode on the
+    real axis; the lower half is read off the conjugation of the fiber
+    (see _loop_permutations).  The step is a fraction of the whole loop,
+    starting at 1/steps, halving whenever Newton fails or an x moves 0.4
+    of its gap or more (see _stepper) and growing up to 8/steps, past
+    1/steps never more than a quarter of the loop (see _continue).  On
+    curves only the tracked sheet of each pair is continued, its y carried
+    along x on c and a square root of cbar beside it, and the gap guard
+    counts the roots of c and cbar.  Raises StepUnderflowError below
+    min_step, with t on the whole loop, MatchAmbiguousError when the
+    conjugation or the final nearest-neighbor match is not clear by
+    separation_factor, and NotBijectiveError when two points land on one
+    fiber point.  This is the one-loop case of the stacked continuation
+    that ``monodromy`` runs.
     """
-    return _loop_permutations(e, [loop], points, cfg)[0]
+    return _loop_permutations(e, [loop], points, _conjugation(points, cfg), cfg)[0]
 
 
 def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPair:
@@ -434,18 +511,20 @@ def _base_and_probe(
 ) -> tuple[MonodromyPair, MonodromyPair | None]:
     """The pair of ``e`` over the base point and, with probe, the pair on
     the same fibers around the stability probe's loops: the circles about
-    1/10 and 9/10, radius 0.4, in twice the steps (see _loops)."""
+    1/10 and 9/10, radius 0.4, in twice the steps (see _loops).  Both
+    read one conjugation of the tracked fiber."""
     if not maps.is_belyi(e):
         raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
     fibers = _fibers(e, cfg)
-    base = _pair(e, fibers, cfg, _loops(cfg))
+    kappa = _conjugation(fibers[-1], cfg)
+    base = _pair(e, fibers, kappa, cfg, _loops(cfg))
     if not probe:
         return base, None
-    return base, _pair(e, fibers, cfg, _loops(cfg, centers=(0.1, 0.9), refine=2))
+    return base, _pair(e, fibers, kappa, cfg, _loops(cfg, centers=(0.1, 0.9), refine=2))
 
 
 def _loops(
-    cfg: TrackingConfig, centers: tuple[complex, complex] = (0, 1), refine: int = 1,
+    cfg: TrackingConfig, centers: tuple[float, float] = (0, 1), refine: int = 1,
 ) -> tuple[LoopSpec, LoopSpec]:
     """The circles through the base point about ``centers`` (see LoopSpec),
     in refine / initial_step nominal steps.
@@ -479,15 +558,17 @@ def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[Fiber]:
 def _pair(
     e: MapExpr,
     fibers: Sequence[Fiber],
+    kappa: np.ndarray,
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
     """The pair of a Belyi chain on its labeled fibers over the base point
-    (see _fibers), by continuation around ``loops`` (see _loops); a leading
-    b(1,1) is peeled off (see _doubled) while more than one fiber is left."""
+    (see _fibers), by continuation around ``loops`` (see _loops) on the
+    last fiber, whose conjugation is ``kappa``; a leading b(1,1) is peeled
+    off (see _doubled) while more than one fiber is left."""
     if len(fibers) > 1:
-        return _doubled(e.inner(), fibers, cfg, loops)
-    g0, g1 = _loop_permutations(e, loops, fibers[0], cfg)
+        return _doubled(e.inner(), fibers, kappa, cfg, loops)
+    g0, g1 = _loop_permutations(e, loops, fibers[0], kappa, cfg)
     return MonodromyPair(g0=g0, g1=g1)
 
 
@@ -519,12 +600,13 @@ class _Segment:
 def _doubled(
     inner: MapExpr,
     fibers: Sequence[Fiber],
+    kappa: np.ndarray,
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
 ) -> MonodromyPair:
     """The pair of b(1,1) . inner on ``fibers[0]``, its fiber over 1/2,
     from the pair (s0, s1) of the Belyi chain ``inner`` on its own fiber
-    ``fibers[1]``, tracked around ``loops``.
+    ``fibers[1]``, tracked around ``loops`` (see _pair for ``kappa``).
 
     Each inner fiber point k is carried along the real segments from 1/2
     to w1 and to w2, which meet no branch value of ``inner``, with steps
@@ -544,7 +626,7 @@ def _doubled(
     points, start = fibers[0], fibers[1]
     arc_step = loops[0].length / loops[0].steps
     segments = [_Segment(BASEPOINT, w, arc_step) for w in _HALF_PREIMAGES]
-    s0, s1 = _pair(inner, fibers[1:], cfg, loops)
+    s0, s1 = _pair(inner, fibers[1:], kappa, cfg, loops)
     end = _continue(inner, segments, start.x, start.y, cfg)
     ends = [_row(end, p).unfold() for p in (0, 1)]
     x = np.concatenate([end[0] for end in ends])

@@ -21,9 +21,12 @@ from dessins.monodromy import (
     NotBelyiError,
     StepUnderflowError,
     TrackingConfig,
+    _conjugate,
+    _conjugation,
     _continue,
     _doubles,
     _gaps,
+    _loop_permutations,
     _loops,
     _permutation,
     _row,
@@ -44,7 +47,7 @@ from dessins.perms import (
     is_transitive,
     parse_cycles,
 )
-from dessins.polynomials import ComplexPoly, f_polynomial, roots
+from dessins.polynomials import ComplexPoly, f_polynomial, roots, roots_of_f
 from dessins.render import render_graph
 
 # the module itself: the package re-exports the function of the same name
@@ -103,6 +106,13 @@ class TestLoopSpec:
     def test_rejects_center_on_basepoint(self):
         with pytest.raises(ValueError, match="center"):
             LoopSpec(center=BASEPOINT)
+
+    @pytest.mark.parametrize("center", [0.5 + 0.3j, 1j, 0.3 - 1e-12j])
+    def test_rejects_non_real_center(self, center):
+        # only a circle about a real center is its own conjugate, which the
+        # half loop needs
+        with pytest.raises(ValueError, match="center must be real"):
+            LoopSpec(center=center)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_rejects_fewer_than_two_steps(self, steps):
@@ -265,8 +275,8 @@ class TestJsonAndErrors:
     def test_track_loop_around_regular_point_is_identity(self, cfg):
         e = parse_map_expr("b(1,1)")
         base = fiber(e, BASEPOINT, cfg)
-        # radius 0.3: neither 0 nor 1 is enclosed
-        loop = LoopSpec(center=0.5 + 0.3j)
+        # radius 0.2: neither 0 nor 1 is enclosed
+        loop = LoopSpec(center=0.7)
         assert track_loop(e, loop, base, cfg) == identity(2)
 
 
@@ -427,15 +437,16 @@ class TestRoundingFloor:
         monkeypatch.setattr(MONODROMY, "_rounding_error", _counting(
             counts, "_rounding_error", MONODROMY._rounding_error))
 
-        def make(e, max_newton_iters):
-            return _counting(counts, "step", _stepper(e, max_newton_iters))
+        def make(e, *args):
+            return _counting(counts, "step", _stepper(e, *args))
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
         assert monodromy(self.E, cfg) == psi_pair
-        # the loops: 1, 2 and 4 nominal steps, then 32 steps of 8 (the last
-        # cut short); the segments: 1, 2 and 4 of their 29 nominal steps,
-        # then three quarters of the path and the rest
-        assert counts["step"] == 42
+        # the upper halves of the loops: 1, 2 and 4 nominal steps, then 16
+        # steps of 8 (the last cut short) to the antipode, 128 nominal steps
+        # from the base point; the segments: 1, 2 and 4 of their 29 nominal
+        # steps, then three quarters of the path and the rest
+        assert counts["step"] == 26
         assert counts["_rounding_error"] == counts["step"]
 
     def test_non_finite_newton_refused(self, cfg):
@@ -517,6 +528,32 @@ class TestCurveStep:
         (landed, _, _), _ = self._step(cfg, 0.39)
         assert landed is not None
 
+    def test_step_toward_root_of_cbar_refused_on_half_loops(self, cfg):
+        # r_6 = conj(r_7) is a root of cbar, not of c: the half loops' step,
+        # which carries a square root w of cbar beside y, keeps x as clear
+        # of it as of the roots of c, and the step of segments and render
+        # does not.  A step moves every fiber point alike toward its nearest
+        # root of f, some of them roots of c, so point 1, 0.055 from r_6 and
+        # 0.48 from the roots of c, is stepped alone
+        half = fiber(self.E, BASEPOINT, cfg)
+        w = _conjugate(half, _conjugation(half, cfg)).y
+        r6 = roots_of_f()[6]
+        i = np.abs(half.x - r6).argmin()
+
+        def landed(frac, mirrored):
+            goal = half.x[i] + frac * (r6 - half.x[i])
+            y = np.array([half.y[i], w[i]]) if mirrored else half.y[i:i + 1]
+            step = _stepper(self.E, cfg.max_newton_iters, mirrored)
+            out, _, _ = step(half.x[i:i + 1], y, None, BASEPOINT, f_polynomial()(goal), cfg.newton_tol)
+            return out
+
+        assert landed(0.41, mirrored=True) is None
+        assert landed(0.41, mirrored=False) is not None
+        x, (y, w) = landed(0.39, mirrored=True)
+        for sheet, roots in ((y, self.BRANCH), (w, self.BRANCH.conj())):
+            c = np.prod(x - roots)
+            assert abs(sheet**2 - c) <= 1e-12 * abs(c)
+
     def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
         monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: _gaps(x, None))
         ((x, y), _, _), goal = self._step(cfg, 0.41)
@@ -537,8 +574,8 @@ class TestCurveY:
         c = self.E.proj.curve_rhs
         agree = []
 
-        def make(e, max_newton_iters):
-            step = _stepper(e, max_newton_iters)
+        def make(e, *args):
+            step = _stepper(e, *args)
 
             def checked(x, y, slope, origin, target, tol):
                 landed, refused, slope = step(x, y, slope, origin, target, tol)
@@ -561,8 +598,8 @@ def _recording_stepper(log, fresh_slope=False):
     """A _stepper that logs (origin, target, accepted) for every step, and
     with fresh_slope passes no slope, so that every predictor evaluates F'
     at its own x."""
-    def make(e, max_newton_iters):
-        step = _stepper(e, max_newton_iters)
+    def make(e, *args):
+        step = _stepper(e, *args)
 
         def logged(x, y, slope, origin, target, tol):
             if fresh_slope:
@@ -610,18 +647,19 @@ class TestDecisionsUnchanged:
             monkeypatch.setattr(
                 MONODROMY, name, _counting(counts, name, getattr(MONODROMY, name)))
         assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
-        # the two loops of the inner chain are one stacked run of 35 steps,
-        # growing from the nominal step to 8 of them, and the two transport
-        # segments another of 7, capped at a quarter of the path; each
-        # step's predictor reuses the slope of the step before, and the gaps
-        # are built once per step and once per fiber
-        assert counts["_composite_and_derivative"] == 165
-        assert counts["_gaps"] == 44
+        # the upper halves of the two loops of the inner chain are one
+        # stacked run of 19 steps, growing from the nominal step to 8 of
+        # them, and the two transport segments another of 7, capped at a
+        # quarter of the path; each step's predictor reuses the slope of the
+        # step before, and the gaps are built once per step and once per
+        # fiber
+        assert counts["_composite_and_derivative"] == 101
+        assert counts["_gaps"] == 28
         # the stability probe on a curve chain, and the render ladders, whose
         # one-step rungs do not grow: both ladders one stacked run per rung
         counts.clear()
         monodromy_json(parse_map_expr("b(10,1).f.pi(3,4,12)"), cfg, check_stability=True)
-        assert counts["_composite_and_derivative"] == 380
+        assert counts["_composite_and_derivative"] == 200
         counts.clear()
         render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
         assert counts["_composite_and_derivative"] == 193
@@ -665,6 +703,12 @@ class _LoggedPath:
         return self.path.point(t)
 
 
+def _random_b_chain(seed):
+    """1-3 stages b(m,n) with m, n <= 5."""
+    rng = random.Random(seed)
+    return ".".join(f"b({rng.randint(1, 5)},{rng.randint(1, 5)})" for _ in range(rng.randint(1, 3)))
+
+
 class TestStepGrowth:
     """The step grows from the nominal step to at most eight of them and
     never past a quarter of the path; the pairs do not depend on the step,
@@ -676,9 +720,12 @@ class TestStepGrowth:
         # refuses 0.4
         ratios = []
 
-        def make(e, max_newton_iters):
-            step = _stepper(e, max_newton_iters)
+        def make(e, max_newton_iters, mirrored=False):
+            step = _stepper(e, max_newton_iters, mirrored)
             branch = None if e.proj is None else np.array(e.proj.cubic_roots())
+            if mirrored and branch is not None:
+                # the half loops' guard counts the roots of cbar too
+                branch = np.concatenate((branch, branch.conj()))
 
             def measured(x, y, slope, origin, target, tol):
                 landed, refused, slope = step(x, y, slope, origin, target, tol)
@@ -694,12 +741,11 @@ class TestStepGrowth:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pair_independent_of_step(self, cfg, seed):
-        # a random chain of 1-3 stages b(m,n) with m, n <= 5, tracked in
+        # a random chain (see _random_b_chain), tracked in
         # steps growing from 1/256 and in steps of at most 8/1024
-        rng = random.Random(seed)
-        stages = [f"b({rng.randint(1, 5)},{rng.randint(1, 5)})" for _ in range(rng.randint(1, 3))]
-        e = parse_map_expr(".".join(stages))
-        assert monodromy(e, cfg) == monodromy(e, TrackingConfig(initial_step=1 / 1024)), stages
+        text = _random_b_chain(seed)
+        e = parse_map_expr(text)
+        assert monodromy(e, cfg) == monodromy(e, TrackingConfig(initial_step=1 / 1024)), text
 
     @pytest.mark.parametrize("initial_step,longest,probe_longest", [
         (1 / 256, 8 / 256, 8 / 512),
@@ -712,21 +758,66 @@ class TestStepGrowth:
         cfg = TrackingConfig(initial_step=initial_step)
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
         start = fiber(e, BASEPOINT, cfg)
+        kappa = _conjugation(start, cfg)
         runs = ((_loops(cfg), longest), (_loops(cfg, centers=(0.1, 0.9), refine=2), probe_longest))
         for loops, expected in runs:
             log = []
             monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log))
             paths = [_LoggedPath(loop) for loop in loops]
-            _continue(e, paths, start.x, start.y, cfg)
+            _loop_permutations(e, paths, start, kappa, cfg)
             for path in paths:
-                # ts[0] is the start, then one target per step tried
+                # ts[0] is the start, then one target per step tried, up to
+                # the antipode at t = 1/2
                 t, tried = 0.0, []
                 for target, (*_, accepted) in zip(path.ts[1:], log, strict=True):
                     tried.append(target - t)
                     if accepted:
                         t = target
-                assert t == 1.0
+                assert t == 0.5
                 assert max(tried) == pytest.approx(expected, rel=1e-12)
+
+
+@dataclass(frozen=True)
+class _FullCircle:
+    """The whole counterclockwise circle about ``center`` through the base
+    point, continued from t = 0 to 1 with no use of conjugation."""
+
+    center: float
+    steps: int
+    name: str = "full circle"
+
+    def point(self, t: float) -> complex:
+        return self.center + (BASEPOINT - self.center) * cmath.exp(2j * math.pi * t)
+
+
+def _full_circle_permutations(e, start, loops, cfg):
+    """The permutation of each of ``loops`` tracked the whole way round on
+    ``e`` itself, no b(1,1) peeled off: the oracle of the half loops."""
+    circles = [_FullCircle(loop.center, loop.steps) for loop in loops]
+    end = _continue(e, circles, start.x, start.y, cfg)
+    return [_permutation(start, _row(end, p), cfg) for p in range(len(circles))]
+
+
+class TestHalfLoops:
+    """A loop's upper half and the conjugation of the fiber give the
+    permutation of the whole circle, on the base loops and the probe's."""
+
+    @pytest.mark.parametrize("text", [_random_b_chain(100 + seed) for seed in range(12)] + [
+        "b(10,1).f.pi(2,7,11)",
+        "b(10,1).f.pi(3,4,12)",
+        "b(10,1).f.pi(1,6,9)",
+        "b(30,3).f",
+    ])
+    def test_equal_to_full_circles(self, cfg, text):
+        e = parse_map_expr(text)
+        start = fiber(e, BASEPOINT, cfg)
+        loops = _loops(cfg)
+        probe_loops = _loops(cfg, centers=(0.1, 0.9), refine=2)
+        full = _full_circle_permutations(e, start, loops, cfg)
+        assert list(monodromy(e, cfg)) == full
+        assert [track_loop(e, loop, start, cfg) for loop in loops] == full
+        probe = MONODROMY._base_and_probe(e, cfg, probe=True)[1]
+        assert list(probe) == _full_circle_permutations(e, start, probe_loops, cfg)
 
 
 def _one_path_at_a_time(continue_):
@@ -734,9 +825,9 @@ def _one_path_at_a_time(continue_):
     logging the number of paths of each call."""
     calls = []
 
-    def unstacked(e, paths, x, y, cfg):
+    def unstacked(e, paths, x, y, cfg, **kwargs):
         calls.append(len(paths))
-        ends = [continue_(e, [path], x, y, cfg) for path in paths]
+        ends = [continue_(e, [path], x, y, cfg, **kwargs) for path in paths]
         return (np.concatenate([end[0] for end in ends]),
                 None if y is None else np.concatenate([end[1] for end in ends]))
 
@@ -816,6 +907,16 @@ class TestStacked:
         message = str(caught.value)
         assert "at t = 0." in message
         assert message.endswith("on loop around 0.76+0j")
+
+    def test_half_loop_underflow_reports_t_on_the_whole_loop(self):
+        # the upper half of the loop around 0.755 ends 0.005 from 1, at its
+        # antipode t = 1/2; min_step and t are fractions of the whole loop
+        cfg = TrackingConfig(initial_step=1 / 40, min_step=1 / 40)
+        e = parse_map_expr("b(10,1).f.pi(2,7,11)")
+        start = fiber(e, BASEPOINT, cfg)
+        loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.755, steps=40)]
+        with pytest.raises(StepUnderflowError, match=r"^step underflow at t = 0\.468750 on loop around 0\.755\+0j$"):
+            _loop_permutations(e, loops, start, _conjugation(start, cfg), cfg)
 
     def test_path_names(self):
         assert LoopSpec(center=0.76).name == "loop around 0.76+0j"

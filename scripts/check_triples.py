@@ -3,10 +3,11 @@
 
 For each of the 220 triples the committed table ``check_triples.json``
 holds the sha256 of format_cycles(g0) and of format_cycles(g1) from
-monodromy(full_chain(t)), and the sha256 of the stdout of
-``dessins dessin --triple i,j,k``.  The script recomputes all three and
-exits 1 on any mismatch, so a change to the continuation that moves a
-single label or output byte on any triple is caught.  The pair is tracked
+monodromy(full_chain(t)), the sha256 of the stdout of
+``dessins dessin --triple i,j,k``, and the sha256 of the stdout of
+``dessins render --map <full chain> --out -``.  The script recomputes all
+four and exits 1 on any mismatch, so a change to the continuation or the
+drawing that moves a single label or output byte on any triple is caught.  The pair is tracked
 on the full chain, while ``dessin`` tracks nothing: it reads its dessin
 off the double cover of the planar dessin of b(1,1).b(10,1).f, built
 exactly from the plane tree of f.  The table was written when ``dessin``
@@ -30,6 +31,7 @@ from pathlib import Path
 
 from dessins import cli
 from dessins.galois import Triple, all_triples, full_chain
+from dessins.maps import format_map_expr
 from dessins.monodromy import monodromy
 from dessins.perms import format_cycles
 
@@ -44,18 +46,24 @@ def _key(t: Triple) -> str:
     return ",".join(str(v) for v in t.as_tuple())
 
 
-def row(t: Triple) -> dict:
-    """The three hashes of one triple."""
-    pair = monodromy(full_chain(t))
+def _stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["dessin", "--triple", _key(t)])
+        code = cli.main(argv)
     if code != 0:
-        raise RuntimeError(f"dessin --triple {_key(t)} exited {code}")
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def row(t: Triple) -> dict:
+    """The four hashes of one triple."""
+    e = full_chain(t)
+    pair = monodromy(e)
     return {
         "g0": _sha256(format_cycles(pair.g0)),
         "g1": _sha256(format_cycles(pair.g1)),
-        "dessin_stdout": _sha256(out.getvalue()),
+        "dessin_stdout": _sha256(_stdout(["dessin", "--triple", _key(t)])),
+        "render_svg": _sha256(_stdout(["render", "--map", format_map_expr(e), "--out", "-"])),
     }
 
 

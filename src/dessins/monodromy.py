@@ -28,7 +28,10 @@ after each acceptance up to eight nominal steps or a quarter of the path,
 whichever is less, but never below the nominal step (see _continue).  The
 gap guard is the disjoint-disk condition of Beltran and Leykin, Certified
 numerical homotopy tracking (2012), with the roots of c among the disks,
-on gaps computed afresh on every step.
+decided afresh on every step: on long rows by a window over the points
+sorted by real part, which stops once the real parts alone keep every
+point clear, and by the dense n x n gaps on short rows or when the window
+stays open (see _fits).
 
 The paths of one run are continued together.  Their tracked points are
 stacked as rows of one (P, n) array, one row per path, all starting from
@@ -237,6 +240,50 @@ def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
     return nearest
 
 
+# Rows of at most _DENSE_ROW points take the dense guard, and so does a row
+# whose window has not closed after _WINDOW offsets (points stacked on one
+# vertical line, as the b(m,m) fibers on Re = 1/2).
+_DENSE_ROW = 64
+_WINDOW = 32
+
+
+def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
+    """moved < 0.4 * _gaps(x, branch), elementwise and exactly, without the
+    n x n distances of _gaps on long rows.
+
+    Each row is sorted by real part and its points are compared with the
+    points k places on, for k = 1, 2, ... up to the first offset at which,
+    at both ends of every pair, 0.4 times the difference of real parts
+    exceeds the point's move.  Pairs at that offset and beyond differ at
+    least as much in real part, and the rounded 0.4 |d| is never below the
+    rounded 0.4 |re d| (numpy's complex abs is never below the absolute
+    real part, and rounding is monotone), so none of them can refuse a
+    point; the minimum of the rounded 0.4 d is the rounded 0.4 times the
+    minimum, which the dense form compares.
+    """
+    if x.shape[-1] <= _DENSE_ROW:
+        return moved < 0.4 * _gaps(x, branch)
+    order = np.argsort(x.real, axis=-1)
+    xs = np.take_along_axis(x, order, axis=-1)
+    ms = np.take_along_axis(moved, order, axis=-1)
+    fits = np.ones(x.shape, dtype=bool)
+    if branch is not None:
+        fits = ms < 0.4 * np.abs(xs[..., :, None] - branch).min(axis=-1)
+    for k in range(1, _WINDOW + 1):
+        d = xs[..., k:] - xs[..., :-k]
+        ma, mb = ms[..., :-k], ms[..., k:]
+        if (0.4 * d.real > np.maximum(ma, mb)).all():
+            break
+        near = 0.4 * np.abs(d)
+        fits[..., :-k] &= ma < near
+        fits[..., k:] &= mb < near
+    else:
+        return moved < 0.4 * _gaps(x, branch)
+    out = np.empty_like(fits)
+    np.put_along_axis(out, order, fits, axis=-1)
+    return out
+
+
 def _rounding_error(stages: Sequence[Primitive], x: np.ndarray) -> np.ndarray:
     """A first-order bound on the rounding error of the composite value
     that _composite_and_derivative computes at x: Horner's rule on a stage
@@ -273,7 +320,8 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     each last correction is within 4 times F's rounding error
     (_rounding_error) over |F'|, the floor near ramification points.  The
     step is refused when Newton does not converge (a non-finite iterate
-    never does) or some x moves 0.4 of its gap (_gaps at x) or more.
+    never does) or some x moves 0.4 of its gap (_gaps at x) or more, as
+    _fits decides without the n x n gaps on long rows.
 
     On curves y is then carried by y_new = y sqrt(c(x_new) / c(x)), with
     the principal root, and this is its continuation along the step: the
@@ -321,7 +369,7 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
                     tol * np.maximum(1.0, np.abs(x_new)), floor), axis=-1)
                 if not converged.all():
                     return None, ~converged, slope
-        fits = np.abs(x_new - x) < 0.4 * _gaps(x, branch)
+        fits = _fits(x, np.abs(x_new - x), branch)
         if not fits.all():
             return None, ~fits.all(axis=-1), slope
         if cubics:

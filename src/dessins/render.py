@@ -7,16 +7,18 @@ Edges are the fiber points over 1/2, continued toward both endpoints
 through geometric ladders of base values by the continuation of loop
 tracking (monodromy._continue), one stacked run of the two ladders per
 rung; each strand is attached to the vertex nearest its deep endpoint in
-the x plane (on curves y then picks the sheet).  The strand count at every
-vertex must equal the vertex's ramification order, and the drawing refuses
-to render when the two disagree.
+the x plane (on curves once per sheet pair, and y then picks the sheet).
+The strand count at every vertex must equal the vertex's ramification
+order, and the drawing refuses to render when the two disagree.
 
 On curve chains one sheet of each (x, y), (x, -y) pair is continued, y
 carried along x; the other is its negation in y, on the same x.  The two
-y-sheets are drawn with two distinguishable strokes: the tracked y of
-monodromy.Fiber as sheet 2, its negation as sheet 1.  Vertices closer
-than the merge tolerance in the x plane are drawn as a single dot
-carrying the orders of all constituents.
+y-sheets are drawn from one path string with two distinguishable strokes:
+the tracked y of monodromy.Fiber as sheet 2, its negation as sheet 1.
+Vertices closer than the merge tolerance in the x plane are drawn as a
+single dot carrying the orders of all constituents; taken in order of
+real part, a vertex is compared only with the dots that open within the
+tolerance in real part (see merge_dots).
 """
 
 from __future__ import annotations
@@ -160,15 +162,26 @@ def _rungs(samples: int) -> list[tuple[float, float]]:
 
 def _attach(x, y, vertices: list[RenderVertex], side: str) -> np.ndarray:
     """The x of the vertex nearest each strand end in the x plane, where
-    the strands are continued; on curves y only chooses between the sheets
-    over that x (the first of equals wins).  Raises RenderError unless every
-    vertex collects as many strands as its ramification order."""
+    the strands are continued.  On curves x and y are unfolded (see
+    monodromy.Fiber): the two sheets of a pair share x, so the nearest x is
+    found once per pair, and y only chooses among the vertices over it.
+    The first of equals wins.  Raises RenderError unless every vertex
+    collects as many strands as its ramification order."""
     vx = np.array([v.x for v in vertices])
-    nearest = np.argmin(np.abs(x[:, None] - vx[None, :]), axis=1)
-    if y is not None:
+    if y is None:
+        nearest = np.argmin(np.abs(x[:, None] - vx[None, :]), axis=1)
+    else:
+        at = vx[np.argmin(np.abs(x[::2, None] - vx[None, :]), axis=1)]
+        # (pair, vertex) for each vertex over the nearest x of each pair
+        pair, over = np.nonzero(vx[None, :] == at[:, None])
         vy = np.array([v.y for v in vertices])
-        over = vx[None, :] == vx[nearest][:, None]
-        nearest = np.argmin(np.where(over, np.abs(y[:, None] - vy[None, :]), np.inf), axis=1)
+        nearest = np.empty((len(at), 2), dtype=int)
+        for sheet in (0, 1):
+            # by pair, then distance in y, then vertex: each pair's first wins
+            order = np.lexsort((over, np.abs(y[2 * pair + sheet] - vy[over]), pair))
+            first = np.searchsorted(pair[order], np.arange(len(at)))
+            nearest[:, sheet] = over[order][first]
+        nearest = nearest.ravel()
     for count, v in zip(np.bincount(nearest, minlength=len(vertices)), vertices):
         if count != v.order:
             raise RenderError(
@@ -210,11 +223,13 @@ def render_graph(
         to_zero.append(_row(end, 0))
         to_one.append(_row(end, 1))
 
-    # one row per fiber point, from its vertex over 0 to its vertex over 1
+    # one row per tracked point, from its vertex over 0 to its vertex over
+    # 1; on curves both sheets of a pair end over the same x (see _attach)
+    sheets = 1 if base.y is None else 2
     lines = np.column_stack((
-        _attach(*to_zero[-1].unfold(), blacks, "black"),
-        np.array([rung.unfold()[0] for rung in to_zero[::-1] + to_one]).T,
-        _attach(*to_one[-1].unfold(), whites, "white"),
+        _attach(*to_zero[-1].unfold(), blacks, "black")[::sheets],
+        np.array([rung.x for rung in to_zero[::-1] + to_one]).T,
+        _attach(*to_one[-1].unfold(), whites, "white")[::sheets],
     ))
 
     svg, merged_black, merged_white = _svg_document(e, blacks, whites, lines)
@@ -222,28 +237,38 @@ def render_graph(
         svg=svg,
         black_vertices=tuple(blacks),
         white_vertices=tuple(whites),
-        arc_count=len(lines),
+        arc_count=len(base),
         merged_black_count=merged_black,
         merged_white_count=merged_white,
     )
 
 
 def merge_dots(vertices, tol: float) -> list[list[RenderVertex]]:
-    """Group vertices by x-plane proximity; each group is one drawn dot."""
+    """Group vertices by x-plane proximity; each group is one drawn dot.
+
+    A vertex joins the first group whose first vertex lies within tol of
+    it.  Groups open in order of real part, and no point is nearer than its
+    difference in real part, so only the trailing groups that open within
+    tol in real part are compared."""
     groups: list[list[RenderVertex]] = []
     for v in sorted(vertices, key=lambda u: (u.x.real, u.x.imag, 0 if u.y is None else u.y.imag)):
-        for g in groups:
-            if abs(g[0].x - v.x) < tol:
-                g.append(v)
+        first = None
+        for g in reversed(groups):
+            if v.x.real - g[0].x.real >= tol:
                 break
-        else:
+            if abs(g[0].x - v.x) < tol:
+                first = g
+        if first is None:
             groups.append([v])
+        else:
+            first.append(v)
     return groups
 
 
 def _svg_document(e, blacks, whites, lines):
-    """The SVG of the strands ``lines`` (one row of x-plane points per fiber
-    point, in label order) on their sheets, and of the merged vertices."""
+    """The SVG of the strands ``lines`` (one row of x-plane points per
+    tracked point, in label order; see monodromy.Fiber) on their sheets,
+    and of the merged vertices."""
     points = np.concatenate((lines.ravel(), [v.x for v in blacks + whites]))
     minx = float(points.real.min())
     maxx = float(points.real.max())
@@ -272,23 +297,24 @@ def _svg_document(e, blacks, whites, lines):
     out.append(f'<rect width="100%" height="100%" fill="{WHITE_FILL}"/>')
 
     curve = e.has_curve
+    if curve:
+        # a row is a sheet pair, drawn twice from one path string: the
+        # tracked y (label 2i + 1) as sheet 2, then its negation as sheet 1
+        strokes = [(SHEET_COLORS[sheet], SHEET_WIDTHS[sheet]) for sheet in (1, 0)]
+    else:
+        strokes = [(EDGE_COLOR, EDGE_WIDTH)]
     # every row has as many points; one row is converted at a time
     template = "M " + " L ".join(["%.2f,%.2f"] * lines.shape[1])
     coords = [0.0] * (2 * lines.shape[1])
-    for k, row in enumerate(lines):
+    for row in lines:
         coords[::2] = sx(row).tolist()
         coords[1::2] = sy(row).tolist()
-        if curve:
-            sheet = 1 - k % 2  # label k + 1; odd labels carry the tracked y
-            color = SHEET_COLORS[sheet]
-            width = SHEET_WIDTHS[sheet]
-        else:
-            color = EDGE_COLOR
-            width = EDGE_WIDTH
-        out.append(
-            f'<path fill="none" stroke="{color}" stroke-width="{width:.2f}" '
-            f'stroke-linecap="round" d="{template % tuple(coords)}"/>'
-        )
+        d = template % tuple(coords)
+        for color, width in strokes:
+            out.append(
+                f'<path fill="none" stroke="{color}" stroke-width="{width:.2f}" '
+                f'stroke-linecap="round" d="{d}"/>'
+            )
 
     merged_black = merge_dots(blacks, MERGE_TOL)
     merged_white = merge_dots(whites, MERGE_TOL)

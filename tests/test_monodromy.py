@@ -2,13 +2,19 @@ import cmath
 import hashlib
 import importlib
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins.dessin import Constellation, isomorphic
 from dessins.galois import Triple, full_chain
@@ -25,6 +31,7 @@ from dessins.monodromy import (
     _conjugation,
     _continue,
     _doubles,
+    _fits,
     _gaps,
     _loop_permutations,
     _loops,
@@ -406,7 +413,7 @@ class TestStep:
 
     def test_gaps_patched_to_infinity_accepts(self, cfg, step, half, monkeypatch):
         # the gap guard alone refuses the over-long step
-        monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: np.full(len(x), np.inf))
+        monkeypatch.setattr(MONODROMY, "_fits", lambda x, moved, branch: moved < np.inf)
         (x, _), _, _ = step(half.x, half.y, None, BASEPOINT, 0.99, cfg.newton_tol)
         assert np.allclose(x, self._over(0.99), atol=1e-12)
 
@@ -422,6 +429,91 @@ class TestStep:
         assert landed is None and slope is given
         (x, _), _, slope = step(half.x, half.y, None, BASEPOINT, 0.9, cfg.newton_tol)
         assert np.allclose(slope, MONODROMY._composite_and_derivative(stages, x)[1], rtol=1e-10)
+
+
+def _cpu_dispatch() -> list[str]:
+    """The SIMD targets that numpy picks among at run time."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+# the roots of c on f.pi(2,7,11); their conjugates are the roots of cbar
+_C_ROOTS = np.array(parse_map_expr("f.pi(2,7,11)").proj.cubic_roots())
+
+
+@st.composite
+def _guard_cases(draw):
+    """(x, moved, branch) for the gap guard: one row of n points or 1-3
+    rows stacked as (P, n), n on both sides of the short-row cut, and each
+    move one of a drawn set of kinds: 0.4 of its gap, one ulp either side
+    of it, a random fraction of it or zero; in some cases one move is
+    NaN, which keeps every window open."""
+    shape = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    n = draw(st.sampled_from([1, 2, 18, 63, 64, 65, 66, 100, 140]))
+    cloud = draw(st.sampled_from(["spread", "strip", "strip", "grid", "line", "duplicates", "roots"]))
+    curve = draw(st.sampled_from([None, "c", "c and cbar"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 2))
+    x = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+    if cloud == "strip":  # a long thin cloud, where the window closes soon
+        x.real = rng.uniform(0, n, size=x.shape)
+    elif cloud == "grid":  # a few shared real parts
+        x.real = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0], size=x.shape)
+    elif cloud == "line":  # most points on Re = 1/2
+        x.real = np.where(rng.random(x.shape) < 0.8, 0.5 / scale, x.real)
+    elif cloud == "duplicates":
+        x[..., n // 2:] = x[..., :n - n // 2]
+    x *= scale
+    roots = _C_ROOTS
+    if cloud == "roots":  # points on and near the roots of c and cbar
+        near = np.concatenate((roots, roots.conj()))
+        x.flat[:2 * len(near)] = np.concatenate((near, near + 1e-9))[:x.size]
+    branch = {None: None, "c": roots, "c and cbar": np.concatenate((roots, roots.conj()))}[curve]
+    guard = 0.4 * _gaps(x, branch)
+    kinds = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
+    moved = np.choose(rng.choice(kinds, size=x.shape), [
+        guard,
+        np.nextafter(guard, np.inf),
+        np.nextafter(guard, 0),
+        guard * rng.random(x.shape) * 2,
+        np.zeros(x.shape),
+    ])
+    if draw(st.integers(0, 3)) == 3:
+        moved.flat[rng.integers(x.size)] = np.nan
+    return x, moved, branch
+
+
+class TestFits:
+    """The windowed gap guard decides exactly as the dense one, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_guard_cases())
+    def test_matches_dense(self, case):
+        x, moved, branch = case
+        assert np.array_equal(_fits(x, moved, branch), moved < 0.4 * _gaps(x, branch))
+
+    def test_matches_dense_without_simd_dispatch(self):
+        # numpy's complex abs runs another kernel with its run-time SIMD
+        # targets turned off; the battery holds there too
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(_cpu_dispatch()))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{Path(__file__).resolve()}::TestFits::test_matches_dense"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout + run.stderr
+
+    def test_long_rows_build_no_gaps(self, monkeypatch):
+        # past the short-row cut, a window that closes builds no n x n
+        # array: the integers 0..199 in shuffled order, each 1 from the next
+        x = np.random.default_rng(5).permutation(200) + 0j
+        moved = np.where(np.arange(200) % 2, 0.4, 0.3)
+        monkeypatch.setattr(MONODROMY, "_gaps", None)
+        assert np.array_equal(_fits(x, moved, None), moved < 0.4)
 
 
 class TestRoundingFloor:
@@ -555,7 +647,7 @@ class TestCurveStep:
             assert abs(sheet**2 - c) <= 1e-12 * abs(c)
 
     def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
-        monkeypatch.setattr(MONODROMY, "_gaps", lambda x, branch: _gaps(x, None))
+        monkeypatch.setattr(MONODROMY, "_fits", lambda x, moved, branch: _fits(x, moved, None))
         ((x, y), _, _), goal = self._step(cfg, 0.41)
         assert abs(x[0] - goal) < 1e-12
         c = self.E.proj.curve_rhs(x)
@@ -643,7 +735,7 @@ class TestDecisionsUnchanged:
 
     def test_full_chain_work(self, cfg, monkeypatch, full_pair):
         counts = Counter()
-        for name in ("_gaps", "_composite_and_derivative"):
+        for name in ("_gaps", "_fits", "_composite_and_derivative"):
             monkeypatch.setattr(
                 MONODROMY, name, _counting(counts, name, getattr(MONODROMY, name)))
         assert monodromy(full_chain(Triple(2, 7, 11)), cfg) == full_pair
@@ -651,10 +743,12 @@ class TestDecisionsUnchanged:
         # stacked run of 19 steps, growing from the nominal step to 8 of
         # them, and the two transport segments another of 7, capped at a
         # quarter of the path; each step's predictor reuses the slope of the
-        # step before, and the gaps are built once per step and once per
-        # fiber
+        # step before, and the gap guard runs once per step.  Its rows of
+        # 132 points are past the short-row cut, so the n x n gaps are built
+        # once per fiber only
         assert counts["_composite_and_derivative"] == 101
-        assert counts["_gaps"] == 28
+        assert counts["_fits"] == 26
+        assert counts["_gaps"] == 2
         # the stability probe on a curve chain, and the render ladders, whose
         # one-step rungs do not grow: both ladders one stacked run per rung
         counts.clear()
@@ -663,7 +757,8 @@ class TestDecisionsUnchanged:
         counts.clear()
         render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
         assert counts["_composite_and_derivative"] == 193
-        assert counts["_gaps"] == 49
+        assert counts["_fits"] == 48
+        assert counts["_gaps"] == 1
 
     def test_fiber_root_solves(self, monkeypatch):
         # one batched solve per polynomial stage, none one value at a time
@@ -716,9 +811,9 @@ class TestStepGrowth:
 
     @pytest.mark.parametrize("text", ["b(1,1).b(10,1).f.pi(2,7,11)", "b(20,2).f", "b(10,1).f"])
     def test_guard_margin(self, cfg, monkeypatch, text):
-        # the largest move of an accepted step over its gap, where the guard
-        # refuses 0.4
-        ratios = []
+        # every accepted step would pass the guard at twice its moves: no x
+        # moves 0.2 of its gap, where the guard refuses 0.4
+        moves, margins = [], []
 
         def make(e, max_newton_iters, mirrored=False):
             step = _stepper(e, max_newton_iters, mirrored)
@@ -730,14 +825,16 @@ class TestStepGrowth:
             def measured(x, y, slope, origin, target, tol):
                 landed, refused, slope = step(x, y, slope, origin, target, tol)
                 if landed is not None:
-                    ratios.append((np.abs(landed[0] - x) / _gaps(x, branch)).max())
+                    moved = np.abs(landed[0] - x)
+                    moves.append(moved.max())
+                    margins.append(_fits(x, 2 * moved, branch).all())
                 return landed, refused, slope
 
             return measured
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
         monodromy(parse_map_expr(text), cfg)
-        assert 0 < max(ratios) < 0.2
+        assert max(moves) > 0 and all(margins)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pair_independent_of_step(self, cfg, seed):

@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from naive_merge import naive_merge_dots
 
 from dessins.maps import BelyiMN, parse_map_expr
 from dessins.monodromy import NotBelyiError, monodromy
 from dessins.perms import Permutation, cycle_type
 from dessins.polynomials import roots_of_f
 from dessins.render import (
+    MERGE_TOL,
     SHEET_COLORS,
     RenderError,
     RenderVertex,
@@ -120,6 +124,23 @@ class TestMergeDots:
         vs = [RenderVertex(complex(i), None, 1, "black") for i in range(5)]
         assert all(len(g) == 1 for g in merge_dots(vs, 1e-4))
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 60),
+           columns=st.integers(1, 6), curve=st.booleans())
+    def test_matches_naive_scan(self, seed, count, columns, curve):
+        # clouds whose points share a few real parts and sit 1 ulp either
+        # side of tol from one another, in real part, imaginary part or both
+        tol = MERGE_TOL
+        rng = np.random.default_rng(seed)
+        res = rng.choice(rng.normal(scale=3 * tol, size=columns), size=count)
+        steps = [0.0, tol, np.nextafter(tol, 0), np.nextafter(tol, 1), tol / 2]
+        re = res + rng.choice(steps, size=count) * rng.integers(0, 2, size=count)
+        im = rng.choice(steps, size=count) * rng.integers(-2, 3, size=count)
+        vs = [RenderVertex(complex(a, b), complex(0, rng.normal()) if curve else None,
+                           int(rng.integers(1, 4)), "black")
+              for a, b in zip(re.tolist(), im.tolist())]
+        assert merge_dots(vs, tol) == naive_merge_dots(vs, tol)
+
 
 class TestAttach:
     def test_first_of_equals_wins(self):
@@ -179,6 +200,18 @@ class TestSmallRenders:
         two_petal = [g for g in groups if any(v.order == 2 for v in g)]
         assert len(two_petal) == 1
         assert abs(two_petal[0][0].x - 10 / 11) < 1e-4
+
+    def test_sheet_pair_shares_one_path_string(self):
+        # the two sheets of pair i, labels 2i + 1 and 2i + 2, lie over the
+        # same x: one path string, stroked as sheet 2 and then sheet 1
+        res = render_graph(parse_map_expr("b(10,1).f.pi(3,5,8)"))
+        paths = ET.fromstring(res.svg).findall(f".//{SVG_NS}path")
+        assert len(paths) == res.arc_count == 264
+        for tracked, negated in zip(paths[::2], paths[1::2]):
+            assert tracked.get("d") == negated.get("d")
+            assert tracked.get("stroke") == SHEET_COLORS[1]
+            assert negated.get("stroke") == SHEET_COLORS[0]
+        assert len({p.get("d") for p in paths}) == 132
 
     def test_plain_chain_has_no_sheet_colors(self):
         res = render_graph(parse_map_expr("b(1,1).b(10,1)"))

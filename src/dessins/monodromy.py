@@ -11,7 +11,7 @@ Newton iteration of the step before.  On a curve y^2 = c(x) only x is
 continued, on the polynomial stages alone, and y is carried by the exact
 ratio sqrt(c(x_new) / c(x)); a step is accepted only when it moves each x
 much less than its gap to the other x and to the roots of c.  Render's
-strands take this continuation too.
+strands take this continuation too, in x alone, as y does not move x.
 
 Only the upper half of a loop is continued, from the base point to the
 antipode on the real axis.  Every stage has real coefficients and the
@@ -102,8 +102,8 @@ class LoopSpec:
     only the upper half, t in [0, 1/2] from the base point to the antipode
     2 center - 1/2, is continued, and the lower half is read off
     conjugation (see _loop_permutations); a center off the real axis would
-    break that symmetry, so it is refused.  A loop of one step would land
-    on its own origin and could not be refused, so it needs at least two.
+    break that symmetry, so it is refused.  A loop needs at least one
+    step.
     """
 
     center: float
@@ -116,10 +116,8 @@ class LoopSpec:
                 "of the loop is read off conjugation")
         if self.center == BASEPOINT:
             raise ValueError("center must differ from the base point")
-        if self.steps < 2:
-            raise ValueError(
-                f"a loop needs at least 2 steps, got {self.steps}: "
-                "one step would go from the base point straight back to it")
+        if self.steps < 1:
+            raise ValueError(f"a loop needs at least 1 step, got {self.steps}")
 
     @property
     def length(self) -> float:
@@ -323,13 +321,15 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     never does) or some x moves 0.4 of its gap (_gaps at x) or more, as
     _fits decides without the n x n gaps on long rows.
 
-    On curves y is then carried by y_new = y sqrt(c(x_new) / c(x)), with
-    the principal root, and this is its continuation along the step: the
-    guard keeps |x_new - x| < 0.4 |x - r| for each root r of c, so for x'
-    on the segment from x to x_new each factor (x' - r) / (x - r) of
-    c(x') / c(x) lies in the disc of radius 0.4 about 1, the product has
-    argument below 3 asin 0.4 < 1.24 < pi, and its principal root moves
-    continuously from 1.  c is Proj.curve_rhs bit for bit.
+    On curves y, when it is given, is then carried by y_new = y sqrt(c(x_new)
+    / c(x)), with the principal root, and this is its continuation along
+    the step: the guard keeps |x_new - x| < 0.4 |x - r| for each root r of
+    c, so for x' on the segment from x to x_new each factor (x' - r) /
+    (x - r) of c(x') / c(x) lies in the disc of radius 0.4 about 1, the
+    product has argument below 3 asin 0.4 < 1.24 < pi, and its principal
+    root moves continuously from 1.  c is Proj.curve_rhs bit for bit.  y
+    never moves x and the guard counts the roots of c either way, so with
+    y None, as on render's strands, x is the same bit for bit.
 
     With ``mirrored`` (the half loops, see _loop_permutations), y on curves
     holds two blocks of n columns: y, carried on c as above, then a square
@@ -372,7 +372,7 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
         fits = _fits(x, np.abs(x_new - x), branch)
         if not fits.all():
             return None, ~fits.all(axis=-1), slope
-        if cubics:
+        if y is not None:
             ratio = [_cubic(x_new, roots) / _cubic(x, roots) for roots in cubics]
             y = y * np.sqrt(np.concatenate(ratio, axis=-1))
         return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), slope_new
@@ -435,20 +435,21 @@ def _continue(
     return x, y
 
 
-def _row(end: tuple[np.ndarray, np.ndarray | None], p: int) -> Fiber:
-    """Row p of stacked end positions from _continue."""
-    x, y = end
-    return Fiber(x[p], None if y is None else y[p])
-
-
 def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
-    """Index of the start point each end point landed on.
+    """Index of the start point each end point landed on, in label order.
+
+    ``end`` is a tracked half (x, y) and ``start`` every point in label
+    order (see Fiber).  On curves only the tracked sheet (x[i], y[i]) of
+    each end pair is matched, an (n, 2n) metric: the distance of its
+    other sheet (x[i], -y[i]) to start point j is bit for bit that of
+    (x[i], y[i]) to j ^ 1, the other sheet of j's pair, so that sheet lands
+    on nearest ^ 1, and the result interleaves nearest with nearest ^ 1.
 
     Raises MatchAmbiguousError when an end point is farther than match_tol
     from every start point or its runner-up is not separation_factor times
-    farther, and NotBijectiveError when two end points land on one start
-    point.  Only the two nearest start points are ranked; when they tie,
-    either is the nearest and the ratio 1 raises.
+    farther, and NotBijectiveError when two end points, either sheet of a
+    pair, land on one start point.  Only the two nearest start points are
+    ranked; when they tie, either is the nearest and the ratio 1 raises.
     """
     d = _metric(*end, *start)
     order = np.argpartition(d, 1, axis=1)
@@ -465,6 +466,8 @@ def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
         raise MatchAmbiguousError(
             f"match separation ratio {ratio.min():.2f} below "
             f"{cfg.separation_factor}")
+    if end[1] is not None:
+        nearest = np.column_stack((nearest, nearest ^ 1)).ravel()
     if len(np.unique(nearest)) != len(nearest):
         raise NotBijectiveError("two trajectories matched one fiber point")
     return nearest
@@ -474,7 +477,7 @@ def _permutation(start: Fiber, end: Fiber, cfg: TrackingConfig) -> Permutation:
     """Label i -> the label of the point of ``start`` that point i of
     ``end`` lands on; for a closed path whose tracked half runs from
     ``start`` to ``end``, start label -> end label."""
-    nearest = _match(end.unfold(), start.unfold(), cfg)
+    nearest = _match((end.x, end.y), start.unfold(), cfg)
     return Permutation(tuple((nearest + 1).tolist()))
 
 
@@ -578,8 +581,7 @@ def _loops(
     in refine / initial_step nominal steps.
 
     Each encloses one of 0 and 1: the default circles have radius 1/2, and
-    the probe's, about 1/10 and 9/10, radius 0.4.  Raises ValueError when
-    initial_step leaves a loop fewer than two steps.
+    the probe's, about 1/10 and 9/10, radius 0.4.
     """
     steps = round(1.0 / cfg.initial_step) * refine
     return tuple(LoopSpec(center=c, steps=steps) for c in centers)
@@ -675,12 +677,9 @@ def _doubled(
     arc_step = loops[0].length / loops[0].steps
     segments = [_Segment(BASEPOINT, w, arc_step) for w in _HALF_PREIMAGES]
     s0, s1 = _pair(inner, fibers[1:], kappa, cfg, loops)
-    end = _continue(inner, segments, start.x, start.y, cfg)
-    ends = [_row(end, p).unfold() for p in (0, 1)]
-    x = np.concatenate([end[0] for end in ends])
-    y = None if inner.proj is None else np.concatenate([end[1] for end in ends])
+    x, y = _continue(inner, segments, start.x, start.y, cfg)
     # a[k - 1] and b[k - 1] are the labels that inner label k lands on
-    landed = _match((x, y), points.unfold(), cfg) + 1
+    landed = _match((x.ravel(), None if y is None else y.ravel()), points.unfold(), cfg) + 1
     a, b = landed[:len(start)], landed[len(start):]
     s0, s1 = (np.array(s.images) - 1 for s in (s0, s1))
     g0 = np.zeros(len(points), dtype=int)

@@ -7,14 +7,17 @@ Edges are the fiber points over 1/2, continued toward both endpoints
 through geometric ladders of base values by the continuation of loop
 tracking (monodromy._continue), one stacked run of the two ladders per
 rung; each strand is attached to the vertex nearest its deep endpoint in
-the x plane (on curves once per sheet pair, and y then picks the sheet).
-The strand count at every vertex must equal the vertex's ramification
-order, and the drawing refuses to render when the two disagree.
+the x plane.  The strand count at every vertex must equal the vertex's
+ramification order, and the drawing refuses to render when the two
+disagree.
 
-On curve chains one sheet of each (x, y), (x, -y) pair is continued, y
-carried along x; the other is its negation in y, on the same x.  The two
-y-sheets are drawn from one path string with two distinguishable strokes:
-the tracked y of monodromy.Fiber as sheet 2, its negation as sheet 1.
+On curve chains the two sheets (x, y), (x, -y) of a pair share x all the
+way, so only the x of one sheet per pair is continued, and no y is
+carried; the pair's strands end over the same x, one on each vertex
+(x, +-y) over it, or both on a ramified vertex (y = 0) (see _attach).
+The two y-sheets are drawn from one path string with two distinguishable
+strokes: the tracked y of monodromy.Fiber as sheet 2, its negation as
+sheet 1.
 Vertices closer than the merge tolerance in the x plane are drawn as a
 single dot carrying the orders of all constituents; taken in order of
 real part, a vertex is compared only with the dots that open within the
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import maps
 from .maps import MapExpr
-from .monodromy import _continue, _row, _Segment, fiber
+from .monodromy import _continue, _Segment, fiber
 from .polynomials import ComplexPoly, roots, shifted_roots
 from .tracking import NotBelyiError, RenderError, TrackingConfig
 
@@ -160,34 +163,23 @@ def _rungs(samples: int) -> list[tuple[float, float]]:
 # assembly
 
 
-def _attach(x, y, vertices: list[RenderVertex], side: str) -> np.ndarray:
-    """The x of the vertex nearest each strand end in the x plane, where
-    the strands are continued.  On curves x and y are unfolded (see
-    monodromy.Fiber): the two sheets of a pair share x, so the nearest x is
-    found once per pair, and y only chooses among the vertices over it.
-    The first of equals wins.  Raises RenderError unless every vertex
+def _attach(x, vertices: list[RenderVertex], side: str) -> np.ndarray:
+    """The x of the vertex nearest each tracked strand end ``x`` in the x
+    plane; the first of equals wins.  On curves an end stands for the two
+    strands of its sheet pair (see monodromy.Fiber), which share x: over
+    an unramified x they end one on each vertex (x, +-y), and a ramified
+    vertex (y = 0) takes both.  Raises RenderError unless every vertex
     collects as many strands as its ramification order."""
     vx = np.array([v.x for v in vertices])
-    if y is None:
-        nearest = np.argmin(np.abs(x[:, None] - vx[None, :]), axis=1)
-    else:
-        at = vx[np.argmin(np.abs(x[::2, None] - vx[None, :]), axis=1)]
-        # (pair, vertex) for each vertex over the nearest x of each pair
-        pair, over = np.nonzero(vx[None, :] == at[:, None])
-        vy = np.array([v.y for v in vertices])
-        nearest = np.empty((len(at), 2), dtype=int)
-        for sheet in (0, 1):
-            # by pair, then distance in y, then vertex: each pair's first wins
-            order = np.lexsort((over, np.abs(y[2 * pair + sheet] - vy[over]), pair))
-            first = np.searchsorted(pair[order], np.arange(len(at)))
-            nearest[:, sheet] = over[order][first]
-        nearest = nearest.ravel()
-    for count, v in zip(np.bincount(nearest, minlength=len(vertices)), vertices):
+    at = vx[np.argmin(np.abs(x[:, None] - vx[None, :]), axis=1)]
+    ends = np.count_nonzero(at[:, None] == vx[None, :], axis=0)
+    for count, v in zip(ends, vertices):
+        count *= 2 if v.y == 0 else 1
         if count != v.order:
             raise RenderError(
                 f"{side} vertex at {v.x:.6f} collected {count} strands, "
                 f"ramification order is {v.order}")
-    return vx[nearest]
+    return at
 
 
 def render_graph(
@@ -215,21 +207,19 @@ def render_graph(
     # there; 1e-7 still sits three decades below the merge tolerance.
     cfg = replace(cfg, newton_tol=max(cfg.newton_tol, 1e-7))
     rungs = _rungs(samples_per_edge)
-    end = (base.x, base.y)
-    to_zero, to_one = [base], [base]
+    x = base.x
+    to_zero, to_one = [x], [x]
     for previous, rung in zip(rungs, rungs[1:]):
-        # one nominal step per rung, on each ladder
-        end = _continue(e, [_Segment(a, b, np.inf) for a, b in zip(previous, rung)], *end, cfg)
-        to_zero.append(_row(end, 0))
-        to_one.append(_row(end, 1))
+        # one nominal step per rung, on each ladder, in x alone
+        x, _ = _continue(e, [_Segment(a, b, np.inf) for a, b in zip(previous, rung)], x, None, cfg)
+        to_zero.append(x[0])
+        to_one.append(x[1])
 
-    # one row per tracked point, from its vertex over 0 to its vertex over
-    # 1; on curves both sheets of a pair end over the same x (see _attach)
-    sheets = 1 if base.y is None else 2
+    # one row per tracked point, from its vertex over 0 to its vertex over 1
     lines = np.column_stack((
-        _attach(*to_zero[-1].unfold(), blacks, "black")[::sheets],
-        np.array([rung.x for rung in to_zero[::-1] + to_one]).T,
-        _attach(*to_one[-1].unfold(), whites, "white")[::sheets],
+        _attach(to_zero[-1], blacks, "black"),
+        np.array(to_zero[::-1] + to_one).T,
+        _attach(to_one[-1], whites, "white"),
     ))
 
     svg, merged_black, merged_white = _svg_document(e, blacks, whites, lines)

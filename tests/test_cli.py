@@ -153,17 +153,16 @@ class TestMonodromy:
         default = run_json(capsys, "monodromy", "--map", "b(10,1).f.pi(2,7,11)")
         assert (coarse["g0"], coarse["g1"]) == (default["g0"], default["g1"])
 
-    def test_one_step_loop_refused(self, capsys, tmp_path):
-        # one step would take each loop from the base point straight back to
-        # it, and every label would stay put
+    def test_one_step_loop_gives_default_pair(self, capsys, tmp_path):
+        # the first step is capped at the antipode, so a loop of one
+        # nominal step takes the steps of a loop of two
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"initial_step": 1}')
-        code, out, err = run(capsys, "monodromy", "--map", "b(2,3).b(3,2)", "--config", str(cfg_file))
-        assert (code, out) == (2, "")
-        body = json.loads(err)
-        jsonschema.validate(body, ERROR_SCHEMA)
-        assert body["error"] == "ValueError"
-        assert "at least 2 steps" in body["message"]
+        coarse = run_json(capsys, "monodromy", "--map", "b(2,3).b(3,2)", "--config", str(cfg_file),
+                          "--check-stability")
+        default = run_json(capsys, "monodromy", "--map", "b(2,3).b(3,2)")
+        assert (coarse["g0"], coarse["g1"]) == (default["g0"], default["g1"])
+        assert coarse["stability"] is True
 
     def test_two_step_loop_gives_default_pair(self, capsys, tmp_path):
         cfg_file = tmp_path / "cfg.json"

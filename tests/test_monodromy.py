@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_match import naive_match
 
 from dessins.dessin import Constellation, isomorphic
 from dessins.galois import Triple, full_chain
@@ -24,6 +25,7 @@ from dessins.monodromy import (
     Fiber,
     LoopSpec,
     NearBranchError,
+    NotBijectiveError,
     NotBelyiError,
     StepUnderflowError,
     TrackingConfig,
@@ -35,8 +37,8 @@ from dessins.monodromy import (
     _gaps,
     _loop_permutations,
     _loops,
+    _match,
     _permutation,
-    _row,
     _Segment,
     _stepper,
     fiber,
@@ -121,11 +123,26 @@ class TestLoopSpec:
         with pytest.raises(ValueError, match="center must be real"):
             LoopSpec(center=center)
 
-    @pytest.mark.parametrize("steps", [0, 1])
-    def test_rejects_fewer_than_two_steps(self, steps):
-        # one step would go from the base point straight back to it
-        with pytest.raises(ValueError, match="at least 2 steps"):
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_rejects_no_steps(self, steps):
+        # a nominal step of 1 / steps
+        with pytest.raises(ValueError, match="at least 1 step"):
             LoopSpec(center=0j, steps=steps)
+
+    def test_one_step_takes_the_steps_of_two(self, cfg, monkeypatch):
+        # the first step is capped at the antipode, so one nominal step
+        # never lands back on the base point
+        e = parse_map_expr("b(2,3).b(3,2)")
+        points = fiber(e, BASEPOINT, cfg)
+        runs = []
+        for steps in (1, 2):
+            log = []
+            monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log))
+            perm = track_loop(e, LoopSpec(center=0j, steps=steps), points, cfg)
+            runs.append((perm, [(o.tolist(), t.tolist(), ok) for o, t, ok in log]))
+        assert runs[0] == runs[1]
+        # the first step tried is to the antipode
+        assert runs[0][1][0][1] == [[LoopSpec(center=0j).point(0.5)]]
 
 
 class TestFiber:
@@ -219,8 +236,8 @@ class TestPsi:
         g0, g1 = psi_pair
         base = fiber(e, BASEPOINT, cfg)
         paths = [_BigContour(entry=0.99 + 1.2j), _BigContour(entry=0.99 - 1.2j)]
-        end = _continue(e, paths, base.x, base.y, cfg)
-        top, bottom = (_permutation(base, _row(end, p), cfg) for p in (0, 1))
+        x, _ = _continue(e, paths, base.x, base.y, cfg)
+        top, bottom = (_permutation(base, Fiber(x[p], None), cfg) for p in (0, 1))
         assert top == compose(g0, g1)
         assert bottom == compose(g1, g0)
 
@@ -516,6 +533,84 @@ class TestFits:
         assert np.array_equal(_fits(x, moved, None), moved < 0.4)
 
 
+@st.composite
+def _match_cases(draw):
+    """(end, start, cfg) for the end match: a start of n points, or of n
+    sheet pairs (x, +-y) on a curve, and a tracked end that permutes it,
+    flips the sheet of some pairs and moves each point by a drawn noise.
+    The sheets of a pair lie up to 1e-8 apart, and in some cases two ends
+    land on one pair, on one sheet or on opposite sheets of it.
+    match_tol is the default or the largest distance of an end point to
+    its nearest start point, and separation_factor the default or the
+    least ratio of runner-up to nearest, exactly or one ulp either side."""
+    curve = draw(st.booleans())
+    n = draw(st.sampled_from([1, 2, 3, 8, 40] if curve else [2, 3, 8, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cloud(scale):
+        return scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    start = Fiber(cloud(1.0), cloud(10.0 ** draw(st.integers(-8, 0))) if curve else None)
+    pick = rng.permutation(n)
+    noise = 10.0 ** draw(st.integers(-17, -7))
+    end = Fiber(start.x[pick] + cloud(noise),
+                start.y[pick] * rng.choice([1, -1], size=n) + cloud(noise) if curve else None)
+    if n >= 2 and draw(st.booleans()):
+        end.x[1] = end.x[0]
+        if curve:
+            end.y[1] = draw(st.sampled_from([1, -1])) * end.y[0]
+
+    (ax, ay), (bx, by) = end.unfold(), start.unfold()
+    d = np.abs(ax[:, None] - bx[None, :]) + (0 if ay is None else np.abs(ay[:, None] - by[None, :]))
+    best, second = np.sort(d, axis=1)[:, :2].T
+    ulp = draw(st.sampled_from([-np.inf, None, np.inf]))
+
+    def nudge(v):
+        return float(v if ulp is None else np.nextafter(v, ulp))
+
+    chosen = {}
+    if draw(st.booleans()) and nudge(best.max()) > 0:
+        chosen["match_tol"] = nudge(best.max())
+    ratio = second[best > 0] / best[best > 0]
+    if draw(st.booleans()) and len(ratio) and 1 < nudge(ratio.min()) < np.inf:
+        chosen["separation_factor"] = nudge(ratio.min())
+    return end, start, TrackingConfig(**chosen)
+
+
+def _outcome(match, end, start, cfg):
+    """The indices of a match, or the class and message it raised."""
+    try:
+        return match(end, start, cfg).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestMatch:
+    """_match, which ranks the tracked sheet of each end pair only, returns
+    the indices of the naive match of every end point, or raises the same
+    error with the same message."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_match_cases())
+    def test_matches_naive(self, case):
+        end, start, cfg = case
+        unfolded = start.unfold()
+        assert (_outcome(_match, (end.x, end.y), unfolded, cfg)
+                == _outcome(naive_match, end.unfold(), unfolded, cfg))
+
+    def test_sheet_pairs_interleave(self, cfg):
+        start = Fiber(np.array([0j, 1 + 0j]), np.array([1 + 0j, 1j]))
+        end = (np.array([1 + 0j, 0j]), np.array([-1j, 1 + 0j]))
+        assert _match(end, start.unfold(), cfg).tolist() == [3, 2, 0, 1]
+
+    def test_opposite_sheets_of_one_pair_refused(self, cfg):
+        # the tracked ends land on 0 and 1, and so their other sheets on 1 and 0
+        start = Fiber(np.array([0j, 1 + 0j]), np.array([1 + 0j, 1j]))
+        end = (np.array([0j, 0j]), np.array([1 + 0j, -1 + 0j]))
+        with pytest.raises(NotBijectiveError):
+            _match(end, start.unfold(), cfg)
+
+
 class TestRoundingFloor:
     """When Newton runs out of iterations, a row is accepted only if its
     last corrections sit within 4 times the rounding error of F over |F'|."""
@@ -645,6 +740,21 @@ class TestCurveStep:
         for sheet, roots in ((y, self.BRANCH), (w, self.BRANCH.conj())):
             c = np.prod(x - roots)
             assert abs(sheet**2 - c) <= 1e-12 * abs(c)
+
+    def test_x_alone_as_with_y(self, cfg):
+        # render's strands carry no y: every x is the same bit for bit, as
+        # the guard counts the roots of c either way
+        half, target, _ = self._toward_root(cfg, 0.41)
+        step = _stepper(self.E, cfg.max_newton_iters)
+        landed, refused, _ = step(half.x, None, None, BASEPOINT, target, cfg.newton_tol)
+        assert landed is None and refused
+        e = parse_map_expr("b(10,1).f.pi(3,5,8)")
+        start = fiber(e, BASEPOINT, cfg)
+        paths = [_Segment(BASEPOINT, v, 0.01) for v in (0.01, 0.99)] + list(_loops(cfg))
+        x, y = _continue(e, paths, start.x, start.y, cfg)
+        alone, none = _continue(e, paths, start.x, None, cfg)
+        assert y is not None and none is None
+        assert np.array_equal(x, alone)
 
     def test_accepted_when_gaps_ignore_roots(self, cfg, monkeypatch):
         monkeypatch.setattr(MONODROMY, "_fits", lambda x, moved, branch: _fits(x, moved, None))
@@ -891,8 +1001,9 @@ def _full_circle_permutations(e, start, loops, cfg):
     """The permutation of each of ``loops`` tracked the whole way round on
     ``e`` itself, no b(1,1) peeled off: the oracle of the half loops."""
     circles = [_FullCircle(loop.center, loop.steps) for loop in loops]
-    end = _continue(e, circles, start.x, start.y, cfg)
-    return [_permutation(start, _row(end, p), cfg) for p in range(len(circles))]
+    x, y = _continue(e, circles, start.x, start.y, cfg)
+    return [_permutation(start, Fiber(x[p], None if y is None else y[p]), cfg)
+            for p in range(len(circles))]
 
 
 class TestHalfLoops:
@@ -958,10 +1069,10 @@ class TestStacked:
         loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.76, steps=40)]
         log = []
         monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log))
-        end = _continue(e, loops, points.x, points.y, cfg)
+        x, y = _continue(e, loops, points.x, points.y, cfg)
         assert not all(accepted for *_, accepted in log)
         for p, loop in enumerate(loops):
-            assert _permutation(points, _row(end, p), cfg) == track_loop(e, loop, points, cfg)
+            assert _permutation(points, Fiber(x[p], y[p]), cfg) == track_loop(e, loop, points, cfg)
 
     @pytest.mark.parametrize("curve", [False, True])
     def test_gaps_row_by_row(self, curve):
@@ -986,12 +1097,12 @@ class TestStacked:
         paths = [_Segment(a, b, 0.05) for a, b in ((0.3, 0.2), (0.6 + 0.1j, 0.6 - 0.1j), (0.7, 0.8))]
         end = _continue(e, paths, *start, cfg)
         for p, path in enumerate(paths):
-            row = _row(start, p)
-            alone = _continue(e, [path], row.x, row.y, cfg)
+            y = None if start[1] is None else start[1][p]
+            alone = _continue(e, [path], start[0][p], y, cfg)
             # equal to Newton's tolerance: a row may take the extra Newton
             # iterations or shorter steps of another
             assert np.allclose(end[0][p], alone[0][0], rtol=0, atol=1e-10)
-            if row.y is not None:
+            if y is not None:
                 assert np.allclose(end[1][p], alone[1][0], rtol=0, atol=1e-10)
 
     def test_underflow_names_the_refusing_path(self):

@@ -146,22 +146,35 @@ class TestAttach:
     def test_first_of_equals_wins(self):
         vs = [RenderVertex(0j, None, 2, "black"), RenderVertex(2 + 0j, None, 0, "black")]
         ends = np.array([1 + 0j, 0.1 + 0j])
-        assert _attach(ends, None, vs, "black").tolist() == [0j, 0j]
+        assert _attach(ends, vs, "black").tolist() == [0j, 0j]
 
     def test_curve_attaches_in_x(self):
         # near a branch point of pi, |y| ~ sqrt|x - r| outweighs x in
-        # |dx| + |dy|, which would take both ends to the pair at 0.3; x takes
-        # the pair at 0, and y picks the sheet of each end there
+        # |dx| + |dy|, which would take the pair to the vertices at 0.3; x
+        # takes it to 0, one strand to each sheet there
         vs = [RenderVertex(0j, 0.01j, 1, "black"), RenderVertex(0j, -0.01j, 1, "black"),
               RenderVertex(0.3 + 0j, 1j, 0, "black"), RenderVertex(0.3 + 0j, -1j, 0, "black")]
-        ends = np.array([0.05 + 0j, 0.05 + 0j])
-        attached = _attach(ends, np.array([0.9j, -0.9j]), vs, "black")
-        assert attached.tolist() == [0j, 0j]
+        assert _attach(np.array([0.05 + 0j]), vs, "black").tolist() == [0j]
+
+    def test_ramified_vertex_takes_both_sheets(self):
+        # a vertex with y = 0 of order 2 collects the two strands of a pair
+        vs = [RenderVertex(0j, 0j, 2, "black"),
+              RenderVertex(1 + 0j, 1j, 1, "black"), RenderVertex(1 + 0j, -1j, 1, "black")]
+        assert _attach(np.array([0.01 + 0j, 0.9 + 0j]), vs, "black").tolist() == [0j, 1 + 0j]
 
     def test_count_mismatch_refused(self):
         vs = [RenderVertex(0j, None, 1, "white"), RenderVertex(1 + 0j, None, 1, "white")]
         with pytest.raises(RenderError, match="white vertex at 0.000000.* collected 2"):
-            _attach(np.array([0.1 + 0j, -0.1 + 0j]), None, vs, "white")
+            _attach(np.array([0.1 + 0j, -0.1 + 0j]), vs, "white")
+
+    def test_curve_count_mismatch_refused(self):
+        # each sheet of an unramified x collects one strand of the pair
+        vs = [RenderVertex(0j, 0j, 2, "white"),
+              RenderVertex(1 + 0j, 1j, 2, "white"), RenderVertex(1 + 0j, -1j, 2, "white")]
+        message = "white vertex at 1.000000+0.000000j collected 1 strands, ramification order is 2"
+        with pytest.raises(RenderError) as raised:
+            _attach(np.array([0.1 + 0j, 0.9 + 0j]), vs, "white")
+        assert str(raised.value) == message
 
 
 class TestSmallRenders:

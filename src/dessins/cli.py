@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         payload = handler(args)
     except EvidenceIncompleteError as exc:
         return _fail(exc, EVIDENCE_EXIT)
-    except (RootFindingError, TrackingError, RenderError, ZeroDivisionError) as exc:
+    except (RootFindingError, TrackingError, RenderError, ArithmeticError) as exc:
         return _fail(exc, NUMERIC_EXIT)
     except (MapExprError, galois.BadWordError, NotBelyiError, ValueError, OSError) as exc:
         return _fail(exc, PARSE_EXIT)

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 from .perms import (
     CycleType,
@@ -54,15 +56,36 @@ class Constellation:
     def __post_init__(self) -> None:
         if self.g0.degree != self.g1.degree:
             raise ValueError("g0 and g1 must share a degree")
-        object.__setattr__(self, "_transitive", is_transitive((self.g0, self.g1)))
+
+    def __iter__(self):
+        return iter((self.g0, self.g1))
 
     @property
     def degree(self) -> int:
         return self.g0.degree
 
-    @property
+    @cached_property
     def transitive(self) -> bool:
-        return self._transitive
+        return is_transitive((self.g0, self.g1))
+
+
+def doubled(c: Constellation, a: Sequence[int], b: Sequence[int]) -> Constellation:
+    """c with a white vertex on each edge, the pair of b(1,1) after a
+    Belyi map of pair c (Lando and Zvonkin, Graphs on Surfaces and Their
+    Applications, 2004).  Point k of c becomes a(k) = a[k - 1] and b(k) =
+    b[k - 1], which together label 1..2n, and
+
+        g0: a(k) -> a(g0 k),  b(k) -> b(g1 k);    g1: a(k) <-> b(k).
+    """
+    a, b = [0, *a], [0, *b]  # padded, so that a[k] is a(k)
+    g0 = [0] * (2 * c.degree + 1)  # padded, so that g0[p] is the image of p
+    g1 = [0] * (2 * c.degree + 1)
+    for ak, bk, s0k, s1k in zip(a[1:], b[1:], c.g0.images, c.g1.images):
+        g0[ak] = a[s0k]
+        g0[bk] = b[s1k]
+        g1[ak] = bk
+        g1[bk] = ak
+    return Constellation(Permutation(tuple(g0[1:])), Permutation(tuple(g1[1:])))
 
 
 def _orbits(c: Constellation) -> list[list[int]]:

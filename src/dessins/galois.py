@@ -27,9 +27,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dessin import Constellation, Passport, canonical_key, genus_and_passport
+from .dessin import Constellation, Passport, canonical_key, doubled, genus_and_passport
 from .maps import MapExpr, parse_map_expr
-from .perms import Permutation, compose, group_order, identity, parse_cycles, power
+from .perms import Permutation, compose, from_cycles, group_order, identity, parse_cycles, power
 from .polynomials import roots_of_f
 
 
@@ -187,13 +187,11 @@ def full_chain(t: Triple) -> MapExpr:
 
 
 @dataclass(frozen=True)
-class PlanarDessin:
+class PlanarDessin(Constellation):
     """The dessin D0 of P = b(1,1).b(10,1).f, of degree 264 with one face;
     ``root_darts[m - 1]`` is a dart of its ten-valent black vertex at root
     m of f."""
 
-    g0: Permutation
-    g1: Permutation
     root_darts: tuple[int, ...]
 
     def cover(self, t: Triple) -> Constellation:
@@ -204,7 +202,7 @@ class PlanarDessin:
         g1 (d, s) = (g1 d, s) and g0 (d, s) = (g0 d, s + eps(d)), where eps
         is 1 on the one dart root_darts names at each branched vertex.
         """
-        n = self.g0.degree
+        n = self.degree
         # the unbranched cover, then (d, s) -> (g0 d, s + 1) at the three darts
         g0 = [*self.g0.images, *(image + n for image in self.g0.images)]
         g1 = [*self.g1.images, *(image + n for image in self.g1.images)]
@@ -233,9 +231,9 @@ def planar_dessin() -> PlanarDessin:
         s0: (e_m, nine leaves of r_m), (t_0 ... t_10), (t_11);
         s1: (t_k, e_{k+1}) for k = 1..10, (t_11, e_1, t_0, e_12),
 
-    and s1 fixes the leaves.  D0 is D1 with a white vertex on each edge
-    (monodromy._doubled): with a(k) = k and b(k) = k + 132, g0 sends a(k)
-    to a(s0 k) and b(k) to b(s1 k), and g1 swaps a(k) and b(k).
+    and s1 fixes the leaves.  D0 is D1 with a white vertex on each edge,
+    dessin.doubled with a(k) = k and b(k) = k + 132, the rule that a
+    tracked leading b(1,1) takes on its transported labels (monodromy._doubled).
     """
     n = 132
     e = list(range(1, 13))
@@ -243,13 +241,9 @@ def planar_dessin() -> PlanarDessin:
     leaves = iter(range(25, n + 1))
     s0 = [[d, *itertools.islice(leaves, 9)] for d in e] + [t[:11], t[11:]]
     s1 = [[t[k], e[k]] for k in range(1, 11)] + [[t[11], e[0], t[0], e[11]]]
-    g0 = list(range(1, 2 * n + 1))
-    for shift, cycles in ((0, s0), (n, s1)):
-        for cycle in cycles:
-            for d, image in zip(cycle, cycle[1:] + cycle[:1]):
-                g0[d - 1 + shift] = image + shift
-    g1 = [*range(n + 1, 2 * n + 1), *range(1, n + 1)]
-    return PlanarDessin(Permutation(tuple(g0)), Permutation(tuple(g1)), tuple(e))
+    d1 = Constellation(from_cycles(s0, n), from_cycles(s1, n))
+    g0, g1 = doubled(d1, range(1, n + 1), range(n + 1, 2 * n + 1))
+    return PlanarDessin(g0, g1, tuple(e))
 
 
 @dataclass(frozen=True)

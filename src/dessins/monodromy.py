@@ -46,8 +46,8 @@ Only what the structure leaves open is continued.  Curve points come in
 sheet pairs (x, y), (x, -y) whose continuations differ only by the sign
 of y, so a fiber is held as one sheet of each pair (Fiber), and that
 sheet is the one tracked.  A leading b(1,1) over a Belyi
-chain only doubles the inner dessin: its pair is assembled from the inner
-pair and the transport of the inner fiber to the two preimages of 1/2.
+chain only doubles the inner dessin: its pair is dessin.doubled of the
+inner pair on the transport of the inner fiber to the two preimages of 1/2.
 
 Permutations map start labels to end labels, so the product of the loop
 permutations taken in traversal order is the permutation of the
@@ -64,8 +64,9 @@ from typing import Sequence
 import numpy as np
 
 from . import maps
+from .dessin import Constellation, doubled, g_infinity
 from .maps import MapExpr, Primitive
-from .perms import Permutation, compose, inverse, format_cycles
+from .perms import Permutation, format_cycles
 from .polynomials import shifted_roots
 from .tracking import NotBelyiError, TrackingConfig, TrackingError
 
@@ -155,13 +156,7 @@ class Fiber:
         return np.repeat(self.x, 2), np.column_stack((self.y, -self.y)).ravel()
 
 
-@dataclass(frozen=True)
-class MonodromyPair:
-    g0: Permutation
-    g1: Permutation
-
-    def __iter__(self):
-        return iter((self.g0, self.g1))
+MonodromyPair = Constellation  # the former name of the pair type
 
 
 def _composite_and_derivative(stages: Sequence[Primitive], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,13 +208,6 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> Fib
     if np.any(np.abs(value - p) >= 1e-8):
         raise TrackingError("fiber point fails to evaluate back to base")
     return out
-
-
-def _metric(ax, ay, bx, by) -> np.ndarray:
-    d = np.abs(ax[:, None] - bx[None, :])
-    if ay is not None:
-        d = d + np.abs(ay[:, None] - by[None, :])
-    return d
 
 
 def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
@@ -435,15 +423,15 @@ def _continue(
     return x, y
 
 
-def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
-    """Index of the start point each end point landed on, in label order.
+def _match(end: Fiber, start: Fiber, cfg: TrackingConfig) -> np.ndarray:
+    """Index of the start point each end point landed on, in label order
+    (see Fiber), by |dx| + |dy| to every start point, unfolded.
 
-    ``end`` is a tracked half (x, y) and ``start`` every point in label
-    order (see Fiber).  On curves only the tracked sheet (x[i], y[i]) of
-    each end pair is matched, an (n, 2n) metric: the distance of its
-    other sheet (x[i], -y[i]) to start point j is bit for bit that of
-    (x[i], y[i]) to j ^ 1, the other sheet of j's pair, so that sheet lands
-    on nearest ^ 1, and the result interleaves nearest with nearest ^ 1.
+    On curves only the tracked sheet (x[i], y[i]) of each end pair is
+    matched, an (n, 2n) metric: the distance of its other sheet (x[i],
+    -y[i]) to start point j is bit for bit that of (x[i], y[i]) to j ^ 1,
+    the other sheet of j's pair, so that sheet lands on nearest ^ 1, and
+    the result interleaves nearest with nearest ^ 1.
 
     Raises MatchAmbiguousError when an end point is farther than match_tol
     from every start point or its runner-up is not separation_factor times
@@ -451,7 +439,10 @@ def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
     pair, land on one start point.  Only the two nearest start points are
     ranked; when they tie, either is the nearest and the ratio 1 raises.
     """
-    d = _metric(*end, *start)
+    start_x, start_y = start.unfold()
+    d = np.abs(end.x[:, None] - start_x[None, :])
+    if end.y is not None:
+        d = d + np.abs(end.y[:, None] - start_y[None, :])
     order = np.argpartition(d, 1, axis=1)
     rows = np.arange(len(d))
     nearest = order[:, 0].copy()  # a view would keep all of order alive
@@ -466,7 +457,7 @@ def _match(end, start, cfg: TrackingConfig) -> np.ndarray:
         raise MatchAmbiguousError(
             f"match separation ratio {ratio.min():.2f} below "
             f"{cfg.separation_factor}")
-    if end[1] is not None:
+    if end.y is not None:
         nearest = np.column_stack((nearest, nearest ^ 1)).ravel()
     if len(np.unique(nearest)) != len(nearest):
         raise NotBijectiveError("two trajectories matched one fiber point")
@@ -477,7 +468,7 @@ def _permutation(start: Fiber, end: Fiber, cfg: TrackingConfig) -> Permutation:
     """Label i -> the label of the point of ``start`` that point i of
     ``end`` lands on; for a closed path whose tracked half runs from
     ``start`` to ``end``, start label -> end label."""
-    nearest = _match((end.x, end.y), start.unfold(), cfg)
+    nearest = _match(end, start, cfg)
     return Permutation(tuple((nearest + 1).tolist()))
 
 
@@ -485,7 +476,7 @@ def _conjugation(points: Fiber, cfg: TrackingConfig) -> np.ndarray:
     """kappa, the conjugation of a fiber over a real base point: x[kappa[k]]
     is the conjugate of x[k], by _match of conj(x) against x.  Only x is
     matched, as on curves conjugation maps y^2 = c(x) to y^2 = cbar(x)."""
-    return _match((points.x.conj(), None), (points.x, None), cfg)
+    return _match(Fiber(points.x.conj(), None), Fiber(points.x, None), cfg)
 
 
 def _conjugate(points: Fiber, kappa: np.ndarray) -> Fiber:
@@ -545,12 +536,12 @@ def track_loop(
     return _loop_permutations(e, [loop], points, _conjugation(points, cfg), cfg)[0]
 
 
-def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPair:
-    """Loop permutations (g0, g1) around 0 and 1 from the base point 1/2.
+def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> Constellation:
+    """The dessin's pair (g0, g1), loops around 0 and 1 from 1/2.
 
     The chain must be branched only over {0, 1, infinity}.  The loop
-    around infinity is never tracked; inverse(compose(g0, g1)) plays its
-    part.  A leading b(1,1) over a Belyi chain is peeled off exactly (see
+    around infinity is never tracked; dessin.g_infinity plays its part.
+    A leading b(1,1) over a Belyi chain is peeled off exactly (see
     _doubled); every other chain has both loops tracked in one stacked
     continuation.
     """
@@ -559,7 +550,7 @@ def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> MonodromyPa
 
 def _base_and_probe(
     e: MapExpr, cfg: TrackingConfig, probe: bool,
-) -> tuple[MonodromyPair, MonodromyPair | None]:
+) -> tuple[Constellation, Constellation | None]:
     """The pair of ``e`` over the base point and, with probe, the pair on
     the same fibers around the stability probe's loops: the circles about
     1/10 and 9/10, radius 0.4, in twice the steps (see _loops).  Both
@@ -611,15 +602,14 @@ def _pair(
     kappa: np.ndarray,
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
-) -> MonodromyPair:
+) -> Constellation:
     """The pair of a Belyi chain on its labeled fibers over the base point
     (see _fibers), by continuation around ``loops`` (see _loops) on the
     last fiber, whose conjugation is ``kappa``; a leading b(1,1) is peeled
     off (see _doubled) while more than one fiber is left."""
     if len(fibers) > 1:
         return _doubled(e.inner(), fibers, kappa, cfg, loops)
-    g0, g1 = _loop_permutations(e, loops, fibers[0], kappa, cfg)
-    return MonodromyPair(g0=g0, g1=g1)
+    return Constellation(*_loop_permutations(e, loops, fibers[0], kappa, cfg))
 
 
 # The preimages w1 < 1/2 < w2 of the base point under b(1,1) = 4w(1 - w).
@@ -628,16 +618,11 @@ _HALF_PREIMAGES = ((1 - math.sqrt(0.5)) / 2, (1 + math.sqrt(0.5)) / 2)
 
 @dataclass(frozen=True)
 class _Segment:
-    """The straight path from start to end, in nominal steps no longer
-    than arc_step."""
+    """The straight path from start to end, in ``steps`` nominal steps."""
 
     start: complex
     end: complex
-    arc_step: float
-
-    @property
-    def steps(self) -> int:
-        return max(1, math.ceil(abs(self.end - self.start) / self.arc_step))
+    steps: int
 
     @property
     def name(self) -> str:
@@ -653,42 +638,29 @@ def _doubled(
     kappa: np.ndarray,
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
-) -> MonodromyPair:
+) -> Constellation:
     """The pair of b(1,1) . inner on ``fibers[0]``, its fiber over 1/2,
-    from the pair (s0, s1) of the Belyi chain ``inner`` on its own fiber
+    from the pair of the Belyi chain ``inner`` on its own fiber
     ``fibers[1]``, tracked around ``loops`` (see _pair for ``kappa``).
 
     Each inner fiber point k is carried along the real segments from 1/2
-    to w1 and to w2, which meet no branch value of ``inner``, with steps
-    no longer than the loops' nominal step; a(k) and b(k) are the labels
-    of the points it lands on.  The two segments are one stacked
-    continuation of their own, apart from the run that gives (s0, s1).
-    The loop around 0 lifts through 4w(1 - w) to a loop around 0 at w1
-    and around 1 at w2, and the loop around 1 to a path from w1 to w2
-    through 1/2, so
-
-        g0: a(k) -> a(s0 k),  b(k) -> b(s1 k);    g1: a(k) <-> b(k),
-
-    the composition of Belyi functions in Lando and Zvonkin, Graphs on
-    Surfaces and Their Applications (2004): the dessin of inner with a
-    white vertex on each edge.
+    to w1 and to w2, which meet no branch value of ``inner``, in max(1,
+    ceil(|w - 1/2| / h)) nominal steps, h the loops' nominal arc step;
+    a(k) and b(k) are the labels of the points it lands on.  The two
+    segments are one stacked continuation of their own.  The loop around 0
+    lifts through 4w(1 - w) to a loop around 0 at w1 and around 1 at w2,
+    and the loop around 1 to a path from w1 to w2 through 1/2, so the pair
+    is dessin.doubled of the inner pair on a and b, as D0 is built exactly
+    (galois.planar_dessin).
     """
     points, start = fibers[0], fibers[1]
-    arc_step = loops[0].length / loops[0].steps
-    segments = [_Segment(BASEPOINT, w, arc_step) for w in _HALF_PREIMAGES]
-    s0, s1 = _pair(inner, fibers[1:], kappa, cfg, loops)
+    h = loops[0].length / loops[0].steps
+    segments = [_Segment(BASEPOINT, w, max(1, math.ceil(abs(w - BASEPOINT) / h))) for w in _HALF_PREIMAGES]
+    inner_pair = _pair(inner, fibers[1:], kappa, cfg, loops)
     x, y = _continue(inner, segments, start.x, start.y, cfg)
-    # a[k - 1] and b[k - 1] are the labels that inner label k lands on
-    landed = _match((x.ravel(), None if y is None else y.ravel()), points.unfold(), cfg) + 1
-    a, b = landed[:len(start)], landed[len(start):]
-    s0, s1 = (np.array(s.images) - 1 for s in (s0, s1))
-    g0 = np.zeros(len(points), dtype=int)
-    g1 = np.zeros(len(points), dtype=int)
-    g0[a - 1] = a[s0]
-    g0[b - 1] = b[s1]
-    g1[a - 1] = b
-    g1[b - 1] = a
-    return MonodromyPair(g0=Permutation(tuple(g0.tolist())), g1=Permutation(tuple(g1.tolist())))
+    # a(k) and b(k), the labels that inner label k lands on, in turn
+    landed = (_match(Fiber(x.ravel(), None if y is None else y.ravel()), points, cfg) + 1).tolist()
+    return doubled(inner_pair, landed[:len(start)], landed[len(start):])
 
 
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:
@@ -708,12 +680,11 @@ def monodromy_json(
     verify_stability, whose base run is the pair of the payload and whose
     probe reuses its fibers."""
     pair, probe = _base_and_probe(e, cfg, check_stability)
-    ginf = inverse(compose(pair.g0, pair.g1))
     return {
         "degree": maps.degree(e),
         "g0": format_cycles(pair.g0),
         "g1": format_cycles(pair.g1),
-        "ginf": format_cycles(ginf),
+        "ginf": format_cycles(g_infinity(pair)),
         "stability": pair == probe if check_stability else None,
         "config_echo": cfg.to_json_dict(),
     }

@@ -253,10 +253,20 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     n = degree if degree is not None else max(points)
     if max(points) > n:
         raise ValueError(f"point {max(points)} exceeds degree {n}")
-    out = list(range(1, n + 1))
+    return from_cycles(cycles, n)
+
+
+def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> Permutation:
+    """The permutation of ``degree`` points with the disjoint ``cycles``,
+    lists or tuples; points in no cycle are fixed.
+
+    >>> from_cycles([[1, 2, 3], (4, 5)], 6).images
+    (2, 3, 1, 5, 4, 6)
+    """
+    out = list(range(1, degree + 1))
     for cycle in cycles:
-        for i, x in enumerate(cycle):
-            out[x - 1] = cycle[(i + 1) % len(cycle)]
+        for x, image in zip(cycle, cycle[1:] + cycle[:1]):
+            out[x - 1] = image
     return Permutation(tuple(out))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, isqrt
+from math import fmod, isfinite, isqrt, pi
 from typing import Sequence
 
 import cmath
@@ -104,7 +104,8 @@ def roots(poly: ComplexPoly, angular_offset: float = ANGULAR_OFFSET) -> tuple[co
     """
     if not isfinite(angular_offset):
         raise ValueError(f"angular offset must be finite, got {angular_offset!r}")
-    return _aberth(poly, (poly.coeffs[0],), angular_offset)[0]
+    # fmod is exact; a huge offset would swamp the start angles 2 pi k / n
+    return _aberth(poly, (poly.coeffs[0],), fmod(angular_offset, 2 * pi))[0]
 
 
 def shifted_roots(poly: ComplexPoly, values: Sequence[complex]) -> list[tuple[complex, ...]]:

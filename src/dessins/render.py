@@ -211,7 +211,7 @@ def render_graph(
     to_zero, to_one = [x], [x]
     for previous, rung in zip(rungs, rungs[1:]):
         # one nominal step per rung, on each ladder, in x alone
-        x, _ = _continue(e, [_Segment(a, b, np.inf) for a, b in zip(previous, rung)], x, None, cfg)
+        x, _ = _continue(e, [_Segment(a, b, 1) for a, b in zip(previous, rung)], x, None, cfg)
         to_zero.append(x[0])
         to_one.append(x[1])
 

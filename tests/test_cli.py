@@ -41,11 +41,14 @@ class TestRoots:
         assert all(row["residual"] < 1e-10 for row in data)
 
     def test_seed_offset_invariance(self, capsys):
+        # 1e16 is far past the offset whose ulp exceeds the 2 pi / 12
+        # spacing of the start angles
         base = run_json(capsys, "roots")
-        moved = run_json(capsys, "roots", "--seed-offset", "0.37")
-        for r1, r2 in zip(base, moved):
-            assert r1["re"] == pytest.approx(r2["re"], abs=1e-9)
-            assert r1["im"] == pytest.approx(r2["im"], abs=1e-9)
+        for offset in ("0.37", "1e16"):
+            moved = run_json(capsys, "roots", "--seed-offset", offset)
+            for r1, r2 in zip(base, moved):
+                assert r1["re"] == pytest.approx(r2["re"], abs=1e-9)
+                assert r1["im"] == pytest.approx(r2["im"], abs=1e-9)
 
     def test_seed_offset_does_not_leak(self, capsys):
         run_json(capsys, "roots", "--seed-offset", "0.37")
@@ -83,6 +86,19 @@ class TestMonodromy:
             capsys, "monodromy", "--map", "b(1,1).b(10,1)", "--check-stability"
         )
         assert data["stability"] is True
+
+    @pytest.mark.parametrize("command", [
+        ["monodromy", "--map", "b(600,600)"],
+        ["render", "--map", "b(600,600)", "--out", "-"],
+    ], ids=["monodromy", "render"])
+    def test_overflow_is_numeric_failure(self, capsys, command):
+        # b(600,600)'s leading coefficient is too large for a float
+        code, out, err = run(capsys, *command)
+        assert code == 3
+        assert out == ""
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "OverflowError"
 
     def test_config_echo_round_trip(self, capsys, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dessins.dessin import (
@@ -16,6 +16,7 @@ from dessins.dessin import (
     canonical_form,
     canonical_hash,
     dessin_json,
+    doubled,
     faces,
     g_infinity,
     genus,
@@ -254,6 +255,41 @@ class TestIsomorphism:
             compose(compose(inverse(h), g1), h),
         )
         assert isomorphic(c, other)[0]
+
+
+@st.composite
+def _connected_constellations(draw):
+    """A connected constellation of degree 1..12 from two drawn images."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    g0, g1 = (Permutation(tuple(draw(st.permutations(range(1, n + 1))))) for _ in range(2))
+    c = Constellation(g0, g1)
+    assume(c.transitive)
+    return c
+
+
+class TestDoubled:
+    """dessin.doubled puts a white vertex on each edge of a dessin."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_connected_constellations(), st.randoms(use_true_random=False))
+    def test_white_vertex_on_each_edge(self, c, rng):
+        n = c.degree
+        d = doubled(c, range(1, n + 1), range(n + 1, 2 * n + 1))
+        before, after = passport(c), passport(d)
+        assert after.black.parts == tuple(sorted(before.black.parts + before.white.parts, reverse=True))
+        assert after.white.parts == (2,) * n
+        assert after.faces.parts == tuple(2 * k for k in before.faces.parts)
+        assert genus(d) == genus(c)
+        assert is_clean(d)
+        labels = list(range(1, 2 * n + 1))
+        rng.shuffle(labels)
+        assert isomorphic(doubled(c, labels[:n], labels[n:]), d)[0]
+
+    def test_published_psi_is_doubled_b101(self):
+        # the tree of b(10,1): ten edges at 0, one of them on through the
+        # white vertex at 10/11 to 1; b(1,1) after it is the published psi
+        tree = Constellation(parse_cycles("(1,2,3,4,5,6,7,8,9,10)", 11), parse_cycles("(10,11)", 11))
+        assert isomorphic(doubled(tree, range(1, 12), range(12, 23)), Constellation(PSI_G0, PSI_G1))[0]
 
 
 class TestJson:

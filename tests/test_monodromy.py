@@ -594,21 +594,20 @@ class TestMatch:
     @given(_match_cases())
     def test_matches_naive(self, case):
         end, start, cfg = case
-        unfolded = start.unfold()
-        assert (_outcome(_match, (end.x, end.y), unfolded, cfg)
-                == _outcome(naive_match, end.unfold(), unfolded, cfg))
+        assert (_outcome(_match, end, start, cfg)
+                == _outcome(naive_match, end.unfold(), start.unfold(), cfg))
 
     def test_sheet_pairs_interleave(self, cfg):
         start = Fiber(np.array([0j, 1 + 0j]), np.array([1 + 0j, 1j]))
-        end = (np.array([1 + 0j, 0j]), np.array([-1j, 1 + 0j]))
-        assert _match(end, start.unfold(), cfg).tolist() == [3, 2, 0, 1]
+        end = Fiber(np.array([1 + 0j, 0j]), np.array([-1j, 1 + 0j]))
+        assert _match(end, start, cfg).tolist() == [3, 2, 0, 1]
 
     def test_opposite_sheets_of_one_pair_refused(self, cfg):
         # the tracked ends land on 0 and 1, and so their other sheets on 1 and 0
         start = Fiber(np.array([0j, 1 + 0j]), np.array([1 + 0j, 1j]))
-        end = (np.array([0j, 0j]), np.array([1 + 0j, -1 + 0j]))
+        end = Fiber(np.array([0j, 0j]), np.array([1 + 0j, -1 + 0j]))
         with pytest.raises(NotBijectiveError):
-            _match(end, start.unfold(), cfg)
+            _match(end, start, cfg)
 
 
 class TestRoundingFloor:
@@ -750,7 +749,7 @@ class TestCurveStep:
         assert landed is None and refused
         e = parse_map_expr("b(10,1).f.pi(3,5,8)")
         start = fiber(e, BASEPOINT, cfg)
-        paths = [_Segment(BASEPOINT, v, 0.01) for v in (0.01, 0.99)] + list(_loops(cfg))
+        paths = [_Segment(BASEPOINT, v, 49) for v in (0.01, 0.99)] + list(_loops(cfg))
         x, y = _continue(e, paths, start.x, start.y, cfg)
         alone, none = _continue(e, paths, start.x, None, cfg)
         assert y is not None and none is None
@@ -1091,10 +1090,10 @@ class TestStacked:
         # row p of a (P, n) start continues along paths[p] as it would alone
         e = parse_map_expr(text)
         points = fiber(e, BASEPOINT, cfg)
-        first = [_Segment(BASEPOINT, v, 0.05) for v in (0.3, 0.6 + 0.1j, 0.7)]
+        first = [_Segment(BASEPOINT, v, n) for v, n in ((0.3, 4), (0.6 + 0.1j, 3), (0.7, 4))]
         start = _continue(e, first, points.x, points.y, cfg)
         assert not np.allclose(start[0][0], start[0][1])
-        paths = [_Segment(a, b, 0.05) for a, b in ((0.3, 0.2), (0.6 + 0.1j, 0.6 - 0.1j), (0.7, 0.8))]
+        paths = [_Segment(a, b, n) for a, b, n in ((0.3, 0.2, 2), (0.6 + 0.1j, 0.6 - 0.1j, 4), (0.7, 0.8, 3))]
         end = _continue(e, paths, *start, cfg)
         for p, path in enumerate(paths):
             y = None if start[1] is None else start[1][p]
@@ -1128,4 +1127,4 @@ class TestStacked:
 
     def test_path_names(self):
         assert LoopSpec(center=0.76).name == "loop around 0.76+0j"
-        assert _Segment(BASEPOINT, 0.25 + 0j, 0.01).name == "segment to 0.25+0j"
+        assert _Segment(BASEPOINT, 0.25 + 0j, 25).name == "segment to 0.25+0j"

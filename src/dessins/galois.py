@@ -179,7 +179,6 @@ def j_invariant(t: Triple) -> complex:
 # dessins along an orbit
 
 FULL_CHAIN_TEMPLATE = "b(1,1).b(10,1).f.pi({},{},{})"
-PLANAR_CHAIN = "b(1,1).b(10,1).f"
 
 
 def full_chain(t: Triple) -> MapExpr:
@@ -232,8 +231,9 @@ def planar_dessin() -> PlanarDessin:
         s1: (t_k, e_{k+1}) for k = 1..10, (t_11, e_1, t_0, e_12),
 
     and s1 fixes the leaves.  D0 is D1 with a white vertex on each edge,
-    dessin.doubled with a(k) = k and b(k) = k + 132, the rule that a
-    tracked leading b(1,1) takes on its transported labels (monodromy._doubled).
+    dessin.doubled with a(k) = k and b(k) = k + 132, the rule that
+    monodromy applies for each tracked leading b(1,1) on its transported
+    labels (monodromy._pair).
     """
     n = 132
     e = list(range(1, 13))

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Union
 
 from .polynomials import ComplexPoly, f_polynomial, roots_of_f
+from .tracking import NotBelyiError
 
 class MapExprError(ValueError):
     """Base class for expression construction and parse failures."""
@@ -181,6 +182,12 @@ class FPoly:
         return "f"
 
 
+def cubic(x, roots):
+    """(x - ri)(x - rj)(x - rk) over the three ``roots``, elementwise."""
+    ri, rj, rk = roots
+    return (x - ri) * (x - rj) * (x - rk)
+
+
 @dataclass(frozen=True)
 class Proj:
     triple: tuple[int, int, int]
@@ -203,10 +210,8 @@ class Proj:
         return tuple(labeled[i] for i in self.triple)
 
     def curve_rhs(self, x):
-        """c(x) = (x - ri)(x - rj)(x - rk) at a complex x or elementwise on
-        an array."""
-        ri, rj, rk = self.cubic_roots()
-        return (x - ri) * (x - rj) * (x - rk)
+        """c(x), the cubic on the roots of the triple, elementwise."""
+        return cubic(x, self.cubic_roots())
 
     def ramification(self) -> Ramification:
         """Each root r of the cubic is taken doubly, at (r, 0); see
@@ -436,3 +441,9 @@ def is_belyi(e: MapExpr) -> bool:
     """True when every finite branch value equals 0 or 1 exactly: a value
     merely near them, such as b(1,11)(10/11) ~ 1e-10, is one more."""
     return all(v is INF or v == 0 or v == 1 for v in branch_values(e).values)
+
+
+def require_belyi(e: MapExpr) -> None:
+    """Raises NotBelyiError unless is_belyi(e), before any tracking."""
+    if not is_belyi(e):
+        raise NotBelyiError(f"{format_map_expr(e)} is branched off {{0, 1, inf}}")

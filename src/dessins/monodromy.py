@@ -108,7 +108,7 @@ class LoopSpec:
     """
 
     center: float
-    steps: int = 256
+    steps: int = round(1 / TrackingConfig.initial_step)
 
     def __post_init__(self) -> None:
         if complex(self.center).imag != 0:
@@ -286,12 +286,6 @@ def _rounding_error(stages: Sequence[Primitive], x: np.ndarray) -> np.ndarray:
     return error
 
 
-def _cubic(x, roots):
-    """(x - ri)(x - rj)(x - rk) over the three ``roots``, elementwise."""
-    ri, rj, rk = roots
-    return (x - ri) * (x - rj) * (x - rk)
-
-
 def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     Fiber), one row of shape (n,) or rows stacked as (P, n).
@@ -315,7 +309,7 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     c, so for x' on the segment from x to x_new each factor (x' - r) /
     (x - r) of c(x') / c(x) lies in the disc of radius 0.4 about 1, the
     product has argument below 3 asin 0.4 < 1.24 < pi, and its principal
-    root moves continuously from 1.  c is Proj.curve_rhs bit for bit.  y
+    root moves continuously from 1.  c is maps.cubic, as in curve_rhs.  y
     never moves x and the guard counts the roots of c either way, so with
     y None, as on render's strands, x is the same bit for bit.
 
@@ -361,7 +355,7 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
         if not fits.all():
             return None, ~fits.all(axis=-1), slope
         if y is not None:
-            ratio = [_cubic(x_new, roots) / _cubic(x, roots) for roots in cubics]
+            ratio = [maps.cubic(x_new, roots) / maps.cubic(x, roots) for roots in cubics]
             y = y * np.sqrt(np.concatenate(ratio, axis=-1))
         return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), slope_new
 
@@ -541,8 +535,8 @@ def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> Constellati
 
     The chain must be branched only over {0, 1, infinity}.  The loop
     around infinity is never tracked; dessin.g_infinity plays its part.
-    A leading b(1,1) over a Belyi chain is peeled off exactly (see
-    _doubled); every other chain has both loops tracked in one stacked
+    The leading b(1,1)s over a Belyi chain are peeled off exactly (see
+    _pair); the innermost chain has both loops tracked in one stacked
     continuation.
     """
     return _base_and_probe(e, cfg, probe=False)[0]
@@ -555,14 +549,13 @@ def _base_and_probe(
     the same fibers around the stability probe's loops: the circles about
     1/10 and 9/10, radius 0.4, in twice the steps (see _loops).  Both
     read one conjugation of the tracked fiber."""
-    if not maps.is_belyi(e):
-        raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
-    fibers = _fibers(e, cfg)
-    kappa = _conjugation(fibers[-1], cfg)
-    base = _pair(e, fibers, kappa, cfg, _loops(cfg))
+    maps.require_belyi(e)
+    levels = _fibers(e, cfg)
+    kappa = _conjugation(levels[-1][1], cfg)
+    base = _pair(levels, kappa, cfg, _loops(cfg))
     if not probe:
         return base, None
-    return base, _pair(e, fibers, kappa, cfg, _loops(cfg, centers=(0.1, 0.9), refine=2))
+    return base, _pair(levels, kappa, cfg, _loops(cfg, centers=(0.1, 0.9), refine=2))
 
 
 def _loops(
@@ -579,37 +572,20 @@ def _loops(
 
 
 def _doubles(e: MapExpr) -> bool:
-    """Whether ``e`` is b(1,1) over a Belyi chain (see _doubled)."""
+    """Whether ``e`` is b(1,1) over a Belyi chain (see _pair)."""
     inner = e.inner()
     return e.chain[0] == maps.BelyiMN(1, 1) and inner is not None and maps.is_belyi(inner)
 
 
-def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[Fiber]:
-    """The labeled fiber over the base point of ``e`` and, for as long as
-    the chain is b(1,1) over a Belyi chain, of each inner chain in turn:
-    the fibers that _pair reads, one per b(1,1) it peels off and one for
-    the chain it tracks."""
-    out = [fiber(e, BASEPOINT, cfg)]
+def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[tuple[MapExpr, Fiber]]:
+    """(chain, its labeled fiber over the base point), outermost first, for
+    ``e`` and each inner chain while the chain is b(1,1) over a Belyi chain:
+    one level per b(1,1) that _pair peels off and one for the chain it tracks."""
+    out = [(e, fiber(e, BASEPOINT, cfg))]
     while _doubles(e):
         e = e.inner()
-        out.append(fiber(e, BASEPOINT, cfg))
+        out.append((e, fiber(e, BASEPOINT, cfg)))
     return out
-
-
-def _pair(
-    e: MapExpr,
-    fibers: Sequence[Fiber],
-    kappa: np.ndarray,
-    cfg: TrackingConfig,
-    loops: tuple[LoopSpec, LoopSpec],
-) -> Constellation:
-    """The pair of a Belyi chain on its labeled fibers over the base point
-    (see _fibers), by continuation around ``loops`` (see _loops) on the
-    last fiber, whose conjugation is ``kappa``; a leading b(1,1) is peeled
-    off (see _doubled) while more than one fiber is left."""
-    if len(fibers) > 1:
-        return _doubled(e.inner(), fibers, kappa, cfg, loops)
-    return Constellation(*_loop_permutations(e, loops, fibers[0], kappa, cfg))
 
 
 # The preimages w1 < 1/2 < w2 of the base point under b(1,1) = 4w(1 - w).
@@ -632,35 +608,37 @@ class _Segment:
         return self.start + t * (self.end - self.start)
 
 
-def _doubled(
-    inner: MapExpr,
-    fibers: Sequence[Fiber],
+def _pair(
+    levels: Sequence[tuple[MapExpr, Fiber]],
     kappa: np.ndarray,
     cfg: TrackingConfig,
     loops: tuple[LoopSpec, LoopSpec],
 ) -> Constellation:
-    """The pair of b(1,1) . inner on ``fibers[0]``, its fiber over 1/2,
-    from the pair of the Belyi chain ``inner`` on its own fiber
-    ``fibers[1]``, tracked around ``loops`` (see _pair for ``kappa``).
+    """The pair of a Belyi chain on its levels (see _fibers): the last
+    level's, by continuation around ``loops`` (see _loops) on its fiber,
+    whose conjugation is ``kappa``, then each level's before it, from the
+    inside out, as dessin.doubled of the pair after it.
 
-    Each inner fiber point k is carried along the real segments from 1/2
-    to w1 and to w2, which meet no branch value of ``inner``, in max(1,
-    ceil(|w - 1/2| / h)) nominal steps, h the loops' nominal arc step;
-    a(k) and b(k) are the labels of the points it lands on.  The two
-    segments are one stacked continuation of their own.  The loop around 0
-    lifts through 4w(1 - w) to a loop around 0 at w1 and around 1 at w2,
-    and the loop around 1 to a path from w1 to w2 through 1/2, so the pair
-    is dessin.doubled of the inner pair on a and b, as D0 is built exactly
+    For b(1,1) . inner, each inner fiber point k is carried along the real
+    segments from 1/2 to w1 and to w2, which meet no branch value of
+    inner, in max(1, ceil(|w - 1/2| / h)) nominal steps, h the loops'
+    nominal arc step; a(k) and b(k) are the labels of the points it lands
+    on.  The two segments are one stacked continuation of their own.  The
+    loop around 0 lifts through 4w(1 - w) to a loop around 0 at w1 and
+    around 1 at w2, and the loop around 1 to a path from w1 to w2 through
+    1/2, so the pair is doubled(inner pair, a, b), as D0 is built exactly
     (galois.planar_dessin).
     """
-    points, start = fibers[0], fibers[1]
+    inner, start = levels[-1]
+    pair = Constellation(*_loop_permutations(inner, loops, start, kappa, cfg))
     h = loops[0].length / loops[0].steps
     segments = [_Segment(BASEPOINT, w, max(1, math.ceil(abs(w - BASEPOINT) / h))) for w in _HALF_PREIMAGES]
-    inner_pair = _pair(inner, fibers[1:], kappa, cfg, loops)
-    x, y = _continue(inner, segments, start.x, start.y, cfg)
-    # a(k) and b(k), the labels that inner label k lands on, in turn
-    landed = (_match(Fiber(x.ravel(), None if y is None else y.ravel()), points, cfg) + 1).tolist()
-    return doubled(inner_pair, landed[:len(start)], landed[len(start):])
+    for (_, points), (inner, start) in reversed(list(zip(levels, levels[1:]))):
+        x, y = _continue(inner, segments, start.x, start.y, cfg)
+        # a(k) and b(k), the labels that inner label k lands on, in turn
+        landed = (_match(Fiber(x.ravel(), None if y is None else y.ravel()), points, cfg) + 1).tolist()
+        pair = doubled(pair, landed[:len(start)], landed[len(start):])
+    return pair
 
 
 def verify_stability(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> bool:

@@ -280,13 +280,16 @@ class LabeledRoots:
 
 
 def roots_of_f(angular_offset: float = ANGULAR_OFFSET) -> LabeledRoots:
-    """Labeled roots of ``f``, cached per starting-circle rotation; label 1
-    has the least argument.  Raises ValueError for a non-finite offset."""
-    return _roots_of_f_cached(angular_offset)
+    """Labeled roots of ``f``; label 1 has the least argument.  Only the
+    default rotation is cached, so another offset is solved afresh and
+    kept nowhere.  Raises ValueError for a non-finite offset."""
+    if angular_offset != ANGULAR_OFFSET:
+        return _labeled_roots_of_f.__wrapped__(angular_offset)
+    return _labeled_roots_of_f(ANGULAR_OFFSET)
 
 
-@lru_cache(maxsize=None)
-def _roots_of_f_cached(angular_offset: float) -> LabeledRoots:
+@lru_cache(maxsize=1)
+def _labeled_roots_of_f(angular_offset: float) -> LabeledRoots:
     poly = f_polynomial()
     values = sorted(
         roots(poly, angular_offset=angular_offset),

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import maps
 from .maps import MapExpr
-from .monodromy import _continue, _Segment, fiber
+from .monodromy import BASEPOINT, _continue, _Segment, fiber
 from .polynomials import ComplexPoly, roots, shifted_roots
-from .tracking import NotBelyiError, RenderError, TrackingConfig
+from .tracking import RenderError, TrackingConfig
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
 
@@ -154,9 +154,9 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
 
 def _rungs(samples: int) -> list[tuple[float, float]]:
     """The base values of the two ladders, (v, 1 - v) with v falling
-    geometrically from 1/2 to ENDPOINT_VALUE_GAP in ``samples`` rungs."""
-    ratio = (ENDPOINT_VALUE_GAP / 0.5) ** (1.0 / samples)
-    return [(v, 1.0 - v) for v in (0.5 * ratio**k for k in range(samples + 1))]
+    geometrically from BASEPOINT to ENDPOINT_VALUE_GAP in ``samples`` rungs."""
+    ratio = (ENDPOINT_VALUE_GAP / BASEPOINT) ** (1.0 / samples)
+    return [(v, 1.0 - v) for v in (BASEPOINT * ratio**k for k in range(samples + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +190,22 @@ def render_graph(
     """Render the dessin of a chain with samples_per_edge rungs on each
     half-edge; see the module docstring.
 
+    Of ``cfg`` render reads newton_tol (raised to at least 1e-7, see
+    below), max_newton_iters, min_step and match_tol (the fiber's
+    collision check); a rung is one nominal step and no end is matched,
+    so initial_step and separation_factor change nothing.
+
     Raises ValueError below 8 samples, NotBelyiError for a chain branched
-    off {0, 1, infinity}, and StepUnderflowError, naming its segment, for a
-    strand that cannot be continued.
+    off {0, 1, infinity}, CollisionError for fiber points within
+    match_tol, and StepUnderflowError, naming its segment, for a strand
+    that cannot be continued.
     """
     if samples_per_edge < 8:
         raise ValueError("samples_per_edge must be at least 8")
-    if not maps.is_belyi(e):
-        raise NotBelyiError(f"{maps.format_map_expr(e)} is branched off {{0, 1, inf}}")
+    maps.require_belyi(e)
     blacks = structural_vertices(e, 0)
     whites = structural_vertices(e, 1)
-    base = fiber(e, 0.5, cfg)
+    base = fiber(e, BASEPOINT, cfg)
     # Strands run into ramification points where |F'| -> 0, so the
     # attainable Newton step plateaus near eps/|F'| (about 1e-8 on the
     # last rung of a 10-fold point).  The loop tolerance is unreachable

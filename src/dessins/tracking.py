@@ -3,8 +3,8 @@
 monodromy and render continue fibers on numpy arrays.  What a caller that
 never tracks still names lives here: the TrackingConfig that ``--config``
 loads and the errors the command line maps to exit codes.  monodromy and
-render re-export each of them, so ``monodromy.TrackingConfig`` and
-``render.RenderError`` are these very classes.
+render import the ones they name from here, so ``monodromy.TrackingConfig``
+and ``render.RenderError`` are these very classes.
 """
 
 from __future__ import annotations

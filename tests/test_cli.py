@@ -339,6 +339,25 @@ class TestRender:
                            "--out", "-", "--samples", "3")
         assert code == 2
 
+    def test_config_keys_render_does_not_read(self, capsys, tmp_path):
+        # a rung is one nominal step, render matches no ends, and newton_tol
+        # is raised to at least 1e-7
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"initial_step": 0.33, "separation_factor": 1e12, "newton_tol": 1e-9}')
+        code, out, err = run(capsys, "render", "--map", "b(1,1).b(10,1)", "--out", "-",
+                             "--config", str(cfg_file))
+        assert (code, err) == (0, "")
+        _, default, _ = run(capsys, "render", "--map", "b(1,1).b(10,1)", "--out", "-")
+        assert out == default
+
+    def test_match_tol_reaches_the_fiber(self, capsys, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"match_tol": 10}')
+        code, out, err = run(capsys, "render", "--map", "b(1,1).b(10,1)", "--out", "-",
+                             "--config", str(cfg_file))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "CollisionError"
+
     def test_non_belyi_map(self, capsys):
         code, out, err = run(capsys, "render", "--map", "b(1,1).b(2,1).f", "--out", "-")
         assert code == 2

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dessins import cli
 from dessins.dessin import Constellation, canonical_hash, isomorphic
 from dessins.galois import (
-    PLANAR_CHAIN,
     BadWordError,
     PlanarDessin,
     SubgroupSpec,
@@ -245,7 +244,7 @@ def tracked_d0(cfg):
     nearest the mean x of its darts, the fiber points over 1/2 around it:
     a labelling that does not rely on the order of the roots.  Returns
     the constellation and, per root label m, that vertex's darts."""
-    e = parse_map_expr(PLANAR_CHAIN)
+    e = parse_map_expr("b(1,1).b(10,1).f")
     pair = monodromy(e, cfg)
     x = fiber(e, BASEPOINT, cfg).x
     roots = np.array(roots_of_f().values)

@@ -369,6 +369,14 @@ class TestGoldenLabels:
         pair = monodromy(parse_map_expr("b(1,1).b(1,1).b(10,1)"), cfg)
         assert (format_cycles(pair.g0), format_cycles(pair.g1)) == DOUBLED_PSI
 
+    def test_curve_chain_twice_doubled(self, capsys):
+        # two b(1,1)s peeled off a curve chain, with the stability probe
+        from dessins import cli
+        argv = ["monodromy", "--map", "b(1,1).b(1,1).b(10,1).f.pi(2,7,11)", "--check-stability"]
+        assert cli.main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == (
+            "4b2638ddba45b525e6e1772583d817030367194e2d0effad6051d91cd33ab9c7")
+
 
 class TestDoubling:
     """b(1,1) . inner puts a white vertex on every edge of the dessin of

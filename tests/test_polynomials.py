@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +13,7 @@ from naive_roots import naive_roots
 from dessins.maps import BelyiMN, FPoly, as_poly
 from dessins.monodromy import _rounding_error
 from dessins.polynomials import (
+    ANGULAR_OFFSET,
     ClusteredRootsError,
     ComplexPoly,
     LabeledRoot,
@@ -130,6 +133,21 @@ class TestRoots:
             roots(f_polynomial(), angular_offset=offset)
         with pytest.raises(ValueError, match="finite"):
             roots_of_f(offset)
+
+    def test_offsets_are_not_cached(self):
+        # only the default rotation is kept: 200 offsets leave next to nothing
+        roots_of_f()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for k in range(200):
+                roots_of_f(1 + k / 1000)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 50_000
+        assert roots_of_f() is roots_of_f(ANGULAR_OFFSET)
 
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(

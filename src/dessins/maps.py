@@ -138,10 +138,6 @@ class BelyiMN:
             core = core * _power(w, n - 1)
         return core * u * w, core * (m - (m + n) * u)
 
-    def majorant(self, a):
-        """The sum of |c_k| a^k over the coefficients of b, K a^m (1+a)^n."""
-        return self._lead * a**self.m * (1 + a) ** self.n
-
     def ramification(self) -> Ramification:
         """0 is taken at 0 and 1 with orders m and n, and 1 doubly at the
         critical point m/(m+n); see Ramification."""
@@ -163,10 +159,6 @@ class FPoly:
         """f(u) = u^10 u (u - 12/11) + 1 and f'(u) = 12 u^10 (u - 1)."""
         u10 = _power(u, 10)
         return u10 * u * (u - 12 / 11) + 1, 12 * u10 * (u - 1)
-
-    def majorant(self, a):
-        """The sum of |c_k| a^k over the coefficients of f."""
-        return a**12 + 12 / 11 * a**11 + 1
 
     def ramification(self) -> Ramification:
         """f' = 12 x^10 (x - 1): 1 is taken at 0 with order 11 and at 12/11,

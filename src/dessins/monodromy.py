@@ -270,22 +270,6 @@ def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.nda
     return out
 
 
-def _rounding_error(stages: Sequence[Primitive], x: np.ndarray) -> np.ndarray:
-    """A first-order bound on the rounding error of the composite value
-    that _composite_and_derivative computes at x: Horner's rule on a stage
-    of degree n at u errs by at most gamma_2n sum |c_k| |u|^k (.majorant),
-    where gamma_k = k u / (1 - k u) with u = 2**-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, 5.1), the product form within
-    half that in 200-bit checks, and the error in u is carried by |p'(u)|."""
-    error = np.zeros(x.shape)
-    for prim in reversed(stages):
-        k = 2 * prim.degree * 2.0**-53
-        value, slope = prim.value_and_slope(x)
-        error = np.abs(slope) * error + k / (1 - k) * prim.majorant(np.abs(x))
-        x = value  # the stage's value, the next stage's argument
-    return error
-
-
 def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     """The continuation step for the tracked half of a fiber of ``e`` (see
     Fiber), one row of shape (n,) or rows stacked as (P, n).
@@ -296,12 +280,11 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     x), then Newton on F(x) = target to relative tolerance ``tol`` in at
     most max_newton_iters iterations.  On stacked rows, origin and target
     have shape (P, 1), one base value per row, and Newton runs until every
-    row has converged; once the iterations run out, a row has converged if
-    each last correction is within 4 times F's rounding error
-    (_rounding_error) over |F'|, the floor near ramification points.  The
-    step is refused when Newton does not converge (a non-finite iterate
-    never does) or some x moves 0.4 of its gap (_gaps at x) or more, as
-    _fits decides without the n x n gaps on long rows.
+    correction is at most tol times max(1, |x|).  The step is refused on
+    the rows whose last corrections miss that when the iterations run out
+    (a non-finite iterate never converges), and on the rows where some x
+    moves 0.4 of its gap (_gaps at x) or more, as _fits decides without the
+    n x n gaps on long rows.
 
     On curves y, when it is given, is then carried by y_new = y sqrt(c(x_new)
     / c(x)), with the principal root, and this is its continuation along
@@ -343,14 +326,11 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
                 value, slope_new = _composite_and_derivative(stages, x_new)
                 delta = (value - target) / slope_new
                 x_new = x_new - delta
-                if (np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))).all():
+                converged = np.abs(delta) <= tol * np.maximum(1.0, np.abs(x_new))
+                if converged.all():
                     break
             else:
-                floor = 4 * _rounding_error(stages, x_new) / np.abs(slope_new)
-                converged = np.all(np.abs(delta) <= np.maximum(
-                    tol * np.maximum(1.0, np.abs(x_new)), floor), axis=-1)
-                if not converged.all():
-                    return None, ~converged, slope
+                return None, ~converged.all(axis=-1), slope
         fits = _fits(x, np.abs(x_new - x), branch)
         if not fits.all():
             return None, ~fits.all(axis=-1), slope
@@ -453,7 +433,7 @@ def _match(end: Fiber, start: Fiber, cfg: TrackingConfig) -> np.ndarray:
             f"{cfg.separation_factor}")
     if end.y is not None:
         nearest = np.column_stack((nearest, nearest ^ 1)).ravel()
-    if len(np.unique(nearest)) != len(nearest):
+    if np.bincount(nearest).max() > 1:
         raise NotBijectiveError("two trajectories matched one fiber point")
     return nearest
 

@@ -151,43 +151,45 @@ def _aberth(
     diagonal = np.arange(n)
     active = np.arange(len(heads))
     converged = np.zeros(len(heads), dtype=bool)
-    for _ in range(MAX_ITERATIONS):
-        za = z[active]
-        pv = np.zeros_like(za)
-        for c in monic[active, ::-1].T:
-            pv = pv * za + c[:, None]
-        dv = np.zeros_like(za)
-        for c in deriv[::-1]:
-            dv = dv * za + c
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # Far iterates overflow Horner and the residual to inf or nan; the
+    # residual, convergence and separation checks below decide on them.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(MAX_ITERATIONS):
+            za = z[active]
+            pv = np.zeros_like(za)
+            for c in monic[active, ::-1].T:
+                pv = pv * za + c[:, None]
+            dv = np.zeros_like(za)
+            for c in deriv[::-1]:
+                dv = dv * za + c
             newton = np.where(dv != 0, pv / dv, 0.25 + 0.25j)
             diff = za[:, :, None] - za[:, None, :]
             diff[:, diagonal, diagonal] = np.inf
             repulse = np.sum(1.0 / diff, axis=2)
             w = newton / (1.0 - newton * repulse)
-        w = np.where(np.isfinite(w), w, 0.0)
-        za = za - w
-        z[active] = za
-        done = np.all(np.abs(w) <= ITERATION_TOL * np.maximum(1.0, np.abs(za)), axis=1)
-        converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
-            break
+            w = np.where(np.isfinite(w), w, 0.0)
+            za = za - w
+            z[active] = za
+            done = np.all(np.abs(w) <= ITERATION_TOL * np.maximum(1.0, np.abs(za)), axis=1)
+            converged[active[done]] = True
+            active = active[~done]
+            if not active.size:
+                break
 
-    # Horner on poly - v, skipping zero coefficients: an added zero could
-    # only flip the sign of a zero, so this is dense Horner bit for bit
-    acc = np.full(z.shape, lead, dtype=complex)
-    for c in reversed(poly.coeffs[1:-1]):
+        # Horner on poly - v, skipping zero coefficients: an added zero could
+        # only flip the sign of a zero, so this is dense Horner bit for bit
+        acc = np.full(z.shape, lead, dtype=complex)
+        for c in reversed(poly.coeffs[1:-1]):
+            acc *= z
+            if c:
+                acc += c
         acc *= z
-        if c:
-            acc += c
-    acc *= z
-    acc += np.array(heads, dtype=complex)[:, None]
-    residuals = np.abs(acc / lead)
-    scale = [max(1.0, max(abs(c) for c in row)) for row in monic]
-    diff = np.abs(z[:, :, None] - z[:, None, :])
-    diff[:, diagonal, diagonal] = np.inf
-    separation = diff.min(axis=(1, 2))
+        acc += np.array(heads, dtype=complex)[:, None]
+        residuals = np.abs(acc / lead)
+        scale = [max(1.0, max(abs(c) for c in row)) for row in monic]
+        diff = np.abs(z[:, :, None] - z[:, None, :])
+        diff[:, diagonal, diagonal] = np.inf
+        separation = diff.min(axis=(1, 2))
     out = []
     for k, row in enumerate(z):
         if not np.all(residuals[k] <= RESIDUAL_TOL * scale[k]):  # NaN fails too

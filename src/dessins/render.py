@@ -57,7 +57,6 @@ class RenderVertex:
     x: complex
     y: complex | None
     order: int
-    color: str
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
     regular values of each stage are solved together."""
     if target not in (0, 1):
         raise ValueError("target must be 0 or 1")
-    color = "black" if target == 0 else "white"
     current: list[tuple[object, int]] = [(Fraction(target), 1)]
     for prim in e.polynomial_part():
         table = prim.ramification()
@@ -135,16 +133,15 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
         for v, mult in current:
             if v in ramified:
                 (x, order), = ramified[v]
-                out.append(RenderVertex(x=x.value(), y=0j, order=order * mult, color=color))
+                out.append(RenderVertex(x=x.value(), y=0j, order=order * mult))
                 continue
             x = maps.point_to_complex(v)
             y = np.sqrt(complex(proj.curve_rhs(x)))
-            out.append(RenderVertex(x=x, y=complex(y), order=mult, color=color))
-            out.append(RenderVertex(x=x, y=-complex(y), order=mult, color=color))
+            out.append(RenderVertex(x=x, y=complex(y), order=mult))
+            out.append(RenderVertex(x=x, y=-complex(y), order=mult))
     else:
         for v, mult in current:
-            out.append(RenderVertex(
-                x=maps.point_to_complex(v), y=None, order=mult, color=color))
+            out.append(RenderVertex(x=maps.point_to_complex(v), y=None, order=mult))
     return out
 
 

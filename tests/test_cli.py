@@ -100,6 +100,37 @@ class TestMonodromy:
         jsonschema.validate(body, ERROR_SCHEMA)
         assert body["error"] == "OverflowError"
 
+    def test_unreachable_newton_tol_refused(self, capsys, tmp_path):
+        # no Newton correction meets 1e-30, so no step is ever accepted
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"newton_tol": 1e-30}')
+        code, out, err = run(capsys, "monodromy", "--map", "b(1,1).b(10,1)",
+                             "--config", str(cfg_file))
+        assert (code, out) == (3, "")
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "StepUnderflowError"
+
+    @pytest.mark.parametrize("chain", ["b(25,25)", "b(15,28)"])
+    def test_stalled_root_finder_writes_one_error_line(self, chain):
+        # the fiber's iteration overflows; no floating-point warning joins
+        # the JSON error on stderr
+        proc = run_fresh(
+            "import sys\n"
+            "from dessins.cli import main\n"
+            f"sys.exit(main(['monodromy', '--map', {chain!r}]))\n")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.count("\n") == 1
+        jsonschema.validate(json.loads(proc.stderr), ERROR_SCHEMA)
+
+    def test_stalled_root_finder_raises_under_error_filter(self):
+        from dessins import monodromy, parse_map_expr
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(polynomials.NonConvergedError):
+                monodromy(parse_map_expr("b(25,25)"))
+
     def test_config_echo_round_trip(self, capsys, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         from dessins.monodromy import TrackingConfig
@@ -350,6 +381,16 @@ class TestRender:
         _, default, _ = run(capsys, "render", "--map", "b(1,1).b(10,1)", "--out", "-")
         assert out == default
 
+    def test_unreachable_newton_tol_clamped(self, capsys, tmp_path):
+        # render raises newton_tol to 1e-7, so 1e-30 draws the default bytes
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"newton_tol": 1e-30}')
+        code, out, err = run(capsys, "render", "--map", "b(1,1).b(10,1)", "--out", "-",
+                             "--config", str(cfg_file))
+        assert (code, err) == (0, "")
+        _, default, _ = run(capsys, "render", "--map", "b(1,1).b(10,1)", "--out", "-")
+        assert out == default
+
     def test_match_tol_reaches_the_fiber(self, capsys, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"match_tol": 10}')
@@ -423,6 +464,17 @@ class TestExactCommandsLoadNoNumpy:
             "from dessins.cli import main\n"
             "assert main(['monodromy', '--map', 'b(1,2)']) == 0\n"
             "assert 'numpy' in sys.modules\n")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_monodromy_loads_no_numpy_ma(self):
+        # the end match decides bijectivity without np.unique, whose
+        # import of numpy.ma would cost the first call in a process
+        proc = run_fresh(
+            "import sys\n"
+            "from dessins.maps import parse_map_expr\n"
+            "from dessins.monodromy import monodromy\n"
+            "monodromy(parse_map_expr('b(2,3)'))\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n")
         assert proc.returncode == 0, proc.stderr
 
 

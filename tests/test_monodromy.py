@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_horner import rounding_error
 from naive_match import naive_match
 
 from dessins.dessin import Constellation, isomorphic
@@ -619,39 +620,45 @@ class TestMatch:
 
 
 class TestRoundingFloor:
-    """When Newton runs out of iterations, a row is accepted only if its
-    last corrections sit within 4 times the rounding error of F over |F'|."""
+    """Newton accepts a row only when its last corrections meet newton_tol.
+    Near the solution a correction cannot fall below about F's rounding
+    error (naive_horner.rounding_error) over |F'|, so a tolerance under
+    that floor is never met and its steps are refused, loudly."""
 
     E = parse_map_expr("b(1,1).b(10,1)")
 
-    def test_unreachable_tolerance_gives_default_pair(self, monkeypatch, psi_pair):
-        # no correction meets 1e-30, so every step ends on the floor test
+    def test_unreachable_tolerance_refused(self, monkeypatch):
+        # no correction meets 1e-30: the first step of the stacked loops is
+        # refused at the nominal 2**-8 of the loop and at each halving down
+        # to min_step, 2**-20
         cfg = TrackingConfig(newton_tol=1e-30)
-        counts = Counter()
-        monkeypatch.setattr(MONODROMY, "_rounding_error", _counting(
-            counts, "_rounding_error", MONODROMY._rounding_error))
+        outcomes = Counter()
 
         def make(e, *args):
-            return _counting(counts, "step", _stepper(e, *args))
+            step = _stepper(e, *args)
+
+            def counted(*a):
+                landed, refused, slope = step(*a)
+                outcomes["landed" if landed is not None else "refused"] += 1
+                return landed, refused, slope
+
+            return counted
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
-        assert monodromy(self.E, cfg) == psi_pair
-        # the upper halves of the loops: 1, 2 and 4 nominal steps, then 16
-        # steps of 8 (the last cut short) to the antipode, 128 nominal steps
-        # from the base point; the segments: 1, 2 and 4 of their 29 nominal
-        # steps, then three quarters of the path and the rest
-        assert counts["step"] == 26
-        assert counts["_rounding_error"] == counts["step"]
+        with pytest.raises(StepUnderflowError, match=(
+                r"^step underflow at t = 0\.000000 on loop around 0\+0j, loop around 1\+0j$")):
+            monodromy(self.E, cfg)
+        assert outcomes == {"refused": 13}
 
     def test_non_finite_newton_refused(self, cfg):
-        # no row can meet 1e-30: the row near its start converges on the
-        # floor, and the row whose far target overflows the composite is refused
+        # the row near its start converges, and the row whose far target
+        # overflows the composite is refused
         half = fiber(self.E, BASEPOINT, cfg)
         step = _stepper(self.E, cfg.max_newton_iters)
         x = np.stack((half.x, half.x))
         origin = np.full((2, 1), BASEPOINT)
         target = np.array([[0.6], [1e300]])
-        landed, refused, _ = step(x, None, None, origin, target, 1e-30)
+        landed, refused, _ = step(x, None, None, origin, target, cfg.newton_tol)
         assert landed is None
         assert refused.tolist() == [False, True]
 
@@ -684,7 +691,7 @@ class TestRoundingFloor:
                 rng.normal(scale=0.6, size=40) + 1j * rng.normal(scale=0.6, size=40) + 0.5,
             ))
             value, _ = MONODROMY._composite_and_derivative(stages, x)
-            error = MONODROMY._rounding_error(stages, x)
+            error = rounding_error(stages, x)
             with mpmath.workprec(200):
                 for xi, vi, ei in zip(x.tolist(), value.tolist(), error.tolist()):
                     exact = mpmath.mpc(xi)

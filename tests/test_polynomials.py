@@ -7,11 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from naive_horner import dense_eval_many
+from naive_horner import dense_eval_many, rounding_error
 from naive_roots import naive_roots
 
 from dessins.maps import BelyiMN, FPoly, as_poly
-from dessins.monodromy import _rounding_error
 from dessins.polynomials import (
     ANGULAR_OFFSET,
     ClusteredRootsError,
@@ -63,9 +62,10 @@ def _slope_coeffs(prim):
 
 class TestProductForm:
     """Each primitive evaluates itself and its slope in product form; both
-    must agree with dense Horner on the coefficient form to within the
-    rounding bound of continuation (_rounding_error), at random points and
-    within 1e-6 of the vertices, where the two round most differently."""
+    must agree with dense Horner on the coefficient form to within Horner's
+    first-order rounding bound (naive_horner.rounding_error), at random
+    points and within 1e-6 of the vertices, where the two round most
+    differently."""
 
     @staticmethod
     def _points(prim):
@@ -80,18 +80,12 @@ class TestProductForm:
     def test_matches_dense_horner(self, prim):
         u = self._points(prim)
         value, slope = prim.value_and_slope(u)
-        bound = _rounding_error((prim,), u)
+        bound = rounding_error((prim,), u)
         assert np.all(np.abs(value - dense_eval_many(as_poly(prim).coeffs, u)) <= bound)
         # the same bound on the slope: gamma_2n times sum |k c_k| |u|^(k - 1)
         k = 2 * prim.degree * 2.0**-53
         slope_bound = k / (1 - k) * dense_eval_many(np.abs(_slope_coeffs(prim)), np.abs(u)).real
         assert np.all(np.abs(slope - dense_eval_many(_slope_coeffs(prim), u)) <= slope_bound)
-
-    def test_majorant_is_the_absolute_coefficient_sum(self):
-        a = np.linspace(0, 3, 31)
-        for prim in _PRIMITIVES:
-            expected = dense_eval_many(np.abs(as_poly(prim).coeffs), a).real
-            assert np.allclose(prim.majorant(a), expected, rtol=1e-13, atol=0)
 
     def test_scalar_and_shape(self):
         for prim in (FPoly(), BelyiMN(10, 1), BelyiMN(1, 1)):

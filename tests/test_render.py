@@ -113,15 +113,15 @@ def _counting(counts, name, fn):
 class TestMergeDots:
     def test_groups_by_proximity(self):
         vs = [
-            RenderVertex(0j, None, 1, "black"),
-            RenderVertex(5e-5 + 0j, None, 2, "black"),
-            RenderVertex(1 + 0j, None, 3, "black"),
+            RenderVertex(0j, None, 1),
+            RenderVertex(5e-5 + 0j, None, 2),
+            RenderVertex(1 + 0j, None, 3),
         ]
         groups = merge_dots(vs, 1e-4)
         assert sorted(len(g) for g in groups) == [1, 2]
 
     def test_singletons_below_tol(self):
-        vs = [RenderVertex(complex(i), None, 1, "black") for i in range(5)]
+        vs = [RenderVertex(complex(i), None, 1) for i in range(5)]
         assert all(len(g) == 1 for g in merge_dots(vs, 1e-4))
 
     @settings(max_examples=300, deadline=None)
@@ -137,14 +137,14 @@ class TestMergeDots:
         re = res + rng.choice(steps, size=count) * rng.integers(0, 2, size=count)
         im = rng.choice(steps, size=count) * rng.integers(-2, 3, size=count)
         vs = [RenderVertex(complex(a, b), complex(0, rng.normal()) if curve else None,
-                           int(rng.integers(1, 4)), "black")
+                           int(rng.integers(1, 4)))
               for a, b in zip(re.tolist(), im.tolist())]
         assert merge_dots(vs, tol) == naive_merge_dots(vs, tol)
 
 
 class TestAttach:
     def test_first_of_equals_wins(self):
-        vs = [RenderVertex(0j, None, 2, "black"), RenderVertex(2 + 0j, None, 0, "black")]
+        vs = [RenderVertex(0j, None, 2), RenderVertex(2 + 0j, None, 0)]
         ends = np.array([1 + 0j, 0.1 + 0j])
         assert _attach(ends, vs, "black").tolist() == [0j, 0j]
 
@@ -152,25 +152,25 @@ class TestAttach:
         # near a branch point of pi, |y| ~ sqrt|x - r| outweighs x in
         # |dx| + |dy|, which would take the pair to the vertices at 0.3; x
         # takes it to 0, one strand to each sheet there
-        vs = [RenderVertex(0j, 0.01j, 1, "black"), RenderVertex(0j, -0.01j, 1, "black"),
-              RenderVertex(0.3 + 0j, 1j, 0, "black"), RenderVertex(0.3 + 0j, -1j, 0, "black")]
+        vs = [RenderVertex(0j, 0.01j, 1), RenderVertex(0j, -0.01j, 1),
+              RenderVertex(0.3 + 0j, 1j, 0), RenderVertex(0.3 + 0j, -1j, 0)]
         assert _attach(np.array([0.05 + 0j]), vs, "black").tolist() == [0j]
 
     def test_ramified_vertex_takes_both_sheets(self):
         # a vertex with y = 0 of order 2 collects the two strands of a pair
-        vs = [RenderVertex(0j, 0j, 2, "black"),
-              RenderVertex(1 + 0j, 1j, 1, "black"), RenderVertex(1 + 0j, -1j, 1, "black")]
+        vs = [RenderVertex(0j, 0j, 2),
+              RenderVertex(1 + 0j, 1j, 1), RenderVertex(1 + 0j, -1j, 1)]
         assert _attach(np.array([0.01 + 0j, 0.9 + 0j]), vs, "black").tolist() == [0j, 1 + 0j]
 
     def test_count_mismatch_refused(self):
-        vs = [RenderVertex(0j, None, 1, "white"), RenderVertex(1 + 0j, None, 1, "white")]
+        vs = [RenderVertex(0j, None, 1), RenderVertex(1 + 0j, None, 1)]
         with pytest.raises(RenderError, match="white vertex at 0.000000.* collected 2"):
             _attach(np.array([0.1 + 0j, -0.1 + 0j]), vs, "white")
 
     def test_curve_count_mismatch_refused(self):
         # each sheet of an unramified x collects one strand of the pair
-        vs = [RenderVertex(0j, 0j, 2, "white"),
-              RenderVertex(1 + 0j, 1j, 2, "white"), RenderVertex(1 + 0j, -1j, 2, "white")]
+        vs = [RenderVertex(0j, 0j, 2),
+              RenderVertex(1 + 0j, 1j, 2), RenderVertex(1 + 0j, -1j, 2)]
         message = "white vertex at 1.000000+0.000000j collected 1 strands, ramification order is 2"
         with pytest.raises(RenderError) as raised:
             _attach(np.array([0.1 + 0j, 0.9 + 0j]), vs, "white")

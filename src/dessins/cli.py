@@ -4,7 +4,8 @@ Subcommands: roots | monodromy | dessin | orbit | evidence | render.
 Payloads go to stdout as JSON; roots and monodromy, the only payloads
 with floats, trim them to 15 significant digits (round_floats).
 Failures go to stderr as a structured JSON error object.  Exit codes:
-0 success, 2 bad arguments, 3 numerical failure, 4 incomplete evidence.
+0 success, 2 bad arguments, 3 numerical failure (a refused allocation
+included), 4 incomplete evidence.
 Only monodromy and render track a continuation, and only they take
 --config.  dessin, orbit and evidence are exact and load no numpy:
 monodromy and render import their numeric modules when they run, and
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
         payload = handler(args)
     except EvidenceIncompleteError as exc:
         return _fail(exc, EVIDENCE_EXIT)
-    except (RootFindingError, TrackingError, RenderError, ArithmeticError) as exc:
+    except (RootFindingError, TrackingError, RenderError, ArithmeticError, MemoryError) as exc:
         return _fail(exc, NUMERIC_EXIT)
     except (MapExprError, galois.BadWordError, NotBelyiError, ValueError, OSError) as exc:
         return _fail(exc, PARSE_EXIT)

@@ -13,17 +13,18 @@ Primitives:
     pi(i,j,k)  projection (x, y) -> x from the curve y^2 = (x-ri)(x-rj)(x-rk)
                built on roots i, j, k of f, degree 2
 
-``pi`` may only appear as the innermost element and at most once; ``f`` may
-appear at most once and no ``b`` may sit inside it.  Each primitive's
-ramification is one table (Ramification), which branch values and render's
-vertices both read.  Branch values are propagated forward exactly
-(rational arithmetic plus symbolic root references) wherever the chain
-allows it.
+The grammar is ASCII and read from one table, ``_PRIMITIVES``.  ``pi`` may
+only appear as the innermost element and at most once; ``f`` may appear at
+most once and no ``b`` may sit inside it.  Each primitive's ramification is
+one table (Ramification), which branch values and render's vertices both
+read.  Branch values are propagated forward exactly (rational arithmetic
+plus symbolic root references) wherever the chain allows it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -124,7 +125,10 @@ class BelyiMN:
 
     @cached_property
     def _lead(self) -> float:
-        return float(self.lead_constant)
+        """lead_constant as a float: integer true division is correctly
+        rounded, as float(Fraction) is, without reducing the fraction."""
+        m, n = self.m, self.n
+        return (m + n) ** (m + n) / (m**m * n**n)
 
     def value_and_slope(self, u):
         """b(u) and b'(u) in product form: with core = K u^(m-1) (1-u)^(n-1),
@@ -288,77 +292,61 @@ def format_map_expr(e: MapExpr) -> str:
 # parsing
 
 
+# The grammar: each primitive's name to its constructor and its count of
+# integer arguments.
+_PRIMITIVES = {
+    "b": (BelyiMN, 2),
+    "f": (FPoly, 0),
+    "pi": (lambda i, j, k: Proj((i, j, k)), 3),
+}
+
+# An ASCII token: an integer, a name or a mark.  Whitespace, any that
+# str.isspace accepts, is skipped; any other character is refused.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<space>\s+)|[(),.]|(?P<bad>.)")
+
+
 def parse_map_expr(text: str) -> MapExpr:
-    """Parse chain grammar ``prim ('.' prim)*``; whitespace is ignored."""
-    tokens = []  # (kind, value, position)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif ch in "(),.":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise MapSyntaxError(f"unexpected character {ch!r}", i)
+    """Parse chain grammar ``prim ('.' prim)*`` over the primitives of
+    ``_PRIMITIVES``; whitespace is ignored."""
+    tokens = []  # (kind, value, position); a mark is its own kind
+    for match in _TOKEN.finditer(text):
+        kind, value, at = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise MapSyntaxError(f"unexpected character {value!r}", at)
+        if kind != "space":
+            tokens.append((kind or value, int(value) if kind == "int" else value, at))
     if not tokens:
         raise EmptyChainError("empty expression")
-
+    tokens.append(("end", None, len(text)))
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", None, len(text))
 
     def take(kind):
         nonlocal pos
-        tok = peek()
+        tok = tokens[pos]
         if tok[0] != kind:
             raise MapSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         pos += 1
         return tok
 
-    def parse_prim() -> Primitive:
-        tok = take("name")
-        if tok[1] == "b":
-            take("(")
-            m = take("int")[1]
-            take(",")
-            n = take("int")[1]
+    chain = []
+    while True:
+        _, name, at = take("name")
+        if name not in _PRIMITIVES:
+            raise MapSyntaxError(f"unknown primitive {name!r}", at)
+        build, arity = _PRIMITIVES[name]
+        args = []
+        for k in range(arity):
+            take("," if k else "(")
+            args.append(take("int")[1])
+        if arity:
             take(")")
-            return BelyiMN(m, n)
-        if tok[1] == "f":
-            return FPoly()
-        if tok[1] == "pi":
-            take("(")
-            i1 = take("int")[1]
-            take(",")
-            i2 = take("int")[1]
-            take(",")
-            i3 = take("int")[1]
-            take(")")
-            return Proj((i1, i2, i3))
-        raise MapSyntaxError(f"unknown primitive {tok[1]!r}", tok[2])
-
-    chain = [parse_prim()]
-    while peek()[0] == ".":
-        take(".")
-        chain.append(parse_prim())
-    if pos != len(tokens):
-        tok = peek()
-        raise MapSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+        chain.append(build(*args))
+        if tokens[pos][0] != ".":
+            break
+        pos += 1
+    kind, value, at = tokens[pos]
+    if kind != "end":
+        raise MapSyntaxError(f"trailing input {value!r}", at)
     return MapExpr(tuple(chain))
 
 

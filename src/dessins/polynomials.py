@@ -12,8 +12,9 @@ one-row case.  The iteration is the module's only use of numpy, which it
 imports when it runs.
 
 The mod-p half of the module computes the multiset of irreducible factor
-degrees of a monic integer polynomial over GF(p), which for a squarefree
-reduction is the cycle type of a Frobenius element.  Three of those degree
+degrees of a monic integer polynomial over GF(p) where its reduction is
+squarefree, the only primes where the degrees are the cycle type of a
+Frobenius element; elsewhere it gives no pattern.  Three of those degree
 patterns certify that a Galois group on 12 points contains a 12-cycle, an
 11-cycle and a transposition, and together with transitivity that forces
 the full symmetric group.
@@ -309,15 +310,11 @@ def _labeled_roots_of_f(angular_offset: float) -> LabeledRoots:
 
 @dataclass(frozen=True)
 class DegreePattern:
-    """Irreducible-factor degrees of a monic polynomial reduced mod p.
-
-    When the reduction is not squarefree the degrees describe its radical
-    and cannot be read as a Frobenius cycle type.
-    """
+    """Irreducible-factor degrees of a monic polynomial whose reduction mod
+    p is squarefree: the cycle type of a Frobenius element at p."""
 
     prime: int
     degrees: tuple[int, ...]
-    squarefree: bool
 
 
 def _is_prime(p: int) -> bool:
@@ -384,13 +381,13 @@ def _gfp_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return acc
 
 
-def factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> DegreePattern:
-    """Distinct-degree factorization pattern of a monic integer polynomial.
+def factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> DegreePattern | None:
+    """Distinct-degree factorization pattern of a monic integer polynomial,
+    or None when its reduction mod p is not squarefree, where distinct-degree
+    factorization is not defined.
 
     ``coeffs`` ascend and the leading coefficient must be 1.  The returned
-    degrees are sorted ascending; multiplicity information is discarded
-    (each distinct irreducible factor contributes its degree once per
-    appearance in the squarefree radical).
+    degrees are sorted ascending and sum to the degree.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -399,13 +396,12 @@ def factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> DegreePattern:
     F = _gfp_trim([c % p for c in coeffs])
     n = len(F) - 1
     deriv = _gfp_trim([(k * c) % p for k, c in enumerate(F)][1:])
-    g = _gfp_gcd(F, deriv, p) if deriv else list(F)
-    squarefree = len(g) == 1
-    if not squarefree:
-        F = _gfp_radical(F, p)
+    g = _gfp_gcd(F, deriv, p) if deriv else F
+    if len(g) != 1:
+        return None
 
     degrees: list[int] = []
-    work = list(F)
+    work = F
     h = [0, 1]  # x
     d = 0
     while len(work) - 1 > 0:
@@ -414,38 +410,16 @@ def factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> DegreePattern:
             degrees.append(len(work) - 1)
             break
         h = _gfp_pow_mod(h, p, work, p)
-        probe = list(h)
-        while len(probe) < 2:
-            probe.append(0)
+        probe = h + [0] * (2 - len(h))  # h - x
         probe[1] = (probe[1] - 1) % p
         shared = _gfp_gcd(probe, work, p)
         if len(shared) > 1:
             degrees.extend([d] * ((len(shared) - 1) // d))
             work = _gfp_divmod(work, shared, p)[0]
             h = _gfp_divmod(h, work, p)[1] if len(work) > 1 else [0]
-    if squarefree and sum(degrees) != n:
+    if sum(degrees) != n:
         raise AssertionError("degree pattern does not sum to the degree")
-    return DegreePattern(prime=p, degrees=tuple(sorted(degrees)), squarefree=squarefree)
-
-
-def _gfp_radical(f: list[int], p: int) -> list[int]:
-    """Monic product of the distinct irreducible factors of f over GF(p).
-
-    A vanishing derivative means f is a p-th power; over the prime field
-    the p-th root is read off the coefficients at indices divisible by p.
-    Otherwise f / gcd(f, f') collects each tame factor once and the gcd
-    carries whatever remains, handled recursively.
-    """
-    if len(f) <= 1:
-        return [1]
-    deriv = _gfp_trim([(k * c) % p for k, c in enumerate(f)][1:])
-    if not deriv:
-        return _gfp_radical([f[i] for i in range(0, len(f), p)], p)
-    shared = _gfp_gcd(f, deriv, p)
-    tame = _gfp_divmod(f, shared, p)[0]
-    rest = _gfp_radical(shared, p)
-    extra = _gfp_divmod(rest, _gfp_gcd(rest, tame, p), p)[0]
-    return _gfp_mul(tame, extra, p)
+    return DegreePattern(prime=p, degrees=tuple(sorted(degrees)))
 
 
 @dataclass(frozen=True)
@@ -473,6 +447,15 @@ class EvidenceCertificate:
         return {**witnesses, "primes_scanned": self.primes_scanned}
 
 
+# Each witness class to the test of a degree pattern, in the field order of
+# EvidenceCertificate.
+_WITNESS_CLASSES = {
+    "transitive": lambda degrees: degrees == (12,),
+    "11cycle": lambda degrees: degrees == (1, 11),
+    "transposition": lambda degrees: [d for d in degrees if d % 2 == 0] == [2],
+}
+
+
 def s12_evidence(max_prime: int = 2000) -> EvidenceCertificate:
     """Scan primes ascending for the three S12 witnesses of the monic model.
 
@@ -485,34 +468,16 @@ def s12_evidence(max_prime: int = 2000) -> EvidenceCertificate:
     if max_prime < 0:
         raise ValueError(f"max_prime must be nonnegative, got {max_prime}")
     coeffs = scaled_integer_model()
-    transitive = eleven = transposition = None
+    found: dict[str, DegreePattern] = {}
     scanned = 0
     for p in filter(_is_prime, range(2, max_prime + 1)):
         scanned += 1
         pattern = factor_degrees_mod_p(coeffs, p)
-        if not pattern.squarefree:
+        if pattern is None:
             continue
-        if transitive is None and pattern.degrees == (12,):
-            transitive = pattern
-        if eleven is None and pattern.degrees == (1, 11):
-            eleven = pattern
-        evens = [d for d in pattern.degrees if d % 2 == 0]
-        if transposition is None and evens == [2]:
-            transposition = pattern
-        if transitive and eleven and transposition:
-            return EvidenceCertificate(
-                witness_transitive=transitive,
-                witness_11cycle=eleven,
-                witness_transposition=transposition,
-                primes_scanned=scanned,
-            )
-    missing = [
-        name
-        for name, found in [
-            ("transitive", transitive),
-            ("11cycle", eleven),
-            ("transposition", transposition),
-        ]
-        if found is None
-    ]
-    raise EvidenceIncompleteError(missing, max_prime)
+        for name, witnesses in _WITNESS_CLASSES.items():
+            if name not in found and witnesses(pattern.degrees):
+                found[name] = pattern
+        if len(found) == len(_WITNESS_CLASSES):
+            return EvidenceCertificate(*(found[name] for name in _WITNESS_CLASSES), scanned)
+    raise EvidenceIncompleteError([name for name in _WITNESS_CLASSES if name not in found], max_prime)

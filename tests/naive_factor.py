@@ -73,42 +73,12 @@ def is_squarefree(coeffs: list[int], p: int) -> bool:
     return len(pgcd(coeffs, pderiv(coeffs, p), p)) == 1
 
 
-def radical(coeffs: list[int], p: int) -> list[int]:
-    """Product of the distinct irreducible factors (naive repeated gcd)."""
-    f = [c % p for c in coeffs]
-    out = [1]
-    while len(trim(f[:])) > 1:
-        g = pgcd(f, pderiv(f, p), p)
-        sqfree_part = _pquot(f, g, p)
-        extra = _pquot(sqfree_part, pgcd(sqfree_part, out, p), p)
-        out = pmul(out, extra, p)
-        f = g
-        if pderiv(f, p) == [] and len(f) > 1:
-            # f is a polynomial in x^p, i.e. a p-th power: take the root
-            f = [f[i] for i in range(0, len(f), p)]
-    return out
-
-
-def _pquot(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and trim(a):
-        coef = a[-1] * inv % p
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bi) % p
-        trim(a)
-    return trim(q)
-
-
-def naive_degree_pattern(coeffs: list[int], p: int) -> tuple[tuple[int, ...], bool]:
-    """Ascending degrees of irreducible factors of the radical, plus the
-    squarefree flag of the input itself."""
-    f = trim([c % p for c in coeffs])
-    squarefree = is_squarefree(f, p)
-    work = f if squarefree else radical(f, p)
+def naive_degree_pattern(coeffs: list[int], p: int) -> tuple[int, ...] | None:
+    """Ascending degrees of the irreducible factors mod p, or None when the
+    reduction is not squarefree."""
+    work = trim([c % p for c in coeffs])
+    if not is_squarefree(work, p):
+        return None
     n = len(work) - 1
     counts: dict[int, int] = {}
     for d in range(1, n + 1):
@@ -129,7 +99,7 @@ def naive_degree_pattern(coeffs: list[int], p: int) -> tuple[tuple[int, ...], bo
     degrees = []
     for d in sorted(counts):
         degrees.extend([d] * counts[d])
-    return tuple(degrees), squarefree
+    return tuple(degrees)
 
 
 def count_gfp_roots(coeffs: list[int], p: int) -> int:

@@ -100,6 +100,20 @@ class TestMonodromy:
         jsonschema.validate(body, ERROR_SCHEMA)
         assert body["error"] == "OverflowError"
 
+    def test_refused_allocation_is_numeric_failure(self, capsys, monkeypatch):
+        # an absurd exponent asks the root finder for more memory than there
+        # is; the refusal is simulated, nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(polynomials, "_aberth", refuse)
+        code, out, err = run(capsys, "monodromy", "--map", "b(100000,1)")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "MemoryError"
+
     def test_unreachable_newton_tol_refused(self, capsys, tmp_path):
         # no Newton correction meets 1e-30, so no step is ever accepted
         cfg_file = tmp_path / "cfg.json"
@@ -230,6 +244,15 @@ class TestMonodromy:
         body = json.loads(err)
         jsonschema.validate(body, ERROR_SCHEMA)
         assert out == ""
+
+    def test_off_ascii_map_is_syntax_error(self, capsys):
+        # int() would refuse the superscript digit with a bare ValueError
+        code, out, err = run(capsys, "monodromy", "--map", "b(\u00b2,1)")
+        assert (code, out) == (2, "")
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "MapSyntaxError"
+        assert body["message"] == "unexpected character '\u00b2' (at position 2)"
 
     def test_non_belyi_map(self, capsys):
         # b(1,11).f has a branch value b(1,11)(10/11) ~ 1e-10 besides 0 and 1

@@ -8,7 +8,7 @@ oracle first and are frozen as expected values.
 
 import pytest
 
-from naive_factor import count_gfp_roots, naive_degree_pattern
+from naive_factor import count_gfp_roots, is_squarefree, naive_degree_pattern
 from dessins.polynomials import (
     EvidenceIncompleteError,
     factor_degrees_mod_p,
@@ -30,53 +30,67 @@ SMALL_PATTERNS = {
     47: (1, 11),
 }
 
+# the primes where x^12 - 12x^11 + 11^12 has a repeated factor
+NOT_SQUAREFREE = {2, 3, 5, 11}
+
 
 def _primes_below(n):
     return [p for p in range(2, n) if all(p % d for d in range(2, p))]
 
 
+def _pattern(p):
+    """The package's pattern at p, which is None exactly at the primes where
+    the reduction is not squarefree."""
+    got = factor_degrees_mod_p(F_COEFFS, p)
+    assert (got is None) == (p in NOT_SQUAREFREE)
+    return got
+
+
 class TestFactorDegrees:
     @pytest.mark.parametrize("p", _primes_below(140))
     def test_agrees_with_naive_oracle(self, p):
-        got = factor_degrees_mod_p(F_COEFFS, p)
-        degrees, squarefree = naive_degree_pattern(F_COEFFS, p)
-        assert tuple(got.degrees) == degrees
-        assert got.squarefree == squarefree
-        assert got.prime == p
+        got = _pattern(p)
+        expected = naive_degree_pattern(F_COEFFS, p)
+        if expected is None:
+            assert got is None
+        else:
+            assert (got.prime, got.degrees) == (p, expected)
 
     @pytest.mark.parametrize("p", _primes_below(140))
     def test_linear_count_matches_exhaustive_scan(self, p):
-        got = factor_degrees_mod_p(F_COEFFS, p)
-        assert got.degrees.count(1) == count_gfp_roots(F_COEFFS, p)
+        got = _pattern(p)
+        if got is not None:
+            assert got.degrees.count(1) == count_gfp_roots(F_COEFFS, p)
 
     @pytest.mark.parametrize("p,expected", sorted(SMALL_PATTERNS.items()))
     def test_frozen_patterns(self, p, expected):
-        got = factor_degrees_mod_p(F_COEFFS, p)
-        assert tuple(got.degrees) == expected
-        assert got.squarefree
+        assert _pattern(p).degrees == expected
 
     def test_degrees_ascend(self):
         for p in _primes_below(100):
-            d = factor_degrees_mod_p(F_COEFFS, p).degrees
-            assert list(d) == sorted(d)
+            if p not in NOT_SQUAREFREE:
+                d = _pattern(p).degrees
+                assert list(d) == sorted(d)
 
     @pytest.mark.parametrize("p", _primes_below(300))
     def test_squarefree_patterns_partition_twelve(self, p):
-        got = factor_degrees_mod_p(F_COEFFS, p)
-        if got.squarefree:
+        got = _pattern(p)
+        if got is not None:
             assert sum(got.degrees) == 12
 
     def test_p2_is_squared(self):
-        # x^12 + 1 = (x^3 + 1)^4 over GF(2); the radical is (x+1)(x^2+x+1)
-        got = factor_degrees_mod_p(F_COEFFS, 2)
-        assert not got.squarefree
-        assert tuple(got.degrees) == (1, 2)
+        # x^12 + 1 = (x^3 + 1)^4 over GF(2)
+        assert factor_degrees_mod_p(F_COEFFS, 2) is None
 
     def test_p11_collapses(self):
         # the constant term vanishes mod 11: x^11 (x - 1)
-        got = factor_degrees_mod_p(F_COEFFS, 11)
-        assert not got.squarefree
-        assert tuple(got.degrees) == (1, 1)
+        assert factor_degrees_mod_p(F_COEFFS, 11) is None
+
+    def test_not_squarefree_below_2000(self):
+        # the scan of s12_evidence skips these primes and no others
+        primes = _primes_below(2000)
+        assert [p for p in primes if not is_squarefree([c % p for c in F_COEFFS], p)] == sorted(NOT_SQUAREFREE)
+        assert [p for p in primes if factor_degrees_mod_p(F_COEFFS, p) is None] == sorted(NOT_SQUAREFREE)
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
@@ -101,9 +115,7 @@ class TestEvidence:
             cert.witness_11cycle,
             cert.witness_transposition,
         ):
-            degrees, squarefree = naive_degree_pattern(F_COEFFS, witness.prime)
-            assert squarefree
-            assert tuple(witness.degrees) == degrees
+            assert naive_degree_pattern(F_COEFFS, witness.prime) == witness.degrees
 
     def test_transposition_pattern_shape(self):
         # one part equal to 2, every other part odd: an odd power of the

@@ -1,7 +1,13 @@
+import random
+import string
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import naive_parse
 
 from dessins.maps import (
     INF,
@@ -97,6 +103,72 @@ class TestParsing:
         with pytest.raises(MapExprError):
             parse_map_expr("b(0,1)")
 
+    @pytest.mark.parametrize("text,position", [
+        ("b(\u00b2,1)", 2),     # a superscript digit, which int() refuses
+        ("b(\u0661,1)", 2),     # an Arabic-Indic digit, which int() reads
+        ("b(1,1).\u0192", 7),   # a Latin letter outside ASCII
+    ])
+    def test_off_ascii_is_a_syntax_error(self, text, position):
+        with pytest.raises(MapSyntaxError, match="unexpected character") as err:
+            parse_map_expr(text)
+        assert err.value.position == position
+
+    def test_unicode_whitespace_is_whitespace(self):
+        assert parse_map_expr("b(1,1)\u00a0.\u2003f") == parse_map_expr("b(1,1).f")
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the MapExpr, or the exception's
+    class, message and position."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+CHAIN_FRAGMENTS = ["b(", "pi(", ".f", "f", ".", ",", "(", ")", " ", "0", "1", "10", "12", "13"]
+
+
+def _near_chain(rng):
+    """A random chain over labels and exponents 0..13, with one printable
+    character replaced, inserted or deleted half the time."""
+    def prim():
+        i, j, k = (rng.randint(0, 13) for _ in range(3))
+        return rng.choice([f"b({i},{j})", "f", f"pi({i},{j},{k})"])
+
+    text = ".".join(prim() for _ in range(rng.randint(1, 4)))
+    if rng.random() < 0.5:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(["", rng.choice(string.printable)]) + text[at + rng.randint(0, 1):]
+    return text
+
+
+class TestGrammarAgainstNaiveParser:
+    """On printable ASCII the table-driven parser agrees with the
+    hand-written one it replaced (naive_parse)."""
+
+    def test_random_printable_ascii(self):
+        # printable characters, chain fragments, and chains with one
+        # character replaced, inserted or deleted
+        rng = random.Random(7)
+        parsed = 0
+        for k in range(100_000):
+            if k % 3 == 2:
+                text = _near_chain(rng)
+            else:
+                alphabet = [string.printable, CHAIN_FRAGMENTS][k % 3]
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+            got = _outcome(parse_map_expr, text)
+            assert got == _outcome(naive_parse.parse_map_expr, text), text
+            parsed += isinstance(got, MapExpr)
+        assert parsed > 5_000  # many strings are chains, not only errors
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(CHAIN_FRAGMENTS) | st.text(string.printable, max_size=2),
+                    max_size=12).map("".join))
+    def test_chain_fragments(self, text):
+        assert _outcome(parse_map_expr, text) == _outcome(naive_parse.parse_map_expr, text)
+
 
 def _composite(text, x):
     """The polynomial part of a chain at the points x, as continuation
@@ -115,6 +187,15 @@ class TestEvaluation:
         b = BelyiMN(10, 1)
         x = Fraction(10, 11)
         assert b.lead_constant * x**10 * (1 - x) == 1
+
+    def test_float_lead_is_the_rounded_fraction(self):
+        for m in range(1, 41):
+            for n in range(1, 41):
+                assert BelyiMN(m, n)._lead == float(BelyiMN(m, n).lead_constant)
+
+    def test_float_lead_overflows(self):
+        with pytest.raises(OverflowError):
+            BelyiMN(600, 600)._lead
 
     def test_b101_numeric(self):
         assert as_poly(BelyiMN(10, 1))(10 / 11) == pytest.approx(1.0, abs=1e-12)

@@ -86,10 +86,8 @@ __version__ = "0.1.0"
 
 _NUMERIC = {
     "LoopSpec": "monodromy",
-    "MonodromyPair": "monodromy",
     "fiber": "monodromy",
     "monodromy": "monodromy",
-    "track_loop": "monodromy",
     "verify_stability": "monodromy",
     "RenderResult": "render",
     "render_graph": "render",
@@ -111,7 +109,6 @@ __all__ = [
     "LabeledRoots",
     "LoopSpec",
     "MapExpr",
-    "MonodromyPair",
     "Passport",
     "Permutation",
     "RenderResult",
@@ -152,7 +149,6 @@ __all__ = [
     "render_graph",
     "roots_of_f",
     "s12_evidence",
-    "track_loop",
     "verify_a5",
     "verify_stability",
     "word_permutation",

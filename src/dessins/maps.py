@@ -313,8 +313,13 @@ def parse_map_expr(text: str) -> MapExpr:
         kind, value, at = match.lastgroup, match.group(), match.start()
         if kind == "bad":
             raise MapSyntaxError(f"unexpected character {value!r}", at)
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise MapSyntaxError(f"integer of {len(value)} digits is too long", at) from None
         if kind != "space":
-            tokens.append((kind or value, int(value) if kind == "int" else value, at))
+            tokens.append((kind or value, value, at))
     if not tokens:
         raise EmptyChainError("empty expression")
     tokens.append(("end", None, len(text)))

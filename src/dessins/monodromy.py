@@ -28,10 +28,10 @@ after each acceptance up to eight nominal steps or a quarter of the path,
 whichever is less, but never below the nominal step (see _continue).  The
 gap guard is the disjoint-disk condition of Beltran and Leykin, Certified
 numerical homotopy tracking (2012), with the roots of c among the disks,
-decided afresh on every step: on long rows by a window over the points
-sorted by real part, which stops once the real parts alone keep every
-point clear, and by the dense n x n gaps on short rows or when the window
-stays open (see _fits).
+decided afresh on every step: by the dense n x n gaps on rows of up to 64
+points, and on longer rows by a window over the points sorted by real
+part, which runs until the real parts alone keep every point clear (see
+_fits).
 
 The paths of one run are continued together.  Their tracked points are
 stacked as rows of one (P, n) array, one row per path, all starting from
@@ -156,9 +156,6 @@ class Fiber:
         return np.repeat(self.x, 2), np.column_stack((self.y, -self.y)).ravel()
 
 
-MonodromyPair = Constellation  # the former name of the pair type
-
-
 def _composite_and_derivative(stages: Sequence[Primitive], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F and F' at x by the chain rule over value_and_slope of each stage."""
     value, slope = x, None
@@ -226,26 +223,24 @@ def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
     return nearest
 
 
-# Rows of at most _DENSE_ROW points take the dense guard, and so does a row
-# whose window has not closed after _WINDOW offsets (points stacked on one
-# vertical line, as the b(m,m) fibers on Re = 1/2).
 _DENSE_ROW = 64
-_WINDOW = 32
 
 
 def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
     """moved < 0.4 * _gaps(x, branch), elementwise and exactly, without the
     n x n distances of _gaps on long rows.
 
-    Each row is sorted by real part and its points are compared with the
-    points k places on, for k = 1, 2, ... up to the first offset at which,
-    at both ends of every pair, 0.4 times the difference of real parts
-    exceeds the point's move.  Pairs at that offset and beyond differ at
-    least as much in real part, and the rounded 0.4 |d| is never below the
-    rounded 0.4 |re d| (numpy's complex abs is never below the absolute
-    real part, and rounding is monotone), so none of them can refuse a
-    point; the minimum of the rounded 0.4 d is the rounded 0.4 times the
-    minimum, which the dense form compares.
+    Rows of at most _DENSE_ROW points take the dense form.  A longer row
+    is sorted by real part and its points are compared with the points k
+    places on, for k = 1, 2, ... up to the first offset at which, at both
+    ends of every pair, 0.4 times the difference of real parts exceeds the
+    point's move.  Pairs at that offset and beyond differ at least as much
+    in real part, and the rounded 0.4 |d| is never below the rounded 0.4
+    |re d| (numpy's complex abs is never below the absolute real part, and
+    rounding is monotone), so none of them can refuse a point; the minimum
+    of the rounded 0.4 d is the rounded 0.4 times the minimum, which the
+    dense form compares.  A window that never closes, as on points stacked
+    on one vertical line, has compared every pair by offset n - 1.
     """
     if x.shape[-1] <= _DENSE_ROW:
         return moved < 0.4 * _gaps(x, branch)
@@ -255,7 +250,7 @@ def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.nda
     fits = np.ones(x.shape, dtype=bool)
     if branch is not None:
         fits = ms < 0.4 * np.abs(xs[..., :, None] - branch).min(axis=-1)
-    for k in range(1, _WINDOW + 1):
+    for k in range(1, x.shape[-1]):
         d = xs[..., k:] - xs[..., :-k]
         ma, mb = ms[..., :-k], ms[..., k:]
         if (0.4 * d.real > np.maximum(ma, mb)).all():
@@ -263,8 +258,6 @@ def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.nda
         near = 0.4 * np.abs(d)
         fits[..., :-k] &= ma < near
         fits[..., k:] &= mb < near
-    else:
-        return moved < 0.4 * _gaps(x, branch)
     out = np.empty_like(fits)
     np.put_along_axis(out, order, fits, axis=-1)
     return out
@@ -482,32 +475,6 @@ def _loop_permutations(
         y, w = (None, None) if end_y is None else np.split(end_y[p], 2)
         perms.append(_permutation(_conjugate(Fiber(x, w), kappa), Fiber(x, y), cfg))
     return perms
-
-
-def track_loop(
-    e: MapExpr,
-    loop: LoopSpec,
-    points: Fiber,
-    cfg: TrackingConfig = TrackingConfig(),
-) -> Permutation:
-    """Continue the fiber around the loop; returns start label -> end label.
-
-    Only the upper half of the loop is continued, to its antipode on the
-    real axis; the lower half is read off the conjugation of the fiber
-    (see _loop_permutations).  The step is a fraction of the whole loop,
-    starting at 1/steps, halving whenever Newton fails or an x moves 0.4
-    of its gap or more (see _stepper) and growing up to 8/steps, past
-    1/steps never more than a quarter of the loop (see _continue).  On
-    curves only the tracked sheet of each pair is continued, its y carried
-    along x on c and a square root of cbar beside it, and the gap guard
-    counts the roots of c and cbar.  Raises StepUnderflowError below
-    min_step, with t on the whole loop, MatchAmbiguousError when the
-    conjugation or the final nearest-neighbor match is not clear by
-    separation_factor, and NotBijectiveError when two points land on one
-    fiber point.  This is the one-loop case of the stacked continuation
-    that ``monodromy`` runs.
-    """
-    return _loop_permutations(e, [loop], points, _conjugation(points, cfg), cfg)[0]
 
 
 def monodromy(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> Constellation:

@@ -157,6 +157,10 @@ def _aberth(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(MAX_ITERATIONS):
             za = z[active]
+            # the (K, n, n) array first: a degree too large for it fails fast
+            diff = za[:, :, None] - za[:, None, :]
+            diff[:, diagonal, diagonal] = np.inf
+            repulse = np.sum(1.0 / diff, axis=2)
             pv = np.zeros_like(za)
             for c in monic[active, ::-1].T:
                 pv = pv * za + c[:, None]
@@ -164,9 +168,6 @@ def _aberth(
             for c in deriv[::-1]:
                 dv = dv * za + c
             newton = np.where(dv != 0, pv / dv, 0.25 + 0.25j)
-            diff = za[:, :, None] - za[:, None, :]
-            diff[:, diagonal, diagonal] = np.inf
-            repulse = np.sum(1.0 / diff, axis=2)
             w = newton / (1.0 - newton * repulse)
             w = np.where(np.isfinite(w), w, 0.0)
             za = za - w

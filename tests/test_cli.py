@@ -254,6 +254,15 @@ class TestMonodromy:
         assert body["error"] == "MapSyntaxError"
         assert body["message"] == "unexpected character '\u00b2' (at position 2)"
 
+    def test_overlong_integer_is_syntax_error(self, capsys):
+        # int() would refuse the 4301 digits with a bare ValueError
+        code, out, err = run(capsys, "monodromy", "--map", "b(" + "1" * 4301 + ",1)")
+        assert (code, out) == (2, "")
+        body = json.loads(err)
+        jsonschema.validate(body, ERROR_SCHEMA)
+        assert body["error"] == "MapSyntaxError"
+        assert body["message"] == "integer of 4301 digits is too long (at position 2)"
+
     def test_non_belyi_map(self, capsys):
         # b(1,11).f has a branch value b(1,11)(10/11) ~ 1e-10 besides 0 and 1
         for chain in ("f", "b(1,11).f"):

@@ -113,6 +113,12 @@ class TestParsing:
             parse_map_expr(text)
         assert err.value.position == position
 
+    def test_overlong_integer_is_a_syntax_error(self):
+        # int() refuses a run of more than 4300 digits with a ValueError
+        with pytest.raises(MapSyntaxError, match="integer of 4301 digits is too long") as err:
+            parse_map_expr("b(" + "1" * 4301 + ",1)")
+        assert err.value.position == 2
+
     def test_unicode_whitespace_is_whitespace(self):
         assert parse_map_expr("b(1,1)\u00a0.\u2003f") == parse_map_expr("b(1,1).f")
 

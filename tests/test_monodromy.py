@@ -45,7 +45,6 @@ from dessins.monodromy import (
     fiber,
     monodromy,
     monodromy_json,
-    track_loop,
     verify_stability,
 )
 from dessins.perms import (
@@ -63,6 +62,13 @@ from dessins.render import render_graph
 # the module itself: the package re-exports the function of the same name
 MONODROMY = importlib.import_module("dessins.monodromy")
 POLYNOMIALS = importlib.import_module("dessins.polynomials")
+
+
+def _one_loop(e, loop, start, cfg):
+    """The permutation of one loop from the fiber ``start``: the one-loop
+    case of the stacked continuation that monodromy runs."""
+    return _loop_permutations(e, [loop], start, _conjugation(start, cfg), cfg)[0]
+
 
 # verbatim from the published degree-22 example
 PSI_G0 = "(1,2,3,4,5,6,7,8,9,10)(11,21)"
@@ -139,7 +145,7 @@ class TestLoopSpec:
         for steps in (1, 2):
             log = []
             monkeypatch.setattr(MONODROMY, "_stepper", _recording_stepper(log))
-            perm = track_loop(e, LoopSpec(center=0j, steps=steps), points, cfg)
+            perm = _one_loop(e, LoopSpec(center=0j, steps=steps), points, cfg)
             runs.append((perm, [(o.tolist(), t.tolist(), ok) for o, t, ok in log]))
         assert runs[0] == runs[1]
         # the first step tried is to the antipode
@@ -302,7 +308,7 @@ class TestJsonAndErrors:
         base = fiber(e, BASEPOINT, cfg)
         # radius 0.2: neither 0 nor 1 is enclosed
         loop = LoopSpec(center=0.7)
-        assert track_loop(e, loop, base, cfg) == identity(2)
+        assert _one_loop(e, loop, base, cfg) == identity(2)
 
 
 def _sha256(text):
@@ -540,6 +546,34 @@ class TestFits:
         moved = np.where(np.arange(200) % 2, 0.4, 0.3)
         monkeypatch.setattr(MONODROMY, "_gaps", None)
         assert np.array_equal(_fits(x, moved, None), moved < 0.4)
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_window_on_a_vertical_line_builds_no_gaps(self, monkeypatch, curve):
+        # 60 of 100 points share the real part 1/2, as the b(m,m) fibers
+        # do, so the window stays open through offset 59; it runs on to
+        # its close and builds no n x n array
+        rng = np.random.default_rng(29)
+        x = rng.permutation(np.concatenate((
+            0.5 + 1j * rng.uniform(-3, 3, 60), rng.normal(size=40) + 1j * rng.normal(size=40))))
+        branch = rng.normal(size=3) + 1j * rng.normal(size=3) if curve else None
+        moved = 0.4 * _gaps(x, branch) * rng.uniform(0.5, 1.5, 100)
+        dense = moved < 0.4 * _gaps(x, branch)
+        assert dense.any() and not dense.all()
+        monkeypatch.setattr(MONODROMY, "_gaps", None)
+        assert np.array_equal(_fits(x, moved, branch), dense)
+
+    def test_window_reaches_the_last_offset(self, monkeypatch):
+        # every real part lies in [0, 1e-12], so the window never closes,
+        # and the one pair that refuses a point is the first and the last
+        # in real-part order, compared only at offset n - 1
+        k = np.arange(1, 69)
+        x = np.concatenate(([0j], 1e-14 * k + 1j * (2 + k), [1e-12 + 1e-3j]))
+        moved = np.full(70, 1e-6)
+        moved[0] = 5e-4
+        dense = moved < 0.4 * _gaps(x, None)
+        assert dense.tolist() == [False] + [True] * 69
+        monkeypatch.setattr(MONODROMY, "_gaps", None)
+        assert np.array_equal(_fits(x, moved, None), dense)
 
 
 @st.composite
@@ -1037,7 +1071,7 @@ class TestHalfLoops:
         probe_loops = _loops(cfg, centers=(0.1, 0.9), refine=2)
         full = _full_circle_permutations(e, start, loops, cfg)
         assert list(monodromy(e, cfg)) == full
-        assert [track_loop(e, loop, start, cfg) for loop in loops] == full
+        assert [_one_loop(e, loop, start, cfg) for loop in loops] == full
         probe = MONODROMY._base_and_probe(e, cfg, probe=True)[1]
         assert list(probe) == _full_circle_permutations(e, start, probe_loops, cfg)
 
@@ -1086,7 +1120,7 @@ class TestStacked:
         x, y = _continue(e, loops, points.x, points.y, cfg)
         assert not all(accepted for *_, accepted in log)
         for p, loop in enumerate(loops):
-            assert _permutation(points, Fiber(x[p], y[p]), cfg) == track_loop(e, loop, points, cfg)
+            assert _permutation(points, Fiber(x[p], y[p]), cfg) == _one_loop(e, loop, points, cfg)
 
     @pytest.mark.parametrize("curve", [False, True])
     def test_gaps_row_by_row(self, curve):

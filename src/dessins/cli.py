@@ -32,16 +32,16 @@ NUMERIC_EXIT = 3
 EVIDENCE_EXIT = 4
 
 
-def round_floats(obj, digits: int = 15):
-    """Recursively trim floats to the given significant digits."""
+def round_floats(obj):
+    """Recursively trim floats to 15 significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.15g}")
     if isinstance(obj, dict):
-        return {k: round_floats(v, digits) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, digits) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 
@@ -87,7 +87,7 @@ def _load_config(path: str | None) -> TrackingConfig:
 
 
 def cmd_roots(args):
-    return round_floats(polynomials.roots_of_f(args.seed_offset).to_json_list())
+    return round_floats(polynomials.roots_of_f().to_json_list())
 
 
 def cmd_monodromy(args, cfg: TrackingConfig):
@@ -160,10 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", parents=[common],
-                       help="labeled roots of the degree-12 polynomial f")
-    p.add_argument("--seed-offset", type=float, default=polynomials.ANGULAR_OFFSET,
-                   metavar="RAD", help="angular offset for the root finder's start circle")
+    sub.add_parser("roots", parents=[common],
+                   help="labeled roots of the degree-12 polynomial f")
 
     p = sub.add_parser("monodromy", parents=[common, tracking],
                        help="permutation pair of a Belyi chain")

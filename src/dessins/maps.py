@@ -17,8 +17,9 @@ The grammar is ASCII and read from one table, ``_PRIMITIVES``.  ``pi`` may
 only appear as the innermost element and at most once; ``f`` may appear at
 most once and no ``b`` may sit inside it.  Each primitive's ramification is
 one table (Ramification), which branch values and render's vertices both
-read.  Branch values are propagated forward exactly (rational arithmetic
-plus symbolic root references) wherever the chain allows it.
+read.  The finite branch values are propagated forward exactly (rational
+arithmetic plus symbolic root references) wherever the chain allows it;
+every chain also branches over infinity, which no list names.
 """
 
 from __future__ import annotations
@@ -55,23 +56,6 @@ class MisplacedPrimitiveError(MapExprError):
     pass
 
 
-class _Infinity:
-    """Symbolic point at infinity; a singleton usable in branch-value sets."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INF = _Infinity()
-
-
 @dataclass(frozen=True)
 class RootRef:
     """Symbolic reference to root label i of ``f``; exact until evaluated."""
@@ -89,7 +73,7 @@ class RootRef:
         return f"r{self.label}"
 
 
-BranchPoint = Union[Fraction, RootRef, _Infinity, complex]
+BranchPoint = Union[Fraction, RootRef, complex]
 
 
 def _power(u, k: int):
@@ -373,29 +357,13 @@ def as_poly(prim: Primitive) -> ComplexPoly:
 # branch values
 
 
-@dataclass(frozen=True)
-class BranchData:
-    """Branch values of a chain."""
-
-    values: tuple[BranchPoint, ...]
-
-    def finite_numeric(self) -> list[complex]:
-        return [point_to_complex(v) for v in self.values if v is not INF]
-
-
 def point_to_complex(v: BranchPoint) -> complex:
-    if isinstance(v, Fraction):
-        return complex(v)
     if isinstance(v, RootRef):
         return v.value()
-    if v is INF:
-        raise ValueError("infinity has no complex value")
     return complex(v)
 
 
 def _forward_image(prim: Primitive, v: BranchPoint) -> BranchPoint:
-    if v is INF:
-        return INF
     if isinstance(prim, FPoly):
         return Fraction(0)  # only pi sits inside f: v is a root of f
     if isinstance(prim, BelyiMN):
@@ -406,26 +374,27 @@ def _forward_image(prim: Primitive, v: BranchPoint) -> BranchPoint:
     raise TypeError("pi is innermost and has no forward images to take")
 
 
-def branch_values(e: MapExpr) -> BranchData:
-    """Branch values of the composite, propagated innermost to outermost.
+def branch_values(e: MapExpr) -> tuple[BranchPoint, ...]:
+    """The finite branch values of the composite, propagated innermost to
+    outermost; every chain also branches over infinity, which is not listed.
 
-    Every primitive contributes its critical values (critical_values) and
-    infinity, and all branch values of the inner part are pushed forward
-    through the outer primitives.  Rational points and root references
-    stay exact; only the images of pi's roots under b(m,n) are numeric.
-    Repeats are dropped by equality, keeping the first.
+    Every primitive contributes its critical values (critical_values), and
+    all branch values of the inner part are pushed forward through the
+    outer primitives.  Rational points and root references stay exact;
+    only the images of pi's roots under b(m,n) are numeric.  Repeats are
+    dropped by equality, keeping the first.
     """
     values: tuple[BranchPoint, ...] = ()
     for prim in reversed(e.chain):
         forwarded = [_forward_image(prim, v) for v in values]
-        values = tuple(dict.fromkeys(critical_values(prim) + [INF] + forwarded))
-    return BranchData(values=values)
+        values = tuple(dict.fromkeys(critical_values(prim) + forwarded))
+    return values
 
 
 def is_belyi(e: MapExpr) -> bool:
     """True when every finite branch value equals 0 or 1 exactly: a value
     merely near them, such as b(1,11)(10/11) ~ 1e-10, is one more."""
-    return all(v is INF or v == 0 or v == 1 for v in branch_values(e).values)
+    return all(v == 0 or v == 1 for v in branch_values(e))
 
 
 def require_belyi(e: MapExpr) -> None:

@@ -1,6 +1,6 @@
 """Numerical monodromy of covering-map chains by analytic continuation.
 
-The fiber over a base point is computed stage by stage (outermost
+The fiber over the base point 1/2 is computed stage by stage (outermost
 primitive first, each value pulled back through the next primitive).  A
 loop is the counterclockwise circle about its real center through the
 base point 1/2, of radius 1/2 about 0 and 1; the fiber is continued along
@@ -71,10 +71,6 @@ from .polynomials import shifted_roots
 from .tracking import NotBelyiError, TrackingConfig, TrackingError
 
 BASEPOINT = 0.5
-
-
-class NearBranchError(TrackingError):
-    pass
 
 
 class CollisionError(TrackingError):
@@ -165,23 +161,19 @@ def _composite_and_derivative(stages: Sequence[Primitive], x: np.ndarray) -> tup
     return value, slope
 
 
-def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> Fiber:
-    """The fiber over a base point, deterministically labeled (see Fiber).
+def fiber(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> Fiber:
+    """The fiber over the base point 1/2, deterministically labeled (see
+    Fiber).  The callers hold Belyi chains (maps.require_belyi), whose only
+    finite branch values are 0 and 1, so 1/2 is never near one.
 
     x is sorted by (re, im); on curves y[i] is the square root of c(x[i])
     that sorts first by (im y, re y).  A conjugate pair whose real parts
     differ only in their last bits is ordered by those bits (labels 6 and 7
     of b(2,2).b(3,5) by 6.9e-18, +im first), so the labels depend on the
-    exact bits of shifted_roots.  Raises NearBranchError when the base
-    point sits within 1e-6 of a branch value and CollisionError when two
-    fiber points nearly coincide.
+    exact bits of shifted_roots.  Raises CollisionError when two fiber
+    points nearly coincide.
     """
-    data = maps.branch_values(e)
-    for v in data.finite_numeric():
-        if abs(p - v) < 1e-6:
-            raise NearBranchError(f"base point {p} within 1e-6 of branch value {v}")
-
-    values: list[complex] = [complex(p)]
+    values: list[complex] = [complex(BASEPOINT)]
     for prim in e.polynomial_part():
         values = [x for row in shifted_roots(maps.as_poly(prim), values) for x in row]
 
@@ -202,7 +194,7 @@ def fiber(e: MapExpr, p: complex, cfg: TrackingConfig = TrackingConfig()) -> Fib
         raise CollisionError(f"fiber points within {dist:.3e}")
     # on curves y is a square root of c(x) by construction, so x decides
     value, _ = _composite_and_derivative(e.polynomial_part(), x)
-    if np.any(np.abs(value - p) >= 1e-8):
+    if np.any(np.abs(value - BASEPOINT) >= 1e-8):
         raise TrackingError("fiber point fails to evaluate back to base")
     return out
 
@@ -528,10 +520,10 @@ def _fibers(e: MapExpr, cfg: TrackingConfig) -> list[tuple[MapExpr, Fiber]]:
     """(chain, its labeled fiber over the base point), outermost first, for
     ``e`` and each inner chain while the chain is b(1,1) over a Belyi chain:
     one level per b(1,1) that _pair peels off and one for the chain it tracks."""
-    out = [(e, fiber(e, BASEPOINT, cfg))]
+    out = [(e, fiber(e, cfg))]
     while _doubles(e):
         e = e.inner()
-        out.append((e, fiber(e, BASEPOINT, cfg)))
+        out.append((e, fiber(e, cfg)))
     return out
 
 

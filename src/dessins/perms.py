@@ -224,7 +224,9 @@ def group_order(generators: Sequence[Permutation], cap: int = 10000) -> int:
     return len(seen)
 
 
-_CYCLE_TEXT = re.compile(r"^(\(\d+(,\d+)*\))+$")
+# Cycle notation as format_cycles writes it, "(1,2)(3)" with no
+# whitespace; parse_cycles reads it once whitespace is stripped.
+CYCLES_PATTERN = r"^(\(\d+(,\d+)*\))+$"
 
 
 def parse_cycles(text: str, degree: int | None = None) -> Permutation:
@@ -239,7 +241,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
         raise ValueError("empty cycle text")
-    if not _CYCLE_TEXT.match(stripped):
+    if not re.match(CYCLES_PATTERN, stripped):
         raise ValueError(f"malformed cycle text: {text!r}")
     cycles = [
         [int(s) for s in body.split(",")]

@@ -2,14 +2,14 @@
 
 Coefficients are stored ascending, so ``coeffs[k]`` multiplies ``x**k``.
 The root finder is an Aberth-style simultaneous iteration started on a
-circle of radius ``1 + max|c_i / c_lead|`` (the Cauchy bound), rotated by a
-fixed angular offset so that no starting point sits on a coordinate axis or
-aligns with a symmetric root configuration.  ``shifted_roots`` solves
-poly - v for many values v in one iteration over a (K, n) array of
-approximations, each row leaving it at the iteration where it would stop
-alone, so its roots equal those of ``roots`` bit for bit; ``roots`` is its
-one-row case.  The iteration is the module's only use of numpy, which it
-imports when it runs.
+circle of radius ``1 + max|c_i / c_lead|`` (the Cauchy bound), rotated by
+the fixed angle ANGULAR_OFFSET so that no starting point sits on a
+coordinate axis or aligns with a symmetric root configuration.
+``shifted_roots`` solves poly - v for many values v in one iteration over
+a (K, n) array of approximations, each row leaving it at the iteration
+where it would stop alone, so its roots equal those of ``roots`` bit for
+bit; ``roots`` is its one-row case.  The iteration is the module's only
+use of numpy, which it imports when it runs.
 
 The mod-p half of the module computes the multiset of irreducible factor
 degrees of a monic integer polynomial over GF(p) where its reduction is
@@ -23,8 +23,8 @@ the full symmetric group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import fmod, isfinite, isqrt, pi
+from functools import cache
+from math import isqrt
 from typing import Sequence
 
 import cmath
@@ -92,21 +92,18 @@ class ComplexPoly:
         return ComplexPoly(tuple(out))
 
 
-def roots(poly: ComplexPoly, angular_offset: float = ANGULAR_OFFSET) -> tuple[complex, ...]:
-    """All complex roots, sorted by (re, im).
+def roots(poly: ComplexPoly) -> tuple[complex, ...]:
+    """All complex roots, sorted by (re, im), from the start circle rotated
+    by ANGULAR_OFFSET.
 
     Raises NonConvergedError if a residual stays above
     ``RESIDUAL_TOL * max(1, max|c|)``, and ClusteredRootsError if two
     approximations end up closer than 1e-8 or the iteration stalls with
     every residual within tolerance, as it does at a multiple root, where
     rounding keeps the approximations jittering (multiple roots are out of
-    scope for the simultaneous iteration).  Raises ValueError for a
-    non-finite angular_offset.
+    scope for the simultaneous iteration).
     """
-    if not isfinite(angular_offset):
-        raise ValueError(f"angular offset must be finite, got {angular_offset!r}")
-    # fmod is exact; a huge offset would swamp the start angles 2 pi k / n
-    return _aberth(poly, (poly.coeffs[0],), fmod(angular_offset, 2 * pi))[0]
+    return _aberth(poly, (poly.coeffs[0],))[0]
 
 
 def shifted_roots(poly: ComplexPoly, values: Sequence[complex]) -> list[tuple[complex, ...]]:
@@ -118,14 +115,15 @@ def shifted_roots(poly: ComplexPoly, values: Sequence[complex]) -> list[tuple[co
     """
     c0 = poly.coeffs[0]
     heads = tuple(c0 - complex(v) for v in values)
-    return _aberth(poly, heads, ANGULAR_OFFSET)
+    return _aberth(poly, heads)
 
 
 def _aberth(
-    poly: ComplexPoly, heads: Sequence[complex], angular_offset: float,
+    poly: ComplexPoly, heads: Sequence[complex], angular_offset: float = ANGULAR_OFFSET,
 ) -> list[tuple[complex, ...]]:
     """The roots of each polynomial that is ``poly`` with its constant
-    coefficient replaced by one of ``heads``.
+    coefficient replaced by one of ``heads``, from the start circle rotated
+    by ``angular_offset``, which only the tests vary.
 
     The rows are iterated as one (K, n) array, and a row leaves it at the
     iteration where it would stop alone: its arithmetic is elementwise or
@@ -283,22 +281,12 @@ class LabeledRoots:
         ]
 
 
-def roots_of_f(angular_offset: float = ANGULAR_OFFSET) -> LabeledRoots:
-    """Labeled roots of ``f``; label 1 has the least argument.  Only the
-    default rotation is cached, so another offset is solved afresh and
-    kept nowhere.  Raises ValueError for a non-finite offset."""
-    if angular_offset != ANGULAR_OFFSET:
-        return _labeled_roots_of_f.__wrapped__(angular_offset)
-    return _labeled_roots_of_f(ANGULAR_OFFSET)
-
-
-@lru_cache(maxsize=1)
-def _labeled_roots_of_f(angular_offset: float) -> LabeledRoots:
+@cache
+def roots_of_f() -> LabeledRoots:
+    """Labeled roots of ``f``; label 1 has the least argument.  Solved once
+    per process and cached."""
     poly = f_polynomial()
-    values = sorted(
-        roots(poly, angular_offset=angular_offset),
-        key=lambda v: cmath.phase(v) % (2 * cmath.pi),
-    )
+    values = sorted(roots(poly), key=lambda v: cmath.phase(v) % (2 * cmath.pi))
     return LabeledRoots(tuple(
         LabeledRoot(label=i, value=v, residual=abs(poly(v)))
         for i, v in enumerate(values, 1)

@@ -202,7 +202,7 @@ def render_graph(
     maps.require_belyi(e)
     blacks = structural_vertices(e, 0)
     whites = structural_vertices(e, 1)
-    base = fiber(e, BASEPOINT, cfg)
+    base = fiber(e, cfg)
     # Strands run into ramification points where |F'| -> 0, so the
     # attainable Newton step plateaus near eps/|F'| (about 1e-8 on the
     # last rung of a 10-fold point).  The loop tolerance is unreachable

@@ -6,8 +6,7 @@ command's stdout against the matching schema.  Draft-07 vocabulary.
 
 from __future__ import annotations
 
-# format_cycles output: "(1,2)(3)" style, no whitespace
-CYCLES_PATTERN = r"^(\(\d+(,\d+)*\))+$"
+from .perms import CYCLES_PATTERN
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 

@@ -40,34 +40,11 @@ class TestRoots:
         assert [row["label"] for row in data] == list(range(1, 13))
         assert all(row["residual"] < 1e-10 for row in data)
 
-    def test_seed_offset_invariance(self, capsys):
-        # 1e16 is far past the offset whose ulp exceeds the 2 pi / 12
-        # spacing of the start angles
-        base = run_json(capsys, "roots")
-        for offset in ("0.37", "1e16"):
-            moved = run_json(capsys, "roots", "--seed-offset", offset)
-            for r1, r2 in zip(base, moved):
-                assert r1["re"] == pytest.approx(r2["re"], abs=1e-9)
-                assert r1["im"] == pytest.approx(r2["im"], abs=1e-9)
-
-    def test_seed_offset_does_not_leak(self, capsys):
-        run_json(capsys, "roots", "--seed-offset", "0.37")
-        assert polynomials.roots_of_f() is polynomials.roots_of_f(polynomials.ANGULAR_OFFSET)
-
-    @pytest.mark.parametrize("offset", ["inf", "nan"])
-    def test_non_finite_seed_offset(self, capsys, offset):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "roots", "--seed-offset", offset)
-        assert code == 2
-        body = json.loads(err)
-        jsonschema.validate(body, ERROR_SCHEMA)
-        assert body["error"] == "ValueError"
-        assert out == ""
-
-    def test_seed_offset_only_on_roots(self):
+    @pytest.mark.parametrize("argv", [["roots"], ["dessin", "--triple", "2,7,11"]], ids=["roots", "dessin"])
+    def test_no_seed_offset(self, argv):
+        # the root finder's start circle is fixed (polynomials.ANGULAR_OFFSET)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["dessin", "--triple", "2,7,11", "--seed-offset", "0.3"])
+            cli.main(argv + ["--seed-offset", "0.37"])
         assert exc.value.code == 2
 
 

@@ -29,7 +29,7 @@ from dessins.galois import (
     word_permutation,
 )
 from dessins.maps import parse_map_expr
-from dessins.monodromy import BASEPOINT, fiber, monodromy
+from dessins.monodromy import fiber, monodromy
 from dessins.perms import compose, cycle_decomposition, format_cycles, group_order, identity, inverse, power
 from dessins.polynomials import roots_of_f
 
@@ -246,7 +246,7 @@ def tracked_d0(cfg):
     the constellation and, per root label m, that vertex's darts."""
     e = parse_map_expr("b(1,1).b(10,1).f")
     pair = monodromy(e, cfg)
-    x = fiber(e, BASEPOINT, cfg).x
+    x = fiber(e, cfg).x
     roots = np.array(roots_of_f().values)
     vertices = {}
     for cycle in cycle_decomposition(pair.g0):

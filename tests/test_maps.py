@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import naive_parse
 
 from dessins.maps import (
-    INF,
     BadTripleError,
     BelyiMN,
     EmptyChainError,
@@ -226,21 +225,27 @@ class TestEvaluation:
 
 class TestBranchValues:
     def _finite(self, text):
-        data = branch_values(parse_map_expr(text))
-        return sorted(data.finite_numeric(), key=lambda z: z.real)
+        values = branch_values(parse_map_expr(text))
+        return sorted((point_to_complex(v) for v in values), key=lambda z: z.real)
+
+    # the values are exact and finite, in the order they are found:
+    # infinity, a branch value of every chain, is not listed
 
     def test_b_alone(self):
-        vals = self._finite("b(10,1)")
-        assert vals == pytest.approx([0.0, 1.0])
+        assert branch_values(parse_map_expr("b(10,1)")) == (Fraction(0), Fraction(1))
 
     def test_f_alone(self):
-        vals = self._finite("f")
-        assert vals == pytest.approx([10 / 11, 1.0])
+        assert branch_values(parse_map_expr("f")) == (Fraction(1), Fraction(10, 11))
 
     def test_f_with_curve(self):
         # roots of f map to 0 through f, so 0 joins the branch values
-        vals = self._finite("f.pi(2,7,11)")
-        assert vals == pytest.approx([0.0, 10 / 11, 1.0])
+        values = branch_values(parse_map_expr("f.pi(2,7,11)"))
+        assert values == (Fraction(1), Fraction(10, 11), Fraction(0))
+
+    def test_b_over_f_keeps_a_stray_value(self):
+        # b(1,11)(10/11) is a rational near 0, kept exactly
+        values = branch_values(parse_map_expr("b(1,11).f"))
+        assert values == (Fraction(0), Fraction(1), Fraction(89161004482560, 895430243255237372246531))
 
     def test_b101_swallows_the_stray_value(self):
         # beta_{10,1}(10/11) = 1, so one more stage restores three values
@@ -249,8 +254,7 @@ class TestBranchValues:
 
     def test_full_chain_is_belyi(self):
         e = parse_map_expr(FULL)
-        data = branch_values(e)
-        assert sorted(data.finite_numeric(), key=lambda z: z.real) == pytest.approx([0.0, 1.0])
+        assert branch_values(e) == (Fraction(1), Fraction(0))
         assert is_belyi(e)
 
     @pytest.mark.parametrize("text,belyi", [
@@ -279,9 +283,17 @@ class TestBranchValues:
             for n in range(1, 16):
                 assert is_belyi(parse_map_expr(f"b({m},{n}).f")) == (m == 10 * n), (m, n)
 
-    def test_infinity_always_branches(self):
-        data = branch_values(parse_map_expr("b(1,1)"))
-        assert INF in data.values
+    def test_images_of_curve_roots_are_numeric(self):
+        # b(2,3) sends the roots 1, 2, 3 of f, where pi branches, to complex
+        # values, after its own critical values 0 and 1
+        values = branch_values(parse_map_expr("b(2,3).pi(1,2,3)"))
+        assert values[:2] == (Fraction(0), Fraction(1))
+        assert all(type(v) is complex for v in values[2:])
+        assert values[2:] == pytest.approx((
+            0.5293856481232778 - 0.004581839016196104j,
+            -7.472201356764687 - 5.809362930525819j,
+            38.17114019806042 - 16.028922399313075j,
+        ), rel=1e-12)
 
 
 class TestRamification:

@@ -25,7 +25,6 @@ from dessins.monodromy import (
     BASEPOINT,
     Fiber,
     LoopSpec,
-    NearBranchError,
     NotBijectiveError,
     NotBelyiError,
     StepUnderflowError,
@@ -140,7 +139,7 @@ class TestLoopSpec:
         # the first step is capped at the antipode, so one nominal step
         # never lands back on the base point
         e = parse_map_expr("b(2,3).b(3,2)")
-        points = fiber(e, BASEPOINT, cfg)
+        points = fiber(e, cfg)
         runs = []
         for steps in (1, 2):
             log = []
@@ -154,7 +153,7 @@ class TestLoopSpec:
 
 class TestFiber:
     def test_b11_fiber_exact(self):
-        pts = fiber(parse_map_expr("b(1,1)"), 0.5)
+        pts = fiber(parse_map_expr("b(1,1)"))
         lo, hi = (1 - math.sqrt(0.5)) / 2, (1 + math.sqrt(0.5)) / 2
         assert isinstance(pts, Fiber) and pts.y is None
         assert pts.x.tolist() == pytest.approx([lo, hi])
@@ -165,23 +164,19 @@ class TestFiber:
         ("b(1,1).b(10,1).f", 264),
     ])
     def test_fiber_sizes(self, text, n):
-        assert len(fiber(parse_map_expr(text), 0.5)) == n
+        assert len(fiber(parse_map_expr(text))) == n
 
     def test_curve_fiber_doubles_and_lies_on_curve(self):
         e = parse_map_expr("b(1,1).b(10,1).f.pi(2,7,11)")
-        pts = fiber(e, 0.5)
+        pts = fiber(e)
         assert len(pts) == 528
         assert len(pts.x) == len(pts.y) == 264
         x, y = pts.unfold()
         assert np.all(np.abs(y**2 - e.proj.curve_rhs(x)) < 1e-8)
 
-    def test_near_branch_value_rejected(self):
-        with pytest.raises(NearBranchError):
-            fiber(parse_map_expr("b(1,1)"), 1 - 1e-9)
-
     def test_labels_are_consecutive(self):
         # labels 1..22 are x[0..21] in order, and x is sorted by (re, im)
-        pts = fiber(parse_map_expr("b(1,1).b(10,1)"), 0.5)
+        pts = fiber(parse_map_expr("b(1,1).b(10,1)"))
         x, y = pts.unfold()
         assert y is None and len(pts) == 22
         assert np.array_equal(x, pts.x)
@@ -190,7 +185,7 @@ class TestFiber:
     def test_curve_labels_pair_the_sheets(self):
         # labels 2i + 1 and 2i + 2 are (x[i], y[i]) and (x[i], -y[i]), and
         # y[i] is the square root of c(x[i]) that sorts first by (im y, re y)
-        pts = fiber(parse_map_expr("f.pi(2,7,11)"), BASEPOINT)
+        pts = fiber(parse_map_expr("f.pi(2,7,11)"))
         x, y = pts.unfold()
         assert len(pts) == len(x) == 24
         assert np.array_equal(x[0::2], pts.x) and np.array_equal(x[1::2], pts.x)
@@ -241,7 +236,7 @@ class TestPsi:
         the product in the other order."""
         e = parse_map_expr("b(1,1).b(10,1)")
         g0, g1 = psi_pair
-        base = fiber(e, BASEPOINT, cfg)
+        base = fiber(e, cfg)
         paths = [_BigContour(entry=0.99 + 1.2j), _BigContour(entry=0.99 - 1.2j)]
         x, _ = _continue(e, paths, base.x, base.y, cfg)
         top, bottom = (_permutation(base, Fiber(x[p], None), cfg) for p in (0, 1))
@@ -305,7 +300,7 @@ class TestJsonAndErrors:
 
     def test_track_loop_around_regular_point_is_identity(self, cfg):
         e = parse_map_expr("b(1,1)")
-        base = fiber(e, BASEPOINT, cfg)
+        base = fiber(e, cfg)
         # radius 0.2: neither 0 nor 1 is enclosed
         loop = LoopSpec(center=0.7)
         assert _one_loop(e, loop, base, cfg) == identity(2)
@@ -352,7 +347,7 @@ FIBER_SHA256 = {
 class TestGoldenFibers:
     @pytest.mark.parametrize("text", FIBER_SHA256)
     def test_coordinates(self, text):
-        x, y = fiber(parse_map_expr(text), BASEPOINT).unfold()
+        x, y = fiber(parse_map_expr(text)).unfold()
         ys = [None] * len(x) if y is None else y.tolist()
         points = [(complex(a), b) for a, b in zip(x.tolist(), ys)]
         assert _sha256(repr(points)) == FIBER_SHA256[text]
@@ -422,7 +417,7 @@ class TestStep:
 
     @pytest.fixture()
     def half(self, cfg):
-        return fiber(self.E, BASEPOINT, cfg)
+        return fiber(self.E, cfg)
 
     @staticmethod
     def _over(v):
@@ -687,7 +682,7 @@ class TestRoundingFloor:
     def test_non_finite_newton_refused(self, cfg):
         # the row near its start converges, and the row whose far target
         # overflows the composite is refused
-        half = fiber(self.E, BASEPOINT, cfg)
+        half = fiber(self.E, cfg)
         step = _stepper(self.E, cfg.max_newton_iters)
         x = np.stack((half.x, half.x))
         origin = np.full((2, 1), BASEPOINT)
@@ -746,7 +741,7 @@ class TestCurveStep:
     def _toward_root(self, cfg, frac):
         """(tracked half, target, goal): the target value over which point
         0 sits ``frac`` of the way to its nearest root of c, at goal."""
-        half = fiber(self.E, BASEPOINT, cfg)
+        half = fiber(self.E, cfg)
         x = half.x
         root = self.BRANCH[np.abs(x[0] - self.BRANCH).argmin()]
         goal = x[0] + frac * (root - x[0])
@@ -770,7 +765,7 @@ class TestCurveStep:
         # does not.  A step moves every fiber point alike toward its nearest
         # root of f, some of them roots of c, so point 1, 0.055 from r_6 and
         # 0.48 from the roots of c, is stepped alone
-        half = fiber(self.E, BASEPOINT, cfg)
+        half = fiber(self.E, cfg)
         w = _conjugate(half, _conjugation(half, cfg)).y
         r6 = roots_of_f()[6]
         i = np.abs(half.x - r6).argmin()
@@ -797,7 +792,7 @@ class TestCurveStep:
         landed, refused, _ = step(half.x, None, None, BASEPOINT, target, cfg.newton_tol)
         assert landed is None and refused
         e = parse_map_expr("b(10,1).f.pi(3,5,8)")
-        start = fiber(e, BASEPOINT, cfg)
+        start = fiber(e, cfg)
         paths = [_Segment(BASEPOINT, v, 49) for v in (0.01, 0.99)] + list(_loops(cfg))
         x, y = _continue(e, paths, start.x, start.y, cfg)
         alone, none = _continue(e, paths, start.x, None, cfg)
@@ -838,7 +833,7 @@ class TestCurveY:
             return checked
 
         monkeypatch.setattr(MONODROMY, "_stepper", make)
-        start = fiber(self.E, BASEPOINT, cfg)
+        start = fiber(self.E, cfg)
         x, y = _continue(self.E, [_loops(cfg)[which]], start.x, start.y, cfg)
         assert np.all(np.abs(y**2 - c(x)) <= 1e-12 * np.abs(c(x)))
         assert len(agree) == 35 and all(agree)
@@ -879,7 +874,7 @@ class TestDecisionsUnchanged:
         steps that a predictor on F' at the landed x takes, and lands on
         the same points to Newton's tolerance."""
         loop = LoopSpec(center=0.76, steps=40)
-        start = fiber(self.E, BASEPOINT, cfg)
+        start = fiber(self.E, cfg)
         runs = []
         for fresh_slope in (False, True):
             log = []
@@ -924,7 +919,7 @@ class TestDecisionsUnchanged:
         monkeypatch.setattr(POLYNOMIALS, "_aberth", _counting(counts, "_aberth", POLYNOMIALS._aberth))
         monkeypatch.setattr(POLYNOMIALS, "roots", _counting(counts, "roots", POLYNOMIALS.roots))
         e = full_chain(Triple(2, 7, 11))
-        fiber(e, BASEPOINT)
+        fiber(e)
         assert counts == {"_aberth": len(e.polynomial_part())}
 
     def test_stability_fiber_computed_once(self, cfg, monkeypatch):
@@ -1012,7 +1007,7 @@ class TestStepGrowth:
     def test_longest_loop_step(self, monkeypatch, initial_step, longest, probe_longest):
         cfg = TrackingConfig(initial_step=initial_step)
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
-        start = fiber(e, BASEPOINT, cfg)
+        start = fiber(e, cfg)
         kappa = _conjugation(start, cfg)
         runs = ((_loops(cfg), longest), (_loops(cfg, centers=(0.1, 0.9), refine=2), probe_longest))
         for loops, expected in runs:
@@ -1066,7 +1061,7 @@ class TestHalfLoops:
     ])
     def test_equal_to_full_circles(self, cfg, text):
         e = parse_map_expr(text)
-        start = fiber(e, BASEPOINT, cfg)
+        start = fiber(e, cfg)
         loops = _loops(cfg)
         probe_loops = _loops(cfg, centers=(0.1, 0.9), refine=2)
         full = _full_circle_permutations(e, start, loops, cfg)
@@ -1112,7 +1107,7 @@ class TestStacked:
 
     def test_tight_loop_where_the_guard_refuses(self, cfg, monkeypatch):
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
-        points = fiber(e, BASEPOINT, cfg)
+        points = fiber(e, cfg)
         # in 40 common steps the row passing 0.02 from 1 is refused on some
         loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.76, steps=40)]
         log = []
@@ -1138,7 +1133,7 @@ class TestStacked:
     def test_stacked_start_row_for_row(self, cfg, text):
         # row p of a (P, n) start continues along paths[p] as it would alone
         e = parse_map_expr(text)
-        points = fiber(e, BASEPOINT, cfg)
+        points = fiber(e, cfg)
         first = [_Segment(BASEPOINT, v, n) for v, n in ((0.3, 4), (0.6 + 0.1j, 3), (0.7, 4))]
         start = _continue(e, first, points.x, points.y, cfg)
         assert not np.allclose(start[0][0], start[0][1])
@@ -1156,7 +1151,7 @@ class TestStacked:
     def test_underflow_names_the_refusing_path(self):
         cfg = TrackingConfig(initial_step=1 / 40, min_step=1 / 40)
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
-        start = fiber(e, BASEPOINT, cfg)
+        start = fiber(e, cfg)
         loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.76, steps=40)]
         with pytest.raises(StepUnderflowError) as caught:
             _continue(e, loops, start.x, start.y, cfg)
@@ -1169,7 +1164,7 @@ class TestStacked:
         # antipode t = 1/2; min_step and t are fractions of the whole loop
         cfg = TrackingConfig(initial_step=1 / 40, min_step=1 / 40)
         e = parse_map_expr("b(10,1).f.pi(2,7,11)")
-        start = fiber(e, BASEPOINT, cfg)
+        start = fiber(e, cfg)
         loops = [LoopSpec(center=0j, steps=40), LoopSpec(center=0.755, steps=40)]
         with pytest.raises(StepUnderflowError, match=r"^step underflow at t = 0\.468750 on loop around 0\.755\+0j$"):
             _loop_permutations(e, loops, start, _conjugation(start, cfg), cfg)

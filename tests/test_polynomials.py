@@ -1,6 +1,4 @@
-import gc
 import math
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +10,6 @@ from naive_roots import naive_roots
 
 from dessins.maps import BelyiMN, FPoly, as_poly
 from dessins.polynomials import (
-    ANGULAR_OFFSET,
     ClusteredRootsError,
     ComplexPoly,
     LabeledRoot,
@@ -22,6 +19,7 @@ from dessins.polynomials import (
     roots,
     roots_of_f,
     scaled_integer_model,
+    _aberth,
     shifted_roots,
 )
 
@@ -121,28 +119,6 @@ class TestRoots:
         with pytest.raises(ValueError):
             roots(ComplexPoly((5,)))
 
-    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
-    def test_non_finite_offset_rejected(self, offset):
-        with pytest.raises(ValueError, match="finite"):
-            roots(f_polynomial(), angular_offset=offset)
-        with pytest.raises(ValueError, match="finite"):
-            roots_of_f(offset)
-
-    def test_offsets_are_not_cached(self):
-        # only the default rotation is kept: 200 offsets leave next to nothing
-        roots_of_f()
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            for k in range(200):
-                roots_of_f(1 + k / 1000)
-            gc.collect()
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert after - before < 50_000
-        assert roots_of_f() is roots_of_f(ANGULAR_OFFSET)
-
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(
             lambda c: c[-1] != 0
@@ -165,9 +141,10 @@ class TestRoots:
 
     def test_angular_offset_changes_start_not_result(self):
         p = ComplexPoly((-1, 0, 0, 1))  # x^3-1
-        a = roots(p, angular_offset=0.4)
-        b = roots(p, angular_offset=1.3)
-        assert np.allclose(a, b, atol=1e-10)
+        a = roots(p)
+        for offset in (0.37, 0.9, 1.3):
+            b = _aberth(p, (p.coeffs[0],), offset)[0]
+            assert np.allclose(a, b, atol=1e-10)
 
 
 def _shifted(poly, v):
@@ -323,10 +300,15 @@ class TestRootsOfF:
             lr[13]
 
     def test_offset_override_gives_same_roots(self):
-        a = roots_of_f()
-        b = roots_of_f(angular_offset=0.9)
-        for i in range(1, 13):
-            assert a[i] == pytest.approx(b[i], abs=1e-10)
+        # the roots of f from start circles turned by other offsets
+        p = f_polynomial()
+        a = sorted(roots_of_f().values, key=lambda v: (v.real, v.imag))
+        for offset in (0.37, 0.9, 1.3):
+            b = _aberth(p, (p.coeffs[0],), offset)[0]
+            assert b == pytest.approx(a, abs=1e-10)
+
+    def test_solved_once(self):
+        assert roots_of_f() is roots_of_f()
 
     def test_scaled_roots_match_integer_model(self):
         scaled = sorted(

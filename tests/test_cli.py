@@ -40,6 +40,24 @@ class TestRoots:
         assert [row["label"] for row in data] == list(range(1, 13))
         assert all(row["residual"] < 1e-10 for row in data)
 
+    def test_seed_offset_invariance(self, capsys):
+        # the printed roots are those of start circles turned by other offsets
+        base = run_json(capsys, "roots")
+        p = polynomials.f_polynomial()
+        for offset in (0.37, 1.3):
+            moved = polynomials._aberth(p, (p.coeffs[0],), offset)[0]
+            for row in base:
+                z = complex(row["re"], row["im"])
+                assert min(abs(z - w) for w in moved) < 1e-9
+
+    def test_seed_offset_does_not_leak(self, capsys):
+        # a solve from another start circle leaves the cached roots alone
+        cached = polynomials.roots_of_f()
+        p = polynomials.f_polynomial()
+        polynomials._aberth(p, (p.coeffs[0],), 0.37)
+        run_json(capsys, "roots")
+        assert polynomials.roots_of_f() is cached
+
     @pytest.mark.parametrize("argv", [["roots"], ["dessin", "--triple", "2,7,11"]], ids=["roots", "dessin"])
     def test_no_seed_offset(self, argv):
         # the root finder's start circle is fixed (polynomials.ANGULAR_OFFSET)

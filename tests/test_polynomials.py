@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -118,6 +120,22 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             roots(ComplexPoly((5,)))
+
+    def test_offsets_are_not_cached(self):
+        # only the one rotation is kept: 200 other offsets leave next to nothing
+        cached = roots_of_f()
+        p = f_polynomial()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for k in range(200):
+                _aberth(p, (p.coeffs[0],), 1 + k / 1000)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 50_000
+        assert roots_of_f() is cached
 
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(

@@ -14,7 +14,8 @@ message or one warning anywhere in the survey is caught.
 The survey is fixed: the workload chains of perfbench (copied below), every
 fifth ``b(10,1).f.pi`` triple, every eleventh full chain, chains under one
 or two leading b(1,1)s, the chains render refuses, chains that are not
-Belyi or whose fiber the root finder cannot solve, 40 random b-chains from
+Belyi or whose fiber the root finder cannot solve, chains that track a pair
+of degree 22, 40 random b-chains from
 ``random.Random(2222)``, and coarse tracking configurations.
 
     PYTHONPATH=src python3 scripts/check_chains.py            # check
@@ -81,6 +82,10 @@ OTHER_CHAINS = (
     "b(10,1).f.pi(3,4,12)",
 )
 
+# Chains whose innermost tracked pair has degree 22, the size of the
+# published psi pair.
+DEGREE_22 = ("b(20,2)", "b(21,1)", "b(10,1).b(1,1)")
+
 # Each coarse configuration runs on each of these chains.
 COARSE_CONFIGS = (
     {"initial_step": 0.33}, {"initial_step": 0.125}, {"initial_step": 1},
@@ -118,7 +123,8 @@ def chains() -> list[str]:
     curves = ["b(10,1).f.pi({},{},{})".format(*t.as_tuple()) for t in triples[::5]]
     full = [format_map_expr(full_chain(t)) for t in triples[::11]]
     survey = (list(GENUS0_CHAINS) + list(F_CHAINS) + curves + full + list(LEADING_DOUBLINGS)
-              + list(RENDER_REFUSALS) + list(REFUSED) + list(OTHER_CHAINS) + random_chains())
+              + list(RENDER_REFUSALS) + list(REFUSED) + list(OTHER_CHAINS) + list(DEGREE_22)
+              + random_chains())
     return list(dict.fromkeys(survey))
 
 

@@ -11,7 +11,9 @@ drawing that moves a single label or output byte on any triple is caught.  The p
 on the full chain, while ``dessin`` tracks nothing: it reads its dessin
 off the double cover of the planar dessin of b(1,1).b(10,1).f, built
 exactly from the plane tree of f.  The table was written when ``dessin``
-tracked the full chain, so it holds the exact cover to that.
+tracked the full chain, so it holds the exact cover to that.  The script
+also checks each tracked pair against the exact cover directly: the
+canonical_hash of the tracked pair must equal the one ``dessin`` prints.
 
     PYTHONPATH=src python3 scripts/check_triples.py            # check
     PYTHONPATH=src python3 scripts/check_triples.py --write    # rebuild
@@ -30,6 +32,7 @@ import time
 from pathlib import Path
 
 from dessins import cli
+from dessins.dessin import canonical_hash
 from dessins.galois import Triple, all_triples, full_chain
 from dessins.maps import format_map_expr
 from dessins.monodromy import monodromy
@@ -55,16 +58,19 @@ def _stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def row(t: Triple) -> dict:
-    """The four hashes of one triple."""
+def row(t: Triple) -> tuple[dict, bool]:
+    """The four hashes of one triple, and whether the canonical_hash of the
+    tracked pair equals the one ``dessin`` prints."""
     e = full_chain(t)
     pair = monodromy(e)
-    return {
+    dessin_stdout = _stdout(["dessin", "--triple", _key(t)])
+    hashes = {
         "g0": _sha256(format_cycles(pair.g0)),
         "g1": _sha256(format_cycles(pair.g1)),
-        "dessin_stdout": _sha256(_stdout(["dessin", "--triple", _key(t)])),
+        "dessin_stdout": _sha256(dessin_stdout),
         "render_svg": _sha256(_stdout(["render", "--map", format_map_expr(e), "--out", "-"])),
     }
+    return hashes, canonical_hash(pair) == json.loads(dessin_stdout)["canonical_hash"]
 
 
 def _write(table: dict) -> None:
@@ -83,7 +89,10 @@ def main() -> int:
     got, mismatches = {}, 0
     for t in all_triples():
         key = _key(t)
-        got[key] = row(t)
+        got[key], exact = row(t)
+        if not exact:
+            mismatches += 1
+            print(f"MISMATCH {key}: canonical_hash of the tracked pair and of dessin differ")
         if not args.write and got[key] != expected.get(key):
             mismatches += 1
             print(f"MISMATCH {key}: {got[key]} != {expected.get(key)}")
@@ -92,7 +101,7 @@ def main() -> int:
     if args.write:
         _write(got)
         print(f"wrote {len(got)} triples to {TABLE.name} in {seconds:.1f} s")
-        return 0
+        return 1 if mismatches else 0
     print(f"{len(got)} triples, {mismatches} mismatches, {seconds:.1f} s")
     return 1 if mismatches else 0
 

@@ -14,13 +14,17 @@ the underlying graph.
 Isomorphism is simultaneous conjugacy, decided through a canonical form:
 the least relabeled pair over breadth-first relabelings rooted at every
 point (neighbors visited g0 first, then g1), the first root in point order
-winning a tie.  The relabeled g0 of a root is known position by position
-as its BFS runs, and the root is abandoned at the first position where it
-exceeds the best pair so far; roots that tie run to the end and are
-compared in full.  All roots share one label list and one stamp list, and
-a root's relabeled pair is built only when it completes its BFS.  So the
-search takes O(n^2) time in the worst case, a dessin whose roots all tie
-(one with automorphisms, such as a cyclic pair), and O(n) memory.
+winning a tie.  The search skips roots that cannot win: on a double cover
+labeled d + h*s, as galois.PlanarDessin.cover labels it, the sheet swap
+p -> p + h is an automorphism, read off the pair, so roots past h only
+tie; and roots that g0 fixes beat all others.  The relabeled g0 of a root
+is known position by position as its BFS runs.  A root is abandoned at
+the first position where it exceeds the best root so far and takes over
+at the first where it is smaller; the best root's BFS runs only as far as
+its challengers need, and only roots that tie to the end have their
+relabeled g1 compared.  The search takes O(n) memory and O(n^2) time in
+the worst case, a dessin whose roots all tie (one with automorphisms,
+such as a cyclic pair).
 """
 
 from __future__ import annotations
@@ -41,10 +45,6 @@ from .perms import (
 
 
 class NotConnectedError(ValueError):
-    pass
-
-
-class CleannessRequiredError(ValueError):
     pass
 
 
@@ -154,18 +154,6 @@ def _all_twos(white: CycleType) -> bool:
     return all(length == 2 for length in white.parts)
 
 
-def is_clean(c: Constellation) -> bool:
-    return _all_twos(cycle_type(c.g1))
-
-
-def bouquet_profile(c: Constellation) -> tuple[int, ...]:
-    """Black valencies of a clean constellation, descending; these are the
-    bouquet orders of the graph obtained by shrinking white vertices."""
-    if not is_clean(c):
-        raise CleannessRequiredError("bouquet profile needs a clean constellation")
-    return cycle_type(c.g0).parts
-
-
 @dataclass(frozen=True)
 class DessinInvariants:
     genus: int
@@ -193,6 +181,34 @@ def invariants(c: Constellation) -> DessinInvariants:
 CanonicalKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _sheet_swap_commutes(g: list[int], h: int) -> bool:
+    """Whether p -> p + h (mod 2h) commutes with g, given as the images of
+    1..2h: the swap of the sheets d and d + h of a double cover labeled
+    d + h*s (s = 0, 1) as galois.PlanarDessin.cover labels them."""
+    return g[h:] == [v + h if v <= h else v - h for v in g[:h]]
+
+
+def _advance(g0: list[int], g1: list[int], order: list[int], label: list[int],
+             stamp: list[int], number: int, a: list[int]) -> None:
+    """Dequeue position len(a) of the BFS numbered ``number`` (g0 padded,
+    as in _component_canonical) and append its relabeled g0 to a."""
+    i = len(a)
+    if i == len(order):
+        raise NotConnectedError("relabeling did not reach every point")
+    x = order[i]
+    y = g0[x]
+    if stamp[y] != number:
+        stamp[y] = number
+        order.append(y)
+        label[y] = len(order)
+    a.append(label[y])
+    y = g1[x]
+    if stamp[y] != number:
+        stamp[y] = number
+        order.append(y)
+        label[y] = len(order)
+
+
 def _component_canonical(
     g0: list[int], g1: list[int], points: list[int]
 ) -> tuple[CanonicalKey, dict[int, int]]:
@@ -202,48 +218,83 @@ def _component_canonical(
 
     The BFS from a root visits neighbors g0 before g1.  Label i + 1 is
     dequeued at position i, so the relabeled g0 at position i is known
-    while the BFS runs, and a root is dropped at the first position where
-    it exceeds the best pair so far.  All roots share one label list and
-    one stamp list: a point is labeled in the current BFS when its stamp
-    is the current root's number, so nothing is reset between roots.
+    while the BFS runs.  Three facts cut the roots and the work:
+
+    - When ``points`` is 1..n, n = 2h, and p -> p + h commutes with g0 and
+      g1, that swap is an automorphism: root p + h ties with root p, which
+      comes first, so only roots 1..h are searched.
+    - The relabeled g0 starts with 1 at a root that g0 fixes and with 2
+      elsewhere, so if g0 fixes a root only those roots are searched.
+    - The best root's BFS runs only as far as a challenger has come.  A
+      challenger is dropped at the first position where its relabeled g0
+      exceeds the best's, and takes over, with its BFS as far as it has
+      run, at the first position where it is smaller.  Only a challenger
+      that ties to the end has its relabeled g1 compared with the best's.
+
+    The best and the challenger each keep one label list and one stamp
+    list, swapped on a takeover: a point is labeled in a BFS when its
+    stamp is that root's number, so nothing is reset between roots.
     """
+    n = len(g0)
+    h = n // 2
+    roots = points
+    if (n % 2 == 0 and points == list(range(1, n + 1))
+            and _sheet_swap_commutes(g0, h) and _sheet_swap_commutes(g1, h)):
+        roots = points[:h]
+    roots = [r for r in roots if g0[r - 1] == r] or roots
+    size = len(points)
     g0 = [0, *g0]  # padded, so that g0[x] is the image of x
     g1 = [0, *g1]
-    label = [0] * len(g0)
-    stamp = [0] * len(g0)
-    best_a = best_b = best_order = None
-    for number, root in enumerate(points, 1):
-        label[root] = 1
-        stamp[root] = number
-        order = [root]
-        tied = best_a is not None
-        # order grows while it is walked: it is the BFS queue
-        for i, x in enumerate(order):
+    # the best root's BFS: queue, labels, stamps, number and relabeled g0
+    # up to where it has run; b is its relabeled g1 once computed
+    first = roots[0]
+    order, label, stamp, best, a, b = [first], [0] * (n + 1), [0] * (n + 1), 1, [], None
+    label[first] = stamp[first] = 1
+    # a challenger's labels and stamps
+    clabel, cstamp = [0] * (n + 1), [0] * (n + 1)
+    for number, root in enumerate(roots[1:], 2):
+        clabel[root] = 1
+        cstamp[root] = number
+        corder = [root]
+        # corder grows while it is walked: it is the BFS queue
+        for i, x in enumerate(corder):
             y = g0[x]
-            if stamp[y] != number:
-                stamp[y] = number
-                order.append(y)
-                label[y] = len(order)
-            if tied:
-                ai = label[y]
-                if ai > best_a[i]:
-                    break
-                tied = ai == best_a[i]
+            if cstamp[y] != number:
+                cstamp[y] = number
+                corder.append(y)
+                clabel[y] = len(corder)
+            ai = clabel[y]
+            if i == len(a):
+                _advance(g0, g1, order, label, stamp, best, a)
+            if ai > a[i]:
+                break
             y = g1[x]
-            if stamp[y] != number:
-                stamp[y] = number
-                order.append(y)
-                label[y] = len(order)
+            if cstamp[y] != number:
+                cstamp[y] = number
+                corder.append(y)
+                clabel[y] = len(corder)
+            if ai < a[i]:
+                del a[i:]
+                a.append(ai)
+                order, best, b = corder, number, None
+                label, clabel, stamp, cstamp = clabel, label, cstamp, stamp
+                break
         else:
-            if len(order) != len(points):
+            if len(corder) != size:
                 raise NotConnectedError("relabeling did not reach every point")
-            b = tuple([label[y] for y in map(g1.__getitem__, order)])
-            if tied and b >= best_b:
-                continue
-            best_a = tuple([label[y] for y in map(g0.__getitem__, order)])
-            best_b = b
-            best_order = order
-    return (best_a, best_b), {x: i for i, x in enumerate(best_order, 1)}
+            if b is None:
+                b = tuple([label[y] for y in map(g1.__getitem__, order)])
+            cb = tuple([clabel[y] for y in map(g1.__getitem__, corder)])
+            if cb < b:
+                order, b, best = corder, cb, number
+                label, clabel, stamp, cstamp = clabel, label, cstamp, stamp
+    while len(a) < size:
+        _advance(g0, g1, order, label, stamp, best, a)
+    if len(order) != size:
+        raise NotConnectedError("relabeling did not reach every point")
+    if b is None:
+        b = tuple([label[y] for y in map(g1.__getitem__, order)])
+    return (tuple(a), b), {x: i for i, x in enumerate(order, 1)}
 
 
 def canonical_key(c: Constellation) -> CanonicalKey:

@@ -74,9 +74,6 @@ class CycleType:
     def degree(self) -> int:
         return sum(self.parts)
 
-    def count(self, length: int) -> int:
-        return self.parts.count(length)
-
     def __str__(self) -> str:
         seen: dict[int, int] = {}
         for part in self.parts:

@@ -266,13 +266,6 @@ class LabeledRoots:
     def values(self) -> tuple[complex, ...]:
         return tuple(r.value for r in self.roots)
 
-    @property
-    def min_argument_gap(self) -> float:
-        args = [r.argument for r in self.roots]
-        gaps = [args[(i + 1) % 12] - args[i] for i in range(12)]
-        gaps[-1] += 2 * cmath.pi
-        return min(gaps)
-
     def to_json_list(self) -> list[dict]:
         return [
             {"label": r.label, "re": r.value.real, "im": r.value.imag,

@@ -7,12 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dessins.dessin import (
-    CleannessRequiredError,
     Constellation,
     NotConnectedError,
     _component_canonical,
     _orbits,
-    bouquet_profile,
+    _sheet_swap_commutes,
     canonical_form,
     canonical_hash,
     dessin_json,
@@ -21,7 +20,6 @@ from dessins.dessin import (
     g_infinity,
     genus,
     invariants,
-    is_clean,
     isomorphic,
     passport,
 )
@@ -64,8 +62,7 @@ class TestBasics:
     def test_b11_dessin(self):
         c = Constellation(identity(2), parse_cycles("(1,2)", 2))
         assert genus(c) == 0
-        assert is_clean(c)
-        assert bouquet_profile(c) == (1, 1)
+        assert invariants(c).bouquets == (1, 1)
         assert [len(f) for f in faces(c)] == [2]
 
     def test_genus_needs_connected(self):
@@ -78,9 +75,7 @@ class TestBasics:
 
     def test_bouquet_needs_clean(self):
         c = Constellation(parse_cycles("(1,2,3)", 3), parse_cycles("(1,2,3)", 3))
-        assert not is_clean(c)
-        with pytest.raises(CleannessRequiredError):
-            bouquet_profile(c)
+        assert invariants(c).bouquets is None
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +88,7 @@ class TestPublishedDegree22:
         assert genus(published) == 0
 
     def test_clean_with_bouquets(self, published):
-        assert is_clean(published)
-        assert bouquet_profile(published) == (10, 2) + (1,) * 10
+        assert invariants(published).bouquets == (10, 2) + (1,) * 10
 
     def test_passport(self, published):
         p = passport(published)
@@ -194,6 +188,139 @@ class TestPrunedAgainstAllRoots:
             canonical_form(c)
 
 
+def _double_cover(rng: random.Random, m: int, switched: int) -> tuple[list[int], list[int]]:
+    """A random pair of degree m doubled with labels d + m*s, s = 0, 1, as
+    galois.PlanarDessin.cover labels its cover: (d, s) -> (g d, s), except
+    at ``switched`` darts, each of g0 or g1, where (d, s) -> (g d, s + 1)."""
+    g0, g1 = (list(random_permutation(rng, m).images) for _ in range(2))
+    g0, g1 = [*g0, *(v + m for v in g0)], [*g1, *(v + m for v in g1)]
+    for _ in range(switched):
+        g = rng.choice((g0, g1))
+        d = rng.randrange(m)
+        g[d], g[d + m] = g[d + m], g[d]
+    return g0, g1
+
+
+def _winner(g0: list[int], g1: list[int], points: list[int]) -> int:
+    """The root whose relabeling the all-roots search returns."""
+    _, relabeling = naive_component_canonical(g0, g1, points)
+    return next(x for x, new in relabeling.items() if new == 1)
+
+
+class TestSheetPairsAgainstAllRoots:
+    """The search over one root per sheet pair and over g0-fixed roots
+    returns the key and relabeling of the all-roots one, and the controls
+    where neither cut applies have winners that a cut search would miss."""
+
+    @staticmethod
+    def _agree(g0: list[int], g1: list[int]) -> None:
+        for pts in _orbits(Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))):
+            assert _component_canonical(g0, g1, pts) == naive_component_canonical(g0, g1, pts)
+
+    def test_random_double_covers(self):
+        rng = random.Random(3131)
+        seen = Counter()
+        for _ in range(1500):
+            m = rng.randint(1, 10)
+            g0, g1 = _double_cover(rng, m, rng.randint(0, 3))
+            assert _sheet_swap_commutes(g0, m) and _sheet_swap_commutes(g1, m)
+            self._agree(g0, g1)
+            if len(_orbits(Constellation(Permutation(tuple(g0)), Permutation(tuple(g1))))) == 1:
+                seen["connected"] += 1
+                seen["g0 fixes a point" if any(v == p for p, v in enumerate(g0, 1)) else "no fixed point"] += 1
+        assert seen["connected"] > 300 and seen["g0 fixes a point"] > 100 and seen["no fixed point"] > 100
+
+    @pytest.mark.parametrize("broken", [0, 1])
+    def test_swap_commutes_with_one_generator_only(self, broken):
+        # a cover with one of g0, g1 replaced by a random permutation: the
+        # sheet swap is no automorphism, and some winners lie past n/2
+        rng = random.Random(3132 + broken)
+        late = 0
+        for _ in range(400):
+            m = rng.randint(2, 10)
+            pair = list(_double_cover(rng, m, rng.randint(1, 3)))
+            pair[broken] = list(random_permutation(rng, 2 * m).images)
+            g0, g1 = pair
+            c = Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))
+            if not c.transitive or _sheet_swap_commutes(pair[broken], m):
+                continue
+            assert _sheet_swap_commutes(pair[1 - broken], m)
+            self._agree(g0, g1)
+            late += _winner(g0, g1, list(range(1, 2 * m + 1))) > m
+        assert late > 20
+
+    def test_least_root_in_the_second_half(self):
+        # random connected pairs of even degree with the winner swapped to
+        # the last point; where no other root ties, it still wins there
+        rng = random.Random(3133)
+        late = 0
+        for _ in range(300):
+            n = 2 * rng.randint(1, 8)
+            c = Constellation(random_permutation(rng, n), random_permutation(rng, n))
+            if not c.transitive:
+                continue
+            points = list(range(1, n + 1))
+            r = _winner(list(c.g0.images), list(c.g1.images), points)
+            swap = [n if x == r else r if x == n else x for x in points]
+            g0, g1 = ([swap[g.images[swap[x - 1] - 1] - 1] for x in points] for g in (c.g0, c.g1))
+            self._agree(g0, g1)
+            late += _winner(g0, g1, points) > n // 2
+        assert late > 150
+
+    def test_odd_degree(self):
+        rng = random.Random(3134)
+        late = 0
+        for _ in range(400):
+            n = 2 * rng.randint(1, 8) + 1
+            g0, g1 = (list(random_permutation(rng, n).images) for _ in range(2))
+            self._agree(g0, g1)
+            c = Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))
+            if c.transitive:
+                late += _winner(g0, g1, list(range(1, n + 1))) > n // 2
+        assert late > 20
+
+    def test_g0_without_fixed_points(self):
+        rng = random.Random(3135)
+        checked = 0
+        for _ in range(600):
+            n = rng.randint(2, 16)
+            g0 = Permutation(tuple(list(range(2, n + 1)) + [1]))  # one n-cycle
+            h = random_permutation(rng, n)
+            g0 = list(compose(compose(inverse(h), g0), h).images)
+            g1 = list(random_permutation(rng, n).images)
+            self._agree(g0, g1)
+            checked += 1
+        assert checked == 600
+
+    @pytest.mark.parametrize("n", [6, 7, 12, 528])
+    def test_cyclic_pairs_pin_the_tie_break_and_witness(self, n):
+        # every root ties: the first root wins, and a pair is isomorphic to
+        # itself by the identity
+        c = Permutation(tuple(list(range(2, n + 1)) + [1]))
+        for k in (0, 1, 5):
+            pair = Constellation(c, power(c, k))
+            g0, g1 = list(pair.g0.images), list(pair.g1.images)
+            points = list(range(1, n + 1))
+            got = _component_canonical(g0, g1, points)
+            if n < 100:
+                assert got == naive_component_canonical(g0, g1, points)
+            assert got[1][1] == 1
+            assert isomorphic(pair, pair) == (True, identity(n))
+
+    def test_witness_equals_the_all_roots_one(self, d0):
+        rng = random.Random(3136)
+        c = d0.cover(Triple(2, 7, 11))
+        h = random_permutation(rng, c.degree)
+        other = Constellation(compose(compose(inverse(h), c.g0), h),
+                              compose(compose(inverse(h), c.g1), h))
+        points = list(range(1, c.degree + 1))
+        _, map1 = naive_component_canonical(list(c.g0.images), list(c.g1.images), points)
+        _, map2 = naive_component_canonical(list(other.g0.images), list(other.g1.images), points)
+        inverse2 = {new: old for old, new in map2.items()}
+        expected = Permutation(tuple(inverse2[map1[x]] for x in points))
+        assert isomorphic(c, other) == (True, expected)
+
+
 class TestCanonicalMemory:
     def test_cyclic_pair_of_degree_528(self):
         # every root ties, and the search holds one relabeling at a time
@@ -280,7 +407,7 @@ class TestDoubled:
         assert after.white.parts == (2,) * n
         assert after.faces.parts == tuple(2 * k for k in before.faces.parts)
         assert genus(d) == genus(c)
-        assert is_clean(d)
+        assert invariants(d).bouquets == after.black.parts
         labels = list(range(1, 2 * n + 1))
         rng.shuffle(labels)
         assert isomorphic(doubled(c, labels[:n], labels[n:]), d)[0]
@@ -327,10 +454,10 @@ class TestJson:
                     dessin_json(c)
                 seen["disconnected"] += 1
                 continue
-            clean = is_clean(c)
+            clean = set(cycle_type(c.g1).parts) == {2}
             bouquets = None
             if clean:
-                profile = bouquet_profile(c)
+                profile = cycle_type(c.g0).parts
                 bouquets = [[k, profile.count(k)] for k in sorted(set(profile), reverse=True)]
             assert dessin_json(c) == {
                 "degree": n,

@@ -114,7 +114,7 @@ class TestCycles:
     def test_cycle_type_counts_and_str(self):
         t = cycle_type(parse_cycles("(1,2)(3,4)(5,6,7)", 8))
         assert t.parts == (3, 2, 2, 1)
-        assert t.count(2) == 2
+        assert t.parts.count(2) == 2
         assert str(t) == "[3, 2^2, 1]"
 
     def test_cycle_type_rejects_unsorted(self):

@@ -293,7 +293,8 @@ class TestRootsOfF:
         assert all(0 <= a < 2 * math.pi for a in args)
 
     def test_min_argument_gap(self):
-        gap = roots_of_f().min_argument_gap
+        args = [r.argument for r in roots_of_f().roots]
+        gap = min(b - a for a, b in zip(args, args[1:] + [args[0] + 2 * math.pi]))
         assert gap > 1e-3
         assert gap == pytest.approx(0.333068, abs=1e-5)
 

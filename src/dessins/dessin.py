@@ -14,17 +14,12 @@ the underlying graph.
 Isomorphism is simultaneous conjugacy, decided through a canonical form:
 the least relabeled pair over breadth-first relabelings rooted at every
 point (neighbors visited g0 first, then g1), the first root in point order
-winning a tie.  The search skips roots that cannot win: on a double cover
-labeled d + h*s, as galois.PlanarDessin.cover labels it, the sheet swap
-p -> p + h is an automorphism, read off the pair, so roots past h only
-tie; and roots that g0 fixes beat all others.  The relabeled g0 of a root
-is known position by position as its BFS runs.  A root is abandoned at
-the first position where it exceeds the best root so far and takes over
-at the first where it is smaller; the best root's BFS runs only as far as
-its challengers need, and only roots that tie to the end have their
-relabeled g1 compared.  The search takes O(n) memory and O(n^2) time in
-the worst case, a dessin whose roots all tie (one with automorphisms,
-such as a cyclic pair).
+winning a tie.  The search (_component_canonical) skips roots that cannot
+win: those past n/2 when the sheet swap p -> p + n/2 of a double cover
+commutes with the pair, and those g0 moves when g0 fixes some root.  It
+runs the best root's BFS only as far as a challenger needs, and takes
+O(n) memory and O(n^2) time in the worst case, a dessin whose roots all
+tie (one with automorphisms, such as a cyclic pair).
 """
 
 from __future__ import annotations
@@ -218,7 +213,7 @@ def _component_canonical(
 
     The BFS from a root visits neighbors g0 before g1.  Label i + 1 is
     dequeued at position i, so the relabeled g0 at position i is known
-    while the BFS runs.  Three facts cut the roots and the work:
+    while the BFS runs.  Three facts cut the work:
 
     - When ``points`` is 1..n, n = 2h, and p -> p + h commutes with g0 and
       g1, that swap is an automorphism: root p + h ties with root p, which
@@ -227,13 +222,13 @@ def _component_canonical(
       elsewhere, so if g0 fixes a root only those roots are searched.
     - The best root's BFS runs only as far as a challenger has come.  A
       challenger is dropped at the first position where its relabeled g0
-      exceeds the best's, and takes over, with its BFS as far as it has
-      run, at the first position where it is smaller.  Only a challenger
-      that ties to the end has its relabeled g1 compared with the best's.
+      exceeds the best's and takes over, with its BFS as far as it has
+      run, at the first where it is smaller; only one that ties to the end
+      has its relabeled g1 compared.
 
-    The best and the challenger each keep one label list and one stamp
-    list, swapped on a takeover: a point is labeled in a BFS when its
-    stamp is that root's number, so nothing is reset between roots.
+    The best and the challenger each keep a label list and a stamp list,
+    swapped on a takeover: a point is labeled in a BFS when its stamp is
+    that root's number, so nothing is reset between roots.
     """
     n = len(g0)
     h = n // 2
@@ -246,10 +241,9 @@ def _component_canonical(
     g0 = [0, *g0]  # padded, so that g0[x] is the image of x
     g1 = [0, *g1]
     # the best root's BFS: queue, labels, stamps, number and relabeled g0
-    # up to where it has run; b is its relabeled g1 once computed
-    first = roots[0]
-    order, label, stamp, best, a, b = [first], [0] * (n + 1), [0] * (n + 1), 1, [], None
-    label[first] = stamp[first] = 1
+    # up to where it has run
+    order, label, stamp, best, a = roots[:1], [0] * (n + 1), [0] * (n + 1), 1, []
+    label[roots[0]] = stamp[roots[0]] = 1
     # a challenger's labels and stamps
     clabel, cstamp = [0] * (n + 1), [0] * (n + 1)
     for number, root in enumerate(roots[1:], 2):
@@ -276,24 +270,21 @@ def _component_canonical(
             if ai < a[i]:
                 del a[i:]
                 a.append(ai)
-                order, best, b = corder, number, None
+                order, best = corder, number
                 label, clabel, stamp, cstamp = clabel, label, cstamp, stamp
                 break
         else:
             if len(corder) != size:
                 raise NotConnectedError("relabeling did not reach every point")
-            if b is None:
-                b = tuple([label[y] for y in map(g1.__getitem__, order)])
-            cb = tuple([clabel[y] for y in map(g1.__getitem__, corder)])
-            if cb < b:
-                order, b, best = corder, cb, number
+            cb = [clabel[y] for y in map(g1.__getitem__, corder)]
+            if cb < [label[y] for y in map(g1.__getitem__, order)]:
+                order, best = corder, number
                 label, clabel, stamp, cstamp = clabel, label, cstamp, stamp
     while len(a) < size:
         _advance(g0, g1, order, label, stamp, best, a)
     if len(order) != size:
         raise NotConnectedError("relabeling did not reach every point")
-    if b is None:
-        b = tuple([label[y] for y in map(g1.__getitem__, order)])
+    b = tuple([label[y] for y in map(g1.__getitem__, order)])
     return (tuple(a), b), {x: i for i, x in enumerate(order, 1)}
 
 

@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Mutation battery: each mutant must be caught by the tests named for it.
+
+A mutant is a file under ``src/``, an exact text in it, the text that
+replaces it and the test ids that must fail on the mutated code.  The
+script first runs every named test on the code as it is, where all must
+pass.  Then each mutant runs in a temporary copy of ``src/``, with the
+repository's tests pointed at the copy through PYTHONPATH, and only its
+own tests.  The script exits 1 when a mutant survives (one of its tests
+does not fail), or when its text does not occur exactly once in its
+file, so a refactor updates a mutant and never drops it silently.
+
+    python3 scripts/mutants.py
+
+The list only grows; a mutant is removed only with the code it mutates,
+and CHANGES.md says why.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    text: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+FITS = "tests/test_monodromy.py::TestFits::"
+FIBER = "tests/test_monodromy.py::TestFiber::"
+ADJACENT = "tests/test_dessin.py::TestAdjacentSheetsAgainstAllRoots::"
+MONODROMY = "dessins/monodromy.py"
+
+MUTANTS = (
+    Mutant(
+        "gap guard: a NaN move is not refused", MONODROMY,
+        "    out = moved < near\n",
+        "    out = ~(moved >= near)\n",
+        (FITS + "test_conjugates_closer_than_an_ulp_of_their_real_part[False]",
+         FITS + "test_conjugates_closer_than_an_ulp_of_their_real_part[True]"),
+    ),
+    Mutant(
+        "close pairs: the upper bound searched with side='left'", MONODROMY,
+        'np.searchsorted(re, re + wide, side="right")',
+        'np.searchsorted(re, re + wide, side="left")',
+        (FITS + "test_conjugates_closer_than_an_ulp_of_their_real_part[False]",),
+    ),
+    Mutant(
+        "gap guard: the reach is the move, without the 1 / 0.4", MONODROMY,
+        "_close_pairs(xs, ms * 2.5)",
+        "_close_pairs(xs, ms)",
+        (FITS + "test_real_part_difference_on_the_reach",),
+    ),
+    Mutant(
+        "gap guard: only the first row of a stack is searched", MONODROMY,
+        "zip(out.reshape(-1, n),",
+        "zip(out.reshape(-1, n)[:1],",
+        (FITS + "test_real_part_difference_on_the_reach",),
+    ),
+    Mutant(
+        "close pairs: a point is paired with itself", MONODROMY,
+        "    return i[keep], j[keep]\n",
+        "    return i, j\n",
+        (FITS + "test_long_rows_build_no_gaps",
+         FITS + "test_real_part_difference_on_the_reach"),
+    ),
+    Mutant(
+        "canonical search: the pair swap checked on g0 only", "dessins/dessin.py",
+        "        elif _pair_swap_commutes(g0) and _pair_swap_commutes(g1):\n",
+        "        elif _pair_swap_commutes(g0):\n",
+        (ADJACENT + "test_swap_commutes_with_one_generator_only[1]",),
+    ),
+    Mutant(
+        "canonical search: the even roots of each sheet pair kept", "dessins/dessin.py",
+        "            roots = points[::2]\n",
+        "            roots = points[1::2]\n",
+        (ADJACENT + "test_random_tracked_pairs",
+         ADJACENT + "test_cyclic_pairs_where_every_root_ties[3]"),
+    ),
+    Mutant(
+        "fiber: the collision reach shrunk to match_tol / 2", MONODROMY,
+        "_close_pairs(x, cfg.match_tol)",
+        "_close_pairs(x, cfg.match_tol / 2)",
+        (FIBER + "test_collision_at_the_dense_minimum[b(1,1).b(10,1)]",),
+    ),
+)
+
+
+def outcomes(src: Path, tests: tuple[str, ...]) -> tuple[set[str], set[str], str]:
+    """The ids among ``tests`` that pass and that fail with the package
+    imported from ``src``, and pytest's output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    where = subprocess.run(
+        [sys.executable, "-c", "import dessins; print(dessins.__file__)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if not Path(where).is_relative_to(src):
+        raise RuntimeError(f"dessins imported from {where}, not from {src}")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-o", "addopts=", "-rA", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    ids = {"PASSED": set(), "FAILED": set()}
+    for line in run.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ids and rest:
+            ids[word].add(rest.split()[0])
+    return ids["PASSED"] & set(tests), ids["FAILED"] & set(tests), run.stdout + run.stderr
+
+
+def main() -> int:
+    start = time.perf_counter()
+    problems = 0
+    named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    passed, _, output = outcomes(ROOT / "src", named)
+    if passed != set(named):
+        print(output)
+        print(f"UNMUTATED CODE DOES NOT PASS {sorted(set(named) - passed)}")
+        return 1
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            target = src / mutant.path
+            code = target.read_text(encoding="utf-8")
+            if code.count(mutant.text) != 1:
+                problems += 1
+                print(f"MISSING TEXT {mutant.name}: found {code.count(mutant.text)} times in {mutant.path}")
+                continue
+            target.write_text(code.replace(mutant.text, mutant.replacement), encoding="utf-8")
+            _, failed, output = outcomes(src, mutant.tests)
+        survived = [t for t in mutant.tests if t not in failed]
+        if survived:
+            problems += 1
+            print(output)
+            print(f"SURVIVED {mutant.name}: {', '.join(survived)} did not fail")
+        else:
+            print(f"killed   {mutant.name}")
+    print(f"{len(MUTANTS)} mutants, {problems} problems, {time.perf_counter() - start:.1f}s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -183,6 +183,13 @@ def _sheet_swap_commutes(g: list[int], h: int) -> bool:
     return g[h:] == [v + h if v <= h else v - h for v in g[:h]]
 
 
+def _pair_swap_commutes(g: list[int]) -> bool:
+    """Whether 2i + 1 <-> 2i + 2 commutes with g, given as the images of
+    1..2h: the swap of the sheets of a curve fiber as monodromy.Fiber
+    labels them."""
+    return g[1::2] == [v + 1 if v % 2 else v - 1 for v in g[0::2]]
+
+
 def _advance(g0: list[int], g1: list[int], order: list[int], label: list[int],
              stamp: list[int], number: int, a: list[int]) -> None:
     """Dequeue position len(a) of the BFS numbered ``number`` (g0 padded,
@@ -217,7 +224,9 @@ def _component_canonical(
 
     - When ``points`` is 1..n, n = 2h, and p -> p + h commutes with g0 and
       g1, that swap is an automorphism: root p + h ties with root p, which
-      comes first, so only roots 1..h are searched.
+      comes first, so only roots 1..h are searched.  Failing that, when
+      2i + 1 <-> 2i + 2 commutes with both, as on tracked curve pairs,
+      only the odd roots are searched, for the same reason.
     - The relabeled g0 starts with 1 at a root that g0 fixes and with 2
       elsewhere, so if g0 fixes a root only those roots are searched.
     - The best root's BFS runs only as far as a challenger has come.  A
@@ -233,9 +242,11 @@ def _component_canonical(
     n = len(g0)
     h = n // 2
     roots = points
-    if (n % 2 == 0 and points == list(range(1, n + 1))
-            and _sheet_swap_commutes(g0, h) and _sheet_swap_commutes(g1, h)):
-        roots = points[:h]
+    if n % 2 == 0 and points == list(range(1, n + 1)):
+        if _sheet_swap_commutes(g0, h) and _sheet_swap_commutes(g1, h):
+            roots = points[:h]
+        elif _pair_swap_commutes(g0) and _pair_swap_commutes(g1):
+            roots = points[::2]
     roots = [r for r in roots if g0[r - 1] == r] or roots
     size = len(points)
     g0 = [0, *g0]  # padded, so that g0[x] is the image of x

@@ -29,9 +29,9 @@ whichever is less, but never below the nominal step (see _continue).  The
 gap guard is the disjoint-disk condition of Beltran and Leykin, Certified
 numerical homotopy tracking (2012), with the roots of c among the disks,
 decided afresh on every step: by the dense n x n gaps on rows of up to 64
-points, and on longer rows by a window over the points sorted by real
-part, which runs until the real parts alone keep every point clear (see
-_fits).
+points, and on longer rows by sorted reach, each point compared only with
+the points whose real part lies within its move / 0.4 of its own (see
+_fits).  The fiber's collision check searches its pairs the same way.
 
 The paths of one run are continued together.  Their tracked points are
 stacked as rows of one (P, n) array, one row per path, all starting from
@@ -171,7 +171,10 @@ def fiber(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> Fiber:
     differ only in their last bits is ordered by those bits (labels 6 and 7
     of b(2,2).b(3,5) by 6.9e-18, +im first), so the labels depend on the
     exact bits of shifted_roots.  Raises CollisionError when two fiber
-    points nearly coincide.
+    points, or a point and a root of c, lie within match_tol: only the
+    pairs within match_tol in real part are measured (_close_pairs), and
+    among them is the nearest pair whenever it is that close, so the
+    distance reported is the least of all.
     """
     values: list[complex] = [complex(BASEPOINT)]
     for prim in e.polynomial_part():
@@ -188,8 +191,10 @@ def fiber(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> Fiber:
     if len(out) != maps.degree(e):
         raise TrackingError(
             f"fiber has {len(out)} points, expected {maps.degree(e)}")
-    branch = None if e.proj is None else np.array(e.proj.cubic_roots())
-    dist = float(_gaps(x, branch).min())
+    i, j = _close_pairs(x, cfg.match_tol)  # x is sorted by real part
+    dist = float(np.abs(x[j] - x[i]).min(initial=np.inf))
+    if e.proj is not None:
+        dist = min(dist, float(np.abs(x[:, None] - np.array(e.proj.cubic_roots())).min()))
     if dist <= cfg.match_tol:
         raise CollisionError(f"fiber points within {dist:.3e}")
     # on curves y is a square root of c(x) by construction, so x decides
@@ -218,40 +223,56 @@ def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
 _DENSE_ROW = 64
 
 
+def _close_pairs(xs: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i != j, of a row ``xs`` sorted by real part
+    whose real parts lie within ``reach`` of each other, reach a scalar or
+    one per point i; a NaN reach gives its point no pair.
+
+    The reach is widened by a relative 1e-9 and an absolute 1e-300, so a
+    pair left out differs in real part by more than the widened reach R,
+    exactly, and its rounded |re d| is at least R.  numpy's complex abs is
+    never below the absolute real part and rounding is monotone, so every
+    rounded quantity taken from |d| on is at least the one taken from R.
+    Without the widening a rounded difference of real parts could land
+    exactly on the reach.  Two searchsorted calls bound each point's range
+    and np.repeat expands the ranges into pairs.
+    """
+    re = xs.real
+    wide = reach * (1 + 1e-9) + 1e-300
+    lo = np.searchsorted(re, re - wide, side="left")
+    counts = np.searchsorted(re, re + wide, side="right") - lo
+    i = np.repeat(np.arange(len(xs)), counts)
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    keep = i != j
+    return i[keep], j[keep]
+
+
 def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
     """moved < 0.4 * _gaps(x, branch), elementwise and exactly, without the
     n x n distances of _gaps on long rows.
 
     Rows of at most _DENSE_ROW points take the dense form.  A longer row
-    is sorted by real part and its points are compared with the points k
-    places on, for k = 1, 2, ... up to the first offset at which, at both
-    ends of every pair, 0.4 times the difference of real parts exceeds the
-    point's move.  Pairs at that offset and beyond differ at least as much
-    in real part, and the rounded 0.4 |d| is never below the rounded 0.4
-    |re d| (numpy's complex abs is never below the absolute real part, and
-    rounding is monotone), so none of them can refuse a point; the minimum
-    of the rounded 0.4 d is the rounded 0.4 times the minimum, which the
-    dense form compares.  A window that never closes, as on points stacked
-    on one vertical line, has compared every pair by offset n - 1.
+    is sorted by real part, and point i is compared only with the points
+    whose real part lies within moved_i / 0.4 of its own (_close_pairs):
+    it is refused when moved_i >= 0.4 |d| for one of them.  A point left
+    out has its rounded 0.4 |d| at least the rounded 0.4 times the widened
+    reach, which exceeds moved_i, so it cannot refuse i.  The widening is
+    needed: 0.4 * fl(2.5 m) <= m holds for about two m in three.  The
+    minimum of the rounded 0.4 d is the rounded 0.4 times the minimum,
+    which the dense form compares.  A NaN move finds no pair, and its <
+    against the roots of c, or infinity, refuses it as the dense < does.
+    Stacked rows are searched one at a time.
     """
-    if x.shape[-1] <= _DENSE_ROW:
+    n = x.shape[-1]
+    if n <= _DENSE_ROW:
         return moved < 0.4 * _gaps(x, branch)
-    order = np.argsort(x.real, axis=-1)
-    xs = np.take_along_axis(x, order, axis=-1)
-    ms = np.take_along_axis(moved, order, axis=-1)
-    fits = np.ones(x.shape, dtype=bool)
-    if branch is not None:
-        fits = ms < 0.4 * np.abs(xs[..., :, None] - branch).min(axis=-1)
-    for k in range(1, x.shape[-1]):
-        d = xs[..., k:] - xs[..., :-k]
-        ma, mb = ms[..., :-k], ms[..., k:]
-        if (0.4 * d.real > np.maximum(ma, mb)).all():
-            break
-        near = 0.4 * np.abs(d)
-        fits[..., :-k] &= ma < near
-        fits[..., k:] &= mb < near
-    out = np.empty_like(fits)
-    np.put_along_axis(out, order, fits, axis=-1)
+    near = np.inf if branch is None else 0.4 * np.abs(x[..., :, None] - branch).min(axis=-1)
+    out = moved < near
+    for row, xr, mr in zip(out.reshape(-1, n), x.reshape(-1, n), moved.reshape(-1, n)):
+        order = np.argsort(xr.real)
+        xs, ms = xr[order], mr[order]
+        i, j = _close_pairs(xs, ms * 2.5)
+        row[order[i[ms[i] >= 0.4 * np.abs(xs[j] - xs[i])]]] = False
     return out
 
 

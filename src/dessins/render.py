@@ -271,7 +271,6 @@ def _svg_document(e, blacks, whites, lines):
     scale = (WIDTH - 2 * PADDING) / span_x
     height = span_y * scale + 2 * PADDING
 
-    # complex scalars and arrays alike
     def sx(z):
         return (z.real - minx) * scale + PADDING
 
@@ -295,13 +294,16 @@ def _svg_document(e, blacks, whites, lines):
         strokes = [(SHEET_COLORS[sheet], SHEET_WIDTHS[sheet]) for sheet in (1, 0)]
     else:
         strokes = [(EDGE_COLOR, EDGE_WIDTH)]
-    # every row has as many points; one row is converted at a time
+    # sx and sy of every row, interleaved, scaled in place in one pass by
+    # the operations of sx and sy; every row has as many points
+    coords = np.empty((len(lines), 2 * lines.shape[1]))
+    np.subtract(lines.real, minx, out=coords[:, ::2])
+    np.subtract(maxy, lines.imag, out=coords[:, 1::2])
+    coords *= scale
+    coords += PADDING
     template = "M " + " L ".join(["%.2f,%.2f"] * lines.shape[1])
-    coords = [0.0] * (2 * lines.shape[1])
-    for row in lines:
-        coords[::2] = sx(row).tolist()
-        coords[1::2] = sy(row).tolist()
-        d = template % tuple(coords)
+    for row in coords:
+        d = template % tuple(row.tolist())
         for color, width in strokes:
             out.append(
                 f'<path fill="none" stroke="{color}" stroke-width="{width:.2f}" '

@@ -11,6 +11,7 @@ from dessins.dessin import (
     NotConnectedError,
     _component_canonical,
     _orbits,
+    _pair_swap_commutes,
     _sheet_swap_commutes,
     canonical_form,
     canonical_hash,
@@ -315,6 +316,90 @@ class TestSheetPairsAgainstAllRoots:
         inverse2 = {new: old for old, new in map2.items()}
         expected = Permutation(tuple(inverse2[map1[x]] for x in points))
         assert isomorphic(c, other) == (True, expected)
+
+
+def _tracked_pair(rng: random.Random, m: int, switched: int) -> tuple[list[int], list[int]]:
+    """A random pair of degree m doubled with labels 2d - 1 + s, s = 0, 1,
+    as monodromy.Fiber labels the sheets of a curve fiber: (d, s) ->
+    (g d, s), except at ``switched`` darts, each of g0 or g1, where (d, s)
+    -> (g d, s + 1)."""
+    g0, g1 = (list(random_permutation(rng, m).images) for _ in range(2))
+    g0, g1 = ([2 * v - 1 + s for v in g for s in (0, 1)] for g in (g0, g1))
+    for _ in range(switched):
+        g = rng.choice((g0, g1))
+        d = 2 * rng.randrange(m)
+        g[d], g[d + 1] = g[d + 1], g[d]
+    return g0, g1
+
+
+class TestAdjacentSheetsAgainstAllRoots:
+    """The search over the odd roots of pairs that commute with 2i + 1 <->
+    2i + 2 returns the key and relabeling of the all-roots one, and the
+    controls where the swap commutes with one generator only have winners
+    at even roots, which that search would miss."""
+
+    _agree = staticmethod(TestSheetPairsAgainstAllRoots._agree)
+
+    def test_random_tracked_pairs(self):
+        rng = random.Random(3231)
+        connected = 0
+        for _ in range(1500):
+            m = rng.randint(1, 10)
+            g0, g1 = _tracked_pair(rng, m, rng.randint(0, 3))
+            assert _pair_swap_commutes(g0) and _pair_swap_commutes(g1)
+            self._agree(g0, g1)
+            connected += len(_orbits(Constellation(Permutation(tuple(g0)), Permutation(tuple(g1))))) == 1
+        assert connected > 300
+
+    def test_full_chain_commutes_with_the_adjacent_swap(self, full_pair):
+        g0, g1 = list(full_pair.g0.images), list(full_pair.g1.images)
+        assert _pair_swap_commutes(g0) and _pair_swap_commutes(g1)
+        assert not (_sheet_swap_commutes(g0, 264) and _sheet_swap_commutes(g1, 264))
+
+    @pytest.mark.parametrize("broken", [0, 1])
+    def test_swap_commutes_with_one_generator_only(self, broken):
+        rng = random.Random(3232 + broken)
+        even = 0
+        for _ in range(400):
+            m = rng.randint(2, 10)
+            pair = list(_tracked_pair(rng, m, rng.randint(1, 3)))
+            pair[broken] = list(random_permutation(rng, 2 * m).images)
+            g0, g1 = pair
+            c = Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))
+            if not c.transitive or _pair_swap_commutes(pair[broken]):
+                continue
+            assert _pair_swap_commutes(pair[1 - broken])
+            self._agree(g0, g1)
+            even += _winner(g0, g1, list(range(1, 2 * m + 1))) % 2 == 0
+        assert even > 20
+
+    def test_odd_degree(self):
+        # a tracked pair with one more point, fixed by g0 and swapped into
+        # the last pair by g1: no swap of labels commutes, and every root
+        # is searched
+        rng = random.Random(3234)
+        for _ in range(300):
+            m = rng.randint(1, 8)
+            g0, g1 = _tracked_pair(rng, m, rng.randint(0, 3))
+            n = 2 * m + 1
+            g0.append(n)
+            g1.append(n)
+            g1[n - 1], g1[n - 2] = g1[n - 2], g1[n - 1]
+            self._agree(g0, g1)
+
+    @pytest.mark.parametrize("m", [1, 3, 6, 264])
+    def test_cyclic_pairs_where_every_root_ties(self, m):
+        # g0 steps each sheet on by one pair and g1 swaps the sheets: the
+        # group is abelian and transitive, so every root ties and root 1 wins
+        n = 2 * m
+        g0 = [(p + 2) % n + 1 for p in range(n)]
+        g1 = [p + 2 if p % 2 == 0 else p for p in range(n)]
+        assert _pair_swap_commutes(g0) and _pair_swap_commutes(g1)
+        points = list(range(1, n + 1))
+        got = _component_canonical(g0, g1, points)
+        if m < 100:
+            assert got == naive_component_canonical(g0, g1, points)
+        assert got[1][1] == 1
 
 
 class TestCanonicalMemory:

@@ -23,6 +23,7 @@ from dessins.galois import Triple, full_chain
 from dessins.maps import as_poly, parse_map_expr
 from dessins.monodromy import (
     BASEPOINT,
+    CollisionError,
     Fiber,
     LoopSpec,
     NotBijectiveError,
@@ -192,6 +193,22 @@ class TestFiber:
         assert np.array_equal(y[0::2], pts.y) and np.array_equal(y[1::2], -pts.y)
         assert all((v.imag, v.real) < (-v.imag, -v.real) for v in pts.y.tolist())
         assert sorted(pts.x.tolist(), key=lambda v: (v.real, v.imag)) == pts.x.tolist()
+
+    @pytest.mark.parametrize("text", [
+        "b(1,1).b(10,1)",  # the nearest pair differs in real part alone
+        "b(2,3).b(3,2)",  # in imaginary part alone
+        "f.pi(2,7,11)",  # a root of c is nearer than any pair
+        "b(1,1).b(10,1).f.pi(2,7,11)",
+    ])
+    def test_collision_at_the_dense_minimum(self, text):
+        # a match_tol equal to the least distance of the dense gaps refuses
+        # the fiber with that distance, and one ulp below it passes
+        e = parse_map_expr(text)
+        x = fiber(e).x
+        dist = float(_gaps(x, None if e.proj is None else np.array(e.proj.cubic_roots())).min())
+        with pytest.raises(CollisionError, match=f"within {dist:.3e}$"):
+            fiber(e, TrackingConfig(match_tol=dist))
+        fiber(e, TrackingConfig(match_tol=float(np.nextafter(dist, 0))))
 
 
 class TestSmallMonodromy:
@@ -474,18 +491,21 @@ _C_ROOTS = np.array(parse_map_expr("f.pi(2,7,11)").proj.cubic_roots())
 @st.composite
 def _guard_cases(draw):
     """(x, moved, branch) for the gap guard: one row of n points or 1-3
-    rows stacked as (P, n), n on both sides of the short-row cut, and each
-    move one of a drawn set of kinds: 0.4 of its gap, one ulp either side
-    of it, a random fraction of it or zero; in some cases one move is
-    NaN, which keeps every window open."""
+    rows stacked as (P, n), n on both sides of the short-row cut and up to
+    the 792 points of the longest tracked rows, and each move one of a
+    drawn set of kinds: 0.4 of its gap, one ulp either side of it, a
+    random fraction of it, zero, or near the radius of the clusters; in
+    some cases one move is NaN, which the guard must refuse."""
     shape = draw(st.sampled_from([(), (1,), (2,), (3,)]))
-    n = draw(st.sampled_from([1, 2, 18, 63, 64, 65, 66, 100, 140]))
-    cloud = draw(st.sampled_from(["spread", "strip", "strip", "grid", "line", "duplicates", "roots"]))
+    n = draw(st.sampled_from([1, 2, 18, 63, 64, 65, 66, 100, 132, 140, 264, 528, 792]))
+    cloud = draw(st.sampled_from(
+        ["spread", "strip", "strip", "grid", "line", "duplicates", "roots", "clusters"]))
     curve = draw(st.sampled_from([None, "c", "c and cbar"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-6, 2))
+    radius = 1.0
     x = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
-    if cloud == "strip":  # a long thin cloud, where the window closes soon
+    if cloud == "strip":  # a long thin cloud, where few points are in reach
         x.real = rng.uniform(0, n, size=x.shape)
     elif cloud == "grid":  # a few shared real parts
         x.real = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0], size=x.shape)
@@ -493,6 +513,15 @@ def _guard_cases(draw):
         x.real = np.where(rng.random(x.shape) < 0.8, 0.5 / scale, x.real)
     elif cloud == "duplicates":
         x[..., n // 2:] = x[..., :n - n // 2]
+    elif cloud == "clusters":  # circles of 10-40 points about a few centres,
+        # as the strands near render's vertices; each centre's later circles
+        # are wider by one radius each
+        k, size = draw(st.integers(1, 4)), draw(st.integers(10, 40))
+        radius = 10.0 ** draw(st.integers(-6, -2))
+        circle = np.arange(n) // size
+        centres = rng.normal(size=k) + 1j * rng.normal(size=k)
+        turn = np.arange(n) % size / size + rng.uniform(0, 1e-3, size=x.shape)
+        x = centres[circle % k] + radius * (1 + circle // k) * np.exp(2j * np.pi * turn)
     x *= scale
     roots = _C_ROOTS
     if cloud == "roots":  # points on and near the roots of c and cbar
@@ -500,13 +529,14 @@ def _guard_cases(draw):
         x.flat[:2 * len(near)] = np.concatenate((near, near + 1e-9))[:x.size]
     branch = {None: None, "c": roots, "c and cbar": np.concatenate((roots, roots.conj()))}[curve]
     guard = 0.4 * _gaps(x, branch)
-    kinds = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
+    kinds = sorted(draw(st.sets(st.integers(0, 5), min_size=1)))
     moved = np.choose(rng.choice(kinds, size=x.shape), [
         guard,
         np.nextafter(guard, np.inf),
         np.nextafter(guard, 0),
         guard * rng.random(x.shape) * 2,
         np.zeros(x.shape),
+        radius * scale * rng.uniform(0.5, 2, size=x.shape),
     ])
     if draw(st.integers(0, 3)) == 3:
         moved.flat[rng.integers(x.size)] = np.nan
@@ -514,7 +544,8 @@ def _guard_cases(draw):
 
 
 class TestFits:
-    """The windowed gap guard decides exactly as the dense one, bit for bit."""
+    """The gap guard by sorted reach decides exactly as the dense one, bit
+    for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(_guard_cases())
@@ -535,8 +566,8 @@ class TestFits:
         assert run.returncode == 0, run.stdout + run.stderr
 
     def test_long_rows_build_no_gaps(self, monkeypatch):
-        # past the short-row cut, a window that closes builds no n x n
-        # array: the integers 0..199 in shuffled order, each 1 from the next
+        # past the short-row cut, the search builds no n x n array: the
+        # integers 0..199 in shuffled order, each 1 from the next
         x = np.random.default_rng(5).permutation(200) + 0j
         moved = np.where(np.arange(200) % 2, 0.4, 0.3)
         monkeypatch.setattr(MONODROMY, "_gaps", None)
@@ -545,8 +576,8 @@ class TestFits:
     @pytest.mark.parametrize("curve", [False, True])
     def test_window_on_a_vertical_line_builds_no_gaps(self, monkeypatch, curve):
         # 60 of 100 points share the real part 1/2, as the b(m,m) fibers
-        # do, so the window stays open through offset 59; it runs on to
-        # its close and builds no n x n array
+        # do, so each of them has the other 59 in reach; the search still
+        # builds no n x n array
         rng = np.random.default_rng(29)
         x = rng.permutation(np.concatenate((
             0.5 + 1j * rng.uniform(-3, 3, 60), rng.normal(size=40) + 1j * rng.normal(size=40))))
@@ -558,9 +589,9 @@ class TestFits:
         assert np.array_equal(_fits(x, moved, branch), dense)
 
     def test_window_reaches_the_last_offset(self, monkeypatch):
-        # every real part lies in [0, 1e-12], so the window never closes,
-        # and the one pair that refuses a point is the first and the last
-        # in real-part order, compared only at offset n - 1
+        # every real part lies in [0, 1e-12], so every point has the whole
+        # row in reach, and the one pair that refuses a point is the first
+        # and the last in real-part order
         k = np.arange(1, 69)
         x = np.concatenate(([0j], 1e-14 * k + 1j * (2 + k), [1e-12 + 1e-3j]))
         moved = np.full(70, 1e-6)
@@ -569,6 +600,40 @@ class TestFits:
         assert dense.tolist() == [False] + [True] * 69
         monkeypatch.setattr(MONODROMY, "_gaps", None)
         assert np.array_equal(_fits(x, moved, None), dense)
+
+    def test_real_part_difference_on_the_reach(self, monkeypatch):
+        # pairs whose points differ in real part alone, by the rounded reach
+        # 2.5 m of their move m or one ulp either side of it, 10 apart in
+        # imaginary part; the three shifts are stacked rows.  Only the
+        # widened reach keeps every pair that refuses a point
+        rng = np.random.default_rng(37)
+        m = 10.0 ** rng.uniform(-8, 2, size=40)
+        below, above = (np.nextafter(2.5 * m, direction) for direction in (-np.inf, np.inf))
+        x = np.array([np.concatenate((10j * np.arange(40), d + 10j * np.arange(40)))
+                      for d in (below, 2.5 * m, above)])
+        moved = np.tile(m, (3, 2))
+        dense = moved < 0.4 * _gaps(x, None)
+        assert not dense[0].any() and dense[1:].any() and not dense[1:].all()
+        monkeypatch.setattr(MONODROMY, "_gaps", None)
+        assert np.array_equal(_fits(x, moved, None), dense)
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_conjugates_closer_than_an_ulp_of_their_real_part(self, monkeypatch, curve):
+        # conjugate points share a real part; here their moves, and so the
+        # reach, are below half an ulp of it, so re +- reach rounds back to
+        # re and only the points at re itself, on both sides, are in
+        # reach.  One move is NaN, which must be refused
+        k = np.arange(70)
+        x = np.concatenate((1 + k + 1e-20j * (k + 1), 1 + k - 1e-20j * (k + 1)))
+        moved = np.tile(np.where(k % 2, 0.9e-20, 0.7e-20) * (k + 1), 2)
+        moved[3] = np.nan
+        branch = _C_ROOTS if curve else None
+        dense = moved < 0.4 * _gaps(x, branch)
+        expected = np.tile(k % 2 == 0, 2)
+        expected[3] = False
+        assert np.array_equal(dense, expected)
+        monkeypatch.setattr(MONODROMY, "_gaps", None)
+        assert np.array_equal(_fits(x, moved, branch), dense)
 
 
 @st.composite
@@ -897,11 +962,11 @@ class TestDecisionsUnchanged:
         # them, and the two transport segments another of 7, capped at a
         # quarter of the path; each step's predictor reuses the slope of the
         # step before, and the gap guard runs once per step.  Its rows of
-        # 132 points are past the short-row cut, so the n x n gaps are built
-        # once per fiber only
+        # 132 points are past the short-row cut, and the fibers' collision
+        # checks search close pairs too, so no n x n gaps are built
         assert counts["_composite_and_derivative"] == 101
         assert counts["_fits"] == 26
-        assert counts["_gaps"] == 2
+        assert counts["_gaps"] == 0
         # the stability probe on a curve chain, and the render ladders, whose
         # one-step rungs do not grow: both ladders one stacked run per rung
         counts.clear()
@@ -911,7 +976,7 @@ class TestDecisionsUnchanged:
         render_graph(full_chain(Triple(2, 7, 11)), cfg=cfg)
         assert counts["_composite_and_derivative"] == 193
         assert counts["_fits"] == 48
-        assert counts["_gaps"] == 1
+        assert counts["_gaps"] == 0
 
     def test_fiber_root_solves(self, monkeypatch):
         # one batched solve per polynomial stage, none one value at a time

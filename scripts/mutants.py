@@ -39,7 +39,10 @@ class Mutant(NamedTuple):
 FITS = "tests/test_monodromy.py::TestFits::"
 FIBER = "tests/test_monodromy.py::TestFiber::"
 ADJACENT = "tests/test_dessin.py::TestAdjacentSheetsAgainstAllRoots::"
+LABELS = "tests/test_monodromy.py::TestGoldenLabels::"
+PATH_DATA = "tests/test_render.py::TestPathData::"
 MONODROMY = "dessins/monodromy.py"
+RENDER = "dessins/render.py"
 
 MUTANTS = (
     Mutant(
@@ -92,6 +95,41 @@ MUTANTS = (
         "_close_pairs(x, cfg.match_tol)",
         "_close_pairs(x, cfg.match_tol / 2)",
         (FIBER + "test_collision_at_the_dense_minimum[b(1,1).b(10,1)]",),
+    ),
+    Mutant(
+        "loop permutations: labels 1 and 2 swapped at degree 22", MONODROMY,
+        "    return Permutation(tuple((nearest + 1).tolist()))\n",
+        "    images = (nearest + 1).tolist()\n"
+        "    if len(images) == 22:\n"
+        "        images[:2] = images[1::-1]\n"
+        "    return Permutation(tuple(images))\n",
+        (LABELS + "test_degree_22[b(20,2)]", LABELS + "test_degree_22[b(10,1).b(1,1)]"),
+    ),
+    Mutant(
+        "path data: a product on a half-integer taken as off it", RENDER,
+        "(off < 0.5)",
+        "(off <= 0.5)",
+        (PATH_DATA + "test_next_to_ties",),
+    ),
+    Mutant(
+        "path data: the sign-bit test dropped", RENDER,
+        " & ~np.signbit(coords).any(axis=1)",
+        "",
+        (PATH_DATA + "test_negative_zero_and_small_negatives[-0.0]",
+         PATH_DATA + "test_negative_zero_and_small_negatives[-0.004999]"),
+    ),
+    Mutant(
+        "path data: a leading digit equal to its power of ten blanked", RENDER,
+        "digit *= k >= 10**p",
+        "digit *= k > 10**p",
+        (PATH_DATA + "test_digit_counts",),
+    ),
+    Mutant(
+        "path data: the fallback skipped, every row written by the kernel", RENDER,
+        "    fast = (off < ",
+        "    fast = True | (off < ",
+        (PATH_DATA + "test_one_element_falls_back[nan]",
+         PATH_DATA + "test_one_element_falls_back[0.015]"),
     ),
 )
 

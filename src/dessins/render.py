@@ -22,6 +22,8 @@ Vertices closer than the merge tolerance in the x plane are drawn as a
 single dot carrying the orders of all constituents; taken in order of
 real part, a vertex is compared only with the dots that open within the
 tolerance in real part (see merge_dots).
+The path data of all strands is written in one array pass, byte for byte
+as "%.2f" formats each coordinate (see _path_data).
 """
 
 from __future__ import annotations
@@ -257,10 +259,60 @@ def merge_dots(vertices, tol: float) -> list[list[RenderVertex]]:
     return groups
 
 
+def _path_data(coords: np.ndarray) -> list[str]:
+    """The path data "M x,y L x,y ..." of each row of ``coords`` (x and y
+    interleaved, at least one point), byte for byte as "%.2f" formats
+    each coordinate.
+
+    "%.2f" rounds v correctly to two places, ties to even (D. M. Gay's
+    conversion, which CPython uses), so it prints "%d.%02d" of k // 100
+    and k % 100, k the integer nearest 100 v, whenever 100 v is off the
+    half-integers.  k = rint(fl(100 v)) is that integer when
+    |fl(100 v) - k| < 1/2: rounding is monotone and the half-integers
+    below 2^52 are floats, so fl(100 v) lies strictly between k - 1/2 and
+    k + 1/2 only if 100 v does.  A row takes this path when every
+    coordinate passes that test, has k < 4e9, which keeps k in uint32,
+    and no sign bit, as -0.0 and (-0.005, 0) print "-0.00".  Its digits
+    are written into cells of width + 4 bytes, leading zeros past "0.00"
+    left NUL, and the NULs are dropped in one pass.  Every other row (a
+    product on a half-integer, as from 0.125 or 0.015, a NaN, an
+    infinity, a sign bit or k past the cap) is formatted by "%.2f" itself.
+    """
+    count = coords.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = coords * 100
+        k = np.rint(scaled)
+        off = np.abs(scaled - k).max(axis=1)
+        fast = (off < 0.5) & (k.max(axis=1) < 4e9) & ~np.signbit(coords).any(axis=1)
+    k = k[fast].astype(np.uint32)
+    width = max(3, len(str(int(k.max(initial=0)))))
+    # a row's cells: "\nM " before its first x, " L " before every other
+    # x, "," before each y, then the digits of k around the "."
+    cell = np.zeros((count, width + 4), np.uint8)
+    cell[::2, :3] = np.frombuffer(b" L ", np.uint8)
+    cell[0, :3] = np.frombuffer(b"\nM ", np.uint8)
+    cell[1::2, 0] = ord(",")
+    cell[:, width + 1] = ord(".")
+    cells = np.tile(cell, (len(k), 1, 1))
+    q = k
+    for p in range(width):  # the digit of 10^p
+        rest = q // 10
+        digit = (q - 10 * rest).astype(np.uint8) + ord("0")
+        if p >= 3:
+            digit *= k >= 10**p
+        cells[:, :, width + 3 - p - (p >= 2)] = digit
+        q = rest
+    written = iter(cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[1:])
+    template = "M " + " L ".join(["%.2f,%.2f"] * (count // 2))
+    return [next(written) if ok else template % tuple(row.tolist())
+            for ok, row in zip(fast.tolist(), coords)]
+
+
 def _svg_document(e, blacks, whites, lines):
     """The SVG of the strands ``lines`` (one row of x-plane points per
     tracked point, in label order; see monodromy.Fiber) on their sheets,
-    and of the merged vertices."""
+    and of the merged vertices.  The path data of every strand is written
+    at once by _path_data."""
     points = np.concatenate((lines.ravel(), [v.x for v in blacks + whites]))
     minx = float(points.real.min())
     maxx = float(points.real.max())
@@ -301,9 +353,7 @@ def _svg_document(e, blacks, whites, lines):
     np.subtract(maxy, lines.imag, out=coords[:, 1::2])
     coords *= scale
     coords += PADDING
-    template = "M " + " L ".join(["%.2f,%.2f"] * lines.shape[1])
-    for row in coords:
-        d = template % tuple(row.tolist())
+    for d in _path_data(coords):
         for color, width in strokes:
             out.append(
                 f'<path fill="none" stroke="{color}" stroke-width="{width:.2f}" '

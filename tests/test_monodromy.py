@@ -344,6 +344,20 @@ GOLDEN_SHA256 = {
         "8878d11805d60b884653098a66736ef404330aab8fc23249c389c250543ae2e0",
     ),
 }
+# format_cycles(g0), format_cycles(g1) of chains whose tracked pair has
+# degree 22, the size of the published psi pair, as commit 4072d8f
+# computed them: b(1,1).b(10,1) and its kin track b(10,1) and double it,
+# so only these track loop permutations of degree 22.
+DEGREE_22_SHA256 = {
+    "b(20,2)": (
+        "d1323a3a51bba6459207c40bba3837f2ca47c156fd1c0728edead2796bbdf373",
+        "24b34d24a67e01a12a498a870eb6ca02268f6755288bac0c202ee027c5efffdd",
+    ),
+    "b(10,1).b(1,1)": (
+        "a15f259395e4b18b56f1f56d3c87325a4b910cd9d9e7252ce4df9de76f1e96dc",
+        "1110ac8e15f12f3277fba076f2d259b40d6a7383d01b636814579fe4f75633af",
+    ),
+}
 DOUBLED_PSI = (
     "(1)(2,3)(4)(5)(6,8)(7,9)(10,11,19,21,29,35,30,22,20,12)(13)(14)(15,17)"
     "(16,18)(23,25)(24,26)(27)(28)(31,33)(32,34)(36)(37)(38,39)(40,41)(42,43)(44)",
@@ -383,6 +397,12 @@ class TestGoldenLabels:
         pair = monodromy(parse_map_expr("b(10,1).f.pi(3,5,8)"), cfg)
         got = tuple(_sha256(format_cycles(g)) for g in pair)
         assert got == GOLDEN_SHA256["b(10,1).f.pi(3,5,8)"]
+
+    @pytest.mark.parametrize("text", DEGREE_22_SHA256)
+    def test_degree_22(self, cfg, text):
+        pair = monodromy(parse_map_expr(text), cfg)
+        got = tuple(_sha256(format_cycles(g)) for g in pair)
+        assert got == DEGREE_22_SHA256[text]
 
     def test_twice_doubled(self, cfg):
         pair = monodromy(parse_map_expr("b(1,1).b(1,1).b(10,1)"), cfg)

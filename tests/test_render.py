@@ -1,15 +1,21 @@
 import hashlib
 import importlib
 import math
+import os
+import subprocess
+import sys
+import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter, defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_merge import naive_merge_dots
+from test_monodromy import _cpu_dispatch
 
 from dessins.maps import BelyiMN, parse_map_expr
 from dessins.monodromy import NotBelyiError, monodromy
@@ -21,6 +27,7 @@ from dessins.render import (
     RenderError,
     RenderVertex,
     _attach,
+    _path_data,
     _solve_regular,
     merge_dots,
     render_graph,
@@ -175,6 +182,108 @@ class TestAttach:
         with pytest.raises(RenderError) as raised:
             _attach(np.array([0.1 + 0j, 0.9 + 0j]), vs, "white")
         assert str(raised.value) == message
+
+
+def _formatted(coords):
+    """The path data of each row of ``coords`` by "%.2f", number by number."""
+    template = "M " + " L ".join(["%.2f,%.2f"] * (coords.shape[1] // 2))
+    return [template % tuple(row.tolist()) for row in coords]
+
+
+@st.composite
+def _coordinate_rows(draw):
+    """1-4 rows of 1-6 points, each coordinate +-m 10^e with m in [1, 10)
+    and e in [-3, 9]: integer parts of 1 to 10 digits, past the cap from
+    4e7 on, and one row in four negative somewhere."""
+    rows, count = draw(st.integers(1, 4)), 2 * draw(st.integers(1, 6))
+    value = st.builds(lambda sign, m, e: sign * m * 10.0**e,
+                      st.sampled_from([1.0, 1.0, 1.0, -1.0]),
+                      st.floats(1, 10, exclude_max=True), st.integers(-3, 9))
+    values = draw(st.lists(value, min_size=rows * count, max_size=rows * count))
+    return np.array(values).reshape(rows, count)
+
+
+class TestPathData:
+    """_path_data writes every row as "%.2f" does, and raises no
+    RuntimeWarning on any float array."""
+
+    @staticmethod
+    def _check(coords):
+        coords = np.array(coords, dtype=float)
+        if coords.ndim == 1:
+            coords = coords.reshape(-1, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _path_data(coords)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        for row, (a, b) in enumerate(zip(got, _formatted(coords), strict=True)):
+            assert a == b, f"row {row}"
+
+    @given(_coordinate_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_format(self, coords):
+        self._check(coords)
+
+    def test_page_coordinates(self):
+        # the shape of the full chain's strands: 264 rows of 100 points
+        self._check(np.random.default_rng(34).uniform(28, 1200, (264, 200)))
+
+    def test_binary_ties(self):
+        # 100 v = j / 8 * 100 is a half-integer exactly for odd j: ties to even
+        self._check([j / 8 for j in range(8001)] + [28.125, 0.375, 1e6 + 0.125, 3e7 + 0.625, 0.0])
+
+    def test_next_to_ties(self):
+        # the float nearest (k + 1/2) / 100, whose fl(100 v) often lands on
+        # k + 1/2 while 100 v does not (0.015 prints "0.01"), and four
+        # floats on either side of it
+        values = []
+        for k in [*range(0, 10**6, 997), 399999998, 3999999998]:
+            tie = (k + 0.5) / 100
+            values.append(tie)
+            for toward in (-np.inf, np.inf):
+                v = tie
+                for _ in range(4):
+                    v = np.nextafter(v, toward)
+                    values.append(v)
+        self._check(values)
+
+    @pytest.mark.parametrize("v", [-0.0, -5e-324, -1e-300, -0.001, -0.004999, -0.005, -0.0051, -1.5])
+    def test_negative_zero_and_small_negatives(self, v):
+        self._check([[v, 1.0], [1.0, v], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("v", [
+        np.nan, np.inf, -np.inf, 4e7, 39999999.995, 1e9, 1e300, 1.7976931348623157e308])
+    def test_nonfinite_and_past_the_cap(self, v):
+        self._check([[v, 1.0], [1.0, v], [1.0, 2.0]])
+
+    def test_below_the_cap(self):
+        self._check([39999999.99, 39999999.994, 12345678.9, 5e-324, 0.0, 1e-3])
+
+    def test_digit_counts(self):
+        # each power of ten and the value just below it, where the count of
+        # integer digits changes
+        self._check([w for j in range(-2, 8) for w in (10.0**j, 10.0**j - 0.01)])
+
+    def test_one_point_rows(self):
+        self._check(np.array([[28.0, 812.5], [0.0, -0.0], [np.nan, 3.14159], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("v", [np.nan, -0.0, 5e7, 0.015, 0.125])
+    def test_one_element_falls_back(self, v):
+        coords = np.random.default_rng(7).uniform(28, 812, (3, 8))
+        coords[1, 5] = v
+        self._check(coords)
+
+    def test_without_simd_dispatch(self):
+        # numpy's rint, abs and integer division run other kernels with its
+        # run-time SIMD targets turned off; the battery holds there too
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(_cpu_dispatch()))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{Path(__file__).resolve()}::TestPathData", "-k", "not without_simd_dispatch"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout + run.stderr
 
 
 class TestSmallRenders:

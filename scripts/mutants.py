@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 FITS = "tests/test_monodromy.py::TestFits::"
 FIBER = "tests/test_monodromy.py::TestFiber::"
+MATCH = "tests/test_monodromy.py::TestMatch::"
 ADJACENT = "tests/test_dessin.py::TestAdjacentSheetsAgainstAllRoots::"
 LABELS = "tests/test_monodromy.py::TestGoldenLabels::"
 PATH_DATA = "tests/test_render.py::TestPathData::"
@@ -54,8 +55,8 @@ MUTANTS = (
     ),
     Mutant(
         "close pairs: the upper bound searched with side='left'", MONODROMY,
-        'np.searchsorted(re, re + wide, side="right")',
-        'np.searchsorted(re, re + wide, side="left")',
+        'np.searchsorted(re, queries + wide, side="right")',
+        'np.searchsorted(re, queries + wide, side="left")',
         (FITS + "test_conjugates_closer_than_an_ulp_of_their_real_part[False]",),
     ),
     Mutant(
@@ -65,9 +66,9 @@ MUTANTS = (
         (FITS + "test_real_part_difference_on_the_reach",),
     ),
     Mutant(
-        "gap guard: only the first row of a stack is searched", MONODROMY,
-        "zip(out.reshape(-1, n),",
-        "zip(out.reshape(-1, n)[:1],",
+        "gap guard: the same-row filter dropped", MONODROMY,
+        "(row[i] == row[j]) & ",
+        "",
         (FITS + "test_real_part_difference_on_the_reach",),
     ),
     Mutant(
@@ -104,6 +105,25 @@ MUTANTS = (
         "        images[:2] = images[1::-1]\n"
         "    return Permutation(tuple(images))\n",
         (LABELS + "test_degree_22[b(20,2)]", LABELS + "test_degree_22[b(10,1).b(1,1)]"),
+    ),
+    Mutant(
+        "end match: the reach without separation_factor", MONODROMY,
+        "reach = cfg.separation_factor * max(cfg.match_tol, 1e-300)",
+        "reach = max(cfg.match_tol, 1e-300)",
+        (MATCH + "test_runner_up_on_the_reach[False]", MATCH + "test_runner_up_on_the_reach[True]"),
+    ),
+    Mutant(
+        "end match: the dense fallback skipped for an end point with no candidate", MONODROMY,
+        "    if not counts.all():\n        return None\n",
+        "",
+        (MATCH + "test_no_start_point_in_reach[0]", MATCH + "test_no_start_point_in_reach[30]",
+         MATCH + "test_no_start_point_in_reach[-1]"),
+    ),
+    Mutant(
+        "root finder: the Horner skip taken on a zero real part", "dessins/polynomials.py",
+        "                if c:\n                    pv += c\n",
+        "                if c.real:\n                    pv += c\n",
+        ("tests/test_polynomials.py::TestSparseHorner::test_chains[imaginary]",),
     ),
     Mutant(
         "path data: a product on a half-integer taken as off it", RENDER,

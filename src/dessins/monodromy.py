@@ -29,9 +29,12 @@ whichever is less, but never below the nominal step (see _continue).  The
 gap guard is the disjoint-disk condition of Beltran and Leykin, Certified
 numerical homotopy tracking (2012), with the roots of c among the disks,
 decided afresh on every step: by the dense n x n gaps on rows of up to 64
-points, and on longer rows by sorted reach, each point compared only with
-the points whose real part lies within its move / 0.4 of its own (see
-_fits).  The fiber's collision check searches its pairs the same way.
+points, and on longer rows by one sorted-reach search over all stacked
+rows, each point compared only with the points of its own row whose real
+part lies within its move / 0.4 of its own (see _fits).  The fiber's
+collision check searches its pairs the same way, and so does the end
+match, each end point ranked against the start points within
+separation_factor * match_tol in real part (see _match).
 
 The paths of one run are continued together.  Their tracked points are
 stacked as rows of one (P, n) array, one row per path, all starting from
@@ -223,26 +226,35 @@ def _gaps(x: np.ndarray, branch: np.ndarray | None) -> np.ndarray:
 _DENSE_ROW = 64
 
 
+def _in_reach(re: np.ndarray, queries: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, counts): every pair of a query i and a position j of the
+    ascending ``re`` whose values lie within ``reach`` of each other, the
+    pairs of each query in turn, and the number of pairs of each query;
+    reach is a scalar or one per query, and a NaN reach gives its query
+    no pair.
+
+    The reach is widened by a relative 1e-9 and an absolute 1e-300, so a
+    pair left out differs by more than the widened reach R, exactly, and
+    its rounded difference is at least R.  numpy's complex abs is never
+    below the absolute real part and rounding is monotone, so every
+    rounded quantity taken from |d| on is at least the one taken from R.
+    Without the widening a rounded difference of real parts could land
+    exactly on the reach.  Two searchsorted calls bound each query's range
+    and np.repeat expands the ranges into pairs.
+    """
+    wide = reach * (1 + 1e-9) + 1e-300
+    lo = np.searchsorted(re, queries - wide, side="left")
+    counts = np.searchsorted(re, queries + wide, side="right") - lo
+    i = np.repeat(np.arange(len(queries)), counts)
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return i, j, counts
+
+
 def _close_pairs(xs: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs (i, j), i != j, of a row ``xs`` sorted by real part
     whose real parts lie within ``reach`` of each other, reach a scalar or
-    one per point i; a NaN reach gives its point no pair.
-
-    The reach is widened by a relative 1e-9 and an absolute 1e-300, so a
-    pair left out differs in real part by more than the widened reach R,
-    exactly, and its rounded |re d| is at least R.  numpy's complex abs is
-    never below the absolute real part and rounding is monotone, so every
-    rounded quantity taken from |d| on is at least the one taken from R.
-    Without the widening a rounded difference of real parts could land
-    exactly on the reach.  Two searchsorted calls bound each point's range
-    and np.repeat expands the ranges into pairs.
-    """
-    re = xs.real
-    wide = reach * (1 + 1e-9) + 1e-300
-    lo = np.searchsorted(re, re - wide, side="left")
-    counts = np.searchsorted(re, re + wide, side="right") - lo
-    i = np.repeat(np.arange(len(xs)), counts)
-    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    one per point i (see _in_reach)."""
+    i, j, _ = _in_reach(xs.real, xs.real, reach)
     keep = i != j
     return i[keep], j[keep]
 
@@ -251,28 +263,31 @@ def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.nda
     """moved < 0.4 * _gaps(x, branch), elementwise and exactly, without the
     n x n distances of _gaps on long rows.
 
-    Rows of at most _DENSE_ROW points take the dense form.  A longer row
-    is sorted by real part, and point i is compared only with the points
-    whose real part lies within moved_i / 0.4 of its own (_close_pairs):
-    it is refused when moved_i >= 0.4 |d| for one of them.  A point left
-    out has its rounded 0.4 |d| at least the rounded 0.4 times the widened
-    reach, which exceeds moved_i, so it cannot refuse i.  The widening is
-    needed: 0.4 * fl(2.5 m) <= m holds for about two m in three.  The
-    minimum of the rounded 0.4 d is the rounded 0.4 times the minimum,
-    which the dense form compares.  A NaN move finds no pair, and its <
-    against the roots of c, or infinity, refuses it as the dense < does.
-    Stacked rows are searched one at a time.
+    Rows of at most _DENSE_ROW points take the dense form.  Longer rows
+    are flattened and sorted by real part together, and point i is
+    compared only with the points whose real part lies within moved_i /
+    0.4 of its own (_close_pairs) and that sit in its own row: it is
+    refused when moved_i >= 0.4 |d| for one of them.  A point of its row
+    left out has its rounded 0.4 |d| at least the rounded 0.4 times the
+    widened reach, which exceeds moved_i, so it cannot refuse i.  The
+    widening is needed: 0.4 * fl(2.5 m) <= m holds for about two m in
+    three.  The minimum of the rounded 0.4 d is the rounded 0.4 times the
+    minimum, which the dense form compares.  A NaN move finds no pair, and
+    its < against the roots of c, or infinity, refuses it as the dense <
+    does.  The distances to the roots are the dense ones, reduced over a
+    leading axis of roots: one elementwise minimum per root, in one call.
     """
     n = x.shape[-1]
     if n <= _DENSE_ROW:
         return moved < 0.4 * _gaps(x, branch)
-    near = np.inf if branch is None else 0.4 * np.abs(x[..., :, None] - branch).min(axis=-1)
+    near = np.inf if branch is None else 0.4 * np.abs(x - branch.reshape(-1, *[1] * x.ndim)).min(axis=0)
     out = moved < near
-    for row, xr, mr in zip(out.reshape(-1, n), x.reshape(-1, n), moved.reshape(-1, n)):
-        order = np.argsort(xr.real)
-        xs, ms = xr[order], mr[order]
-        i, j = _close_pairs(xs, ms * 2.5)
-        row[order[i[ms[i] >= 0.4 * np.abs(xs[j] - xs[i])]]] = False
+    order = np.argsort(x.real, axis=None)
+    xs, ms = x.ravel()[order], moved.ravel()[order]
+    i, j = _close_pairs(xs, ms * 2.5)
+    row = order // n
+    refused = (row[i] == row[j]) & (ms[i] >= 0.4 * np.abs(xs[j] - xs[i]))
+    out.reshape(-1)[order[i[refused]]] = False
     return out
 
 
@@ -298,9 +313,12 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     c, so for x' on the segment from x to x_new each factor (x' - r) /
     (x - r) of c(x') / c(x) lies in the disc of radius 0.4 about 1, the
     product has argument below 3 asin 0.4 < 1.24 < pi, and its principal
-    root moves continuously from 1.  c is maps.cubic, as in curve_rhs.  y
-    never moves x and the guard counts the roots of c either way, so with
-    y None, as on render's strands, x is the same bit for bit.
+    root moves continuously from 1.  c is maps.cubic, as in curve_rhs,
+    taken at x_new and x, and for every cubic (see below), in one pass over
+    np.stack((x_new, x)) with a leading axis of cubics: the same
+    elementwise operations, so the same bits.  y never moves x and the
+    guard counts the roots of c either way, so with y None, as on render's
+    strands, x is the same bit for bit.
 
     With ``mirrored`` (the half loops, see _loop_permutations), y on curves
     holds two blocks of n columns: y, carried on c as above, then a square
@@ -317,11 +335,11 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     x has not moved, and F' at the last Newton iterate after an acceptance.
     """
     stages = e.polynomial_part()
-    cubics = []
+    branch = None
     if e.proj is not None:
         roots = np.array(e.proj.cubic_roots())
-        cubics = [roots, roots.conj()] if mirrored else [roots]
-    branch = np.concatenate(cubics) if cubics else None
+        cubics = np.stack((roots, roots.conj()) if mirrored else (roots,), axis=1)  # (3, K)
+        branch = cubics.T.ravel()
 
     def step(x, y, slope, origin, target, tol):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -341,8 +359,8 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
         if not fits.all():
             return None, ~fits.all(axis=-1), slope
         if y is not None:
-            ratio = [maps.cubic(x_new, roots) / maps.cubic(x, roots) for roots in cubics]
-            y = y * np.sqrt(np.concatenate(ratio, axis=-1))
+            c = maps.cubic(np.stack((x_new, x)), cubics.reshape(3, -1, *[1] * (x.ndim + 1)))
+            y = y * np.sqrt(np.concatenate(c[:, 0] / c[:, 1], axis=-1))
         return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), slope_new
 
     return step
@@ -418,8 +436,57 @@ def _match(end: Fiber, start: Fiber, cfg: TrackingConfig) -> np.ndarray:
     farther, and NotBijectiveError when two end points, either sheet of a
     pair, land on one start point.  Only the two nearest start points are
     ranked; when they tie, either is the nearest and the ratio 1 raises.
+
+    Past _DENSE_ROW start points, each end point is first ranked only
+    against the start points whose real part lies within separation_factor
+    times max(match_tol, 1e-300), the ratio's floor, of its own
+    (_in_reach).  A start point left out is farther than that, so when
+    every end point has a unique nearest within match_tol and a runner-up
+    in reach, if any, at least separation_factor times farther, the dense
+    metric ranks the same nearest and passes too.  On a tie, a failed
+    bound or an end point with nothing in reach, the dense metric decides
+    and raises what it raises.
     """
     start_x, start_y = start.unfold()
+    nearest = _nearest_in_reach(end, start_x, start_y, cfg) if len(start_x) > _DENSE_ROW else None
+    if nearest is None:
+        nearest = _nearest(end, start_x, start_y, cfg)
+    if end.y is not None:
+        nearest = np.column_stack((nearest, nearest ^ 1)).ravel()
+    if np.bincount(nearest).max() > 1:
+        raise NotBijectiveError("two trajectories matched one fiber point")
+    return nearest
+
+
+def _nearest_in_reach(end: Fiber, start_x: np.ndarray, start_y: np.ndarray | None, cfg: TrackingConfig):
+    """The nearest start point of each tracked end point by sorted reach,
+    or None when the reach does not decide (see _match)."""
+    order = np.argsort(start_x.real)
+    reach = cfg.separation_factor * max(cfg.match_tol, 1e-300)
+    i, j, counts = _in_reach(start_x.real[order], end.x.real, reach)
+    if not counts.all():
+        return None
+    j = order[j]
+    d = np.abs(end.x[i] - start_x[j])
+    if end.y is not None:
+        d = d + np.abs(end.y[i] - start_y[j])
+    first = np.cumsum(counts) - counts
+    best = np.minimum.reduceat(d, first)
+    if not np.all(best <= cfg.match_tol):
+        return None
+    is_best = d == best[i]
+    if not np.all(np.add.reduceat(is_best, first) == 1):
+        return None
+    d[is_best] = np.inf
+    second = np.minimum.reduceat(d, first)
+    with np.errstate(over="ignore"):  # a ratio past the largest float passes
+        ratio = np.where(best > 0, second / np.maximum(best, 1e-300), np.inf)
+    return j[is_best] if np.all(ratio >= cfg.separation_factor) else None
+
+
+def _nearest(end: Fiber, start_x: np.ndarray, start_y: np.ndarray | None, cfg: TrackingConfig):
+    """The nearest start point of each tracked end point by the dense
+    metric, or the error of _match."""
     d = np.abs(end.x[:, None] - start_x[None, :])
     if end.y is not None:
         d = d + np.abs(end.y[:, None] - start_y[None, :])
@@ -437,10 +504,6 @@ def _match(end: Fiber, start: Fiber, cfg: TrackingConfig) -> np.ndarray:
         raise MatchAmbiguousError(
             f"match separation ratio {ratio.min():.2f} below "
             f"{cfg.separation_factor}")
-    if end.y is not None:
-        nearest = np.column_stack((nearest, nearest ^ 1)).ravel()
-    if np.bincount(nearest).max() > 1:
-        raise NotBijectiveError("two trajectories matched one fiber point")
     return nearest
 
 

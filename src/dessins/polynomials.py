@@ -131,6 +131,16 @@ def _aberth(
     The monic coefficients are divided in Python complex arithmetic and
     their moduli taken by numpy's scalar abs, as a one-row call does: numpy
     arrays round both differently.
+
+    Horner's rule starts from the lead term and adds only the nonzero
+    coefficients, the constant column last.  At a finite iterate, dense
+    Horner, from zero and adding every coefficient, gives the same bits
+    but for the signs of zeros: an added zero can only change the sign of
+    a zero, and the sign of a zero never changes a nonzero sum, product or
+    quotient, nor whether a value is finite.  At a non-finite iterate both
+    are non-finite, and its correction w is 0 either way.  The iterates
+    have no -0 part (the start circle has none, and z - w gives -0 only
+    from -0), so z - w, and with it every root, is the same bit for bit.
     """
     import numpy as np
 
@@ -146,7 +156,7 @@ def _aberth(
     radius = np.array([1.0 + max(abs(c) for c in row[:-1]) for row in monic])
     z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
 
-    deriv = np.arange(1, n + 1) * monic[0, 1:]
+    deriv = (np.arange(1, n + 1) * monic[0, 1:]).tolist()
     diagonal = np.arange(n)
     active = np.arange(len(heads))
     converged = np.zeros(len(heads), dtype=bool)
@@ -158,19 +168,27 @@ def _aberth(
             # the (K, n, n) array first: a degree too large for it fails fast
             diff = za[:, :, None] - za[:, None, :]
             diff[:, diagonal, diagonal] = np.inf
-            repulse = np.sum(1.0 / diff, axis=2)
-            pv = np.zeros_like(za)
-            for c in monic[active, ::-1].T:
-                pv = pv * za + c[:, None]
-            dv = np.zeros_like(za)
-            for c in deriv[::-1]:
-                dv = dv * za + c
+            repulse = (1.0 / diff).sum(axis=2)
+            pv = np.empty_like(za)
+            pv.fill(tail[-1])
+            for c in reversed(tail[:-1]):
+                pv *= za
+                if c:
+                    pv += c
+            pv *= za
+            pv += monic[active, :1]
+            dv = np.empty_like(za)
+            dv.fill(deriv[-1])
+            for c in reversed(deriv[:-1]):
+                dv *= za
+                if c:
+                    dv += c
             newton = np.where(dv != 0, pv / dv, 0.25 + 0.25j)
             w = newton / (1.0 - newton * repulse)
             w = np.where(np.isfinite(w), w, 0.0)
             za = za - w
             z[active] = za
-            done = np.all(np.abs(w) <= ITERATION_TOL * np.maximum(1.0, np.abs(za)), axis=1)
+            done = (np.abs(w) <= ITERATION_TOL * np.maximum(1.0, np.abs(za))).all(axis=1)
             converged[active[done]] = True
             active = active[~done]
             if not active.size:

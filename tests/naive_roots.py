@@ -4,10 +4,14 @@ This is the package's ``roots`` before independent rows were solved in
 one batched iteration, kept verbatim so that the batched solve can be
 checked against it bit for bit, errors included.  Its residuals are taken
 by dense Horner, which the package's sparse Horner equalled bit for bit
-up to the sign of a zero.
+up to the sign of a zero.  Beside it, ``dense_aberth`` is the batched
+iteration as it was while its Horner loops still added every zero
+coefficient.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 from naive_horner import dense_eval_many
@@ -78,3 +82,75 @@ def naive_roots(
     if diff.min() < CLUSTER_TOL:
         raise ClusteredRootsError(f"root separation {diff.min():.3e}")
     return tuple(sorted((complex(v) for v in z), key=lambda v: (v.real, v.imag)))
+
+
+def dense_aberth(
+    poly: ComplexPoly, heads: Sequence[complex], angular_offset: float = ANGULAR_OFFSET,
+) -> list[tuple[complex, ...]]:
+    """polynomials._aberth with dense Horner in the iteration: every
+    coefficient, zeros included, multiplied in and added from zero.  The
+    residuals after it are taken as the package takes them."""
+    n = poly.degree
+    if n < 1:
+        raise ValueError("need degree >= 1")
+    lead = poly.coeffs[-1]
+    if n == 1 or not heads:
+        return [(-h / lead,) for h in heads]
+
+    tail = [c / lead for c in poly.coeffs[1:]]
+    monic = np.array([[h / lead] + tail for h in heads], dtype=complex)
+    radius = np.array([1.0 + max(abs(c) for c in row[:-1]) for row in monic])
+    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
+
+    deriv = np.arange(1, n + 1) * monic[0, 1:]
+    diagonal = np.arange(n)
+    active = np.arange(len(heads))
+    converged = np.zeros(len(heads), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(MAX_ITERATIONS):
+            za = z[active]
+            diff = za[:, :, None] - za[:, None, :]
+            diff[:, diagonal, diagonal] = np.inf
+            repulse = np.sum(1.0 / diff, axis=2)
+            pv = np.zeros_like(za)
+            for c in monic[active, ::-1].T:
+                pv = pv * za + c[:, None]
+            dv = np.zeros_like(za)
+            for c in deriv[::-1]:
+                dv = dv * za + c
+            newton = np.where(dv != 0, pv / dv, 0.25 + 0.25j)
+            w = newton / (1.0 - newton * repulse)
+            w = np.where(np.isfinite(w), w, 0.0)
+            za = za - w
+            z[active] = za
+            done = np.all(np.abs(w) <= ITERATION_TOL * np.maximum(1.0, np.abs(za)), axis=1)
+            converged[active[done]] = True
+            active = active[~done]
+            if not active.size:
+                break
+
+        acc = np.full(z.shape, lead, dtype=complex)
+        for c in reversed(poly.coeffs[1:-1]):
+            acc *= z
+            if c:
+                acc += c
+        acc *= z
+        acc += np.array(heads, dtype=complex)[:, None]
+        residuals = np.abs(acc / lead)
+        scale = [max(1.0, max(abs(c) for c in row)) for row in monic]
+        diff = np.abs(z[:, :, None] - z[:, None, :])
+        diff[:, diagonal, diagonal] = np.inf
+        separation = diff.min(axis=(1, 2))
+    out = []
+    for k, row in enumerate(z):
+        if not np.all(residuals[k] <= RESIDUAL_TOL * scale[k]):  # NaN fails too
+            if not converged[k]:
+                raise NonConvergedError(f"no convergence in {MAX_ITERATIONS} iterations")
+            raise NonConvergedError(f"residual {residuals[k].max():.3e} above tolerance")
+        if not converged[k]:
+            raise ClusteredRootsError(
+                f"iteration stalled at a root cluster, separation {separation[k]:.3e}")
+        if separation[k] < CLUSTER_TOL:
+            raise ClusteredRootsError(f"root separation {separation[k]:.3e}")
+        out.append(tuple(sorted((complex(v) for v in row), key=lambda v: (v.real, v.imag))))
+    return out

@@ -26,6 +26,7 @@ from dessins.monodromy import (
     CollisionError,
     Fiber,
     LoopSpec,
+    MatchAmbiguousError,
     NotBijectiveError,
     NotBelyiError,
     StepUnderflowError,
@@ -343,6 +344,11 @@ GOLDEN_SHA256 = {
         "a9bcfd806e0dc78d0a9ef28b95c02233ca4953fb33ee2a75bd36ca989473496d",
         "8878d11805d60b884653098a66736ef404330aab8fc23249c389c250543ae2e0",
     ),
+    # as commit 17fa1c9 computed it, with the dense end match
+    "b(10,1).f.pi(2,7,11)": (
+        "9816092b0233e183575d89d11282450f89e03283f7aa6987b001a57e337aa50c",
+        "29cfe1610ab2c3236551529912e3f35d861c92d4c4282ac58488819e35c9111e",
+    ),
 }
 # format_cycles(g0), format_cycles(g1) of chains whose tracked pair has
 # degree 22, the size of the published psi pair, as commit 4072d8f
@@ -504,6 +510,17 @@ def _cpu_dispatch() -> list[str]:
     return list(__cpu_dispatch__)
 
 
+def run_without_simd_dispatch(*args: str) -> subprocess.CompletedProcess:
+    """pytest on ``args`` in a fresh interpreter with numpy's run-time SIMD
+    targets turned off, so that its ufuncs run other kernels."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(_cpu_dispatch()))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+
+
 # the roots of c on f.pi(2,7,11); their conjugates are the roots of cbar
 _C_ROOTS = np.array(parse_map_expr("f.pi(2,7,11)").proj.cubic_roots())
 
@@ -576,13 +593,7 @@ class TestFits:
     def test_matches_dense_without_simd_dispatch(self):
         # numpy's complex abs runs another kernel with its run-time SIMD
         # targets turned off; the battery holds there too
-        root = Path(__file__).resolve().parent.parent
-        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(_cpu_dispatch()))
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{Path(__file__).resolve()}::TestFits::test_matches_dense"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        run = run_without_simd_dispatch(f"{Path(__file__).resolve()}::TestFits::test_matches_dense")
         assert run.returncode == 0, run.stdout + run.stderr
 
     def test_long_rows_build_no_gaps(self, monkeypatch):
@@ -667,7 +678,7 @@ def _match_cases(draw):
     its nearest start point, and separation_factor the default or the
     least ratio of runner-up to nearest, exactly or one ulp either side."""
     curve = draw(st.booleans())
-    n = draw(st.sampled_from([1, 2, 3, 8, 40] if curve else [2, 3, 8, 40]))
+    n = draw(st.sampled_from([1, 2, 3, 8, 40, 70] if curve else [2, 3, 8, 40, 70]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def cloud(scale):
@@ -720,6 +731,12 @@ class TestMatch:
         assert (_outcome(_match, end, start, cfg)
                 == _outcome(naive_match, end.unfold(), start.unfold(), cfg))
 
+    def test_matches_naive_without_simd_dispatch(self):
+        # the reach takes each distance from the same ufuncs as the dense
+        # metric, on other kernels too
+        run = run_without_simd_dispatch(f"{Path(__file__).resolve()}::TestMatch::test_matches_naive")
+        assert run.returncode == 0, run.stdout + run.stderr
+
     def test_sheet_pairs_interleave(self, cfg):
         start = Fiber(np.array([0j, 1 + 0j]), np.array([1 + 0j, 1j]))
         end = Fiber(np.array([1 + 0j, 0j]), np.array([-1j, 1 + 0j]))
@@ -731,6 +748,54 @@ class TestMatch:
         end = Fiber(np.array([0j, 0j]), np.array([1 + 0j, -1 + 0j]))
         with pytest.raises(NotBijectiveError):
             _match(end, start, cfg)
+
+    # past the dense cut: 70 start points 1 apart on the real axis, or 35
+    # sheet pairs on a curve, each end on its start point but end 0, which
+    # lies match_tol from start 0; powers of two keep every distance exact
+    CUT = TrackingConfig(match_tol=2.0**-20, separation_factor=8.0)
+
+    def _far_apart(self, curve):
+        x = np.arange(35 if curve else 70) + 0j
+        y = np.full(35, 1j) if curve else None
+        end = Fiber(x.copy(), None if y is None else y.copy())
+        end.x[0] = self.CUT.match_tol
+        return end, Fiber(x, y)
+
+    def _check(self, end, start, cfg):
+        got = _outcome(_match, end, start, cfg)
+        assert got == _outcome(naive_match, end.unfold(), start.unfold(), cfg)
+        return got
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_runner_up_on_the_reach(self, curve):
+        # start 1 moved to separation_factor * match_tol from end 0, or one
+        # ulp either side: the ratio of runner-up to nearest is then exactly
+        # the bound, and one ulp below it refuses the match
+        outcomes = []
+        for direction in (-np.inf, None, np.inf):
+            end, start = self._far_apart(curve)
+            on_reach = end.x[0].real + self.CUT.separation_factor * self.CUT.match_tol
+            start.x[1] = end.x[1] = on_reach if direction is None else np.nextafter(on_reach, direction)
+            outcomes.append(self._check(end, start, self.CUT))
+        assert outcomes[0][0] is MatchAmbiguousError
+        assert all(isinstance(got, list) for got in outcomes[1:])
+
+    @pytest.mark.parametrize("where", [0, 30, -1])
+    def test_no_start_point_in_reach(self, where):
+        # one end point lies 1/2 from every start point in real part
+        end, start = self._far_apart(False)
+        end.x[where] += 0.5
+        assert self._check(end, start, self.CUT) == (
+            MatchAmbiguousError, "endpoint 5.000e-01 away from every start point")
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_tie_at_distance_zero(self, curve):
+        # a copy of start point 0 (or pair 0) appended, and end 0 moved onto
+        # both: the ratio is infinite, and the dense ranking picks one
+        end, start = self._far_apart(curve)
+        end.x[0] = 0
+        start = Fiber(np.append(start.x, 0), None if start.y is None else np.append(start.y, 1j))
+        assert isinstance(self._check(end, start, self.CUT), list)
 
 
 class TestRoundingFloor:
@@ -997,6 +1062,19 @@ class TestDecisionsUnchanged:
         assert counts["_composite_and_derivative"] == 193
         assert counts["_fits"] == 48
         assert counts["_gaps"] == 0
+
+    @pytest.mark.parametrize("text", ["b(10,1).f.pi(2,7,11)", "b(1,1).b(10,1).f.pi(2,7,11)"])
+    def test_every_end_match_by_reach(self, cfg, monkeypatch, text):
+        # the conjugation, the loop ends and the transport ends of the
+        # default runs and the probe all match past the dense cut, and the
+        # reach decides each of them, so the dense metric is never built
+        def dense(*args):
+            raise AssertionError("dense end match")
+
+        monkeypatch.setattr(MONODROMY, "_nearest", dense)
+        payload = monodromy_json(parse_map_expr(text), cfg, check_stability=True)
+        assert payload["stability"] is True
+        assert (_sha256(payload["g0"]), _sha256(payload["g1"])) == GOLDEN_SHA256[text]
 
     def test_fiber_root_solves(self, monkeypatch):
         # one batched solve per polynomial stage, none one value at a time

@@ -2,13 +2,15 @@ import gc
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from naive_horner import dense_eval_many, rounding_error
-from naive_roots import naive_roots
+from naive_roots import dense_aberth, naive_roots
+from test_monodromy import run_without_simd_dispatch
 
 from dessins.maps import BelyiMN, FPoly, as_poly
 from dessins.polynomials import (
@@ -243,6 +245,65 @@ class TestShiftedRoots:
         poly = ComplexPoly((1, 2))
         assert shifted_roots(poly, [1, 3 + 1j]) == [naive_roots(_shifted(poly, v)) for v in (1, 3 + 1j)]
         assert shifted_roots(f_polynomial(), []) == []
+
+
+def _aberth_outcome(solve, poly, heads):
+    """The roots of every row as one array, or the class and message of
+    the error raised."""
+    try:
+        return np.array(solve(poly, heads))
+    except RootFindingError as exc:
+        return type(exc), str(exc)
+
+
+_SPARSE_COEFF = st.one_of(
+    st.just(0j),
+    st.floats(-9, 9).map(complex),
+    st.floats(-9, 9).map(lambda v: complex(0, v)),
+    st.complex_numbers(max_magnitude=9, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestSparseHorner:
+    """_aberth's Horner loops skip the zero coefficients that dense Horner
+    adds (naive_roots.dense_aberth): an added zero only sets the sign of a
+    zero, so every root keeps its bits, signs of zero parts included, and
+    every error its message."""
+
+    @staticmethod
+    def _check(poly, heads):
+        got, want = (_aberth_outcome(solve, poly, heads) for solve in (_aberth, dense_aberth))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert np.array_equal(got, want)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+    @given(
+        st.lists(_SPARSE_COEFF, min_size=3, max_size=16).filter(lambda c: c[-1] != 0),
+        st.lists(_SPARSE_COEFF, min_size=1, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_horner(self, coeffs, heads):
+        # a subnormal lead overflows the monic coefficients of both alike
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self._check(ComplexPoly(tuple(coeffs)), heads)
+
+    @pytest.mark.parametrize("poly, values", [
+        (f_polynomial(), [0.5, 1e-3, 7 + 2j]),
+        (as_poly(BelyiMN(10, 1)), [0.5, 0.25 + 1j]),
+        (as_poly(BelyiMN(20, 2)), [0.5]),
+        (as_poly(BelyiMN(1, 12)), [0.5]),  # stalls at a root cluster
+        (ComplexPoly((1, 0, 2j, 0, 1)), [0, 3]),  # a purely imaginary coefficient
+    ], ids=["f", "b(10,1)", "b(20,2)", "b(1,12)", "imaginary"])
+    def test_chains(self, poly, values):
+        self._check(poly, [poly.coeffs[0] - v for v in values])
+
+    def test_without_simd_dispatch(self):
+        run = run_without_simd_dispatch(
+            f"{Path(__file__).resolve()}::TestSparseHorner", "-k", "not without_simd_dispatch")
+        assert run.returncode == 0, run.stdout + run.stderr
 
 
 class TestFPolynomial:

@@ -1,9 +1,6 @@
 import hashlib
 import importlib
 import math
-import os
-import subprocess
-import sys
 import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter, defaultdict
@@ -15,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_merge import naive_merge_dots
-from test_monodromy import _cpu_dispatch
+from test_monodromy import run_without_simd_dispatch
 
 from dessins.maps import BelyiMN, parse_map_expr
 from dessins.monodromy import NotBelyiError, monodromy
@@ -276,13 +273,8 @@ class TestPathData:
     def test_without_simd_dispatch(self):
         # numpy's rint, abs and integer division run other kernels with its
         # run-time SIMD targets turned off; the battery holds there too
-        root = Path(__file__).resolve().parent.parent
-        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(_cpu_dispatch()))
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{Path(__file__).resolve()}::TestPathData", "-k", "not without_simd_dispatch"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        run = run_without_simd_dispatch(
+            f"{Path(__file__).resolve()}::TestPathData", "-k", "not without_simd_dispatch")
         assert run.returncode == 0, run.stdout + run.stderr
 
 

@@ -55,8 +55,8 @@ MUTANTS = (
     ),
     Mutant(
         "close pairs: the upper bound searched with side='left'", MONODROMY,
-        'np.searchsorted(re, queries + wide, side="right")',
-        'np.searchsorted(re, queries + wide, side="left")',
+        're.searchsorted(queries + wide, side="right")',
+        're.searchsorted(queries + wide, side="left")',
         (FITS + "test_conjugates_closer_than_an_ulp_of_their_real_part[False]",),
     ),
     Mutant(

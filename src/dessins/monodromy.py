@@ -243,10 +243,10 @@ def _in_reach(re: np.ndarray, queries: np.ndarray, reach) -> tuple[np.ndarray, n
     and np.repeat expands the ranges into pairs.
     """
     wide = reach * (1 + 1e-9) + 1e-300
-    lo = np.searchsorted(re, queries - wide, side="left")
-    counts = np.searchsorted(re, queries + wide, side="right") - lo
-    i = np.repeat(np.arange(len(queries)), counts)
-    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    lo = re.searchsorted(queries - wide, side="left")
+    counts = re.searchsorted(queries + wide, side="right") - lo
+    i = np.arange(len(queries)).repeat(counts)
+    j = np.arange(len(i)) + (lo - (counts.cumsum() - counts)).repeat(counts)
     return i, j, counts
 
 
@@ -282,7 +282,7 @@ def _fits(x: np.ndarray, moved: np.ndarray, branch: np.ndarray | None) -> np.nda
         return moved < 0.4 * _gaps(x, branch)
     near = np.inf if branch is None else 0.4 * np.abs(x - branch.reshape(-1, *[1] * x.ndim)).min(axis=0)
     out = moved < near
-    order = np.argsort(x.real, axis=None)
+    order = x.real.argsort(axis=None)
     xs, ms = x.ravel()[order], moved.ravel()[order]
     i, j = _close_pairs(xs, ms * 2.5)
     row = order // n
@@ -315,7 +315,7 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
     product has argument below 3 asin 0.4 < 1.24 < pi, and its principal
     root moves continuously from 1.  c is maps.cubic, as in curve_rhs,
     taken at x_new and x, and for every cubic (see below), in one pass over
-    np.stack((x_new, x)) with a leading axis of cubics: the same
+    the stacked (x_new, x) with a leading axis of cubics: the same
     elementwise operations, so the same bits.  y never moves x and the
     guard counts the roots of c either way, so with y None, as on render's
     strands, x is the same bit for bit.
@@ -359,7 +359,7 @@ def _stepper(e: MapExpr, max_newton_iters: int, mirrored: bool = False):
         if not fits.all():
             return None, ~fits.all(axis=-1), slope
         if y is not None:
-            c = maps.cubic(np.stack((x_new, x)), cubics.reshape(3, -1, *[1] * (x.ndim + 1)))
+            c = maps.cubic(np.array((x_new, x)), cubics.reshape(3, -1, *[1] * (x.ndim + 1)))
             y = y * np.sqrt(np.concatenate(c[:, 0] / c[:, 1], axis=-1))
         return (x_new, y), np.zeros(x.shape[:-1], dtype=bool), slope_new
 
@@ -461,7 +461,7 @@ def _match(end: Fiber, start: Fiber, cfg: TrackingConfig) -> np.ndarray:
 def _nearest_in_reach(end: Fiber, start_x: np.ndarray, start_y: np.ndarray | None, cfg: TrackingConfig):
     """The nearest start point of each tracked end point by sorted reach,
     or None when the reach does not decide (see _match)."""
-    order = np.argsort(start_x.real)
+    order = start_x.real.argsort()
     reach = cfg.separation_factor * max(cfg.match_tol, 1e-300)
     i, j, counts = _in_reach(start_x.real[order], end.x.real, reach)
     if not counts.all():
@@ -470,7 +470,7 @@ def _nearest_in_reach(end: Fiber, start_x: np.ndarray, start_y: np.ndarray | Non
     d = np.abs(end.x[i] - start_x[j])
     if end.y is not None:
         d = d + np.abs(end.y[i] - start_y[j])
-    first = np.cumsum(counts) - counts
+    first = counts.cumsum() - counts
     best = np.minimum.reduceat(d, first)
     if not np.all(best <= cfg.match_tol):
         return None

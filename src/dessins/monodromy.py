@@ -472,16 +472,16 @@ def _nearest_in_reach(end: Fiber, start_x: np.ndarray, start_y: np.ndarray | Non
         d = d + np.abs(end.y[i] - start_y[j])
     first = counts.cumsum() - counts
     best = np.minimum.reduceat(d, first)
-    if not np.all(best <= cfg.match_tol):
+    if not (best <= cfg.match_tol).all():
         return None
     is_best = d == best[i]
-    if not np.all(np.add.reduceat(is_best, first) == 1):
+    if not (np.add.reduceat(is_best, first) == 1).all():
         return None
     d[is_best] = np.inf
     second = np.minimum.reduceat(d, first)
     with np.errstate(over="ignore"):  # a ratio past the largest float passes
         ratio = np.where(best > 0, second / np.maximum(best, 1e-300), np.inf)
-    return j[is_best] if np.all(ratio >= cfg.separation_factor) else None
+    return j[is_best] if (ratio >= cfg.separation_factor).all() else None
 
 
 def _nearest(end: Fiber, start_x: np.ndarray, start_y: np.ndarray | None, cfg: TrackingConfig):

@@ -3,7 +3,7 @@
 
 The committed table ``check_chains.json`` holds, for each chain of the
 survey, the sha256 of the JSON of ``monodromy_json(e, cfg,
-check_stability=True)`` and of ``render_graph(e, 48, cfg).svg``, and for
+check_stability=True)`` and of ``render_graph(e, cfg).svg``, and for
 each CLI call the sha256 of its stdout.  Where a call raises, or a CLI
 call exits nonzero, the entry holds the exception class and message
 instead.  Each entry also records whether the calls raised a
@@ -165,7 +165,7 @@ def chain_entry(text: str, cfg: TrackingConfig = TrackingConfig()) -> dict:
         return json.dumps(monodromy_json(parse_map_expr(text), cfg, check_stability=True))
 
     def drawn():
-        return render_graph(parse_map_expr(text), 48, cfg).svg
+        return render_graph(parse_map_expr(text), cfg).svg
 
     return _entry({"monodromy": tracked, "render_svg": drawn})
 

@@ -17,14 +17,13 @@ CHAINS = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figures", metavar="DIR")
-    parser.add_argument("--samples", type=int, default=48)
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for name, chain in CHAINS.items():
-        result = render_graph(parse_map_expr(chain), args.samples)
+        result = render_graph(parse_map_expr(chain))
         path = out_dir / f"{name}.svg"
         path.write_text(result.svg, encoding="utf-8")
         print(f"{path}: {result.arc_count} arcs, "

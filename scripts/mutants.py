@@ -42,6 +42,7 @@ MATCH = "tests/test_monodromy.py::TestMatch::"
 ADJACENT = "tests/test_dessin.py::TestAdjacentSheetsAgainstAllRoots::"
 LABELS = "tests/test_monodromy.py::TestGoldenLabels::"
 PATH_DATA = "tests/test_render.py::TestPathData::"
+IS_BELYI = "tests/test_maps.py::TestBranchValues::test_is_belyi"
 MONODROMY = "dessins/monodromy.py"
 RENDER = "dessins/render.py"
 
@@ -86,8 +87,8 @@ MUTANTS = (
     ),
     Mutant(
         "canonical search: the even roots of each sheet pair kept", "dessins/dessin.py",
-        "            roots = points[::2]\n",
-        "            roots = points[1::2]\n",
+        "            roots = roots[::2]\n",
+        "            roots = roots[1::2]\n",
         (ADJACENT + "test_random_tracked_pairs",
          ADJACENT + "test_cyclic_pairs_where_every_root_ties[3]"),
     ),
@@ -150,6 +151,32 @@ MUTANTS = (
         "    fast = True | (off < ",
         (PATH_DATA + "test_one_element_falls_back[nan]",
          PATH_DATA + "test_one_element_falls_back[0.015]"),
+    ),
+    Mutant(
+        "CLI: only ZeroDivisionError of the arithmetic errors exits 3", "dessins/cli.py",
+        "RenderError, ArithmeticError, MemoryError)",
+        "RenderError, ZeroDivisionError, MemoryError)",
+        ("tests/test_cli.py::TestMonodromy::test_overflow_is_numeric_failure[monodromy]",
+         "tests/test_cli.py::TestMonodromy::test_overflow_is_numeric_failure[render]"),
+    ),
+    Mutant(
+        "Belyi test: branch values within 1e-9 of 0 or 1 taken as 0 or 1", "dessins/maps.py",
+        "all(v == 0 or v == 1 for v in branch_values(e))",
+        "all(abs(v) < 1e-9 or abs(v - 1) < 1e-9 for v in branch_values(e))",
+        (IS_BELYI + "[b(1,11).f-False]", IS_BELYI + "[b(1,1).b(1,11).f-False]",
+         IS_BELYI + "[b(2,11).f-False]"),
+    ),
+    Mutant(
+        "merge dots: a vertex joins the latest group in reach", RENDER,
+        "                first = g\n",
+        "                first = g\n                break\n",
+        ("tests/test_render.py::TestMergeDots::test_joins_the_first_group_in_reach",),
+    ),
+    Mutant(
+        "isomorphism: a disconnected pair answered, not refused", "dessins/dessin.py",
+        "    if c1.degree != c2.degree:\n",
+        "    if c1.degree != c2.degree or not (c1.transitive and c2.transitive):\n",
+        ("tests/test_dessin.py::TestIsomorphism::test_disconnected_pair_raises",),
     ),
 )
 

@@ -43,7 +43,6 @@ from .dessin import (
     Constellation,
     DessinInvariants,
     Passport,
-    canonical_form,
     canonical_hash,
     canonical_key,
     dessin_json,
@@ -85,7 +84,6 @@ from .tracking import TrackingConfig
 __version__ = "0.1.0"
 
 _NUMERIC = {
-    "LoopSpec": "monodromy",
     "fiber": "monodromy",
     "monodromy": "monodromy",
     "verify_stability": "monodromy",
@@ -107,7 +105,6 @@ __all__ = [
     "Constellation",
     "DessinInvariants",
     "LabeledRoots",
-    "LoopSpec",
     "MapExpr",
     "Passport",
     "Permutation",
@@ -118,7 +115,6 @@ __all__ = [
     "a5_orbit_partition",
     "act",
     "branch_values",
-    "canonical_form",
     "canonical_hash",
     "canonical_key",
     "compose",

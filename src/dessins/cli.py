@@ -7,11 +7,13 @@ Failures go to stderr as a structured JSON error object.  Exit codes:
 0 success, 2 bad arguments, 3 numerical failure (a refused allocation
 included), 4 incomplete evidence.
 Only monodromy and render track a continuation, and only they take
---config.  dessin, orbit and evidence are exact and load no numpy:
-monodromy and render import their numeric modules when they run, and
-roots loads numpy for its root finder.  The parser is built once per
-process and never changed; each call looks its handler up by name,
-cmd_<command>, so a handler rebound on this module takes effect.
+--config; render draws each half-edge on a fixed ladder of 48 rungs
+(render.RUNGS), which no option changes.  dessin, orbit and evidence are
+exact and load no numpy: monodromy and render import their numeric
+modules when they run, and roots loads numpy for its root finder.  The
+parser is built once per process and never changed; each call looks its
+handler up by name, cmd_<command>, so a handler rebound on this module
+takes effect.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def cmd_render(args, cfg: TrackingConfig):
     from .render import render_graph
 
     e = maps.parse_map_expr(args.map)
-    result = render_graph(e, args.samples, cfg)
+    result = render_graph(e, cfg)
     if args.out == "-":
         sys.stdout.write(result.svg + "\n")
         return None
@@ -191,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True,
                    help='output SVG path, or "-" for stdout')
-    p.add_argument("--samples", type=int, default=48,
-                   help="sample points per edge half (default 48)")
     return parser
 
 

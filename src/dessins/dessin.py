@@ -11,6 +11,8 @@ fixes the genus.  A clean constellation is one where every white vertex
 has valency exactly 2; there the black valencies are the bouquet orders of
 the underlying graph.
 
+A dessin is connected: the genus, the canonical form and isomorphism take
+connected pairs only, and raise NotConnectedError on any other.
 Isomorphism is simultaneous conjugacy, decided through a canonical form:
 the least relabeled pair over breadth-first relabelings rooted at every
 point (neighbors visited g0 first, then g1), the first root in point order
@@ -29,14 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .perms import (
-    CycleType,
-    Permutation,
-    cycle_decomposition,
-    cycle_type,
-    is_transitive,
-    orbit,
-)
+from .perms import CycleType, Permutation, cycle_type, is_transitive
 
 
 class NotConnectedError(ValueError):
@@ -83,18 +78,6 @@ def doubled(c: Constellation, a: Sequence[int], b: Sequence[int]) -> Constellati
     return Constellation(Permutation(tuple(g0[1:])), Permutation(tuple(g1[1:])))
 
 
-def _orbits(c: Constellation) -> list[list[int]]:
-    """Connected components, each sorted, in order of their least point."""
-    seen: set[int] = set()
-    out = []
-    for start in range(1, c.degree + 1):
-        if start not in seen:
-            comp = orbit((c.g0, c.g1), start)
-            seen |= comp
-            out.append(sorted(comp))
-    return out
-
-
 def g_infinity(c: Constellation) -> Permutation:
     """The inverse of "g0 then g1", built in one pass."""
     g1 = c.g1.images
@@ -102,10 +85,6 @@ def g_infinity(c: Constellation) -> Permutation:
     for i, image in enumerate(c.g0.images, 1):
         out[g1[image - 1] - 1] = i
     return Permutation(tuple(out))
-
-
-def faces(c: Constellation) -> tuple[tuple[int, ...], ...]:
-    return cycle_decomposition(g_infinity(c))
 
 
 def genus(c: Constellation) -> int:
@@ -211,22 +190,21 @@ def _advance(g0: list[int], g1: list[int], order: list[int], label: list[int],
         label[y] = len(order)
 
 
-def _component_canonical(
-    g0: list[int], g1: list[int], points: list[int]
-) -> tuple[CanonicalKey, dict[int, int]]:
-    """Least relabeled pair over all BFS roots in one component, with the
-    winning relabeling (old point -> 1..k); the first root in ``points``
-    order wins a tie.
+def _component_canonical(g0: list[int], g1: list[int]) -> tuple[CanonicalKey, list[int]]:
+    """Least relabeled pair over all BFS roots of a connected pair on
+    1..n, with the winning BFS order (the old point of each new label
+    1..n); the first root in point order wins a tie.  Raises
+    NotConnectedError when a BFS does not reach every point.
 
     The BFS from a root visits neighbors g0 before g1.  Label i + 1 is
     dequeued at position i, so the relabeled g0 at position i is known
     while the BFS runs.  Three facts cut the work:
 
-    - When ``points`` is 1..n, n = 2h, and p -> p + h commutes with g0 and
-      g1, that swap is an automorphism: root p + h ties with root p, which
-      comes first, so only roots 1..h are searched.  Failing that, when
-      2i + 1 <-> 2i + 2 commutes with both, as on tracked curve pairs,
-      only the odd roots are searched, for the same reason.
+    - When n = 2h and p -> p + h commutes with g0 and g1, that swap is an
+      automorphism: root p + h ties with root p, which comes first, so
+      only roots 1..h are searched.  Failing that, when 2i + 1 <-> 2i + 2
+      commutes with both, as on tracked curve pairs, only the odd roots
+      are searched, for the same reason.
     - The relabeled g0 starts with 1 at a root that g0 fixes and with 2
       elsewhere, so if g0 fixes a root only those roots are searched.
     - The best root's BFS runs only as far as a challenger has come.  A
@@ -241,14 +219,13 @@ def _component_canonical(
     """
     n = len(g0)
     h = n // 2
-    roots = points
-    if n % 2 == 0 and points == list(range(1, n + 1)):
+    roots = list(range(1, n + 1))
+    if n % 2 == 0:
         if _sheet_swap_commutes(g0, h) and _sheet_swap_commutes(g1, h):
-            roots = points[:h]
+            roots = roots[:h]
         elif _pair_swap_commutes(g0) and _pair_swap_commutes(g1):
-            roots = points[::2]
+            roots = roots[::2]
     roots = [r for r in roots if g0[r - 1] == r] or roots
-    size = len(points)
     g0 = [0, *g0]  # padded, so that g0[x] is the image of x
     g1 = [0, *g1]
     # the best root's BFS: queue, labels, stamps, number and relabeled g0
@@ -285,33 +262,29 @@ def _component_canonical(
                 label, clabel, stamp, cstamp = clabel, label, cstamp, stamp
                 break
         else:
-            if len(corder) != size:
+            if len(corder) != n:
                 raise NotConnectedError("relabeling did not reach every point")
             cb = [clabel[y] for y in map(g1.__getitem__, corder)]
             if cb < [label[y] for y in map(g1.__getitem__, order)]:
                 order, best = corder, number
                 label, clabel, stamp, cstamp = clabel, label, cstamp, stamp
-    while len(a) < size:
+    # _advance raises unless the best root's BFS reaches every point
+    while len(a) < n:
         _advance(g0, g1, order, label, stamp, best, a)
-    if len(order) != size:
-        raise NotConnectedError("relabeling did not reach every point")
     b = tuple([label[y] for y in map(g1.__getitem__, order)])
-    return (tuple(a), b), {x: i for i, x in enumerate(order, 1)}
+    return (tuple(a), b), order
+
+
+def _canonical(c: Constellation) -> tuple[CanonicalKey, list[int]]:
+    """_component_canonical of a connected pair."""
+    if not c.transitive:
+        raise NotConnectedError("canonical form needs a connected constellation")
+    return _component_canonical(list(c.g0.images), list(c.g1.images))
 
 
 def canonical_key(c: Constellation) -> CanonicalKey:
     """The images of the canonical form's g0 and g1; connected only."""
-    if not c.transitive:
-        raise NotConnectedError("canonical form needs a connected constellation")
-    key, _ = _component_canonical(
-        list(c.g0.images), list(c.g1.images), list(range(1, c.degree + 1)))
-    return key
-
-
-def canonical_form(c: Constellation) -> Constellation:
-    """The canonical representative of the conjugacy class; connected only."""
-    a, b = canonical_key(c)
-    return Constellation(Permutation(a), Permutation(b))
+    return _canonical(c)[0]
 
 
 def canonical_hash(c: Constellation) -> str:
@@ -319,35 +292,23 @@ def canonical_hash(c: Constellation) -> str:
 
 
 def isomorphic(c1: Constellation, c2: Constellation) -> tuple[bool, Permutation | None]:
-    """Simultaneous conjugacy test with witness.
+    """Simultaneous conjugacy test with witness, for connected pairs.
 
     The witness h satisfies h(g0(x)) = g0'(h(x)) and h(g1(x)) = g1'(h(x)),
-    mapping points of c1 to points of c2.  Disconnected pairs are matched
-    component by component.
+    mapping points of c1 to points of c2: the point of c1 with canonical
+    label i goes to the point of c2 with the same label.  Pairs of
+    different degrees are not isomorphic; a disconnected pair raises
+    NotConnectedError, as its canonical form does.
     """
     if c1.degree != c2.degree:
         return False, None
-    g0a, g1a = list(c1.g0.images), list(c1.g1.images)
-    g0b, g1b = list(c2.g0.images), list(c2.g1.images)
-    comps1 = _orbits(c1)
-    comps2 = _orbits(c2)
-    if sorted(map(len, comps1)) != sorted(map(len, comps2)):
+    (key1, order1), (key2, order2) = _canonical(c1), _canonical(c2)
+    if key1 != key2:
         return False, None
-
-    canon1 = [(_component_canonical(g0a, g1a, pts), pts) for pts in comps1]
-    canon2 = [(_component_canonical(g0b, g1b, pts), pts) for pts in comps2]
-    canon1.sort(key=lambda item: (len(item[1]), item[0][0], item[1]))
-    canon2.sort(key=lambda item: (len(item[1]), item[0][0], item[1]))
-
     h = [0] * c1.degree
-    for ((key1, map1), _), ((key2, map2), _) in zip(canon1, canon2):
-        if key1 != key2:
-            return False, None
-        inverse2 = {new: old for old, new in map2.items()}
-        for old, new in map1.items():
-            h[old - 1] = inverse2[new]
-    witness = Permutation(tuple(h))
-    return True, witness
+    for x, y in zip(order1, order2):
+        h[x - 1] = y
+    return True, Permutation(tuple(h))
 
 
 def dessin_json(c: Constellation) -> dict:

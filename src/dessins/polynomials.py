@@ -118,12 +118,10 @@ def shifted_roots(poly: ComplexPoly, values: Sequence[complex]) -> list[tuple[co
     return _aberth(poly, heads)
 
 
-def _aberth(
-    poly: ComplexPoly, heads: Sequence[complex], angular_offset: float = ANGULAR_OFFSET,
-) -> list[tuple[complex, ...]]:
+def _aberth(poly: ComplexPoly, heads: Sequence[complex]) -> list[tuple[complex, ...]]:
     """The roots of each polynomial that is ``poly`` with its constant
     coefficient replaced by one of ``heads``, from the start circle rotated
-    by ``angular_offset``, which only the tests vary.
+    by ANGULAR_OFFSET, read when the iteration starts.
 
     The rows are iterated as one (K, n) array, and a row leaves it at the
     iteration where it would stop alone: its arithmetic is elementwise or
@@ -154,15 +152,16 @@ def _aberth(
     tail = [c / lead for c in poly.coeffs[1:]]
     monic = np.array([[h / lead] + tail for h in heads], dtype=complex)
     radius = np.array([1.0 + max(abs(c) for c in row[:-1]) for row in monic])
-    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
+    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + ANGULAR_OFFSET))
 
-    deriv = (np.arange(1, n + 1) * monic[0, 1:]).tolist()
     diagonal = np.arange(n)
     active = np.arange(len(heads))
     converged = np.zeros(len(heads), dtype=bool)
-    # Far iterates overflow Horner and the residual to inf or nan; the
-    # residual, convergence and separation checks below decide on them.
+    # Far iterates overflow Horner and the residual to inf or nan, and a
+    # subnormal lead overflows the monic coefficients; the residual,
+    # convergence and separation checks below decide on them.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        deriv = (np.arange(1, n + 1) * monic[0, 1:]).tolist()
         for _ in range(MAX_ITERATIONS):
             za = z[active]
             # the (K, n, n) array first: a degree too large for it fails fast

@@ -40,6 +40,7 @@ from .polynomials import ComplexPoly, roots, shifted_roots
 from .tracking import RenderError, TrackingConfig
 
 ENDPOINT_VALUE_GAP = 1e-8  # how close to 0 and 1 the strands are tracked
+RUNGS = 48  # rungs of each ladder, from BASEPOINT to ENDPOINT_VALUE_GAP
 
 # drawing style
 WIDTH = 840.0
@@ -151,11 +152,11 @@ def structural_vertices(e: MapExpr, target: int) -> list[RenderVertex]:
 # strand tracking
 
 
-def _rungs(samples: int) -> list[tuple[float, float]]:
+def _rungs() -> list[tuple[float, float]]:
     """The base values of the two ladders, (v, 1 - v) with v falling
-    geometrically from BASEPOINT to ENDPOINT_VALUE_GAP in ``samples`` rungs."""
-    ratio = (ENDPOINT_VALUE_GAP / BASEPOINT) ** (1.0 / samples)
-    return [(v, 1.0 - v) for v in (BASEPOINT * ratio**k for k in range(samples + 1))]
+    geometrically from BASEPOINT to ENDPOINT_VALUE_GAP in RUNGS rungs."""
+    ratio = (ENDPOINT_VALUE_GAP / BASEPOINT) ** (1.0 / RUNGS)
+    return [(v, 1.0 - v) for v in (BASEPOINT * ratio**k for k in range(RUNGS + 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +182,8 @@ def _attach(x, vertices: list[RenderVertex], side: str) -> np.ndarray:
     return at
 
 
-def render_graph(
-    e: MapExpr,
-    samples_per_edge: int = 48,
-    cfg: TrackingConfig = TrackingConfig(),
-) -> RenderResult:
-    """Render the dessin of a chain with samples_per_edge rungs on each
+def render_graph(e: MapExpr, cfg: TrackingConfig = TrackingConfig()) -> RenderResult:
+    """Render the dessin of a chain with RUNGS (48) rungs on each
     half-edge; see the module docstring.
 
     Of ``cfg`` render reads newton_tol (raised to at least 1e-7, see
@@ -194,13 +191,11 @@ def render_graph(
     collision check); a rung is one nominal step and no end is matched,
     so initial_step and separation_factor change nothing.
 
-    Raises ValueError below 8 samples, NotBelyiError for a chain branched
-    off {0, 1, infinity}, CollisionError for fiber points within
-    match_tol, and StepUnderflowError, naming its segment, for a strand
-    that cannot be continued.
+    Raises NotBelyiError for a chain branched off {0, 1, infinity},
+    CollisionError for fiber points within match_tol, and
+    StepUnderflowError, naming its segment, for a strand that cannot be
+    continued.
     """
-    if samples_per_edge < 8:
-        raise ValueError("samples_per_edge must be at least 8")
     maps.require_belyi(e)
     blacks = structural_vertices(e, 0)
     whites = structural_vertices(e, 1)
@@ -210,7 +205,7 @@ def render_graph(
     # last rung of a 10-fold point).  The loop tolerance is unreachable
     # there; 1e-7 still sits three decades below the merge tolerance.
     cfg = replace(cfg, newton_tol=max(cfg.newton_tol, 1e-7))
-    rungs = _rungs(samples_per_edge)
+    rungs = _rungs()
     x = base.x
     to_zero, to_one = [x], [x]
     for previous, rung in zip(rungs, rungs[1:]):

@@ -1,12 +1,12 @@
 """All-roots canonical form, deliberately naive.
 
-A full breadth-first relabeling from every root of a component (g0 before
-g1), each in a dict of its own, then the relabeled pair of each root; the
-least pair wins, and of tied roots the first in ``points`` order.  This is
+A full breadth-first relabeling from every root of a connected pair (g0
+before g1), each in a dict of its own, then the relabeled pair of each
+root; the least pair wins, and of tied roots the first in point order.  This is
 the package's canonical form before roots were abandoned early and before
 the roots shared one label list and one stamp list, kept so that the
 search in ``dessins.dessin._component_canonical`` can be checked against
-it: both must return the same key and the same winning relabeling.
+it: both must return the same key and the same winning BFS order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import deque
 from dessins.dessin import NotConnectedError
 
 
-def _bfs_relabeling(g0: list[int], g1: list[int], root: int, points: list[int]) -> dict[int, int]:
+def _bfs_relabeling(g0: list[int], g1: list[int], root: int) -> dict[int, int]:
     """New label of every reachable point, BFS from root, g0 before g1."""
     new_of = {root: 1}
     queue = deque([root])
@@ -26,7 +26,7 @@ def _bfs_relabeling(g0: list[int], g1: list[int], root: int, points: list[int]) 
             if y not in new_of:
                 new_of[y] = len(new_of) + 1
                 queue.append(y)
-    if len(new_of) != len(points):
+    if len(new_of) != len(g0):
         raise NotConnectedError("relabeling did not reach every point")
     return new_of
 
@@ -44,16 +44,16 @@ def _relabeled_key(
 
 
 def naive_component_canonical(
-    g0: list[int], g1: list[int], points: list[int]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
-    """Least relabeled pair over all BFS roots in one component, with the
-    winning relabeling (old point -> 1..k)."""
+    g0: list[int], g1: list[int]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], list[int]]:
+    """Least relabeled pair over all BFS roots of a connected pair on
+    1..n, with the winning BFS order (the old point of each new label)."""
     best_key = None
     best_map = None
-    for root in points:
-        new_of = _bfs_relabeling(g0, g1, root, points)
+    for root in range(1, len(g0) + 1):
+        new_of = _bfs_relabeling(g0, g1, root)
         key = _relabeled_key(g0, g1, new_of)
         if best_key is None or key < best_key:
             best_key = key
             best_map = new_of
-    return best_key, best_map
+    return best_key, list(best_map)

@@ -33,7 +33,6 @@ def naive_roots(
     tol: float = ITERATION_TOL,
     residual_tol: float = RESIDUAL_TOL,
     max_iterations: int = MAX_ITERATIONS,
-    angular_offset: float = ANGULAR_OFFSET,
 ) -> tuple[complex, ...]:
     """All complex roots, sorted by (re, im), or the error of ``roots``."""
     n = poly.degree
@@ -45,7 +44,7 @@ def naive_roots(
 
     monic = np.array([c / lead for c in poly.coeffs], dtype=complex)
     radius = 1.0 + max(abs(c) for c in monic[:-1])
-    z = radius * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
+    z = radius * np.exp(1j * (2 * np.pi * np.arange(n) / n + ANGULAR_OFFSET))
 
     deriv = np.arange(1, n + 1) * monic[1:]
     converged = False
@@ -84,9 +83,7 @@ def naive_roots(
     return tuple(sorted((complex(v) for v in z), key=lambda v: (v.real, v.imag)))
 
 
-def dense_aberth(
-    poly: ComplexPoly, heads: Sequence[complex], angular_offset: float = ANGULAR_OFFSET,
-) -> list[tuple[complex, ...]]:
+def dense_aberth(poly: ComplexPoly, heads: Sequence[complex]) -> list[tuple[complex, ...]]:
     """polynomials._aberth with dense Horner in the iteration: every
     coefficient, zeros included, multiplied in and added from zero.  The
     residuals after it are taken as the package takes them."""
@@ -100,7 +97,7 @@ def dense_aberth(
     tail = [c / lead for c in poly.coeffs[1:]]
     monic = np.array([[h / lead] + tail for h in heads], dtype=complex)
     radius = np.array([1.0 + max(abs(c) for c in row[:-1]) for row in monic])
-    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + angular_offset))
+    z = radius[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + ANGULAR_OFFSET))
 
     deriv = np.arange(1, n + 1) * monic[0, 1:]
     diagonal = np.arange(n)

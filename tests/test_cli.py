@@ -40,21 +40,24 @@ class TestRoots:
         assert [row["label"] for row in data] == list(range(1, 13))
         assert all(row["residual"] < 1e-10 for row in data)
 
-    def test_seed_offset_invariance(self, capsys):
+    def test_seed_offset_invariance(self, capsys, monkeypatch):
         # the printed roots are those of start circles turned by other offsets
         base = run_json(capsys, "roots")
         p = polynomials.f_polynomial()
         for offset in (0.37, 1.3):
-            moved = polynomials._aberth(p, (p.coeffs[0],), offset)[0]
+            monkeypatch.setattr(polynomials, "ANGULAR_OFFSET", offset)
+            moved = polynomials.roots(p)
             for row in base:
                 z = complex(row["re"], row["im"])
                 assert min(abs(z - w) for w in moved) < 1e-9
 
-    def test_seed_offset_does_not_leak(self, capsys):
+    def test_seed_offset_does_not_leak(self, capsys, monkeypatch):
         # a solve from another start circle leaves the cached roots alone
         cached = polynomials.roots_of_f()
         p = polynomials.f_polynomial()
-        polynomials._aberth(p, (p.coeffs[0],), 0.37)
+        with monkeypatch.context() as m:
+            m.setattr(polynomials, "ANGULAR_OFFSET", 0.37)
+            polynomials.roots(p)
         run_json(capsys, "roots")
         assert polynomials.roots_of_f() is cached
 
@@ -392,10 +395,12 @@ class TestRender:
         assert body["error"] == "FileNotFoundError"
         assert out == ""
 
-    def test_bad_samples(self, capsys):
-        code, _, err = run(capsys, "render", "--map", "b(1,1)",
-                           "--out", "-", "--samples", "3")
-        assert code == 2
+    def test_bad_samples(self):
+        # the ladder is fixed (render.RUNGS): --samples is refused, even at 48
+        for samples in ("3", "48"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["render", "--map", "b(1,1)", "--out", "-", "--samples", samples])
+            assert exc.value.code == 2
 
     def test_config_keys_render_does_not_read(self, capsys, tmp_path):
         # a rung is one nominal step, render matches no ends, and newton_tol

@@ -10,14 +10,12 @@ from dessins.dessin import (
     Constellation,
     NotConnectedError,
     _component_canonical,
-    _orbits,
     _pair_swap_commutes,
     _sheet_swap_commutes,
-    canonical_form,
     canonical_hash,
+    canonical_key,
     dessin_json,
     doubled,
-    faces,
     g_infinity,
     genus,
     invariants,
@@ -34,7 +32,7 @@ from dessins.perms import (
     power,
 )
 
-from dessins.galois import Triple, planar_dessin
+from dessins.galois import Triple, a5_orbit_partition, planar_dessin
 
 from naive_canonical import naive_component_canonical
 
@@ -64,7 +62,7 @@ class TestBasics:
         c = Constellation(identity(2), parse_cycles("(1,2)", 2))
         assert genus(c) == 0
         assert invariants(c).bouquets == (1, 1)
-        assert [len(f) for f in faces(c)] == [2]
+        assert passport(c).faces.parts == (2,)
 
     def test_genus_needs_connected(self):
         disconnected = Constellation(
@@ -129,7 +127,7 @@ class TestCanonical:
                 compose(compose(inverse(h), c.g1), h),
             )
             assert canonical_hash(conj) == base
-            assert canonical_form(conj) == canonical_form(c)
+            assert canonical_key(conj) == canonical_key(c)
 
     def test_distinguishes_different_dessins(self):
         c1 = Constellation(parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)(3,4)", 4))
@@ -147,14 +145,23 @@ class TestCanonicalPinned:
         )
 
 
+def _agree_with_all_roots(g0: list[int], g1: list[int]) -> None:
+    """The pruned search returns the key and BFS order of the all-roots one
+    on a connected pair, and both raise NotConnectedError on any other."""
+    if Constellation(Permutation(tuple(g0)), Permutation(tuple(g1))).transitive:
+        assert _component_canonical(g0, g1) == naive_component_canonical(g0, g1)
+        return
+    for search in (_component_canonical, naive_component_canonical):
+        with pytest.raises(NotConnectedError):
+            search(g0, g1)
+
+
 class TestPrunedAgainstAllRoots:
-    """The pruned search returns the key and relabeling of the all-roots one."""
+    """The pruned search returns the key and BFS order of the all-roots one."""
 
     @staticmethod
     def _agree(c: Constellation) -> None:
-        g0, g1 = list(c.g0.images), list(c.g1.images)
-        for pts in _orbits(c):
-            assert _component_canonical(g0, g1, pts) == naive_component_canonical(g0, g1, pts)
+        _agree_with_all_roots(list(c.g0.images), list(c.g1.images))
 
     def test_random_pairs(self):
         rng = random.Random(20240)
@@ -180,13 +187,12 @@ class TestPrunedAgainstAllRoots:
     def test_disconnected_pair_raises(self):
         c = Constellation(parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4))
         g0, g1 = list(c.g0.images), list(c.g1.images)
-        points = list(range(1, 5))
         with pytest.raises(NotConnectedError):
-            _component_canonical(g0, g1, points)
+            _component_canonical(g0, g1)
         with pytest.raises(NotConnectedError):
-            naive_component_canonical(g0, g1, points)
+            naive_component_canonical(g0, g1)
         with pytest.raises(NotConnectedError):
-            canonical_form(c)
+            canonical_key(c)
 
 
 def _double_cover(rng: random.Random, m: int, switched: int) -> tuple[list[int], list[int]]:
@@ -202,21 +208,17 @@ def _double_cover(rng: random.Random, m: int, switched: int) -> tuple[list[int],
     return g0, g1
 
 
-def _winner(g0: list[int], g1: list[int], points: list[int]) -> int:
-    """The root whose relabeling the all-roots search returns."""
-    _, relabeling = naive_component_canonical(g0, g1, points)
-    return next(x for x, new in relabeling.items() if new == 1)
+def _winner(g0: list[int], g1: list[int]) -> int:
+    """The root whose BFS order the all-roots search returns."""
+    return naive_component_canonical(g0, g1)[1][0]
 
 
 class TestSheetPairsAgainstAllRoots:
     """The search over one root per sheet pair and over g0-fixed roots
-    returns the key and relabeling of the all-roots one, and the controls
+    returns the key and BFS order of the all-roots one, and the controls
     where neither cut applies have winners that a cut search would miss."""
 
-    @staticmethod
-    def _agree(g0: list[int], g1: list[int]) -> None:
-        for pts in _orbits(Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))):
-            assert _component_canonical(g0, g1, pts) == naive_component_canonical(g0, g1, pts)
+    _agree = staticmethod(_agree_with_all_roots)
 
     def test_random_double_covers(self):
         rng = random.Random(3131)
@@ -226,7 +228,7 @@ class TestSheetPairsAgainstAllRoots:
             g0, g1 = _double_cover(rng, m, rng.randint(0, 3))
             assert _sheet_swap_commutes(g0, m) and _sheet_swap_commutes(g1, m)
             self._agree(g0, g1)
-            if len(_orbits(Constellation(Permutation(tuple(g0)), Permutation(tuple(g1))))) == 1:
+            if Constellation(Permutation(tuple(g0)), Permutation(tuple(g1))).transitive:
                 seen["connected"] += 1
                 seen["g0 fixes a point" if any(v == p for p, v in enumerate(g0, 1)) else "no fixed point"] += 1
         assert seen["connected"] > 300 and seen["g0 fixes a point"] > 100 and seen["no fixed point"] > 100
@@ -247,7 +249,7 @@ class TestSheetPairsAgainstAllRoots:
                 continue
             assert _sheet_swap_commutes(pair[1 - broken], m)
             self._agree(g0, g1)
-            late += _winner(g0, g1, list(range(1, 2 * m + 1))) > m
+            late += _winner(g0, g1) > m
         assert late > 20
 
     def test_least_root_in_the_second_half(self):
@@ -261,11 +263,11 @@ class TestSheetPairsAgainstAllRoots:
             if not c.transitive:
                 continue
             points = list(range(1, n + 1))
-            r = _winner(list(c.g0.images), list(c.g1.images), points)
+            r = _winner(list(c.g0.images), list(c.g1.images))
             swap = [n if x == r else r if x == n else x for x in points]
             g0, g1 = ([swap[g.images[swap[x - 1] - 1] - 1] for x in points] for g in (c.g0, c.g1))
             self._agree(g0, g1)
-            late += _winner(g0, g1, points) > n // 2
+            late += _winner(g0, g1) > n // 2
         assert late > 150
 
     def test_odd_degree(self):
@@ -277,7 +279,7 @@ class TestSheetPairsAgainstAllRoots:
             self._agree(g0, g1)
             c = Constellation(Permutation(tuple(g0)), Permutation(tuple(g1)))
             if c.transitive:
-                late += _winner(g0, g1, list(range(1, n + 1))) > n // 2
+                late += _winner(g0, g1) > n // 2
         assert late > 20
 
     def test_g0_without_fixed_points(self):
@@ -297,25 +299,32 @@ class TestSheetPairsAgainstAllRoots:
         for k in (0, 1, 5):
             pair = Constellation(c, power(c, k))
             g0, g1 = list(pair.g0.images), list(pair.g1.images)
-            points = list(range(1, n + 1))
-            got = _component_canonical(g0, g1, points)
+            got = _component_canonical(g0, g1)
             if n < 100:
-                assert got == naive_component_canonical(g0, g1, points)
-            assert got[1][1] == 1
+                assert got == naive_component_canonical(g0, g1)
+            assert got[1][0] == 1
             assert isomorphic(pair, pair) == (True, identity(n))
 
     def test_witness_equals_the_all_roots_one(self, d0):
         rng = random.Random(3136)
         c = d0.cover(Triple(2, 7, 11))
-        h = random_permutation(rng, c.degree)
-        other = Constellation(compose(compose(inverse(h), c.g0), h),
-                              compose(compose(inverse(h), c.g1), h))
-        points = list(range(1, c.degree + 1))
-        _, map1 = naive_component_canonical(list(c.g0.images), list(c.g1.images), points)
-        _, map2 = naive_component_canonical(list(other.g0.images), list(other.g1.images), points)
-        inverse2 = {new: old for old, new in map2.items()}
-        expected = Permutation(tuple(inverse2[map1[x]] for x in points))
-        assert isomorphic(c, other) == (True, expected)
+        other = _relabeled(c, random_permutation(rng, c.degree))
+        assert isomorphic(c, other) == (True, _all_roots_witness(c, other))
+
+
+def _relabeled(c: Constellation, h: Permutation) -> Constellation:
+    """c with its points relabeled by h, the pair h^-1 g h."""
+    return Constellation(compose(compose(inverse(h), c.g0), h),
+                         compose(compose(inverse(h), c.g1), h))
+
+
+def _all_roots_witness(c: Constellation, other: Constellation) -> Permutation:
+    """The isomorphism that sends each point of c to the point of other
+    with the same label in the all-roots canonical relabeling."""
+    _, order = naive_component_canonical(list(c.g0.images), list(c.g1.images))
+    _, other_order = naive_component_canonical(list(other.g0.images), list(other.g1.images))
+    image = dict(zip(order, other_order))
+    return Permutation(tuple(image[x] for x in range(1, c.degree + 1)))
 
 
 def _tracked_pair(rng: random.Random, m: int, switched: int) -> tuple[list[int], list[int]]:
@@ -334,7 +343,7 @@ def _tracked_pair(rng: random.Random, m: int, switched: int) -> tuple[list[int],
 
 class TestAdjacentSheetsAgainstAllRoots:
     """The search over the odd roots of pairs that commute with 2i + 1 <->
-    2i + 2 returns the key and relabeling of the all-roots one, and the
+    2i + 2 returns the key and BFS order of the all-roots one, and the
     controls where the swap commutes with one generator only have winners
     at even roots, which that search would miss."""
 
@@ -348,7 +357,7 @@ class TestAdjacentSheetsAgainstAllRoots:
             g0, g1 = _tracked_pair(rng, m, rng.randint(0, 3))
             assert _pair_swap_commutes(g0) and _pair_swap_commutes(g1)
             self._agree(g0, g1)
-            connected += len(_orbits(Constellation(Permutation(tuple(g0)), Permutation(tuple(g1))))) == 1
+            connected += Constellation(Permutation(tuple(g0)), Permutation(tuple(g1))).transitive
         assert connected > 300
 
     def test_full_chain_commutes_with_the_adjacent_swap(self, full_pair):
@@ -370,7 +379,7 @@ class TestAdjacentSheetsAgainstAllRoots:
                 continue
             assert _pair_swap_commutes(pair[1 - broken])
             self._agree(g0, g1)
-            even += _winner(g0, g1, list(range(1, 2 * m + 1))) % 2 == 0
+            even += _winner(g0, g1) % 2 == 0
         assert even > 20
 
     def test_odd_degree(self):
@@ -395,11 +404,10 @@ class TestAdjacentSheetsAgainstAllRoots:
         g0 = [(p + 2) % n + 1 for p in range(n)]
         g1 = [p + 2 if p % 2 == 0 else p for p in range(n)]
         assert _pair_swap_commutes(g0) and _pair_swap_commutes(g1)
-        points = list(range(1, n + 1))
-        got = _component_canonical(g0, g1, points)
+        got = _component_canonical(g0, g1)
         if m < 100:
-            assert got == naive_component_canonical(g0, g1, points)
-        assert got[1][1] == 1
+            assert got == naive_component_canonical(g0, g1)
+        assert got[1][0] == 1
 
 
 class TestCanonicalMemory:
@@ -409,7 +417,7 @@ class TestCanonicalMemory:
         pair = Constellation(c, power(c, 5))
         tracemalloc.start()
         try:
-            canonical_form(pair)
+            canonical_key(pair)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -441,14 +449,51 @@ class TestIsomorphism:
         c1 = Constellation(parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3))
         c2 = Constellation(parse_cycles("(1,2,3)", 3), parse_cycles("(1,3)", 3))
         # same passports can still be isomorphic; build a real mismatch
-        d1 = Constellation(parse_cycles("(1,2,3,4)", 4), identity(4))
-        d2 = Constellation(parse_cycles("(1,2)(3,4)", 4), identity(4))
+        d1 = Constellation(parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4))
+        d2 = Constellation(parse_cycles("(1,2)(3,4)", 4), parse_cycles("(2,3)", 4))
         ok, witness = isomorphic(d1, d2)
         assert not ok
         assert witness is None
         # and passports differing is detected quickly
         assert cycle_type(c1.g0) == cycle_type(c2.g0)
         assert isomorphic(c1, c2)[0]
+
+    def test_relabeled_covers_of_d0(self, d0):
+        # 40 relabeled covers, 8 from each A5 orbit: each is isomorphic to
+        # its cover by a witness that obeys the law, the all-roots one on
+        # the first of each orbit, and no cover of another orbit is
+        rng = random.Random(3137)
+        covers = [[d0.cover(t) for t in sorted(orb, key=Triple.as_tuple)[:8]]
+                  for orb in a5_orbit_partition()]
+        for k, orbit_covers in enumerate(covers):
+            stranger = covers[k - 1][0]
+            for i, c in enumerate(orbit_covers):
+                other = _relabeled(c, random_permutation(rng, c.degree))
+                ok, witness = isomorphic(c, other)
+                assert ok
+                for x in range(1, c.degree + 1):
+                    assert witness(c.g0(x)) == other.g0(witness(x))
+                    assert witness(c.g1(x)) == other.g1(witness(x))
+                if i == 0:
+                    assert witness == _all_roots_witness(c, other)
+                assert isomorphic(stranger, other) == (False, None)
+
+    def test_psi_witness_equals_the_all_roots_one(self, published):
+        rng = random.Random(3138)
+        for _ in range(20):
+            other = _relabeled(published, random_permutation(rng, 22))
+            assert isomorphic(published, other) == (True, _all_roots_witness(published, other))
+
+    def test_disconnected_pair_raises(self, published):
+        # a dessin is connected: a disconnected pair is refused, on either
+        # side, unless the degrees differ
+        disconnected = Constellation(parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4))
+        connected = Constellation(parse_cycles("(1,2,3,4)", 4), identity(4))
+        for pair in ((disconnected, disconnected), (disconnected, connected),
+                     (connected, disconnected)):
+            with pytest.raises(NotConnectedError):
+                isomorphic(*pair)
+        assert isomorphic(disconnected, published) == (False, None)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -457,6 +502,7 @@ class TestIsomorphism:
         g0 = random_permutation(rng, 8)
         g1 = random_permutation(rng, 8)
         c = Constellation(g0, g1)
+        assume(c.transitive)
         h = random_permutation(rng, 8)
         other = Constellation(
             compose(compose(inverse(h), g0), h),

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,12 +13,14 @@ from naive_horner import dense_eval_many, rounding_error
 from naive_roots import dense_aberth, naive_roots
 from test_monodromy import run_without_simd_dispatch
 
+from dessins import polynomials
 from dessins.maps import BelyiMN, FPoly, as_poly
 from dessins.polynomials import (
     ClusteredRootsError,
     ComplexPoly,
     LabeledRoot,
     LabeledRoots,
+    NonConvergedError,
     RootFindingError,
     f_polynomial,
     roots,
@@ -123,7 +126,7 @@ class TestRoots:
         with pytest.raises(ValueError):
             roots(ComplexPoly((5,)))
 
-    def test_offsets_are_not_cached(self):
+    def test_offsets_are_not_cached(self, monkeypatch):
         # only the one rotation is kept: 200 other offsets leave next to nothing
         cached = roots_of_f()
         p = f_polynomial()
@@ -131,7 +134,9 @@ class TestRoots:
         try:
             before, _ = tracemalloc.get_traced_memory()
             for k in range(200):
-                _aberth(p, (p.coeffs[0],), 1 + k / 1000)
+                with monkeypatch.context() as m:
+                    m.setattr(polynomials, "ANGULAR_OFFSET", 1 + k / 1000)
+                    _aberth(p, (p.coeffs[0],))
             gc.collect()
             after, _ = tracemalloc.get_traced_memory()
         finally:
@@ -159,12 +164,22 @@ class TestRoots:
         for z in got:
             assert abs(p(z)) < 1e-7 * scale
 
-    def test_angular_offset_changes_start_not_result(self):
+    def test_angular_offset_changes_start_not_result(self, monkeypatch):
         p = ComplexPoly((-1, 0, 0, 1))  # x^3-1
         a = roots(p)
         for offset in (0.37, 0.9, 1.3):
-            b = _aberth(p, (p.coeffs[0],), offset)[0]
+            monkeypatch.setattr(polynomials, "ANGULAR_OFFSET", offset)
+            b = roots(p)
             assert np.allclose(a, b, atol=1e-10)
+
+    def test_subnormal_lead_raises_without_warning(self):
+        # 1 / 5e-324 overflows the monic coefficients; the iteration's
+        # errstate covers their derivative too, so the refusal is the only
+        # signal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergedError):
+                roots(ComplexPoly((0, 1, 5e-324)))
 
 
 def _shifted(poly, v):
@@ -331,6 +346,15 @@ def _reference_roots_50_digits():
         return [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=200)]
 
 
+def _nearest_pairs(ours, theirs):
+    """Each of ``ours`` with its nearest of ``theirs``; the pairing must
+    be a bijection.  Sort positions would pair a conjugate pair whose real
+    parts differ in their last bit in either order."""
+    nearest = [min(theirs, key=lambda w: abs(z - w)) for z in ours]
+    assert len(ours) == len(theirs) == len(set(nearest))
+    return list(zip(ours, nearest))
+
+
 class TestRootsOfF:
     def test_twelve_labeled_roots(self):
         lr = roots_of_f()
@@ -379,23 +403,22 @@ class TestRootsOfF:
         with pytest.raises(KeyError):
             lr[13]
 
-    def test_offset_override_gives_same_roots(self):
+    def test_offset_override_gives_same_roots(self, monkeypatch):
         # the roots of f from start circles turned by other offsets
         p = f_polynomial()
-        a = sorted(roots_of_f().values, key=lambda v: (v.real, v.imag))
+        a = roots_of_f().values
         for offset in (0.37, 0.9, 1.3):
-            b = _aberth(p, (p.coeffs[0],), offset)[0]
-            assert b == pytest.approx(a, abs=1e-10)
+            monkeypatch.setattr(polynomials, "ANGULAR_OFFSET", offset)
+            for ours, theirs in _nearest_pairs(a, roots(p)):
+                assert abs(ours - theirs) < 1e-10
 
     def test_solved_once(self):
         assert roots_of_f() is roots_of_f()
 
     def test_scaled_roots_match_integer_model(self):
-        scaled = sorted(
-            (11 * r for r in roots_of_f().values), key=lambda z: (z.real, z.imag)
-        )
+        scaled = [11 * r for r in roots_of_f().values]
         big = roots(ComplexPoly(scaled_integer_model()))
-        for ours, theirs in zip(scaled, big):
+        for ours, theirs in _nearest_pairs(scaled, big):
             assert abs(ours - theirs) < 1e-8
 
     def test_to_json_list_shape(self):

@@ -46,10 +46,6 @@ def svg_counts(svg: str) -> tuple[int, int]:
 
 
 class TestPlan:
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            render_graph(parse_map_expr("b(1,1)"), samples_per_edge=7)
-
     @pytest.mark.parametrize("chain", ["b(1,1).b(2,1).f", "b(5,1).f.pi(1,2,3)", "b(1,11).f"])
     def test_non_belyi_rejected(self, chain):
         with pytest.raises(NotBelyiError):
@@ -123,6 +119,13 @@ class TestMergeDots:
         ]
         groups = merge_dots(vs, 1e-4)
         assert sorted(len(g) for g in groups) == [1, 2]
+
+    def test_joins_the_first_group_in_reach(self):
+        # v lies within tol of both a and b, which open groups of their own
+        a = RenderVertex(0j, None, 1)
+        b = RenderVertex(complex(5e-5, 9e-5), None, 1)
+        v = RenderVertex(complex(6e-5, 3e-5), None, 1)
+        assert merge_dots([v, b, a], 1e-4) == [[a, v], [b]]
 
     def test_singletons_below_tol(self):
         vs = [RenderVertex(complex(i), None, 1) for i in range(5)]

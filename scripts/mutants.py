@@ -8,7 +8,9 @@ pass.  Then each mutant runs in a temporary copy of ``src/``, with the
 repository's tests pointed at the copy through PYTHONPATH, and only its
 own tests.  The script exits 1 when a mutant survives (one of its tests
 does not fail), or when its text does not occur exactly once in its
-file, so a refactor updates a mutant and never drops it silently.
+file, so a refactor updates a mutant and never drops it silently.  Only
+pass or fail is read, so pytest runs without assertion rewriting, which
+where bytecode is not cached costs about two seconds per run.
 
     python3 scripts/mutants.py
 
@@ -173,6 +175,27 @@ MUTANTS = (
         ("tests/test_render.py::TestMergeDots::test_joins_the_first_group_in_reach",),
     ),
     Mutant(
+        "dense gaps: the diagonal left at zero, each point its own nearest", MONODROMY,
+        "    d[..., diagonal, diagonal] = np.inf\n",
+        "",
+        ("tests/test_monodromy.py::TestSmallMonodromy::test_b11_published_pair",
+         FITS + "test_real_part_difference_on_the_reach"),
+    ),
+    Mutant(
+        "conjugation: kappa replaced by the identity", MONODROMY,
+        "    return _match(Fiber(points.x.conj(), None), Fiber(points.x, None), cfg)\n",
+        "    return np.arange(len(points.x))\n",
+        ("tests/test_monodromy.py::TestPsi::test_cycle_types",
+         "tests/test_monodromy.py::TestHalfLoops::test_equal_to_full_circles[b(4,4)]"),
+    ),
+    Mutant(
+        "step growth: the cap raised to sixteen nominal steps", MONODROMY,
+        "h_max = min(12 * h, max(h, 0.25))",
+        "h_max = min(16 * h, max(h, 0.25))",
+        ("tests/test_monodromy.py::TestStepGrowth::test_longest_loop_step[default]",
+         "tests/test_monodromy.py::TestStepGrowth::test_guard_margin[b(20,2).f]"),
+    ),
+    Mutant(
         "isomorphism: a disconnected pair answered, not refused", "dessins/dessin.py",
         "    if c1.degree != c2.degree:\n",
         "    if c1.degree != c2.degree or not (c1.transitive and c2.transitive):\n",
@@ -193,7 +216,7 @@ def outcomes(src: Path, tests: tuple[str, ...]) -> tuple[set[str], set[str], str
         raise RuntimeError(f"dessins imported from {where}, not from {src}")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-o", "addopts=", "-rA", *tests],
+         "-o", "addopts=", "-rA", "--assert=plain", *tests],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     ids = {"PASSED": set(), "FAILED": set()}
     for line in run.stdout.splitlines():

@@ -24,7 +24,7 @@ the half loop also carries a square root of cbar along x and keeps x
 clear of the roots of cbar too.
 
 The step starts at the nominal step, halves on a refusal and doubles
-after each acceptance up to eight nominal steps or a quarter of the path,
+after each acceptance up to twelve nominal steps or a quarter of the path,
 whichever is less, but never below the nominal step (see _continue).  The
 gap guard is the disjoint-disk condition of Beltran and Leykin, Certified
 numerical homotopy tracking (2012), with the roots of c among the disks,
@@ -387,7 +387,7 @@ def _continue(
     its path's point at t to its point at t + h.  The step h starts at the
     nominal step 1/max(steps), halves whenever the step of _stepper is
     refused on any row, and doubles after each accepted one, up to
-    min(8 / max(steps), max(1 / max(steps), 1/4)): past the nominal step,
+    min(12 / max(steps), max(1 / max(steps), 1/4)): past the nominal step,
     never more than a quarter of the path, as a step of half a loop or
     more could land back near its origin, where no guard can refuse it.
     Paths of at most four steps keep the nominal step.  The rows share
@@ -401,7 +401,7 @@ def _continue(
     y = None if y is None else np.broadcast_to(y, x.shape[:-1] + y.shape[-1:])
     t, end = 0.0, 0.5 if mirrored else 1.0
     h = 1.0 / max(path.steps for path in paths)
-    h_max = min(8 * h, max(h, 0.25))
+    h_max = min(12 * h, max(h, 0.25))
     gamma_t = np.array([[path.point(0.0)] for path in paths])
     slope = None
     while t < end:

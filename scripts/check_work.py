@@ -33,7 +33,6 @@ only when the work is meant to change, in its own commit, and record why.
 """
 
 import argparse
-import contextlib
 import importlib
 import json
 import sys
@@ -74,10 +73,9 @@ COUNTED = (
 )
 
 
-@contextlib.contextmanager
-def counting():
-    """Wrap the counted functions while the block runs; yields the dict
-    that the entry's counts accumulate in."""
+def count(call) -> dict:
+    """The counts of the work ``call()`` does, with the counted functions
+    wrapped while it runs."""
     counts = Counter()
     runs = []
 
@@ -115,12 +113,11 @@ def counting():
     try:
         for module, name, fn in patches:
             setattr(module, name, fn)
-        entry = {}
-        yield entry
-        entry.update({"steps": runs, **{key: counts[key] for *_, key in COUNTED}})
+        call()
     finally:
         for module, name, fn in saved:
             setattr(module, name, fn)
+    return {"steps": runs, **{key: counts[key] for *_, key in COUNTED}}
 
 
 def calls():
@@ -138,9 +135,7 @@ def survey():
     """(key, entry) for every entry of the table, in table order."""
     POLYNOMIALS.roots_of_f()
     for key, call in calls():
-        with counting() as entry:
-            call()
-        yield key, entry
+        yield key, count(call)
 
 
 def _write(table: dict) -> None:

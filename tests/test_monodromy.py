@@ -1162,9 +1162,9 @@ class TestStepGrowth:
 
     @pytest.mark.parametrize("initial_step,longest,probe_longest", [
         (1 / 256, 12 / 256, 12 / 512),
-        # from this nominal step up, eight nominal steps already reach the
-        # quarter of the path, so the loops' steps are those of a cap of
-        # eight; the probe's, half as long, still grow to twelve
+        # from this nominal step up, the loops reach a quarter of the path
+        # within eight nominal steps, so the cap does not bind them; the
+        # probe's nominal step, half as long, still grows to twelve
         (1 / 32, 1 / 4, 12 / 64),
         (1 / 16, 1 / 4, 1 / 4),
         (1 / 8, 1 / 4, 1 / 4),

@@ -22,21 +22,17 @@ of degree 22, 40 random b-chains from
     PYTHONPATH=src python3 scripts/check_chains.py --write    # rebuild
 
 ``--write`` replaces the table with the output of the current code; use it
-only when the output is meant to change, and record why.
+only when the output is meant to change, and record why.  The check and
+the rewrite are ``committed_table.run``'s.
 """
 
-import argparse
-import contextlib
-import hashlib
-import io
 import json
 import random
 import sys
-import time
 import warnings
 from pathlib import Path
 
-from dessins import cli
+from committed_table import cli_stdout, run, sha256
 from dessins.galois import all_triples, full_chain
 from dessins.maps import format_map_expr, parse_map_expr
 from dessins.monodromy import TrackingConfig, monodromy_json
@@ -128,26 +124,13 @@ def chains() -> list[str]:
     return list(dict.fromkeys(survey))
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _outcome(call) -> str:
     """The sha256 of the text ``call`` returns, or the class and message of
     what it raises."""
     try:
-        return _sha256(call())
+        return sha256(call())
     except Exception as exc:  # noqa: BLE001  (the table records every failure)
         return f"{type(exc).__name__}: {exc}"
-
-
-def _stdout(argv: list[str]) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    if code != 0:
-        raise RuntimeError(f"exit {code}: {err.getvalue().strip()}")
-    return out.getvalue()
 
 
 def _entry(calls: dict) -> dict:
@@ -171,48 +154,16 @@ def chain_entry(text: str, cfg: TrackingConfig = TrackingConfig()) -> dict:
 
 
 def survey():
-    """(key, entry) for every entry of the table, in table order."""
+    """(key, entry, problem) for every entry of the table, in table order."""
     for text in chains():
-        yield text, chain_entry(text)
+        yield text, chain_entry(text), None
     for overrides in COARSE_CONFIGS:
         cfg = TrackingConfig(**overrides)
         for text in COARSE_CHAINS:
-            yield f"{text} {json.dumps(overrides)}", chain_entry(text, cfg)
+            yield f"{text} {json.dumps(overrides)}", chain_entry(text, cfg), None
     for argv in CLI_CALLS:
-        yield "dessins " + " ".join(argv), _entry({"stdout": lambda: _stdout(argv)})
-
-
-def _write(table: dict) -> None:
-    lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in table.items()]
-    TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--write", action="store_true",
-                        help="rebuild the table from the current code")
-    args = parser.parse_args()
-    expected = {} if args.write else json.loads(TABLE.read_text(encoding="utf-8"))
-
-    start = time.perf_counter()
-    got, mismatches = {}, 0
-    for key, entry in survey():
-        got[key] = entry
-        if not args.write and entry != expected.get(key):
-            mismatches += 1
-            print(f"MISMATCH {key}: {entry} != {expected.get(key)}")
-    missing = sorted(set(expected) - set(got))
-    for key in missing:
-        print(f"MISSING {key}")
-    seconds = time.perf_counter() - start
-
-    if args.write:
-        _write(got)
-        print(f"wrote {len(got)} entries to {TABLE.name} in {seconds:.1f} s")
-        return 0
-    print(f"{len(got)} entries, {mismatches + len(missing)} mismatches, {seconds:.1f} s")
-    return 1 if mismatches or missing else 0
+        yield "dessins " + " ".join(argv), _entry({"stdout": lambda: cli_stdout(argv)}), None
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(TABLE, survey))

@@ -16,10 +16,12 @@ counts of the work it does:
 The counts are taken by wrapping those module functions from outside, so
 the package carries no counters.  ``roots_of_f``, which the package solves
 once per process, is solved before counting, so each entry's counts do not
-depend on the entries before it.  The calls are ``monodromy_json`` of every
-chain the CI pins with ``--check-stability``, ``monodromy()`` of the
-paper's full chain, and ``render_graph`` of the full chain and of the CI's
-render pins, all on the default configuration.
+depend on the entries before it.  The calls are ``monodromy()`` of the
+paper's full chain and of the full chains of the bases of the CI's orbit
+pins, one per other A5 orbit, ``monodromy_json`` with the stability probe
+of every chain the CI pins with ``--check-stability`` and of three chains
+whose innermost tracked pair has degree 22, and ``render_graph`` of the
+full chain and of the CI's render pins, all on the default configuration.
 
 Counts do not depend on the host's speed, so a change in work shows here
 even where timings cannot tell it from noise.  The script recomputes every
@@ -30,16 +32,15 @@ entry and exits 1 on any mismatch.
 
 ``--write`` replaces the table with the counts of the current code; use it
 only when the work is meant to change, in its own commit, and record why.
+The check and the rewrite are ``committed_table.run``'s.
 """
 
-import argparse
 import importlib
-import json
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
+from committed_table import run
 from dessins.galois import Triple, full_chain
 from dessins.maps import format_map_expr, parse_map_expr
 from dessins.monodromy import TrackingConfig, monodromy, monodromy_json
@@ -54,6 +55,9 @@ RENDER = importlib.import_module("dessins.render")
 
 FULL_CHAIN = format_map_expr(full_chain(Triple(2, 7, 11)))
 
+# The paper's triple, then the bases of the CI's orbit pins, one per other A5 orbit.
+TRIPLES = (Triple(2, 7, 11), Triple(1, 2, 4), Triple(1, 2, 8), Triple(1, 2, 9), Triple(1, 7, 9))
+
 # The chains of the CI's monodromy pins, all run here with the probe.
 MONODROMY_PINS = (
     "b(10,1).f.pi(3,5,8)", "b(20,2).f", "b(1,1).b(10,1).f", "b(10,1).f.pi(3,4,12)",
@@ -61,6 +65,10 @@ MONODROMY_PINS = (
     "b(1,1).b(10,1)", "b(1,1).b(1,1).b(10,1).f.pi(2,7,11)", "b(2,3).b(3,2)",
     "b(30,3).f", "b(6,5).b(1,1).b(2,2)", "b(5,5).b(4,4)",
 )
+
+# Chains whose innermost tracked pair has degree 22, the size of the
+# published psi pair; none of them is a CI pin.
+DEGREE_22 = ("b(20,2)", "b(21,1)", "b(10,1).b(1,1)")
 
 # The full chain and the chains of the CI's render pins.
 RENDER_CHAINS = (FULL_CHAIN, "b(1,1).b(10,1)", "b(4,6)", "b(1,1).b(20,2).f.pi(1,6,9)")
@@ -123,8 +131,9 @@ def count(call) -> dict:
 def calls():
     """(key, call) for every entry of the table, in table order."""
     cfg = TrackingConfig()
-    yield f"monodromy {FULL_CHAIN}", lambda: monodromy(full_chain(Triple(2, 7, 11)), cfg)
-    for text in MONODROMY_PINS:
+    for t in TRIPLES:
+        yield f"monodromy {format_map_expr(full_chain(t))}", lambda t=t: monodromy(full_chain(t), cfg)
+    for text in MONODROMY_PINS + DEGREE_22:
         yield (f"monodromy {text} --check-stability",
                lambda text=text: monodromy_json(parse_map_expr(text), cfg, check_stability=True))
     for text in RENDER_CHAINS:
@@ -132,43 +141,11 @@ def calls():
 
 
 def survey():
-    """(key, entry) for every entry of the table, in table order."""
+    """(key, entry, problem) for every entry of the table, in table order."""
     POLYNOMIALS.roots_of_f()
     for key, call in calls():
-        yield key, count(call)
-
-
-def _write(table: dict) -> None:
-    lines = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in table.items()]
-    TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--write", action="store_true",
-                        help="rebuild the table from the current code")
-    args = parser.parse_args()
-    expected = {} if args.write else json.loads(TABLE.read_text(encoding="utf-8"))
-
-    start = time.perf_counter()
-    got, mismatches = {}, 0
-    for key, entry in survey():
-        got[key] = entry
-        if not args.write and entry != expected.get(key):
-            mismatches += 1
-            print(f"MISMATCH {key}: {entry} != {expected.get(key)}")
-    missing = sorted(set(expected) - set(got))
-    for key in missing:
-        print(f"MISSING {key}")
-    seconds = time.perf_counter() - start
-
-    if args.write:
-        _write(got)
-        print(f"wrote {len(got)} entries to {TABLE.name} in {seconds:.1f} s")
-        return 0
-    print(f"{len(got)} entries, {mismatches + len(missing)} mismatches, {seconds:.1f} s")
-    return 1 if mismatches or missing else 0
+        yield key, count(call), None
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(TABLE, survey))

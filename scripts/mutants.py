@@ -193,13 +193,40 @@ MUTANTS = (
         "h_max = min(12 * h, max(h, 0.25))",
         "h_max = min(16 * h, max(h, 0.25))",
         ("tests/test_monodromy.py::TestStepGrowth::test_longest_loop_step[default]",
-         "tests/test_monodromy.py::TestStepGrowth::test_guard_margin[b(20,2).f]"),
+         "tests/test_monodromy.py::TestStepGrowth::test_guard_margin[b(20,2).f]",
+         "tests/test_scripts.py::test_work_counts_match_the_table"),
     ),
     Mutant(
         "isomorphism: a disconnected pair answered, not refused", "dessins/dessin.py",
         "    if c1.degree != c2.degree:\n",
         "    if c1.degree != c2.degree or not (c1.transitive and c2.transitive):\n",
         ("tests/test_dessin.py::TestIsomorphism::test_disconnected_pair_raises",),
+    ),
+    Mutant(
+        "doubling: the b-sheet's black edges follow g0, not g1", "dessins/dessin.py",
+        "        g0[bk] = b[s1k]\n",
+        "        g0[bk] = b[s0k]\n",
+        ("tests/test_dessin.py::TestDoubled::test_white_vertex_on_each_edge",
+         "tests/test_dessin.py::TestDoubled::test_published_psi_is_doubled_b101",
+         "tests/test_galois.py::TestPlanarDessin::test_exact_is_the_tracked_d0"),
+    ),
+    Mutant(
+        "end match: nearest interleaved with itself, not with its other sheet", MONODROMY,
+        "np.column_stack((nearest, nearest ^ 1))",
+        "np.column_stack((nearest, nearest))",
+        (MATCH + "test_sheet_pairs_interleave", MATCH + "test_runner_up_on_the_reach[True]"),
+    ),
+    Mutant(
+        "CLI: a refused allocation not among the errors that exit 3", "dessins/cli.py",
+        "RenderError, ArithmeticError, MemoryError)",
+        "RenderError, ArithmeticError)",
+        ("tests/test_cli.py::TestMonodromy::test_refused_allocation_is_numeric_failure",),
+    ),
+    Mutant(
+        "merge dots: the real-part cut taken one ulp short of tol", RENDER,
+        "if v.x.real - g[0].x.real >= tol:",
+        "if v.x.real - g[0].x.real >= np.nextafter(tol, 0):",
+        ("tests/test_render.py::TestMergeDots::test_matches_naive_scan",),
     ),
 )
 
